@@ -1,12 +1,14 @@
 """Chambers at infinity of the SL3 building: flags, sectors and retractions.
 
-A chamber at infinity is a complete flag <f1> < <f1, f2> in Q^3, stored as a
-canonical column-echelon coset representative, so equality of flags is tuple
-equality.  Relative position of two flags is an element of S3 determined by
-the dimension table dim(C_i meet D_j); opposite means the order-reversing
-permutation.  Sector membership, the basis sets of the cone topology, and the
-retraction onto an apartment centered at one of its ideal chambers are all
-decided through exact lattice normal forms.
+A chamber at infinity is a complete flag <f1> < <f1, f2> in Q^3, stored as
+its pair (line, plane normal) of canonical primitive integer vectors, so
+equality of flags is tuple equality.  The action of SL3(Q) moves the line by
+g and the normal by the transposed adjugate of g.  Relative position of two
+flags is an element of S3 read off four incidence tests (equal lines, equal
+planes, and whether the line of each lies on the plane of the other);
+opposite means the order-reversing permutation.  Sector membership, the basis
+sets of the cone topology, and the retraction onto an apartment centered at
+one of its ideal chambers are all decided through exact lattice normal forms.
 """
 
 from __future__ import annotations
@@ -16,21 +18,23 @@ from fractions import Fraction
 from itertools import permutations
 
 from .padic_linalg import (
+    adjugate3,
     columns,
     cross,
     det3,
-    flag_adapted_basis,
+    dot,
     from_columns,
     integerize,
     is_diagonal_ascending,
     lattice_canonical,
     mat_inv3,
     mat_mul,
+    mat_vec,
     primitive_vector,
-    rank,
+    transpose,
     valuation_int,
 )
-from .building import Frame, LatticeVertex, frame_vertex
+from .building import Frame, LatticeVertex, adapted_basis_at, frame_vertex
 
 
 IDENTITY_PERM = (0, 1, 2)
@@ -59,33 +63,31 @@ class HorizonExceededError(RuntimeError):
 # flags
 # ---------------------------------------------------------------------------
 
-def _flag_canonical(m):
-    cols = [[Fraction(e) for e in col] for col in columns(m)]
-    if det3(m) == 0:
-        raise ValueError("flag matrix must be invertible")
-    pivots = []
-    for j in range(3):
-        col = cols[j]
-        for i, pr in enumerate(pivots):
-            if col[pr] != 0:
-                f = col[pr] / cols[i][pr]
-                col = [a - f * b for a, b in zip(col, cols[i])]
-        piv = max(r for r in range(3) if col[r] != 0)
-        inv = 1 / col[piv]
-        cols[j] = [a * inv for a in col]
-        pivots.append(piv)
-    return from_columns(tuple(tuple(c) for c in cols))
+def _echelon_column(v):
+    """v scaled so its last nonzero entry is 1, with the row of that entry."""
+    r = max(i for i in range(3) if v[i] != 0)
+    return tuple(Fraction(e, v[r]) for e in v), r
 
 
 @dataclass(frozen=True)
 class Flag:
-    """Complete flag in Q^3, canonical coset representative of its matrix."""
+    """Complete flag <line> < plane in Q^3.
 
-    matrix: tuple
+    Both fields are canonical primitive integer vectors (``primitive_vector``):
+    the line spans the one-dimensional step, the plane normal is orthogonal to
+    the two-dimensional step.
+    """
+
+    line: tuple
+    plane_normal: tuple
 
     @classmethod
     def from_matrix(cls, m):
-        return cls(_flag_canonical(m))
+        """The flag of the first column and the first two columns of m."""
+        if det3(m) == 0:
+            raise ValueError("flag matrix must be invertible")
+        c = columns(m)
+        return cls(primitive_vector(c[0]), primitive_vector(cross(c[0], c[1])))
 
     @classmethod
     def standard(cls):
@@ -95,90 +97,65 @@ class Flag:
     def reversed_standard(cls):
         return cls.from_matrix(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
 
-    @classmethod
-    def from_line_and_plane(cls, line, plane_basis):
-        u, v = plane_basis
-        w = cross(u, v)
-        third = next(tuple(1 if r == j else 0 for r in range(3))
-                     for j in range(3)
-                     if sum(w[k] * (1 if k == j else 0) for k in range(3)) != 0)
-        second = u if rank(from_columns((line, u))) == 2 else v
-        return cls.from_matrix(from_columns((line, second, third)))
-
     def apply(self, g):
-        return Flag.from_matrix(mat_mul(g, self.matrix))
+        """Image under g: the line moves by g, the normal by g's cofactors."""
+        g, _ = integerize(g)
+        if det3(g) == 0:
+            raise ValueError("acting matrix must be invertible")
+        return Flag(primitive_vector(mat_vec(g, self.line)),
+                    primitive_vector(mat_vec(transpose(adjugate3(g)),
+                                             self.plane_normal)))
 
     @property
-    def line(self):
-        """Canonical primitive vector spanning the one-dimensional step."""
-        return primitive_vector(columns(self.matrix)[0])
+    def matrix(self):
+        """The column-echelon coset representative, every entry a Fraction.
 
-    @property
-    def plane_normal(self):
-        """Canonical primitive normal vector of the two-dimensional step."""
-        c = columns(self.matrix)
-        return primitive_vector(cross(c[0], c[1]))
+        Each column has last nonzero entry 1 in its pivot row, the second
+        column vanishes in the pivot row of the first, and the third is the
+        unit vector of the remaining row.
+        """
+        c1, r1 = _echelon_column(self.line)
+        unit = tuple(1 if i == r1 else 0 for i in range(3))
+        c2, r2 = _echelon_column(cross(self.plane_normal, unit))
+        r3 = 3 - r1 - r2
+        c3 = tuple(Fraction(1 if i == r3 else 0) for i in range(3))
+        return from_columns((c1, c2, c3))
 
 
 # ---------------------------------------------------------------------------
 # relative position
 # ---------------------------------------------------------------------------
 
-def _intersection_dims(c, d):
-    """dims[i][j] = dim(C_(i+1) meet D_(j+1)) for i, j in {0, 1, 2}."""
-    ccols = columns(c.matrix)
-    dcols = columns(d.matrix)
-    dims = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            stacked = from_columns(ccols[: i + 1] + dcols[: j + 1])
-            dims[i][j] = (i + 1) + (j + 1) - rank(stacked)
-    return dims
-
-
 def weyl_distance(c, d):
     """Relative position of two flags as a permutation w of {0, 1, 2}.
 
-    Convention: dim(C_i meet D_j) = #{a <= i : w(a) <= j} (1-indexed), i.e. the
-    increments of the dimension table form the permutation matrix of w.
+    Convention: dim(C_i meet D_j) = #{a <= i : w(a) <= j} (1-indexed).
     Identical flags give the identity, opposite flags the order reversal.
+    The cell is decided by whether the lines agree, the planes agree, and
+    each line lies on the other plane.
     """
-    dims = _intersection_dims(c, d)
-
-    def entry(i, j):
-        base = dims[i][j]
-        if i > 0:
-            base -= dims[i - 1][j]
-        if j > 0:
-            base -= dims[i][j - 1]
-        if i > 0 and j > 0:
-            base += dims[i - 1][j - 1]
-        return base
-
-    w = [None] * 3
-    for i in range(3):
-        for j in range(3):
-            if entry(i, j) == 1:
-                w[i] = j
-    return tuple(w)
+    if c.line == d.line:
+        return IDENTITY_PERM if c.plane_normal == d.plane_normal else (0, 2, 1)
+    if c.plane_normal == d.plane_normal:
+        return (1, 0, 2)
+    if dot(c.line, d.plane_normal) == 0:
+        return (1, 2, 0)
+    if dot(d.line, c.plane_normal) == 0:
+        return (2, 0, 1)
+    return LONGEST_PERM
 
 
 def is_opposite(c, d):
     """Transversality: the line of each flag avoids the plane of the other."""
-    cc = columns(c.matrix)
-    dc = columns(d.matrix)
-    return det3(from_columns((cc[0], dc[0], dc[1]))) != 0 and \
-        det3(from_columns((dc[0], cc[0], cc[1]))) != 0
+    return dot(c.line, d.plane_normal) != 0 and dot(d.line, c.plane_normal) != 0
 
 
 def apartment_from_opposite(c, d):
     """The frame of the unique apartment whose boundary contains both flags."""
     if not is_opposite(c, d):
         raise NotOppositeError("chambers are not opposite")
-    cc = columns(c.matrix)
-    dc = columns(d.matrix)
-    middle = cross(cross(cc[0], cc[1]), cross(dc[0], dc[1]))
-    return Frame.from_lines((cc[0], middle, dc[0]))
+    middle = cross(c.plane_normal, d.plane_normal)
+    return Frame.from_lines((c.line, middle, d.line))
 
 
 def apartment_chambers(frame):
@@ -221,9 +198,8 @@ def sector_membership(x, c, y):
     with exponents increasing toward the back of the flag.
     """
     p = x.p
-    g = mat_mul(mat_inv3(x.matrix), c.matrix)
-    h = flag_adapted_basis(g, p)
-    n = mat_mul(mat_inv3(mat_mul(x.matrix, h)), y.matrix)
+    h = adapted_basis_at(x, c)
+    n = mat_mul(adjugate3(mat_mul(x.matrix, h)), y.matrix)
     canon = lattice_canonical(n, p)
     return is_diagonal_ascending(canon, p)
 
@@ -248,8 +224,7 @@ def growth_ray_vertex(x, c, t):
     through every wall of the sector at the same rate.
     """
     p = x.p
-    g = mat_mul(mat_inv3(x.matrix), c.matrix)
-    h = flag_adapted_basis(g, p)
+    h = adapted_basis_at(x, c)
     cols = columns(mat_mul(x.matrix, h))
     scaled = (cols[0], tuple(e * p ** t for e in cols[1]),
               tuple(e * p ** (2 * t) for e in cols[2]))
@@ -298,15 +273,6 @@ def retraction(frame, c, x):
     return frame_vertex(frame, x.p, tuple(m))
 
 
-def retraction_exponents(frame, c, x):
-    """Iwasawa exponents of x in the c-ordered frame coordinates."""
-    order = chamber_order_in_frame(frame, c)
-    h = frame.matrix(order)
-    n = mat_mul(mat_inv3(h), x.matrix)
-    canon = lattice_canonical(n, x.p)
-    return tuple(valuation_int(canon[i][i], x.p) for i in range(3)), order
-
-
 def boundary_retraction(frame, c, d, p, horizon=100000):
     """Boundary extension of the retraction centered at c, evaluated at d.
 
@@ -324,9 +290,7 @@ def boundary_retraction(frame, c, d, p, horizon=100000):
     order_c = chamber_order_in_frame(frame, c)
     h = frame.matrix(order_c)
     o = frame_vertex(frame, p, (0, 0, 0))
-    g = mat_mul(mat_inv3(o.matrix), d.matrix)
-    adapted = flag_adapted_basis(g, p)
-    n0, _ = integerize(mat_mul(mat_inv3(h), mat_mul(o.matrix, adapted)))
+    n0 = mat_mul(adjugate3(h), mat_mul(o.matrix, adapted_basis_at(o, d)))
     ray = (0, 1, 2)  # column j of the ray vertex scales by p^(ray_j * n)
     # linear forms for the bottom-up corner-minor valuations of n0 * diag
     row2 = [(valuation_int(n0[2][j], p), ray[j])

@@ -17,6 +17,7 @@ from math import isqrt
 
 from .padic_linalg import (
     SingularMatrixError,
+    adjugate3,
     columns,
     cross,
     det3,
@@ -27,12 +28,14 @@ from .padic_linalg import (
     integerize,
     mat_inv3,
     mat_mul,
+    mat_vec,
     lattice_canonical,
     primitive_vector,
     require_prime,
     residue_germ_parts,
     smith_exponents,
     strip_p_content,
+    transpose,
     valuation_int,
 )
 
@@ -343,9 +346,18 @@ def residue_projection(o, target):
         if line is None or normal is None:
             raise IrregularSegmentError("segment [o, y] is not regular")
         return ResidueChamber.from_parts(o.p, line, normal)
-    # flag target: triangularize the flag in the coordinates of the lattice of o
-    g = mat_mul(mat_inv3(o.matrix), target.matrix)
-    h = flag_adapted_basis(g, o.p)
-    f1, f2, _ = columns(h)
+    f1, f2, _ = columns(adapted_basis_at(o, target))
     normal = primitive_vector(cross(f1, f2))
     return ResidueChamber.from_parts(o.p, f1, normal)
+
+
+def adapted_basis_at(x, flag):
+    """``flag_adapted_basis`` of a flag in the coordinates of the lattice of x.
+
+    The line moves to those coordinates by the adjugate of the basis matrix
+    of x, the plane normal by its transpose; both are projective, so the
+    determinant never needs dividing out.
+    """
+    m = x.matrix
+    return flag_adapted_basis(mat_vec(adjugate3(m), flag.line),
+                              mat_vec(transpose(m), flag.plane_normal), x.p)

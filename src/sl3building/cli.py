@@ -72,7 +72,13 @@ from .parabolics import (
     upper_flag,
 )
 from .rng import derive_seed, make_rng
-from .serialize import frac_to_str, str_to_frac, to_obj
+from .serialize import (
+    ParseError,
+    frac_to_str,
+    obj_to_matrix,
+    str_to_frac,
+    to_obj,
+)
 
 SUBCOMMANDS = ("dynamics", "barycenter", "walk", "measure", "equicont",
                "strip", "appendix", "selftest")
@@ -119,14 +125,12 @@ def load_config(name, path):
 
 
 def _validate(name, cfg):
-    from .padic_linalg import is_prime
-    for key in ("p",):
-        if key in cfg and not is_prime(cfg[key]):
-            raise ConfigError(f"{key} must be prime, got {cfg[key]}")
-    if "p_values" in cfg:
-        for p in cfg["p_values"]:
-            if not is_prime(p):
-                raise ConfigError(f"p_values entries must be prime, got {p}")
+    from .building import is_regular
+    from .padic_linalg import det3, is_prime
+    primes = ([cfg["p"]] if "p" in cfg else []) + list(cfg.get("p_values", []))
+    for p in primes:
+        if not (isinstance(p, int) and is_prime(p)):
+            raise ConfigError(f"p and p_values entries must be prime, got {p!r}")
     for key in ("flags_per_cert", "trials", "samples", "steps", "r_max",
                 "transports", "radius_cap", "depth", "nmax", "threshold",
                 "budget", "window", "word_length", "partition_length",
@@ -134,18 +138,43 @@ def _validate(name, cfg):
         if key in cfg and cfg[key] is not None and (not isinstance(cfg[key], int)
                                                     or cfg[key] < 0):
             raise ConfigError(f"{key} must be a nonnegative integer")
+    if cfg.get("depth") == 0:
+        raise ConfigError("depth must be at least 1")
+    if name == "dynamics":
+        lam = cfg["lam"]
+        if not (isinstance(lam, list) and len(lam) == 3
+                and all(isinstance(a, int) for a in lam)):
+            raise ConfigError("lam must be a list of three integers")
+        if not is_regular(lam) or (lam[0] + lam[1]) % 3 != 0:
+            raise ConfigError("lam must be regular with lam[0] + lam[1] "
+                              f"divisible by 3, got {lam}")
     if name == "walk":
         gens, weights = cfg.get("generators"), cfg.get("weights")
         if (gens is None) != (weights is None):
             raise ConfigError("generators and weights must be given together")
         if gens is not None and len(gens) == 0:
             raise ConfigError("generator list must be nonempty")
+        if gens is not None and len(gens) != len(weights):
+            raise ConfigError("one weight per generator")
+        for i, g in enumerate(gens or ()):
+            if not (isinstance(g, list) and len(g) == 3 and
+                    all(isinstance(row, list) and len(row) == 3 for row in g)):
+                raise ConfigError(f"generators[{i}] must be a 3x3 matrix")
+            if det3(_parse(obj_to_matrix, g, f"generators[{i}]")) != 1:
+                raise ConfigError(f"generators[{i}] must have determinant 1")
         if weights is not None:
-            ws = [str_to_frac(w, "weights") for w in weights]
+            ws = [_parse(str_to_frac, w, "weights") for w in weights]
             if any(w <= 0 for w in ws):
                 raise ConfigError("weights must be positive")
             if sum(ws) != 1:
                 raise ConfigError("weights must sum to 1")
+
+
+def _parse(parser, obj, where):
+    try:
+        return parser(obj, where)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_hash(cfg):
@@ -253,7 +282,6 @@ def run_barycenter(cfg, seed):
 
 def _walk_generators(cfg, seed):
     if cfg["generators"] is not None:
-        from .serialize import obj_to_matrix
         gens = tuple(GroupElement.from_matrix(obj_to_matrix(g, "generators"))
                      for g in cfg["generators"])
         weights = tuple(str_to_frac(w, "weights") for w in cfg["weights"])
@@ -507,8 +535,6 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved for trial parallelism; results do not depend on it")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.subcommand, args.config)

@@ -88,10 +88,6 @@ def unit_part(x, p):
 # plain matrix helpers (rows of tuples, exact entries)
 # ---------------------------------------------------------------------------
 
-def mat(rows):
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(n=3):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -107,10 +103,6 @@ def mat_mul(a, b):
 
 def mat_vec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def mat_scale(m, c):
-    return tuple(tuple(c * e for e in row) for row in m)
 
 
 def det3(m):
@@ -153,28 +145,6 @@ def columns(m):
 
 def from_columns(cols):
     return tuple(zip(*cols))
-
-
-def rank(m):
-    """Exact rank of a matrix over Q (Gaussian elimination on Fractions)."""
-    rows = [[Fraction(e) for e in row] for row in m]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [e - f * g for e, g in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def primitive_vector(v):
@@ -306,16 +276,6 @@ def lattice_canonical(m, p):
     return tuple(tuple(row) for row in out)
 
 
-def hnf_pivot_exponents(m, p):
-    """Exponents of the pivots of the canonical form, in row order.
-
-    These are the Iwasawa diagonal exponents of the column span relative to
-    the standard coordinate flag; they are not sorted.
-    """
-    c = lattice_canonical(m, p)
-    return tuple(valuation_int(c[i][i], p) for i in range(3))
-
-
 def is_diagonal_ascending(canon, p):
     """True if a canonical lattice matrix is diagonal with ascending exponents."""
     for i in range(3):
@@ -420,16 +380,15 @@ def smith_left_transform(m, p):
     return tuple(tuple(r) for r in left), tuple(d)
 
 
-def flag_adapted_basis(g, p):
-    """Basis of Z_(p)^3 triangular for the complete flag of the columns of g.
+def flag_adapted_basis(line, normal, p):
+    """Basis of Z_(p)^3 triangular for the flag <line> < {x : normal . x = 0}.
 
     Returns an integer matrix H with unit determinant valuation whose columns
-    (f1, f2, f3) satisfy f1 in <g1> and f2 in <g1, g2>.  The first column is
-    primitive in Z^3, the first two span the p-saturation of the flag plane.
+    (f1, f2, f3) satisfy f1 in <line> and f2 in the plane.  The first column
+    is primitive in Z^3, the first two span the p-saturation of the plane.
     """
-    cols = columns(g)
-    f1 = primitive_vector(cols[0])
-    n = primitive_vector(cross(cols[0], cols[1]))
+    f1 = primitive_vector(line)
+    n = primitive_vector(normal)
     k = next(i for i in range(3) if n[i] % p != 0)
     basis = [tuple(n[k] if r == i else (-n[i] if r == k else 0) for r in range(3))
              for i in range(3) if i != k]

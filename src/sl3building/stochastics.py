@@ -56,6 +56,8 @@ class InsufficientConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _random_stabilizer_matrix(p, depth, rng):
+    if depth < 1:  # modulo p^0 = 1 every draw is 0, so no unit would come
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
     q = p ** depth
     while True:
         m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
@@ -79,6 +81,8 @@ def _sector_shape_matrix(p, depth, exps, rng):
     exps is ascending with exps[0] = 0; entry (i, j) below the diagonal must
     be divisible by p^(exps[i] - exps[j]).
     """
+    if depth < 1:
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
     q = p ** depth
     while True:
         rows = []

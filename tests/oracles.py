@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to validate the library's fast paths.
 
 Each oracle deliberately avoids the code path it checks: Smith exponents come
-from minor gcds instead of elimination, relative position from trying all six
-permutations against the rank table, sector membership from enumerating the
-sector's vertices, and residue alcoves from a first-step neighbor search.
+from minor gcds instead of elimination, flag echelon forms from Fraction
+column elimination, relative position from trying all six permutations
+against the rank table, sector membership from enumerating the sector's
+vertices, and residue alcoves from a first-step neighbor search.
 """
 
 from fractions import Fraction
@@ -12,13 +13,13 @@ from itertools import permutations
 from sl3building.padic_linalg import (
     adjugate3,
     columns,
+    cross,
     det3,
     flag_adapted_basis,
     from_columns,
     integerize,
     mat_inv3,
     mat_mul,
-    rank,
     valuation,
     valuation_int,
 )
@@ -57,6 +58,47 @@ def smith_minor_gcd_oracle(m, p):
     return tuple(sorted((a1 - shift, a2 - shift, a3 - shift), reverse=True))
 
 
+def rank(m):
+    """Exact rank of a matrix over Q (Gaussian elimination on Fractions)."""
+    rows = [[Fraction(e) for e in row] for row in m]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [e - f * g for e, g in zip(rows[i], rows[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def flag_echelon_oracle(m):
+    """Column-echelon coset representative of the flag of m, by elimination."""
+    cols = [[Fraction(e) for e in col] for col in columns(m)]
+    if det3(m) == 0:
+        raise ValueError("flag matrix must be invertible")
+    pivots = []
+    for j in range(3):
+        col = cols[j]
+        for i, pr in enumerate(pivots):
+            if col[pr] != 0:
+                f = col[pr] / cols[i][pr]
+                col = [a - f * b for a, b in zip(col, cols[i])]
+        piv = max(r for r in range(3) if col[r] != 0)
+        inv = 1 / col[piv]
+        cols[j] = [a * inv for a in col]
+        pivots.append(piv)
+    return from_columns(tuple(tuple(c) for c in cols))
+
+
 def weyl_distance_oracle(c, d):
     """The unique permutation matching the full intersection-dimension table."""
     ccols = columns(c.matrix)
@@ -82,8 +124,8 @@ def sector_vertices_bfs(x, c, radius):
     triples of bounded length; returns their canonical matrices as a set.
     """
     p = x.p
-    g = mat_mul(mat_inv3(x.matrix), c.matrix)
-    h = flag_adapted_basis(g, p)
+    g = columns(mat_mul(mat_inv3(x.matrix), c.matrix))
+    h = flag_adapted_basis(g[0], cross(g[0], g[1]), p)
     base = mat_mul(x.matrix, h)
     out = set()
     r2 = radius * radius

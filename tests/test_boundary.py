@@ -35,8 +35,13 @@ from sl3building.boundary import (
 )
 from sl3building.padic_linalg import det3, from_columns, mat_mul
 from sl3building.parabolics import family_flag, upper_flag
+from sl3building.serialize import from_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
-from oracles import sector_membership_oracle, weyl_distance_oracle
+from oracles import (
+    flag_echelon_oracle,
+    sector_membership_oracle,
+    weyl_distance_oracle,
+)
 
 
 def rand_flag(rng, bound=6):
@@ -74,6 +79,33 @@ def test_flag_canonical_form_is_a_coset_invariant():
         assert Flag.from_matrix(mat_mul(f.matrix, upper)) == f
 
 
+def rand_matrix(rng, rational):
+    """A random invertible matrix, integer or with Fraction entries."""
+    while True:
+        if rational:
+            m = tuple(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                            for _ in range(3)) for _ in range(3))
+        else:
+            m = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
+                      for _ in range(3))
+        if det3(m) != 0:
+            return m
+
+
+def test_flag_echelon_matrix_action_and_round_trip_against_oracle():
+    rng = random.Random(7)
+    for i in range(600):
+        m = rand_matrix(rng, rational=i % 2 == 1)
+        f = Flag.from_matrix(m)
+        assert f.matrix == flag_echelon_oracle(m)
+        assert all(type(e) is Fraction for row in f.matrix for e in row)
+        g = rand_matrix(rng, rational=i % 3 == 0)
+        moved = f.apply(g)
+        assert moved.matrix == flag_echelon_oracle(mat_mul(g, f.matrix))
+        assert all(type(e) is Fraction for row in moved.matrix for e in row)
+        assert from_obj(to_obj(f)) == f
+
+
 def test_weyl_distance_examples():
     c = Flag.standard()
     d = Flag.reversed_standard()
@@ -84,9 +116,14 @@ def test_weyl_distance_examples():
 
 def test_weyl_distance_against_permutation_oracle():
     rng = random.Random(47)
-    for _ in range(1000):
-        c, d = rand_flag(rng), rand_flag(rng)
+    pairs = [(rand_flag(rng), rand_flag(rng)) for _ in range(1000)]
+    # every relative position occurs from a fixed chamber of one apartment
+    frame = apartment_from_opposite(Flag.standard(), Flag.reversed_standard())
+    chambers = apartment_chambers(frame.apply(rand_sl3(rng)))
+    pairs += [(chambers[0], d) for d in chambers]
+    for c, d in pairs:
         assert weyl_distance(c, d) == weyl_distance_oracle(c, d)
+    assert {weyl_distance(chambers[0], d) for d in chambers} == set(ALL_PERMS)
 
 
 def test_schubert_partition_is_total():

@@ -115,3 +115,27 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
     rc = _run(tmp_path, "barycenter",
               config={"transports": 1, "triples": 1, "radius_cap": 1})
     assert rc == 3
+
+
+@pytest.mark.parametrize("sub, config", [
+    ("dynamics", {"p": "abc"}),
+    ("measure", {"p_values": [2, "abc"]}),
+    ("dynamics", {"lam": [2, 2, 0]}),
+    ("dynamics", {"lam": [3, 1, 0]}),
+    ("dynamics", {"lam": "210"}),
+    ("walk", {"generators": [[["1", "0"], ["0", "1"]]], "weights": ["1"]}),
+    ("walk", {"generators": [[["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+              "weights": ["1"]}),
+    ("walk", {"generators": [[["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+              "weights": ["1"]}),
+    ("walk", {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+              "weights": ["1/2", "1/2"]}),
+    ("walk", {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+              "weights": ["one"]}),
+    ("strip", {"depth": 0}),
+    ("dynamics", {"depth": 0}),
+])
+def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
+    rc = _run(tmp_path, sub, config=config)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"

@@ -11,6 +11,7 @@ from sl3building.padic_linalg import (
     SingularMatrixError,
     ZeroValuationError,
     columns,
+    cross,
     det3,
     flag_adapted_basis,
     from_columns,
@@ -22,7 +23,7 @@ from sl3building.padic_linalg import (
     valuation,
     valuation_int,
 )
-from oracles import smith_minor_gcd_oracle
+from oracles import rank, smith_minor_gcd_oracle
 
 
 def rand_invertible(rng, lo=-9, hi=9):
@@ -171,16 +172,15 @@ def test_flag_adapted_basis_is_triangular_and_unimodular():
     p = 5
     for _ in range(200):
         g = rand_invertible(rng)
-        h = flag_adapted_basis(g, p)
+        gc = columns(g)
+        h = flag_adapted_basis(gc[0], cross(gc[0], gc[1]), p)
         assert valuation(det3(h), p) == 0
         hc = columns(h)
-        gc = columns(g)
         assert _in_span(hc[0], (gc[0],))
         assert _in_span(hc[1], (gc[0], gc[1]))
 
 
 def _in_span(v, gens):
-    from sl3building.padic_linalg import rank
     stacked = from_columns(tuple(gens))
     full = from_columns(tuple(gens) + (v,))
     return rank(stacked) == rank(full)

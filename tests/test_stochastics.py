@@ -151,6 +151,12 @@ def test_conditioned_sampler_depth_guard():
         harmonic_sample_in_basis_set(x, y, 3, make_rng(1))
 
 
+def test_harmonic_sample_rejects_depth_zero():
+    # modulo p^0 no unit exists, so the draw loop could never end
+    with pytest.raises(ValueError):
+        harmonic_sample(standard_vertex(3), 0, make_rng(1))
+
+
 def test_walk_config_validation():
     p = 3
     x = standard_vertex(p)

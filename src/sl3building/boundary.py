@@ -27,9 +27,9 @@ from .padic_linalg import (
     integerize,
     is_diagonal_ascending,
     lattice_canonical,
-    mat_inv3,
     mat_mul,
     mat_vec,
+    minor_valuations,
     primitive_vector,
     transpose,
     valuation_int,
@@ -263,8 +263,7 @@ def retraction(frame, c, x):
     and does not increase distances.
     """
     order = chamber_order_in_frame(frame, c)
-    h = frame.matrix(order)
-    n = mat_mul(mat_inv3(h), x.matrix)
+    n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
     canon = lattice_canonical(n, x.p)
     exps = tuple(valuation_int(canon[i][i], x.p) for i in range(3))
     m = [0, 0, 0]
@@ -291,16 +290,12 @@ def boundary_retraction(frame, c, d, p, horizon=100000):
     h = frame.matrix(order_c)
     o = frame_vertex(frame, p, (0, 0, 0))
     n0 = mat_mul(adjugate3(h), mat_mul(o.matrix, adapted_basis_at(o, d)))
-    ray = (0, 1, 2)  # column j of the ray vertex scales by p^(ray_j * n)
-    # linear forms for the bottom-up corner-minor valuations of n0 * diag
-    row2 = [(valuation_int(n0[2][j], p), ray[j])
-            for j in range(3) if n0[2][j] != 0]
-    pairs12 = []
-    for (j1, j2) in ((0, 1), (0, 2), (1, 2)):
-        m = n0[1][j1] * n0[2][j2] - n0[1][j2] * n0[2][j1]
-        if m != 0:
-            pairs12.append((valuation_int(m, p), ray[j1] + ray[j2]))
-    det_v = valuation_int(det3(n0), p)
+    # column j of the ray vertex scales by p^(j * n), so the bottom-up corner
+    # minors of n0 * diag(1, p^n, p^2n) have valuations that are minima of
+    # linear forms in n, with slopes the sums of their column indices
+    entries, minors, det_v = minor_valuations(n0, p)
+    row2 = [(v, j) for v, i, j in entries if i == 2]
+    pairs12 = [(v, j1 + j2) for v, i1, i2, j1, j2 in minors if (i1, i2) == (1, 2)]
 
     def crossing_bound(forms):
         best = 0

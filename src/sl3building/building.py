@@ -25,11 +25,10 @@ from .padic_linalg import (
     flag_adapted_basis,
     from_columns,
     identity,
-    integerize,
-    mat_inv3,
     mat_mul,
     mat_vec,
     lattice_canonical,
+    minor_valuations,
     primitive_vector,
     require_prime,
     residue_germ_parts,
@@ -113,16 +112,11 @@ def standard_vertex(p):
     return LatticeVertex.standard(p)
 
 
-def relative_position_matrix(x, y):
-    """Change-of-basis matrix from the lattice of x to the lattice of y."""
-    return mat_mul(mat_inv3(x.matrix), y.matrix)
-
-
 def vector_distance(x, y):
     """Dominant exponent triple theta(x, y) of the elementary divisors from x to y."""
     if x.matrix == y.matrix:
         return (0, 0, 0)
-    return dominant(smith_exponents(relative_position_matrix(x, y), x.p))
+    return dominant(smith_exponents(mat_mul(adjugate3(x.matrix), y.matrix), x.p))
 
 
 def dist2(x, y):
@@ -164,55 +158,6 @@ def frame_vertex(frame, p, exponents=(0, 0, 0)):
     return LatticeVertex.from_matrix(p, from_columns(cols))
 
 
-class ApartmentDistance:
-    """Exact evaluator for distances from one vertex to apartment vertices.
-
-    Precomputes valuations of the minors of the relative position matrix so
-    that the vector distance to the apartment vertex with exponents m costs a
-    handful of integer operations.
-    """
-
-    _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-    def __init__(self, x, frame, order=(0, 1, 2)):
-        self.p = x.p
-        self.frame = frame
-        self.order = order
-        h = frame.matrix(order)
-        n0, _ = integerize(mat_mul(mat_inv3(h), x.matrix))
-        p = self.p
-        self.row_min = tuple(
-            min(valuation_int(e, p) for e in row if e != 0) for row in n0)
-        pair_mins = []
-        for (i, j) in self._PAIRS:
-            best = None
-            for (c1, c2) in self._PAIRS:
-                m = n0[i][c1] * n0[j][c2] - n0[i][c2] * n0[j][c1]
-                if m != 0:
-                    v = valuation_int(m, p)
-                    best = v if best is None else min(best, v)
-            if best is None:
-                raise SingularMatrixError("rank-deficient relative position")
-            pair_mins.append(best)
-        self.pair_min = tuple(pair_mins)
-        self.det_val = valuation_int(det3(n0), p)
-
-    def theta(self, m):
-        """Dominant vector distance from x to the apartment vertex at exponents m."""
-        e1 = min(self.row_min[i] - m[i] for i in range(3))
-        e2 = min(self.pair_min[k] - m[i] - m[j]
-                 for k, (i, j) in enumerate(self._PAIRS))
-        e3 = self.det_val - sum(m)
-        return dominant((e1, e2 - e1, e3 - e2))
-
-    def dist2(self, m):
-        return weyl_dist2(self.theta(m))
-
-    def vertex(self, m):
-        return frame_vertex(self.frame, self.p,
-                            tuple(m[self.order.index(i)] for i in range(3)))
-
-
 def _eisenstein_ball(bound2):
     """All (i, j) in Z^2 with i^2 - i*j + j^2 <= bound2."""
     if bound2 < 0:
@@ -224,37 +169,76 @@ def _eisenstein_ball(bound2):
                 yield (i, j)
 
 
+_MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
+
+class ApartmentPairDistance:
+    """Exact distances from the vertices of one basis to a frame apartment.
+
+    Built from the integer relative matrix K = adj(H_to) H_from of a source
+    basis H_from and a target frame matrix H_to.  The vertex at exponents m
+    over H_from and the apartment vertex at exponents m_to over H_to differ
+    by diag(p^-m_to) K diag(p^m) up to a scalar, so every minor valuation of
+    their relative position is a minor valuation of K shifted by the
+    exponents of its rows and columns; the kernel's output is stored once
+    and each distance costs three minima.
+    """
+
+    def __init__(self, k_int, p):
+        self.entries, self.minors, self.det_val = minor_valuations(k_int, p)
+
+    def theta(self, m, m_to):
+        """Vector distance from the m_to vertex of the target to the m vertex."""
+        e1 = min(v + m[j] - m_to[i] for v, i, j in self.entries)
+        e2 = min(v + m[j1] + m[j2] - m_to[i1] - m_to[i2]
+                 for v, i1, i2, j1, j2 in self.minors)
+        e3 = self.det_val + sum(m) - sum(m_to)
+        return dominant((e1, e2 - e1, e3 - e2))
+
+    def nearest(self, m):
+        """Certified (min squared distance, exponents of a minimizer) in the target.
+
+        Greedy descent over unit exponent moves from the origin to some z0,
+        then a scan of every target vertex within CAT(0) radius 2*d(x, z0) of
+        z0, where x is the vertex at m; by the triangle inequality the global
+        minimizer lies in that ball.  The first strict improvement wins, so
+        the witness is deterministic.
+        """
+        cur = (0, 0, 0)
+        best = weyl_dist2(self.theta(m, cur))
+        improved = True
+        while improved and best > 0:
+            improved = False
+            for mv in _MOVES:
+                cand = (cur[0] + mv[0], cur[1] + mv[1], cur[2] + mv[2])
+                q = weyl_dist2(self.theta(m, cand))
+                if q < best:
+                    cur, best, improved = cand, q, True
+                    break
+        if best == 0:
+            return 0, cur
+        best_m = cur
+        for (i, j) in _eisenstein_ball(4 * best):
+            cand = (cur[0] + i, cur[1] + j, cur[2])
+            q = weyl_dist2(self.theta(m, cand))
+            if q < best:
+                best, best_m = q, cand
+        return best, best_m
+
+    def dist2_to_apartment(self, m):
+        """Certified min squared distance from the m-vertex to the target apartment."""
+        return self.nearest(m)[0]
+
+
 def distance_to_apartment(x, frame):
     """Minimum squared distance from x to the vertex set of the frame apartment.
 
-    Certified bounded enumeration: starting from a greedily improved
-    apartment vertex z0, every apartment vertex within CAT(0) radius
-    2*d(x, z0) of z0 is inspected; by the triangle inequality the global
-    minimizer lies in that ball.  Returns (squared distance, witness vertex).
+    ``ApartmentPairDistance.nearest`` from the basis of x, at exponents 0,
+    to the frame.  Returns (squared distance, witness vertex).
     """
-    ev = ApartmentDistance(x, frame)
-    m = (0, 0, 0)
-    best = ev.dist2(m)
-    moves = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-             (0, 0, 1), (0, 0, -1))
-    improved = True
-    while improved and best > 0:
-        improved = False
-        for mv in moves:
-            cand = tuple(a + b for a, b in zip(m, mv))
-            q = ev.dist2(cand)
-            if q < best:
-                m, best, improved = cand, q, True
-                break
-    if best == 0:
-        return 0, ev.vertex(m)
-    best_m = m
-    for (i, j) in _eisenstein_ball(4 * best):
-        cand = (m[0] + i, m[1] + j, m[2])
-        q = ev.dist2(cand)
-        if q < best:
-            best, best_m = q, cand
-    return best, ev.vertex(best_m)
+    k_int = mat_mul(adjugate3(frame.matrix()), x.matrix)
+    best, m = ApartmentPairDistance(k_int, x.p).nearest((0, 0, 0))
+    return best, frame_vertex(frame, x.p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +311,7 @@ def germ_face(o, z):
     """
     if o.matrix == z.matrix:
         raise ValueError("germ of a trivial segment")
-    n = mat_mul(mat_inv3(o.matrix), z.matrix)
-    n_int, _ = integerize(n)
-    n_int, _ = strip_p_content(n_int, o.p)
+    n_int, _ = strip_p_content(mat_mul(adjugate3(o.matrix), z.matrix), o.p)
     return residue_germ_parts(n_int, o.p)
 
 

@@ -127,6 +127,13 @@ def load_config(name, path):
 def _validate(name, cfg):
     from .building import is_regular
     from .padic_linalg import det3, is_prime
+    if name == "measure":
+        if not (isinstance(cfg["p_values"], list) and cfg["p_values"]):
+            raise ConfigError("p_values must be a nonempty list of primes")
+        if not (isinstance(cfg["lams"], list) and all(
+                isinstance(lam, list) and len(lam) == 3
+                and all(isinstance(a, int) for a in lam) for lam in cfg["lams"])):
+            raise ConfigError("lams must be a list of lists of three integers")
     primes = ([cfg["p"]] if "p" in cfg else []) + list(cfg.get("p_values", []))
     for p in primes:
         if not (isinstance(p, int) and is_prime(p)):

@@ -3,17 +3,25 @@
 Everything in this package is exact.  A matrix is a tuple of row tuples whose
 entries are ints or ``fractions.Fraction``; a vector is a tuple.  Normal forms
 (column Hermite form, Smith form) are taken over the local ring Z_(p), the
-rationals with denominator coprime to p, using minimal-valuation pivoting.
+rationals with denominator coprime to p.
 No floating point enters any predicate.
 
-The two workhorses are
+The workhorses are
 
 * ``lattice_canonical``: the unique upper-triangular basis matrix of a
   Z_(p)-lattice, with p-power pivots and reduced off-diagonal entries,
   homothety-normalized so the smallest elementary divisor is p^0.
-* ``smith_exponents``: the elementary-divisor exponents of an invertible
-  rational matrix, computed by elimination (an independent minor-gcd oracle
-  lives in the test suite).
+* ``minor_valuations``: the valuations of the entries, the 2x2 minors and
+  the determinant of an integer matrix.  It is the one kernel for the
+  relative position of two lattices: ``smith_exponents`` (elementary
+  divisors, hence vector distances), apartment distances and boundary
+  retractions all read their exponents off it.  The elimination form of
+  ``smith_exponents`` is kept as an independent oracle in the test suite.
+
+Relative positions are taken through integer adjugates, never through
+rational inverses: adj(A) = det(A) A^-1 differs from the inverse by a scalar,
+which shifts every minor valuation uniformly and leaves homothety classes
+unchanged.
 
 Hot paths work on integer matrices reduced modulo p^A for a sufficiently
 large A; this is sound because a finite-index sublattice L of Z^3 with
@@ -286,50 +294,57 @@ def is_diagonal_ascending(canon, p):
     return e[0] <= e[1] <= e[2]
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def minor_valuations(m_int, p):
+    """Valuations of the nonzero minors of a nonsingular integer 3x3 matrix.
+
+    Returns (entries, minors, det_val): entries holds (v, i, j) for each
+    nonzero entry m[i][j] of valuation v; minors holds (v, i1, i2, j1, j2)
+    for each nonzero 2x2 minor on rows (i1, i2) and columns (j1, j2); det_val
+    is the valuation of the determinant.  Every relative position of two
+    lattices in this package is read off these three: scaling row i by p^r_i
+    and column j by p^c_j shifts each minor's valuation by the sum of its
+    row and column exponents.
+    """
+    d = det3(m_int)
+    if d == 0:
+        raise SingularMatrixError("minor valuations require det != 0")
+    entries = tuple((valuation_int(e, p), i, j)
+                    for i, row in enumerate(m_int) for j, e in enumerate(row) if e)
+    minors = []
+    for i1, i2 in _PAIRS:
+        r1, r2 = m_int[i1], m_int[i2]
+        for j1, j2 in _PAIRS:
+            e = r1[j1] * r2[j2] - r1[j2] * r2[j1]
+            if e:
+                minors.append((valuation_int(e, p), i1, i2, j1, j2))
+    return entries, tuple(minors), valuation_int(d, p)
+
+
 def smith_exponents(m, p):
     """Elementary-divisor exponents of an invertible rational matrix over Z_(p).
 
     Returns the sorted triple (a1 >= a2 >= a3) with U m V = diag(p^a1, p^a2,
     p^a3) for suitable U, V invertible over Z_(p); the sum equals the
-    valuation of det m.  Computed by elimination with minimal-valuation
-    pivoting on an integer scaling of m.
+    valuation of det m.  Read off the minors: a3 is the p-content, a3 + a2
+    the least valuation of a 2x2 minor and a3 + a2 + a1 that of the
+    determinant.  The minors are taken of the content-stripped matrix reduced
+    modulo p^(D+1), D its determinant valuation, which keeps the least 2x2
+    minor valuation because it is at most D.  (An elimination version is the
+    oracle in the test suite.)
     """
     m_int, den = integerize(m)
-    d = det3(m_int)
-    if d == 0:
+    if det3(m_int) == 0:
         raise SingularMatrixError("smith_exponents requires det != 0")
-    shift = valuation_int(den, p)
     m_int, content = strip_p_content(m_int, p)
-    big = valuation_int(det3(m_int), p) + 1
-    q = p ** big
-    work = [[e % q for e in row] for row in m_int]
-    active_r, active_c = [0, 1, 2], [0, 1, 2]
-    exps = []
-    while active_r:
-        bi = bj = None
-        bv = big
-        for i in active_r:
-            for j in active_c:
-                v = _capped_val(work[i][j], p, big)
-                if v < bv:
-                    bi, bj, bv = i, j, v
-        exps.append(bv)
-        pv = p ** bv
-        u = work[bi][bj] // pv
-        uinv = pow(u, -1, q)
-        for i in active_r:
-            if i != bi and work[i][bj]:
-                f = (work[i][bj] // pv) * uinv % q
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[bi])]
-        for j in active_c:
-            if j != bj and work[bi][j]:
-                f = (work[bi][j] // pv) * uinv % q
-                for i in active_r:
-                    work[i][j] = (work[i][j] - f * work[i][bj]) % q
-        active_r.remove(bi)
-        active_c.remove(bj)
-    exps = [e + content - shift for e in exps]
-    return tuple(sorted(exps, reverse=True))
+    q = p ** (valuation_int(det3(m_int), p) + 1)
+    _, minors, d = minor_valuations(
+        tuple(tuple(e % q for e in row) for row in m_int), p)
+    e2 = min(v for v, *_ in minors)
+    shift = content - valuation_int(den, p)
+    return (d - e2 + shift, e2 + shift, shift)
 
 
 def smith_left_transform(m, p):

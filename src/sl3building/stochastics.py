@@ -21,14 +21,16 @@ from fractions import Fraction
 import numpy as np
 
 from .padic_linalg import (
+    adjugate3,
     det3,
     identity,
     integerize,
+    is_diagonal_ascending,
     mat_mul,
-    mat_inv3,
     lattice_canonical,
     residue_germ_parts,
     smith_exponents,
+    smith_left_transform,
     strip_p_content,
 )
 from .building import (
@@ -109,9 +111,8 @@ def harmonic_sample_in_basis_set(x, y, depth, rng):
     the adapted base flag through it realizes the conditioned measure exactly
     at the sampling depth.
     """
-    from .padic_linalg import smith_left_transform
     p = x.p
-    n = mat_mul(mat_inv3(x.matrix), y.matrix)
+    n = mat_mul(adjugate3(x.matrix), y.matrix)
     left, exps = smith_left_transform(n, p)
     if depth <= exps[2] - exps[0]:
         raise ValueError("depth must exceed the exponent range of y")
@@ -133,13 +134,11 @@ def basis_set_mass_estimate(x, lam, trials, rng, depth=None):
     reproduces the harmonic measure exactly, so deviations are purely
     binomial.  Integer arithmetic throughout.
     """
-    from .building import dominant as _dominant
-    lam = _dominant(lam)
+    lam = dominant(lam)
     p = x.p
     if depth is None:
         depth = lam[0] + lam[1] + 1
     d_y = ((1, 0, 0), (0, p ** lam[1], 0), (0, 0, p ** lam[0]))
-    from .padic_linalg import adjugate3, is_diagonal_ascending
     hits = 0
     for _ in range(trials):
         k = _random_stabilizer_matrix(p, depth, rng)
@@ -255,9 +254,8 @@ def _strip_content(m):
 
 
 def _position_record(n, letter, z_int, base, prev_germ, prev_run, p):
-    rel = mat_mul(mat_mul(mat_inv3(base.matrix), z_int), base.matrix)
-    rel_int, _ = integerize(rel)
-    rel_int, _ = strip_p_content(rel_int, p)
+    rel = mat_mul(mat_mul(adjugate3(base.matrix), z_int), base.matrix)
+    rel_int, _ = strip_p_content(rel, p)
     theta = dominant(smith_exponents(rel_int, p))
     germ = None
     run = 0
@@ -318,9 +316,8 @@ def direction_estimate(base, z_vertex):
     Defined for regular positions: the flag of the adapted basis ordered by
     increasing exponents.
     """
-    from .padic_linalg import smith_left_transform
     p = base.p
-    n = mat_mul(mat_inv3(base.matrix), z_vertex.matrix)
+    n = mat_mul(adjugate3(base.matrix), z_vertex.matrix)
     left, exps = smith_left_transform(n, p)
     if not (exps[0] < exps[1] < exps[2]):
         return None

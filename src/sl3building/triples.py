@@ -18,27 +18,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic_linalg import (
+    adjugate3,
     cross,
-    det3,
-    integerize,
-    mat_inv3,
     mat_mul,
     primitive_vector,
-    valuation_int,
 )
 from .building import (
+    ApartmentPairDistance,
     LatticeVertex,
     _eisenstein_ball,
     distance_to_apartment,
-    dominant,
     frame_vertex,
-    weyl_dist2,
 )
 from .boundary import (
     NotOppositeError,
     apartment_chambers,
     apartment_from_opposite,
     is_opposite,
+    weyl_distance,
 )
 from .sqrtsum import SqrtSum
 
@@ -59,7 +56,6 @@ class ChamberTriple:
         return ChamberTriple(tuple(c.apply(g) for c in self.chambers))
 
     def pairwise_positions(self):
-        from .boundary import weyl_distance
         c1, c2, c3 = self.chambers
         return {(0, 1): weyl_distance(c1, c2),
                 (0, 2): weyl_distance(c1, c3),
@@ -173,73 +169,6 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
 # the convex functional and its vertex minimizers
 # ---------------------------------------------------------------------------
 
-class ApartmentPairDistance:
-    """Exact distances between vertices of two frame apartments.
-
-    For fixed frames with matrices H and H', the vector distance between the
-    vertex at exponents m in H and the vertex at exponents m' in H' is read
-    off the valuations of the minors of K = H'^-1 H, each shifted by the
-    exponents; scaling rows and columns by p-powers rescales each minor
-    exactly, so the precomputation is loss-free.
-    """
-
-    _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-    def __init__(self, frame_from, frame_to, p):
-        self.p = p
-        self.frame_from = frame_from
-        self.frame_to = frame_to
-        k_mat = mat_mul(mat_inv3(frame_to.matrix()), frame_from.matrix())
-        k_int, _ = integerize(k_mat)
-        self.entry_val = tuple(
-            tuple(valuation_int(e, p) if e else None for e in row)
-            for row in k_int)
-        minors = {}
-        for a, (i1, i2) in enumerate(self._PAIRS):
-            for b, (j1, j2) in enumerate(self._PAIRS):
-                m = k_int[i1][j1] * k_int[i2][j2] - k_int[i1][j2] * k_int[i2][j1]
-                minors[(a, b)] = valuation_int(m, p) if m else None
-        self.minor_val = minors
-        self.det_val = valuation_int(det3(k_int), p)
-
-    def theta(self, m, m_to):
-        e1 = min(v + m[j] - m_to[i]
-                 for i in range(3) for j, v in enumerate(self.entry_val[i])
-                 if v is not None)
-        e2 = None
-        for a, (i1, i2) in enumerate(self._PAIRS):
-            for b, (j1, j2) in enumerate(self._PAIRS):
-                v = self.minor_val[(a, b)]
-                if v is None:
-                    continue
-                cand = v + m[j1] + m[j2] - m_to[i1] - m_to[i2]
-                e2 = cand if e2 is None else min(e2, cand)
-        e3 = self.det_val + sum(m) - sum(m_to)
-        return dominant((e1, e2 - e1, e3 - e2))
-
-    def dist2_to_apartment(self, m):
-        """Certified min squared distance from the m-vertex to the target apartment."""
-        cur = (0, 0, 0)
-        best = weyl_dist2(self.theta(m, cur))
-        moves = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-        improved = True
-        while improved and best > 0:
-            improved = False
-            for mv in moves:
-                cand = tuple(a + b for a, b in zip(cur, mv))
-                q = weyl_dist2(self.theta(m, cand))
-                if q < best:
-                    cur, best, improved = cand, q, True
-                    break
-        if best == 0:
-            return 0
-        for (i, j) in _eisenstein_ball(4 * best):
-            q = weyl_dist2(self.theta(m, (cur[0] + i, cur[1] + j, cur[2])))
-            if q < best:
-                best = q
-        return best
-
-
 def distance_sum_squares(triple, x):
     """The three exact squared apartment distances entering the convex functional."""
     if not is_generic(triple):
@@ -347,14 +276,15 @@ def barycenter(triple, p, radius_cap=12):
     if not is_generic(triple):
         raise ValueError("barycenter requires a generic triple")
     frames = pairwise_frames(triple)
+    evs = {(k, i): ApartmentPairDistance(
+               mat_mul(adjugate3(frames[i].matrix()), frames[k].matrix()), p)
+           for k in range(3) for i in range(3) if i != k}
     overall_best = None
     overall_vertices = {}
     radius = 0
     all_certified = True
     for k, frame in enumerate(frames):
-        others = [frames[i] for i in range(3) if i != k]
-        ev_a = ApartmentPairDistance(frame, others[0], p)
-        ev_b = ApartmentPairDistance(frame, others[1], p)
+        ev_a, ev_b = (evs[k, i] for i in range(3) if i != k)
 
         def value_at(m, _ea=ev_a, _eb=ev_b):
             mm = (m[0], m[1], 0)
@@ -374,17 +304,9 @@ def barycenter(triple, p, radius_cap=12):
                 overall_vertices.setdefault(v, (k, m))
     certified = all_certified and overall_best.compare(_TWO) <= 0
     k, m = next(iter(overall_vertices.values()))
-    ev = [ApartmentPairDistance(frames[k], frames[i], p) for i in range(3) if i != k]
-    q_others = [e.dist2_to_apartment((m[0], m[1], 0)) for e in ev]
-    squares = [0, 0, 0]
-    slot = 0
-    for i in range(3):
-        if i == k:
-            squares[i] = 0
-        else:
-            squares[i] = q_others[slot]
-            slot += 1
-    return BarycenterResult(overall_best, tuple(squares),
+    squares = tuple(0 if i == k else evs[k, i].dist2_to_apartment((m[0], m[1], 0))
+                    for i in range(3))
+    return BarycenterResult(overall_best, squares,
                             frozenset(overall_vertices), radius, certified)
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the library's fast paths.
 
 Each oracle deliberately avoids the code path it checks: Smith exponents come
-from minor gcds instead of elimination, flag echelon forms from Fraction
+from elimination with minimal-valuation pivoting instead of the minor
+valuations the library reads them off, flag echelon forms from Fraction
 column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
 vertices, and residue alcoves from a first-step neighbor search.
@@ -11,7 +12,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from sl3building.padic_linalg import (
-    adjugate3,
+    SingularMatrixError,
+    _capped_val,
     columns,
     cross,
     det3,
@@ -20,7 +22,7 @@ from sl3building.padic_linalg import (
     integerize,
     mat_inv3,
     mat_mul,
-    valuation,
+    strip_p_content,
     valuation_int,
 )
 from sl3building.building import (
@@ -36,26 +38,51 @@ from sl3building.building import (
 from sl3building.boundary import Flag
 
 
-def smith_minor_gcd_oracle(m, p):
-    """Smith exponents via gcd valuations of the k x k minors.
+def smith_elimination_oracle(m, p):
+    """Elementary-divisor exponents of an invertible rational matrix over Z_(p).
 
-    The sum of the k smallest exponents equals the minimal valuation over all
-    k x k minors; this inverts to the descending exponent triple.
+    Returns the sorted triple (a1 >= a2 >= a3) with U m V = diag(p^a1, p^a2,
+    p^a3) for suitable U, V invertible over Z_(p); the sum equals the
+    valuation of det m.  Computed by elimination with minimal-valuation
+    pivoting on an integer scaling of m, reduced modulo p^(D+1) where D is
+    the determinant valuation after stripping the p-content.
     """
     m_int, den = integerize(m)
-    shift = valuation_int(den, p) if den != 1 else 0
-    e1 = min(valuation_int(e, p) for row in m_int for e in row if e != 0)
-    best2 = None
-    idx = ((0, 1), (0, 2), (1, 2))
-    for r1, r2 in idx:
-        for c1, c2 in idx:
-            minor = m_int[r1][c1] * m_int[r2][c2] - m_int[r1][c2] * m_int[r2][c1]
-            if minor != 0:
-                v = valuation_int(minor, p)
-                best2 = v if best2 is None else min(best2, v)
-    e3 = valuation_int(det3(m_int), p)
-    a3, a2, a1 = e1, best2 - e1, e3 - best2
-    return tuple(sorted((a1 - shift, a2 - shift, a3 - shift), reverse=True))
+    d = det3(m_int)
+    if d == 0:
+        raise SingularMatrixError("smith_exponents requires det != 0")
+    shift = valuation_int(den, p)
+    m_int, content = strip_p_content(m_int, p)
+    big = valuation_int(det3(m_int), p) + 1
+    q = p ** big
+    work = [[e % q for e in row] for row in m_int]
+    active_r, active_c = [0, 1, 2], [0, 1, 2]
+    exps = []
+    while active_r:
+        bi = bj = None
+        bv = big
+        for i in active_r:
+            for j in active_c:
+                v = _capped_val(work[i][j], p, big)
+                if v < bv:
+                    bi, bj, bv = i, j, v
+        exps.append(bv)
+        pv = p ** bv
+        u = work[bi][bj] // pv
+        uinv = pow(u, -1, q)
+        for i in active_r:
+            if i != bi and work[i][bj]:
+                f = (work[i][bj] // pv) * uinv % q
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[bi])]
+        for j in active_c:
+            if j != bj and work[bi][j]:
+                f = (work[bi][j] // pv) * uinv % q
+                for i in active_r:
+                    work[i][j] = (work[i][j] - f * work[i][bj]) % q
+        active_r.remove(bi)
+        active_c.remove(bj)
+    exps = [e + content - shift for e in exps]
+    return tuple(sorted(exps, reverse=True))
 
 
 def rank(m):

@@ -75,7 +75,7 @@ from sl3building.triples import (
 )
 from oracles import (
     sector_membership_oracle,
-    smith_minor_gcd_oracle,
+    smith_elimination_oracle,
     weyl_distance_oracle,
 )
 
@@ -384,10 +384,10 @@ def test_criterion_10_oracle_equivalence():
             continue
         cases += 1
         ok &= sector_membership(x, c, y) == sector_membership_oracle(x, c, y, 3)
-    # elimination Smith form against the minor-gcd oracle
+    # minor-valuation Smith form against the elimination oracle
     for _ in range(1000):
         m = _rand_invertible(rng)
-        ok &= smith_exponents(m, 3) == smith_minor_gcd_oracle(m, 3)
+        ok &= smith_exponents(m, 3) == smith_elimination_oracle(m, 3)
     report(10, ok, f"{time.time()-t0:.0f}s")
 
 

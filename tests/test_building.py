@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sl3building.building import (
+    ApartmentPairDistance,
     Frame,
     IrregularSegmentError,
     LatticeVertex,
@@ -25,7 +26,7 @@ from sl3building.building import (
     weyl_dist2,
 )
 from sl3building.boundary import Flag
-from sl3building.padic_linalg import det3, from_columns, mat_mul
+from sl3building.padic_linalg import adjugate3, det3, from_columns, mat_mul
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
     distance_to_apartment_bruteforce,
@@ -165,6 +166,31 @@ def test_distance_to_apartment_isometry_instance():
         q1, _ = distance_to_apartment(x, frame)
         q2, _ = distance_to_apartment(x.apply(g), frame.apply(g))
         assert q1 == q2
+
+
+def test_apartment_pair_distance_against_vertex_distances():
+    """The minor-valuation evaluator agrees with elementary divisors of vertices.
+
+    theta(m, m_to) is the vector distance from the m_to vertex of the target
+    frame to the m vertex of the source frame, and the certified search
+    agrees with an exhaustive scan of the target apartment.
+    """
+    rng = random.Random(41)
+    std = Frame.from_lines(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for case in range(30):
+        p = (2, 3, 5)[case % 3]
+        f_from = std.apply(rand_sl3(rng))
+        f_to = std.apply(rand_sl3(rng))
+        ev = ApartmentPairDistance(
+            mat_mul(adjugate3(f_to.matrix()), f_from.matrix()), p)
+        m = tuple(rng.randint(-3, 3) for _ in range(3))
+        x = frame_vertex(f_from, p, m)
+        for _ in range(5):
+            m_to = tuple(rng.randint(-3, 3) for _ in range(3))
+            y = frame_vertex(f_to, p, m_to)
+            assert ev.theta(m, m_to) == vector_distance(y, x)
+        assert ev.dist2_to_apartment(m) == \
+            distance_to_apartment_bruteforce(x, f_to, 6)
 
 
 def test_residue_counts():

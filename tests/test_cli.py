@@ -134,6 +134,9 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
               "weights": ["one"]}),
     ("strip", {"depth": 0}),
     ("dynamics", {"depth": 0}),
+    ("measure", {"p_values": 3}),
+    ("measure", {"p_values": []}),
+    ("measure", {"lams": [[1]]}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)

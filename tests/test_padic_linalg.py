@@ -15,6 +15,7 @@ from sl3building.padic_linalg import (
     det3,
     flag_adapted_basis,
     from_columns,
+    integerize,
     lattice_canonical,
     mat_mul,
     smith_exponents,
@@ -23,7 +24,7 @@ from sl3building.padic_linalg import (
     valuation,
     valuation_int,
 )
-from oracles import rank, smith_minor_gcd_oracle
+from oracles import rank, smith_elimination_oracle
 
 
 def rand_invertible(rng, lo=-9, hi=9):
@@ -91,12 +92,27 @@ def test_smith_exponents_rejects_singular():
         smith_exponents(((1, 2, 3), (2, 4, 6), (0, 0, 1)), 3)
 
 
-def test_smith_exponents_match_minor_gcd_oracle():
+def test_smith_exponents_match_elimination_oracle():
     rng = random.Random(20240301)
     p = 3
     for _ in range(1000):
         m = rand_invertible(rng)
-        assert smith_exponents(m, p) == smith_minor_gcd_oracle(m, p)
+        assert smith_exponents(m, p) == smith_elimination_oracle(m, p)
+    # walk-sized inputs: long words in the generators of a Schottky pair,
+    # with entries of hundreds of digits
+    from sl3building.cli import _schottky_pair
+    cert1, cert2 = _schottky_pair(p, 42)
+    gens = [integerize(g.matrix)[0] for g in (
+        cert1.element, cert1.element.inverse(),
+        cert2.element, cert2.element.inverse())]
+    digits = []
+    for _ in range(40):
+        m = gens[0]
+        for _ in range(rng.randint(50, 200)):
+            m = mat_mul(m, rng.choice(gens))
+        digits.append(max(len(str(abs(e))) for row in m for e in row))
+        assert smith_exponents(m, p) == smith_elimination_oracle(m, p)
+    assert max(digits) >= 300
 
 
 def test_smith_exponents_rational_entries():
@@ -106,7 +122,7 @@ def test_smith_exponents_rational_entries():
                         for _ in range(3)) for _ in range(3))
         if det3(m) == 0:
             continue
-        assert smith_exponents(m, 3) == smith_minor_gcd_oracle(m, 3)
+        assert smith_exponents(m, 3) == smith_elimination_oracle(m, 3)
 
 
 def test_smith_invariance_under_unimodular_factors():

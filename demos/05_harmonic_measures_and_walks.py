@@ -22,7 +22,7 @@ from sl3building import (
     strip_growth,
 )
 from sl3building.building import standard_vertex
-from sl3building.dynamics import make_srh
+from sl3building.dynamics import make_srh, schottky_pair
 from sl3building.rng import derive_seed, make_rng
 from sl3building.stochastics import basis_set_mass_estimate
 
@@ -53,8 +53,7 @@ ok, n1, germ = convergence_report(trace)
 print("converged:", ok, " from step:", n1)
 
 # a symmetric two-generator walk: directional convergence along seeded paths
-from sl3building.cli import _schottky_pair
-cert1, cert2 = _schottky_pair(p, 99)
+cert1, cert2 = schottky_pair(p, make_rng(99, 0xC0))
 gens = (cert1.element, cert1.element.inverse(),
         cert2.element, cert2.element.inverse())
 weights = (Fraction(1, 4),) * 4

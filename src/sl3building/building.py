@@ -12,7 +12,6 @@ distance is a1^2 - a1*a2 + a2^2, the Eisenstein norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .padic_linalg import (
@@ -153,7 +152,8 @@ class Frame:
 
 def frame_vertex(frame, p, exponents=(0, 0, 0)):
     """The apartment vertex spanned by p^(e_i) times the frame vectors."""
-    cols = [tuple(e * Fraction(p) ** m for e in v)
+    low = min(exponents)  # scaling by p^-low stays in the homothety class
+    cols = [tuple(e * p ** (m - low) for e in v)
             for v, m in zip(frame.lines, exponents)]
     return LatticeVertex.from_matrix(p, from_columns(cols))
 

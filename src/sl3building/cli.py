@@ -24,20 +24,29 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 import yaml
 
-from .building import LatticeVertex, standard_vertex, vector_distance
+from .padic_linalg import det3, is_prime, lattice_canonical, mat_mul
+from .building import (
+    LatticeVertex,
+    dist2,
+    is_regular,
+    opposition_involution,
+    standard_vertex,
+    vector_distance,
+)
 from .boundary import (
     Flag,
     HorizonExceededError,
-    apartment_from_opposite,
-    chamber_order_in_frame,
+    boundary_retraction,
     growth_ray_vertex,
     is_opposite,
+    retraction,
 )
 from .dynamics import (
     GroupElement,
@@ -47,9 +56,9 @@ from .dynamics import (
     make_srh,
     north_south_limit,
     partition_check,
-    proximal_pair_check,
+    random_sl3z,
+    schottky_pair,
 )
-from .boundary import boundary_retraction
 from .triples import (
     ChamberTriple,
     barycenter,
@@ -58,9 +67,11 @@ from .triples import (
 )
 from .stochastics import (
     WalkConfig,
+    basis_set_mass_estimate,
     convergence_report,
     count_at_vector_distance,
     harmonic_sample,
+    harmonic_sample_in_basis_set,
     strip_growth,
 )
 from .stochastics import run_walk as _run_walk
@@ -75,6 +86,7 @@ from .rng import derive_seed, make_rng
 from .serialize import (
     ParseError,
     frac_to_str,
+    from_obj,
     obj_to_matrix,
     str_to_frac,
     to_obj,
@@ -96,7 +108,7 @@ _SCHEMAS = {
     "walk": {"p": 3, "steps": 150, "trials": 40, "depth": 4, "window": 3,
              "generators": None, "weights": None},
     "measure": {"p_values": [2, 3], "lams": [[1, 0, 0], [1, 1, 0], [2, 1, 0]],
-                "trials": 4000, "depth": 6},
+                "trials": 4000},
     "equicont": {"p": 5, "samples": 60, "word_length": 3, "partition_length": 3,
                  "depth": 4},
     "strip": {"p": 5, "pairs": 3, "r_max": 20, "depth": 4},
@@ -125,8 +137,6 @@ def load_config(name, path):
 
 
 def _validate(name, cfg):
-    from .building import is_regular
-    from .padic_linalg import det3, is_prime
     if name == "measure":
         if not (isinstance(cfg["p_values"], list) and cfg["p_values"]):
             raise ConfigError("p_values must be a nonempty list of primes")
@@ -142,11 +152,15 @@ def _validate(name, cfg):
                 "transports", "radius_cap", "depth", "nmax", "threshold",
                 "budget", "window", "word_length", "partition_length",
                 "conjugators", "triples", "pairs"):
+        low = 1 if key in ("depth", "trials", "r_max") else 0
         if key in cfg and cfg[key] is not None and (not isinstance(cfg[key], int)
-                                                    or cfg[key] < 0):
-            raise ConfigError(f"{key} must be a nonnegative integer")
-    if cfg.get("depth") == 0:
-        raise ConfigError("depth must be at least 1")
+                                                    or cfg[key] < low):
+            raise ConfigError(f"{key} must be an integer >= {low}")
+    if name == "appendix" and not (isinstance(cfg["t_values"], list) and all(
+            isinstance(t, (int, str)) for t in cfg["t_values"])):
+        raise ConfigError("t_values must be a list of integers and rational strings")
+    for t in cfg.get("t_values", ()):
+        _parse(str_to_frac, t, "t_values")
     if name == "dynamics":
         lam = cfg["lam"]
         if not (isinstance(lam, list) and len(lam) == 3
@@ -193,33 +207,8 @@ def config_hash(cfg):
 # shared constructions
 # ---------------------------------------------------------------------------
 
-def _conjugator(rng):
-    while True:
-        m = tuple(tuple(rng.randrange(-3, 4) for _ in range(3)) for _ in range(3))
-        from .padic_linalg import det3
-        if det3(m) == 1:
-            return GroupElement.from_matrix(m)
-
-
 def _standard_cert(p, lam):
     return make_srh(((1, 0, 0), (0, 1, 0), (0, 0, 1)), tuple(lam), p)
-
-
-def _schottky_pair(p, seed, depth=4):
-    """A deterministic SRH pair satisfying the contraction hypothesis."""
-    rng = make_rng(seed, 0xC0)
-    cert1 = _standard_cert(p, (2, 1, 0))
-    c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng,
-                           depth=depth)
-    x = standard_vertex(p)
-    while True:
-        cand = harmonic_sample(x, depth, rng)
-        if is_opposite(cand, c3):
-            frame = apartment_from_opposite(cand, c3)
-            order = chamber_order_in_frame(frame, cand)
-            cert2 = make_srh(tuple(frame.lines[i] for i in order), (2, 1, 0), p)
-            if proximal_pair_check(cert1, cert2):
-                return cert1, cert2
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +220,7 @@ def run_dynamics(cfg, seed):
     rng = make_rng(seed, 1)
     certs = [_standard_cert(p, cfg["lam"])]
     for _ in range(cfg["conjugators"]):
-        certs.append(certs[0].conjugate(_conjugator(rng)))
+        certs.append(certs[0].conjugate(random_sl3z(rng)))
     records, rows = [], []
     x = standard_vertex(p)
     failures = 0
@@ -270,9 +259,9 @@ def run_barycenter(cfg, seed):
         res = barycenter(triple, p, radius_cap=cfg["radius_cap"])
         equal = 0
         for gi in range(cfg["transports"]):
-            g = _conjugator(make_rng(seed, 4, ti, gi))
-            moved = frozenset(v.apply(g.matrix) for v in res.min_vertices)
-            res_g = barycenter(triple.apply(g.matrix), p,
+            g = random_sl3z(make_rng(seed, 4, ti, gi)).num
+            moved = frozenset(v.apply(g) for v in res.min_vertices)
+            res_g = barycenter(triple.apply(g), p,
                                radius_cap=cfg["radius_cap"])
             ok = res.certified and res_g.certified and moved == res_g.min_vertices
             equal += ok
@@ -293,7 +282,7 @@ def _walk_generators(cfg, seed):
                      for g in cfg["generators"])
         weights = tuple(str_to_frac(w, "weights") for w in cfg["weights"])
         return gens, weights
-    cert1, cert2 = _schottky_pair(cfg["p"], seed, cfg["depth"])
+    cert1, cert2 = schottky_pair(cfg["p"], make_rng(seed, 0xC0), cfg["depth"])
     gens = (cert1.element, cert1.element.inverse(),
             cert2.element, cert2.element.inverse())
     return gens, (Fraction(1, 4),) * 4
@@ -318,8 +307,6 @@ def run_walk(cfg, seed):
 
 
 def run_measure(cfg, seed):
-    import math
-    from .stochastics import basis_set_mass_estimate
     records, rows = [], []
     bad = 0
     for p in cfg["p_values"]:
@@ -348,13 +335,12 @@ def run_equicont(cfg, seed):
     o = standard_vertex(p)
     cert = _standard_cert(p, (2, 1, 0))
     frame = cert.frame
-    gens = [cert.element, cert.conjugate(_conjugator(make_rng(seed, 7))).element]
+    gens = [cert.element, cert.conjugate(random_sl3z(make_rng(seed, 7))).element]
     words = enumerate_reduced_words(gens, cfg["word_length"])
     probes = [growth_ray_vertex(o, c, 1)
               for c in (cert.attracting, cert.repelling)]
     records, failures, checked = [], 0, 0
     rng = make_rng(seed, 8)
-    from .stochastics import harmonic_sample_in_basis_set
     for wi, g in enumerate(words):
         for y in probes:
             if not equicontinuity_set_member(g, o, y):
@@ -401,7 +387,7 @@ def run_appendix(cfg, seed):
     records, rows = [], []
     bad = 0
     for t in cfg["t_values"]:
-        t_frac = str_to_frac(t, "t_values") if isinstance(t, str) else Fraction(t)
+        t_frac = str_to_frac(t, "t_values")
         rep = pairwise_position_report(t_frac)
         expected = t_frac not in (0, -1)
         ok = rep.generic == expected
@@ -419,7 +405,6 @@ def run_appendix(cfg, seed):
         e = Fraction(rng.randrange(1, 50), rng.randrange(1, 20))
         a2 = Fraction(rng.randrange(1, 50), rng.randrange(1, 20))
         e2 = Fraction(rng.randrange(1, 50), rng.randrange(1, 20))
-        from .padic_linalg import mat_mul
         hom_ok += (mat_mul(torus_family_member(a, e), torus_family_member(a2, e2))
                    == torus_family_member(a * a2, e * e2))
         stab_ok += bool(torus_family_member(a, e))  # constructor verifies both flags
@@ -431,8 +416,6 @@ def run_appendix(cfg, seed):
 
 def run_selftest(cfg, seed):
     """Compact property battery over every module; see the test suite for more."""
-    from .padic_linalg import lattice_canonical, mat_mul
-    from .building import dist2, opposition_involution
     p = cfg["p"]
     n = cfg["budget"]
     rng = make_rng(seed, 11)
@@ -450,7 +433,7 @@ def run_selftest(cfg, seed):
     c0 = lattice_canonical(base, p)
     inv_ok = theta_ok = True
     for _ in range(n):
-        u = _conjugator(rng).matrix
+        u = random_sl3z(rng).num
         inv_ok &= lattice_canonical(mat_mul(base, u), p) == c0
         v1 = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
         v2 = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
@@ -461,7 +444,6 @@ def run_selftest(cfg, seed):
     # retraction does not increase distance
     cert = _standard_cert(p, (2, 1, 0))
     frame = cert.frame
-    from .boundary import retraction
     ok = True
     for _ in range(n // 2):
         a = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
@@ -471,7 +453,6 @@ def run_selftest(cfg, seed):
         ok &= dist2(ra, rb) <= dist2(a, b)
     check("retraction_nonexpanding", ok)
     # serialization round trips
-    from .serialize import from_obj, to_obj
     ok = True
     for val in (x, Flag.standard(), cert.element, cert):
         ok &= from_obj(to_obj(val)) == val
@@ -486,7 +467,6 @@ def run_selftest(cfg, seed):
 
 
 def _rand_lattice(p, rng):
-    from .padic_linalg import det3
     while True:
         m = tuple(tuple(rng.randrange(-p ** 2, p ** 2 + 1) for _ in range(3))
                   for _ in range(3))

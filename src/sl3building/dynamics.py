@@ -3,10 +3,10 @@
 Strongly regular hyperbolic (SRH) elements of SL3(Q) are axial isometries of
 the building whose translation apartment is regular; they carry an attracting
 and a repelling ideal chamber and contract the big cell toward the attracting
-one.  Certification works over Q: an element is accepted when its
-characteristic polynomial has three rational eigenvalues with pairwise
-distinct p-adic valuations, found by Newton-polygon slopes plus Hensel
-lifting, so nothing is ever misclassified by numerics.
+one.  An element is an integer matrix num over a denominator den; it is
+certified when the characteristic polynomial of num has three integer roots
+den*lambda of pairwise distinct p-adic valuations, found by Newton-polygon
+slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -26,11 +26,11 @@ from .padic_linalg import (
     det3,
     from_columns,
     identity,
-    mat_inv3,
+    integerize,
     mat_mul,
+    mat_vec,
     primitive_vector,
     require_prime,
-    valuation,
     valuation_int,
 )
 from .building import (
@@ -54,45 +54,67 @@ from .boundary import (
     Flag,
     HorizonExceededError,
     apartment_chambers,
+    apartment_from_opposite,
+    chamber_order_in_frame,
     common_depth,
     growth_ray_vertex,
     is_opposite,
     sector_membership,
     weyl_distance,
 )
+from .stochastics import harmonic_sample
+from .triples import construct_generic
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of SL3(Q) acting on the building, with an optional word."""
+    """Element num/den of SL3(Q) acting on the building, with an optional word.
 
-    matrix: tuple
+    num is an integer matrix with det(num) = den^3, den > 0 and
+    gcd(content(num), den) = 1, so equal elements have equal fields.  The
+    action on vertices and chambers is projective: it is the action of num.
+    """
+
+    num: tuple
+    den: int = 1
     word: tuple = None
 
     def __post_init__(self):
-        if det3(self.matrix) != 1:
+        if det3(self.num) != self.den ** 3:
             raise ValueError("group elements must have determinant exactly 1")
 
     @classmethod
+    def reduced(cls, num, den, word=None):
+        """The element num/den, brought to lowest terms with den > 0."""
+        g = gcd(den, *(e for row in num for e in row)) * (1 if den > 0 else -1)
+        return cls(tuple(tuple(e // g for e in row) for row in num), den // g, word)
+
+    @classmethod
     def from_matrix(cls, m, word=None):
-        return cls(tuple(tuple(Fraction(e) for e in row) for row in m),
-                   tuple(word) if word is not None else None)
+        num, den = integerize(m)
+        return cls.reduced(num, den, tuple(word) if word is not None else None)
+
+    @property
+    def matrix(self):
+        """The rational matrix num/den, every entry a Fraction."""
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     def inverse(self):
-        # det = 1, so the inverse is the adjugate
+        # det(num) = den^3, so (num/den)^-1 = den adj(num) / den^3
         w = tuple(-i for i in reversed(self.word)) if self.word else None
-        return GroupElement.from_matrix(adjugate3(self.matrix), word=w)
+        return GroupElement.reduced(adjugate3(self.num), self.den ** 2, w)
 
     def __mul__(self, other):
         w = None
         if self.word is not None and other.word is not None:
             w = self.word + other.word
-        return GroupElement.from_matrix(mat_mul(self.matrix, other.matrix), word=w)
+        return GroupElement.reduced(mat_mul(self.num, other.num),
+                                    self.den * other.den, w)
 
     def power(self, n):
         if n < 0:
             return self.inverse().power(-n)
-        out = GroupElement.from_matrix(identity())
+        out = GroupElement(identity())
         base = self
         while n:
             if n & 1:
@@ -100,6 +122,15 @@ class GroupElement:
             base = base * base
             n >>= 1
         return out
+
+
+def random_sl3z(rng, bound=3):
+    """A uniform draw from the SL3(Z) matrices with entries in [-bound, bound]."""
+    while True:
+        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
+                  for _ in range(3))
+        if det3(m) == 1:
+            return GroupElement(m)
 
 
 @dataclass(frozen=True)
@@ -140,13 +171,10 @@ class SrhCertificate:
 
     def conjugate(self, k):
         """Certificate of k g k^-1, transported field by field."""
-        kinv = mat_inv3(k.matrix) if isinstance(k, GroupElement) else mat_inv3(k)
-        km = k.matrix if isinstance(k, GroupElement) else k
-        g = GroupElement.from_matrix(mat_mul(km, mat_mul(self.element.matrix, kinv)))
-        lines = tuple(primitive_vector(tuple(sum(row[i] * v[i] for i in range(3))
-                                             for row in km)) for v in self.lines)
-        return SrhCertificate(self.p, g, lines, self.lam,
-                              self.attracting.apply(km), self.repelling.apply(km))
+        lines = tuple(primitive_vector(mat_vec(k.num, v)) for v in self.lines)
+        return SrhCertificate(self.p, k * self.element * k.inverse(), lines,
+                              self.lam, self.attracting.apply(k.num),
+                              self.repelling.apply(k.num))
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +184,11 @@ class SrhCertificate:
 def _newton_root_valuations(coeffs, p):
     """Root valuations of a polynomial over Q_p from its Newton polygon.
 
-    coeffs = (c0, ..., cn) with c0, cn != 0.  Each lower-hull segment of
+    coeffs = (c0, ..., cn) are integers, c0, cn != 0.  Each lower-hull segment of
     slope s contributes (length) roots of valuation -s.  Returns the list of
     valuations as Fractions, in increasing order.
     """
-    pts = [(i, Fraction(valuation(Fraction(c), p)))
-           for i, c in enumerate(coeffs) if c != 0]
+    pts = [(i, valuation_int(c, p)) for i, c in enumerate(coeffs) if c != 0]
     hull = [pts[0]]
     for pt in pts[1:]:
         while len(hull) >= 2:
@@ -214,22 +241,19 @@ def _hensel_integer_root(b2, b1, b0, p, w):
 
 
 def _rational_eigenvalues_distinct_valuations(g, p):
-    """Eigenvalues of g (det 1) when rational with pairwise distinct valuations.
+    """Eigenvalues of g when rational with pairwise distinct valuations.
 
-    Returns a list of three Fractions sorted by increasing valuation, or an
-    SrhRejection.  Only the distinct-valuation case is resolved; everything
-    else is rejected with the appropriate reason.
+    Returns the integers y = den * lambda, the roots of the characteristic
+    polynomial of g.num, in increasing valuation order, or an SrhRejection.
+    Only the distinct-valuation case is resolved; everything else is rejected
+    with the appropriate reason.
     """
-    m = g.matrix
-    tr = sum(m[i][i] for i in range(3))
+    m = g.num
+    tr = m[0][0] + m[1][1] + m[2][2]
     sec = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
               for i in range(3) for j in range(i + 1, 3))
-    # char poly x^3 - tr x^2 + sec x - 1; clear denominators via y = den * x
-    den = Fraction(tr).denominator
-    den = den * Fraction(sec).denominator // gcd(den, Fraction(sec).denominator)
-    b2 = int(-tr * den)
-    b1 = int(sec * den * den)
-    b0 = -den ** 3
+    # char poly of num: y^3 - tr y^2 + sec y - den^3, since det(num) = den^3
+    b2, b1, b0 = -tr, sec, -g.den ** 3
     vals = _newton_root_valuations((b0, b1, b2, 1), p)
     if any(v.denominator != 1 for v in vals):
         return SrhRejection("irrational spectrum")
@@ -243,25 +267,14 @@ def _rational_eigenvalues_distinct_valuations(g, p):
         y = _hensel_integer_root(b2, b1, b0, p, w)
         if y is None:
             return SrhRejection("irrational spectrum")
-        roots.append(Fraction(y, den))
-    if roots[0] * roots[1] * roots[2] != 1 or \
-            any(_char_value(m, r) != 0 for r in roots):
-        return SrhRejection("irrational spectrum")
+        roots.append(y)
     return roots
 
 
-def _char_value(m, x):
-    tr = sum(m[i][i] for i in range(3))
-    sec = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
-              for i in range(3) for j in range(i + 1, 3))
-    return x ** 3 - tr * x ** 2 + sec * x - 1
-
-
-def _eigenline(m, lam):
-    """Primitive vector spanning ker(m - lam), for a simple eigenvalue."""
-    a = tuple(tuple(Fraction(m[i][j]) - (lam if i == j else 0) for j in range(3))
-              for i in range(3))
-    rows = [a[0], a[1], a[2]]
+def _eigenline(m, y):
+    """Primitive vector spanning ker(m - y), for a simple integer eigenvalue y."""
+    rows = [tuple(m[i][j] - (y if i == j else 0) for j in range(3))
+            for i in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             w = cross(rows[i], rows[j])
@@ -282,10 +295,9 @@ def certify_srh(g, p):
     roots = _rational_eigenvalues_distinct_valuations(g, p)
     if isinstance(roots, SrhRejection):
         return roots
-    roots = sorted(roots, key=lambda r: valuation(r, p))
-    lines = tuple(_eigenline(g.matrix, r) for r in roots)
-    vals = [valuation(r, p) for r in roots]
-    lam = dominant(tuple(vals))
+    lines = tuple(_eigenline(g.num, y) for y in roots)
+    # v(lambda) = v(y) - v(den); dominant absorbs the common shift
+    lam = dominant(tuple(valuation_int(y, p) for y in roots))
     attracting = Flag.from_matrix(from_columns(lines))
     repelling = Flag.from_matrix(from_columns(tuple(reversed(lines))))
     return SrhCertificate(p, g, lines, lam, attracting, repelling)
@@ -310,10 +322,12 @@ def make_srh(frame_or_lines, lam, p):
     s = (lam[0] + lam[1]) // 3
     exps = (-s, lam[1] - s, lam[0] - s)  # ascending, sum 0
     h = from_columns(lines)
-    hinv = mat_inv3(h)
-    d = tuple(tuple(Fraction(p) ** exps[i] if i == j else 0 for j in range(3))
+    # h diag(p^e) h^-1 = h diag(p^(e - e0)) adj(h) / (det h p^-e0), e0 = min e
+    e0 = min(exps)
+    d = tuple(tuple(p ** (exps[i] - e0) if i == j else 0 for j in range(3))
               for i in range(3))
-    g = GroupElement.from_matrix(mat_mul(h, mat_mul(d, hinv)))
+    g = GroupElement.reduced(mat_mul(h, mat_mul(d, adjugate3(h))),
+                             det3(h) * p ** -e0)
     attracting = Flag.from_matrix(from_columns(lines))
     repelling = Flag.from_matrix(from_columns(tuple(reversed(lines))))
     return SrhCertificate(p, g, lines, lam, attracting, repelling)
@@ -388,7 +402,7 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
         if e == c:
             return c
     base = cert.base_vertex()
-    g = cert.element.matrix
+    g = cert.element.num
 
     def images():
         cur = c
@@ -406,6 +420,23 @@ def proximal_pair_check(cert1, cert2):
                for d in apartment_chambers(cert1.frame))
 
 
+def schottky_pair(p, rng, depth=4, lam=(2, 1, 0)):
+    """Two SRH certificates passing proximal_pair_check, the first standard
+    and the second drawn from rng around a generic completion of the first."""
+    cert1 = make_srh(identity(), lam, p)
+    c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng,
+                           depth=depth)
+    x = LatticeVertex.standard(p)
+    while True:
+        cand = harmonic_sample(x, depth, rng)
+        if is_opposite(cand, c3):
+            frame = apartment_from_opposite(cand, c3)
+            order = chamber_order_in_frame(frame, cand)
+            cert2 = make_srh(tuple(frame.lines[i] for i in order), lam, p)
+            if proximal_pair_check(cert1, cert2):
+                return cert1, cert2
+
+
 def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     """Limit of g2^n g1^n c for a pair passing proximal_pair_check.
 
@@ -419,11 +450,10 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     g2 = cert2.element
 
     def images():
-        n = 1
+        w = g2 * g1  # g2^n g1^n at step n
         while True:
-            w = g2.power(n) * g1.power(n)
-            yield c.apply(w.matrix)
-            n += 1
+            yield c.apply(w.num)
+            w = g2 * w * g1
 
     return _stable_apartment_direction(cert2, images(), threshold, nmax, base)
 
@@ -454,8 +484,9 @@ def enumerate_reduced_words(generators, max_len):
     for i, g in enumerate(generators):
         alphabet.append((i + 1, g))
         alphabet.append((-(i + 1), g.inverse()))
-    seen = {identity(): GroupElement.from_matrix(identity(), word=())}
-    frontier = [((), GroupElement.from_matrix(identity(), word=()))]
+    one = GroupElement(identity(), 1, ())
+    seen = {(one.num, one.den): one}
+    frontier = [((), one)]
     for _ in range(max_len):
         nxt = []
         for word, elem in frontier:
@@ -463,10 +494,10 @@ def enumerate_reduced_words(generators, max_len):
                 if word and word[-1] == -letter:
                     continue
                 new_word = word + (letter,)
-                new_elem = GroupElement.from_matrix(
-                    mat_mul(elem.matrix, gen.matrix), word=new_word)
-                if new_elem.matrix not in seen:
-                    seen[new_elem.matrix] = new_elem
+                new_elem = GroupElement.reduced(mat_mul(elem.num, gen.num),
+                                                elem.den * gen.den, new_word)
+                if (new_elem.num, new_elem.den) not in seen:
+                    seen[new_elem.num, new_elem.den] = new_elem
                 nxt.append((new_word, new_elem))
         frontier = nxt
     return tuple(seen.values())
@@ -495,12 +526,11 @@ def schubert_avoidance_report(sample, cert):
 
 def fixed_flag_fraction(g, trials, depth, rng, p, base=None):
     """Fraction of harmonic-sampled flags fixed exactly by g."""
-    from .stochastics import harmonic_sample  # local import to avoid a cycle
     x = base if base is not None else LatticeVertex.standard(p)
     hits = 0
     for _ in range(trials):
         c = harmonic_sample(x, depth, rng)
-        if c.apply(g.matrix) == c:
+        if c.apply(g.num) == c:
             hits += 1
     return Fraction(hits, trials)
 
@@ -526,7 +556,7 @@ def equicontinuity_set_member(g, o, y):
     """
     _require_growth_vertex(o, y)
     c_y = residue_projection(o, y)
-    z = o.apply(g.inverse().matrix)
+    z = o.apply(g.inverse().num)
     if z == o:
         return True
     line, normal = germ_face(o, z)
@@ -553,9 +583,9 @@ def equicontinuity_check(g, o, y, c, d):
         raise ValueError("g is not in the equicontinuity set of y")
     if not (sector_membership(o, c, y) and sector_membership(o, d, y)):
         raise ValueError("both chambers must lie in U_o(y)")
-    y2 = y.apply(g.matrix)
-    gc = c.apply(g.matrix)
-    gd = d.apply(g.matrix)
+    y2 = y.apply(g.num)
+    gc = c.apply(g.num)
+    gd = d.apply(g.num)
     return (sector_membership(o, gc, y2)
             and sector_membership(o, gd, y2)
             and dist2(o, y2) >= dist2(o, y))

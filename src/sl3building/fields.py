@@ -8,6 +8,8 @@ provided.
 
 from __future__ import annotations
 
+from .padic_linalg import is_prime
+
 _GF4_MUL = {
     (0, 0): 0, (0, 1): 0, (0, 2): 0, (0, 3): 0,
     (1, 0): 0, (1, 1): 1, (1, 2): 2, (1, 3): 3,
@@ -20,7 +22,6 @@ class FiniteField:
     """Arithmetic in F_q for q prime or q = 4."""
 
     def __init__(self, q):
-        from .padic_linalg import is_prime
         if q != 4 and not is_prime(q):
             raise ValueError("supported orders: primes and 4")
         self.q = q

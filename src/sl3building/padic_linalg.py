@@ -18,10 +18,10 @@ The workhorses are
   retractions all read their exponents off it.  The elimination form of
   ``smith_exponents`` is kept as an independent oracle in the test suite.
 
-Relative positions are taken through integer adjugates, never through
-rational inverses: adj(A) = det(A) A^-1 differs from the inverse by a scalar,
-which shifts every minor valuation uniformly and leaves homothety classes
-unchanged.
+Relative positions and group inverses are taken through integer adjugates;
+the package has no rational inverse.  adj(A) = det(A) A^-1 differs from the
+inverse by a scalar, which shifts every minor valuation uniformly and leaves
+homothety classes unchanged.
 
 Hot paths work on integer matrices reduced modulo p^A for a sufficiently
 large A; this is sound because a finite-index sublattice L of Z^3 with
@@ -125,14 +125,6 @@ def adjugate3(m):
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
-
-
-def mat_inv3(m):
-    d = det3(m)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    d = Fraction(d)
-    return tuple(tuple(Fraction(e) / d for e in row) for row in adjugate3(m))
 
 
 def cross(u, v):

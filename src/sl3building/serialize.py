@@ -29,8 +29,6 @@ def frac_to_str(x):
 
 def str_to_frac(s, where=None):
     try:
-        if isinstance(s, int):
-            return Fraction(s)
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}", where) from exc

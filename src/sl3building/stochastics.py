@@ -24,7 +24,6 @@ from .padic_linalg import (
     adjugate3,
     det3,
     identity,
-    integerize,
     is_diagonal_ascending,
     mat_mul,
     lattice_canonical,
@@ -272,10 +271,7 @@ def run_walk(config):
     p = config.p
     rng = make_rng(config.seed)
     den, cum = config.thresholds()
-    gens_int = []
-    for g in config.generators:
-        gi, _ = integerize(g.matrix)
-        gens_int.append(gi)
+    gens_int = [g.num for g in config.generators]
     base = config.base_vertex
     z = identity()
     steps = [_position_record(0, -1, z, base, None, 0, p)]

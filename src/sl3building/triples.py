@@ -35,9 +35,9 @@ from .boundary import (
     apartment_chambers,
     apartment_from_opposite,
     is_opposite,
-    weyl_distance,
 )
 from .sqrtsum import SqrtSum
+from .stochastics import harmonic_sample, harmonic_sample_in_basis_set
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ class ChamberTriple:
 
     def apply(self, g):
         return ChamberTriple(tuple(c.apply(g) for c in self.chambers))
-
-    def pairwise_positions(self):
-        c1, c2, c3 = self.chambers
-        return {(0, 1): weyl_distance(c1, c2),
-                (0, 2): weyl_distance(c1, c3),
-                (1, 2): weyl_distance(c2, c3)}
 
 
 def is_antipodal(triple):
@@ -148,7 +142,6 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
         if candidates is not None:
             yield from candidates
         else:
-            from .stochastics import harmonic_sample
             x = LatticeVertex.standard(p)
             while True:
                 yield harmonic_sample(x, depth, rng)
@@ -318,7 +311,6 @@ def genericity_rate(c1, c2, trials, depth, rng, p, base=None):
     """Fraction of harmonic-sampled completions that land in generic position."""
     if not is_opposite(c1, c2):
         raise NotOppositeError("genericity_rate requires opposite chambers")
-    from .stochastics import harmonic_sample
     x = base if base is not None else LatticeVertex.standard(p)
     hits = 0
     for _ in range(trials):
@@ -334,7 +326,6 @@ def generic_triple_in_basis_set(x, y, rng, depth=6, max_draws=100):
     Draws conditioned harmonic samples; returns (triple, draws) on success
     and None after max_draws failures.
     """
-    from .stochastics import harmonic_sample_in_basis_set
     for attempt in range(1, max_draws + 1):
         c1 = harmonic_sample_in_basis_set(x, y, depth, rng)
         c2 = harmonic_sample_in_basis_set(x, y, depth, rng)

@@ -6,6 +6,8 @@ valuations the library reads them off, flag echelon forms from Fraction
 column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
 vertices, and residue alcoves from a first-step neighbor search.
+``mat_inv3`` is a Fraction inverse, which the library itself never takes,
+for checking the integer inverses of group elements.
 """
 
 from fractions import Fraction
@@ -19,8 +21,8 @@ from sl3building.padic_linalg import (
     det3,
     flag_adapted_basis,
     from_columns,
+    adjugate3,
     integerize,
-    mat_inv3,
     mat_mul,
     strip_p_content,
     valuation_int,
@@ -142,6 +144,14 @@ def weyl_distance_oracle(c, d):
             matches.append(w)
     assert len(matches) == 1, f"dimension table matched {len(matches)} permutations"
     return matches[0]
+
+
+def mat_inv3(m):
+    d = det3(m)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    d = Fraction(d)
+    return tuple(tuple(Fraction(e) / d for e in row) for row in adjugate3(m))
 
 
 def sector_vertices_bfs(x, c, radius):

@@ -11,28 +11,22 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
 
 from sl3building.building import (
     LatticeVertex,
     dist2,
-    frame_vertex,
     standard_vertex,
     vector_distance,
 )
 from sl3building.boundary import (
     Flag,
-    apartment_chambers,
     apartment_from_opposite,
     boundary_retraction,
-    chamber_order_in_frame,
     growth_ray_vertex,
     is_opposite,
 )
 from sl3building.building import opposition_involution
 from sl3building.dynamics import (
-    GroupElement,
-    certify_srh,
     enumerate_reduced_words,
     equicontinuity_check,
     equicontinuity_set_member,
@@ -40,19 +34,19 @@ from sl3building.dynamics import (
     north_south_limit,
     partition_check,
     proximal_pair_check,
+    random_sl3z,
+    schottky_pair,
     universal_contraction,
 )
 from sl3building.padic_linalg import det3
 from sl3building.parabolics import (
     family_flag,
-    family_plane_normal,
     lower_flag,
     pairwise_position_report,
     torus_family_member,
     upper_flag,
 )
 from sl3building.rng import derive_seed, make_rng
-from sl3building.sqrtsum import SqrtSum
 from sl3building.stochastics import (
     WalkConfig,
     basis_set_mass_estimate,
@@ -71,7 +65,6 @@ from sl3building.triples import (
     construct_generic,
     generic_triple_in_basis_set,
     is_generic,
-    pairwise_frames,
 )
 from oracles import (
     sector_membership_oracle,
@@ -88,29 +81,6 @@ def report(num, ok, detail=""):
         line += f"  ({detail})"
     print("\n" + line, flush=True)
     assert ok, line
-
-
-def rand_sl3(rng, bound=3):
-    while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) == 1:
-            return GroupElement.from_matrix(m)
-
-
-def schottky_pair(p, seed, lam=(2, 1, 0)):
-    cert1 = make_srh(STD_LINES, lam, p)
-    rng = make_rng(seed)
-    c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng, depth=4)
-    x = standard_vertex(p)
-    while True:
-        cand = harmonic_sample(x, 4, rng)
-        if is_opposite(cand, c3):
-            frame = apartment_from_opposite(cand, c3)
-            order = chamber_order_in_frame(frame, cand)
-            cert2 = make_srh(tuple(frame.lines[i] for i in order), lam, p)
-            if proximal_pair_check(cert1, cert2):
-                return cert1, cert2
 
 
 def test_criterion_01_family_reproduction():
@@ -173,8 +143,8 @@ def test_criterion_03_north_south_dynamics():
     t0 = time.time()
     p = 3
     certs = [make_srh(STD_LINES, (2, 1, 0), p)]
-    certs.append(certs[0].conjugate(rand_sl3(random.Random(31))))
-    certs.append(certs[0].conjugate(rand_sl3(random.Random(32))))
+    certs.append(certs[0].conjugate(random_sl3z(random.Random(31))))
+    certs.append(certs[0].conjugate(random_sl3z(random.Random(32))))
     x = standard_vertex(p)
     ok = True
     for ci, cert in enumerate(certs):
@@ -193,7 +163,7 @@ def test_criterion_04_universal_contraction():
     """100 flags including the repelling chamber of g1 all land on C2+."""
     t0 = time.time()
     p = 3
-    cert1, cert2 = schottky_pair(p, 404)
+    cert1, cert2 = schottky_pair(p, make_rng(404))
     assert proximal_pair_check(cert1, cert2)
     flags = [cert1.repelling]
     rng = make_rng(4000)
@@ -225,7 +195,7 @@ def test_criterion_05_barycenter_equivariance():
         res = barycenter(triple, p, radius_cap=12)
         ok &= res.certified
         for _ in range(10):
-            g = rand_sl3(grng)
+            g = random_sl3z(grng)
             res_g = barycenter(triple.apply(g.matrix), p, radius_cap=12)
             ok &= res_g.certified
             moved = frozenset(v.apply(g.matrix) for v in res.min_vertices)
@@ -266,7 +236,7 @@ def test_criterion_07_equicontinuity_machinery():
     p = 3
     o = standard_vertex(p)
     cert = make_srh(STD_LINES, (2, 1, 0), p)
-    conj = cert.conjugate(rand_sl3(random.Random(71)))
+    conj = cert.conjugate(random_sl3z(random.Random(71)))
     gens = [cert.element, conj.element]
     words = enumerate_reduced_words(gens, 4)
     probes = [growth_ray_vertex(o, c, 1) for c in
@@ -287,7 +257,7 @@ def test_criterion_07_equicontinuity_machinery():
     ok = failures == 0
     # partition check for two generator sets at word length 4
     ok &= partition_check(gens, 4, o, cert.frame)
-    gens2 = [cert.element, cert.conjugate(rand_sl3(random.Random(72))).element]
+    gens2 = [cert.element, cert.conjugate(random_sl3z(random.Random(72))).element]
     ok &= partition_check(gens2, 4, o, cert.frame)
     # involution identity on 1e3 random vertex pairs
     vrng = random.Random(73)
@@ -333,7 +303,7 @@ def test_criterion_09_walk_convergence_and_stationarity():
     vertices agree within 3 sigma on a fixed event list."""
     t0 = time.time()
     p = 3
-    cert1, cert2 = schottky_pair(p, 909)
+    cert1, cert2 = schottky_pair(p, make_rng(909))
     gens = (cert1.element, cert1.element.inverse(),
             cert2.element, cert2.element.inverse())
     weights = (Fraction(1, 4),) * 4

@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from sl3building.building import (
-    Frame,
     LatticeVertex,
     dist2,
     frame_vertex,
     standard_vertex,
-    vector_distance,
 )
 from sl3building.boundary import (
     ALL_PERMS,
@@ -23,7 +21,6 @@ from sl3building.boundary import (
     apartment_from_opposite,
     basis_set_contains,
     boundary_retraction,
-    chamber_order_in_frame,
     common_depth,
     growth_ray_vertex,
     is_opposite,
@@ -33,8 +30,9 @@ from sl3building.boundary import (
     sector_membership,
     weyl_distance,
 )
-from sl3building.padic_linalg import det3, from_columns, mat_mul
-from sl3building.parabolics import family_flag, upper_flag
+from sl3building.dynamics import random_sl3z
+from sl3building.padic_linalg import det3, mat_mul
+from sl3building.parabolics import family_flag
 from sl3building.serialize import from_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
@@ -58,14 +56,6 @@ def rand_vertex(p, rng, spread=2):
                   for _ in range(3))
         if det3(m) != 0:
             return LatticeVertex.from_matrix(p, m)
-
-
-def rand_sl3(rng, bound=3):
-    while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) == 1:
-            return m
 
 
 def test_flag_canonical_form_is_a_coset_invariant():
@@ -119,7 +109,7 @@ def test_weyl_distance_against_permutation_oracle():
     pairs = [(rand_flag(rng), rand_flag(rng)) for _ in range(1000)]
     # every relative position occurs from a fixed chamber of one apartment
     frame = apartment_from_opposite(Flag.standard(), Flag.reversed_standard())
-    chambers = apartment_chambers(frame.apply(rand_sl3(rng)))
+    chambers = apartment_chambers(frame.apply(random_sl3z(rng).num))
     pairs += [(chambers[0], d) for d in chambers]
     for c, d in pairs:
         assert weyl_distance(c, d) == weyl_distance_oracle(c, d)
@@ -164,7 +154,7 @@ def test_apartment_from_opposite_equivariance():
         c, d = rand_flag(rng), rand_flag(rng)
         if not is_opposite(c, d):
             continue
-        g = rand_sl3(rng)
+        g = random_sl3z(rng).num
         assert apartment_from_opposite(c.apply(g), d.apply(g)) == \
             apartment_from_opposite(c, d).apply(g)
 
@@ -380,6 +370,6 @@ def test_opposite_in_apartment():
         e = opposite_in_apartment(d, frame)
         assert e in apartment_chambers(frame)
         assert is_opposite(d, e)
-        g = rand_sl3(rng)
+        g = random_sl3z(rng).num
         e2 = opposite_in_apartment(d.apply(g), frame.apply(g))
         assert is_opposite(d.apply(g), e2)

@@ -137,6 +137,11 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
     ("measure", {"p_values": 3}),
     ("measure", {"p_values": []}),
     ("measure", {"lams": [[1]]}),
+    ("measure", {"trials": 0}),
+    ("strip", {"r_max": 0}),
+    ("appendix", {"t_values": 3}),
+    ("appendix", {"t_values": ["one"]}),
+    ("measure", {"depth": 6}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)

@@ -1,5 +1,6 @@
 """SRH certification, north-south limits, limit sets, equicontinuity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,7 @@ import pytest
 
 from sl3building.building import (
     LatticeVertex,
-    dist2,
-    frame_vertex,
+    dominant,
     standard_vertex,
     vector_distance,
 )
@@ -16,10 +16,7 @@ from sl3building.boundary import (
     ALL_PERMS,
     Flag,
     LONGEST_PERM,
-    apartment_chambers,
-    apartment_from_opposite,
     boundary_retraction,
-    chamber_order_in_frame,
     growth_ray_vertex,
     is_opposite,
 )
@@ -35,38 +32,17 @@ from sl3building.dynamics import (
     north_south_limit,
     partition_check,
     proximal_pair_check,
+    random_sl3z,
+    schottky_pair,
     schubert_avoidance_report,
     universal_contraction,
 )
-from sl3building.padic_linalg import det3, identity, mat_mul
+from sl3building.padic_linalg import det3, identity, mat_mul, mat_vec, valuation
 from sl3building.stochastics import harmonic_sample
-from sl3building.triples import construct_generic
 from sl3building.rng import make_rng
+from oracles import mat_inv3
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def rand_sl3(rng, bound=3):
-    while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) == 1:
-            return GroupElement.from_matrix(m)
-
-
-def contraction_pair(p, seed, lam=(2, 1, 0)):
-    cert1 = make_srh(STD_LINES, lam, p)
-    rng = make_rng(seed)
-    c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng, depth=4)
-    x = standard_vertex(p)
-    while True:
-        cand = harmonic_sample(x, 4, rng)
-        if is_opposite(cand, c3):
-            frame = apartment_from_opposite(cand, c3)
-            order = chamber_order_in_frame(frame, cand)
-            cert2 = make_srh(tuple(frame.lines[i] for i in order), lam, p)
-            if proximal_pair_check(cert1, cert2):
-                return cert1, cert2
 
 
 def test_group_element_determinant_guard():
@@ -79,6 +55,56 @@ def test_group_element_inverse_and_power():
     assert (g * g.inverse()).matrix == identity()
     assert g.power(3).matrix == mat_mul(g.matrix, mat_mul(g.matrix, g.matrix))
     assert g.power(-2).matrix == (g.inverse() * g.inverse()).matrix
+
+
+def test_group_element_algebra_against_fraction_matrices():
+    rng = random.Random(6)
+    dens = set()
+    for p in (3, 5):
+        cert1, cert2 = schottky_pair(p, make_rng(31))
+        schottky = [cert1.element, cert2.element,
+                    cert1.element.inverse(), cert2.element.inverse()]
+
+        def word():
+            # letters are fresh SL3(Z) draws and Schottky generators
+            g = GroupElement(identity())
+            for _ in range(rng.randint(0, 6)):
+                g = g * (random_sl3z(rng) if rng.random() < 0.5
+                         else rng.choice(schottky))
+            return g
+
+        for _ in range(40):
+            g, h = word(), word()
+            assert (g * h).matrix == mat_mul(g.matrix, h.matrix)
+            assert g.inverse().matrix == mat_inv3(g.matrix)
+            assert GroupElement.from_matrix(g.matrix) == g
+            assert g.den > 0
+            assert math.gcd(g.den, *(e for row in g.num for e in row)) == 1
+            dens.add(g.den)
+    assert len(dens) > 3  # the cases reach proper denominators
+
+
+def test_certified_eigenlines_against_fraction_arithmetic():
+    for p in (3, 5):
+        cert1, cert2 = schottky_pair(p, make_rng(31))
+        checked = 0
+        for g in enumerate_reduced_words([cert1.element, cert2.element], 3):
+            cert = certify_srh(g, p)
+            if not cert:
+                continue
+            lams = []
+            for line in cert.lines:
+                image = mat_vec(g.matrix, line)
+                i = next(i for i, e in enumerate(line) if e != 0)
+                lam = Fraction(image[i], line[i])
+                assert image == tuple(lam * e for e in line)
+                lams.append(lam)
+            assert lams[0] * lams[1] * lams[2] == 1
+            vals = [valuation(lam, p) for lam in lams]
+            assert vals[0] < vals[1] < vals[2]  # the first line attracts
+            assert dominant(tuple(vals)) == cert.lam
+            checked += 1
+        assert checked >= 20
 
 
 def test_make_srh_standard():
@@ -112,7 +138,7 @@ def test_make_srh_equivariance_under_conjugation():
     p = 5
     rng = random.Random(1)
     cert = make_srh(STD_LINES, (2, 1, 0), p)
-    k = rand_sl3(rng)
+    k = random_sl3z(rng)
     moved_lines = tuple(
         tuple(sum(row[i] * v[i] for i in range(3)) for row in k.matrix)
         for v in STD_LINES)
@@ -128,7 +154,7 @@ def test_certify_round_trip_and_covariance():
     rng = random.Random(2)
     cert = make_srh(STD_LINES, (2, 1, 0), p)
     for _ in range(20):
-        k = rand_sl3(rng)
+        k = random_sl3z(rng)
         got = certify_srh(cert.conjugate(k).element, p)
         assert got
         assert got.lam == (2, 1, 0)
@@ -188,7 +214,7 @@ def test_north_south_equals_boundary_retraction():
     rng = make_rng(12345)
     x = standard_vertex(p)
     certs = [make_srh(STD_LINES, (2, 1, 0), p)]
-    certs.append(certs[0].conjugate(rand_sl3(random.Random(4))))
+    certs.append(certs[0].conjugate(random_sl3z(random.Random(4))))
     for cert in certs:
         for i in range(25):
             c = harmonic_sample(x, 3, rng)
@@ -212,13 +238,13 @@ def test_proximal_pair_check_basics():
     p = 5
     cert1 = make_srh(STD_LINES, (2, 1, 0), p)
     assert not proximal_pair_check(cert1, cert1)
-    _, cert2 = contraction_pair(p, 8)
+    _, cert2 = schottky_pair(p, make_rng(8))
     assert proximal_pair_check(cert1, cert2)
 
 
 def test_universal_contraction_examples():
     p = 5
-    cert1, cert2 = contraction_pair(p, 21)
+    cert1, cert2 = schottky_pair(p, make_rng(21))
     assert universal_contraction(cert1, cert2, cert2.attracting) == cert2.attracting
     # the repelling chamber of g1, the hardest input for g1 alone
     assert universal_contraction(cert1, cert2, cert1.repelling) == cert2.attracting
@@ -249,7 +275,7 @@ def test_limit_set_single_generator():
 def test_limit_set_conjugate_generator_adds_moved_chamber():
     p = 5
     cert = make_srh(STD_LINES, (2, 1, 0), p)
-    k = rand_sl3(random.Random(10))
+    k = random_sl3z(random.Random(10))
     conj = cert.conjugate(k)
     sample = limit_set_sample([cert.element, conj.element], 2, p)
     assert cert.attracting in sample.flags
@@ -258,7 +284,7 @@ def test_limit_set_conjugate_generator_adds_moved_chamber():
 
 def test_limit_set_schottky_pair_produces_many_flags():
     p = 3
-    cert1, cert2 = contraction_pair(p, 31)
+    cert1, cert2 = schottky_pair(p, make_rng(31))
     sample = limit_set_sample([cert1.element, cert2.element], 4, p)
     assert len(sample.flags) >= 8
     report = schubert_avoidance_report(sample, cert1)
@@ -284,7 +310,7 @@ def test_fixed_flag_fraction_identity():
 def test_fixed_flag_fraction_srh_is_zero_at_depth_three():
     p = 3
     rng = random.Random(6)
-    cert = make_srh(STD_LINES, (2, 1, 0), p).conjugate(rand_sl3(rng))
+    cert = make_srh(STD_LINES, (2, 1, 0), p).conjugate(random_sl3z(rng))
     assert fixed_flag_fraction(cert.element, 400, 3, make_rng(7), p) == 0
 
 
@@ -334,7 +360,7 @@ def test_equicontinuity_check_never_fails_on_admissible_inputs():
     p = 3
     o = standard_vertex(p)
     cert = make_srh(STD_LINES, (2, 1, 0), p)
-    gens = [cert.element, cert.conjugate(rand_sl3(random.Random(11))).element]
+    gens = [cert.element, cert.conjugate(random_sl3z(random.Random(11))).element]
     words = enumerate_reduced_words(gens, 3)
     probes = [growth_ray_vertex(o, c, 1)
               for c in (cert.attracting, cert.repelling)]
@@ -370,5 +396,5 @@ def test_partition_check_small_cases():
     frame = cert.frame
     assert partition_check([], 0, o, frame)  # identity only
     assert partition_check([cert.element], 3, o, frame)
-    gens = [cert.element, cert.conjugate(rand_sl3(random.Random(14))).element]
+    gens = [cert.element, cert.conjugate(random_sl3z(random.Random(14))).element]
     assert partition_check(gens, 3, o, frame)

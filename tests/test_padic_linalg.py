@@ -15,7 +15,6 @@ from sl3building.padic_linalg import (
     det3,
     flag_adapted_basis,
     from_columns,
-    integerize,
     lattice_canonical,
     mat_mul,
     smith_exponents,
@@ -24,6 +23,8 @@ from sl3building.padic_linalg import (
     valuation,
     valuation_int,
 )
+from sl3building.dynamics import schottky_pair
+from sl3building.rng import make_rng
 from oracles import rank, smith_elimination_oracle
 
 
@@ -100,9 +101,8 @@ def test_smith_exponents_match_elimination_oracle():
         assert smith_exponents(m, p) == smith_elimination_oracle(m, p)
     # walk-sized inputs: long words in the generators of a Schottky pair,
     # with entries of hundreds of digits
-    from sl3building.cli import _schottky_pair
-    cert1, cert2 = _schottky_pair(p, 42)
-    gens = [integerize(g.matrix)[0] for g in (
+    cert1, cert2 = schottky_pair(p, make_rng(42, 0xC0))
+    gens = [g.num for g in (
         cert1.element, cert1.element.inverse(),
         cert2.element, cert2.element.inverse())]
     digits = []

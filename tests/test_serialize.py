@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from sl3building.building import Frame, LatticeVertex, standard_vertex
 from sl3building.boundary import Flag
-from sl3building.dynamics import GroupElement, certify_srh, make_srh
-from sl3building.padic_linalg import det3
+from sl3building.dynamics import certify_srh, make_srh, random_sl3z
 from sl3building.serialize import (
     ParseError,
     frac_to_str,
@@ -62,12 +61,7 @@ def test_random_certificate_round_trip():
     p = 5
     cert = make_srh(STD_LINES, (2, 1, 0), p)
     for _ in range(25):
-        while True:
-            m = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
-            if det3(m) == 1:
-                k = GroupElement.from_matrix(m)
-                break
-        moved = cert.conjugate(k)
+        moved = cert.conjugate(random_sl3z(rng))
         assert from_obj(to_obj(moved)) == moved
         # the round-tripped certificate still certifies
         back = from_obj(to_obj(moved))

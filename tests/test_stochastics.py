@@ -20,7 +20,7 @@ from sl3building.boundary import (
     is_opposite,
     sector_membership,
 )
-from sl3building.dynamics import GroupElement, make_srh
+from sl3building.dynamics import GroupElement, make_srh, schottky_pair
 from sl3building.padic_linalg import det3, identity
 from sl3building.rng import derive_seed, make_rng
 from sl3building.stochastics import (
@@ -42,8 +42,7 @@ STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def schottky_generators(p, seed):
-    from sl3building.cli import _schottky_pair
-    cert1, cert2 = _schottky_pair(p, seed)
+    cert1, cert2 = schottky_pair(p, make_rng(seed, 0xC0))
     gens = (cert1.element, cert1.element.inverse(),
             cert2.element, cert2.element.inverse())
     return gens, (Fraction(1, 4),) * 4

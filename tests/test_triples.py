@@ -13,12 +13,12 @@ from sl3building.boundary import (
     growth_ray_vertex,
     is_opposite,
 )
+from sl3building.dynamics import random_sl3z
 from sl3building.padic_linalg import det3
 from sl3building.parabolics import family_flag, lower_flag, upper_flag
 from sl3building.sqrtsum import SqrtSum
 from sl3building.triples import (
     ChamberTriple,
-    apartment_ideal_simplices,
     apartment_infinity_intersection,
     barycenter,
     construct_generic,
@@ -28,7 +28,6 @@ from sl3building.triples import (
     genericity_rate,
     is_antipodal,
     is_generic,
-    pairwise_frames,
 )
 from sl3building.rng import make_rng
 
@@ -39,14 +38,6 @@ def rand_flag(rng, bound=6):
                   for _ in range(3))
         if det3(m) != 0:
             return Flag.from_matrix(m)
-
-
-def rand_sl3(rng, bound=3):
-    while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) == 1:
-            return m
 
 
 def coordinate_triple():
@@ -122,7 +113,7 @@ def test_genericity_is_invariant_under_the_group():
     t1 = family_triple(1)
     t0 = family_triple(-1)
     for _ in range(30):
-        g = rand_sl3(rng)
+        g = random_sl3z(rng).num
         assert is_generic(t1.apply(g))
         assert not is_generic(t0.apply(g))
 
@@ -170,7 +161,7 @@ def test_distance_sum_equivariance():
     T = family_triple(1)
     p = 5
     for _ in range(10):
-        g = rand_sl3(rng)
+        g = random_sl3z(rng).num
         v = LatticeVertex.from_matrix(p, ((25, 3, 1), (0, 5, 2), (0, 0, 1)))
         assert distance_sum_squares(T, v) == \
             distance_sum_squares(T.apply(g), v.apply(g))
@@ -199,7 +190,7 @@ def test_barycenter_certified_and_equivariant_on_samples():
     assert res.certified
     grng = random.Random(29)
     for _ in range(4):
-        g = rand_sl3(grng)
+        g = random_sl3z(grng).num
         res_g = barycenter(T.apply(g), p)
         assert res_g.certified
         assert frozenset(v.apply(g) for v in res.min_vertices) == res_g.min_vertices

@@ -16,7 +16,7 @@ into closed sectors opposite a residue alcove).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -80,6 +80,10 @@ class GroupElement:
     word: tuple = None
 
     def __post_init__(self):
+        content = gcd(self.den, *(e for row in self.num for e in row))
+        if self.den <= 0 or content != 1:
+            raise ValueError("group elements must be num/den in lowest terms "
+                             "with den > 0; use GroupElement.reduced")
         if det3(self.num) != self.den ** 3:
             raise ValueError("group elements must have determinant exactly 1")
 
@@ -124,10 +128,10 @@ class GroupElement:
         return out
 
 
-def random_sl3z(rng, bound=3):
-    """A uniform draw from the SL3(Z) matrices with entries in [-bound, bound]."""
+def random_sl3z(rng):
+    """A uniform draw from the SL3(Z) matrices with entries in [-3, 3]."""
     while True:
-        m = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
                   for _ in range(3))
         if det3(m) == 1:
             return GroupElement(m)
@@ -420,10 +424,11 @@ def proximal_pair_check(cert1, cert2):
                for d in apartment_chambers(cert1.frame))
 
 
-def schottky_pair(p, rng, depth=4, lam=(2, 1, 0)):
-    """Two SRH certificates passing proximal_pair_check, the first standard
-    and the second drawn from rng around a generic completion of the first."""
-    cert1 = make_srh(identity(), lam, p)
+def schottky_pair(p, rng, depth=4):
+    """Two SRH certificates of translation (2, 1, 0) passing
+    proximal_pair_check, the first standard and the second drawn from rng
+    around a generic completion of the first."""
+    cert1 = make_srh(identity(), (2, 1, 0), p)
     c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng,
                            depth=depth)
     x = LatticeVertex.standard(p)
@@ -432,7 +437,7 @@ def schottky_pair(p, rng, depth=4, lam=(2, 1, 0)):
         if is_opposite(cand, c3):
             frame = apartment_from_opposite(cand, c3)
             order = chamber_order_in_frame(frame, cand)
-            cert2 = make_srh(tuple(frame.lines[i] for i in order), lam, p)
+            cert2 = make_srh(tuple(frame.lines[i] for i in order), (2, 1, 0), p)
             if proximal_pair_check(cert1, cert2):
                 return cert1, cert2
 
@@ -482,23 +487,20 @@ def enumerate_reduced_words(generators, max_len):
     """
     alphabet = []
     for i, g in enumerate(generators):
-        alphabet.append((i + 1, g))
-        alphabet.append((-(i + 1), g.inverse()))
+        alphabet.append(replace(g, word=(i + 1,)))
+        alphabet.append(replace(g.inverse(), word=(-(i + 1),)))
     one = GroupElement(identity(), 1, ())
     seen = {(one.num, one.den): one}
-    frontier = [((), one)]
+    frontier = [one]
     for _ in range(max_len):
         nxt = []
-        for word, elem in frontier:
-            for letter, gen in alphabet:
-                if word and word[-1] == -letter:
+        for elem in frontier:
+            for gen in alphabet:
+                if elem.word and elem.word[-1] == -gen.word[0]:
                     continue
-                new_word = word + (letter,)
-                new_elem = GroupElement.reduced(mat_mul(elem.num, gen.num),
-                                                elem.den * gen.den, new_word)
-                if (new_elem.num, new_elem.den) not in seen:
-                    seen[new_elem.num, new_elem.den] = new_elem
-                nxt.append((new_word, new_elem))
+                new_elem = elem * gen
+                seen.setdefault((new_elem.num, new_elem.den), new_elem)
+                nxt.append(new_elem)
         frontier = nxt
     return tuple(seen.values())
 

@@ -84,6 +84,31 @@ def test_group_element_algebra_against_fraction_matrices():
     assert len(dens) > 3  # the cases reach proper denominators
 
 
+def test_group_element_rejects_fields_not_in_lowest_terms():
+    minus_one = tuple(tuple(-e for e in row) for row in identity())
+    two = tuple(tuple(2 * e for e in row) for row in identity())
+    # both have det(num) = den^3 and are the identity
+    for num, den in ((minus_one, -1), (two, 2)):
+        with pytest.raises(ValueError):
+            GroupElement(num, den)
+        assert GroupElement.reduced(num, den) == GroupElement(identity())
+
+
+def test_enumerated_words_spell_their_elements():
+    cert1, cert2 = schottky_pair(3, make_rng(31))
+    gens = [cert1.element, cert2.element]
+    letters = {1: gens[0], 2: gens[1],
+               -1: gens[0].inverse(), -2: gens[1].inverse()}
+    elems = enumerate_reduced_words(gens, 3)
+    assert len(elems) == 1 + 4 + 12 + 36  # free group on two letters
+    for g in elems:
+        h = GroupElement(identity())
+        for letter in g.word:
+            h = h * letters[letter]
+        assert (h.num, h.den) == (g.num, g.den)
+        assert all(a != -b for a, b in zip(g.word, g.word[1:]))
+
+
 def test_certified_eigenlines_against_fraction_arithmetic():
     for p in (3, 5):
         cert1, cert2 = schottky_pair(p, make_rng(31))

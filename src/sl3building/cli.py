@@ -136,39 +136,44 @@ def load_config(name, path):
     return defaults
 
 
+def _is_int(x):
+    """An integer config value; YAML booleans are ints in Python, not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _validate(name, cfg):
     if name == "measure":
         if not (isinstance(cfg["p_values"], list) and cfg["p_values"]):
             raise ConfigError("p_values must be a nonempty list of primes")
         if not (isinstance(cfg["lams"], list) and all(
                 isinstance(lam, list) and len(lam) == 3
-                and all(isinstance(a, int) for a in lam) for lam in cfg["lams"])):
+                and all(_is_int(a) for a in lam) for lam in cfg["lams"])):
             raise ConfigError("lams must be a list of lists of three integers")
     primes = ([cfg["p"]] if "p" in cfg else []) + list(cfg.get("p_values", []))
     for p in primes:
-        if not (isinstance(p, int) and is_prime(p)):
+        if not (_is_int(p) and is_prime(p)):
             raise ConfigError(f"p and p_values entries must be prime, got {p!r}")
     for key in ("flags_per_cert", "trials", "samples", "steps", "r_max",
                 "transports", "radius_cap", "depth", "nmax", "threshold",
                 "budget", "window", "word_length", "partition_length",
                 "conjugators", "triples", "pairs"):
         low = 1 if key in ("depth", "trials", "r_max") else 0
-        if key in cfg and cfg[key] is not None and (not isinstance(cfg[key], int)
+        if key in cfg and cfg[key] is not None and (not _is_int(cfg[key])
                                                     or cfg[key] < low):
             raise ConfigError(f"{key} must be an integer >= {low}")
     if name == "appendix" and not (isinstance(cfg["t_values"], list) and all(
-            isinstance(t, (int, str)) for t in cfg["t_values"])):
+            _is_int(t) or isinstance(t, str) for t in cfg["t_values"])):
         raise ConfigError("t_values must be a list of integers and rational strings")
     for t in cfg.get("t_values", ()):
         _parse(str_to_frac, t, "t_values")
     if name == "dynamics":
         lam = cfg["lam"]
         if not (isinstance(lam, list) and len(lam) == 3
-                and all(isinstance(a, int) for a in lam)):
+                and all(_is_int(a) for a in lam)):
             raise ConfigError("lam must be a list of three integers")
-        if not is_regular(lam) or (lam[0] + lam[1]) % 3 != 0:
-            raise ConfigError("lam must be regular with lam[0] + lam[1] "
-                              f"divisible by 3, got {lam}")
+        if not is_regular(lam) or lam[2] != 0 or (lam[0] + lam[1]) % 3 != 0:
+            raise ConfigError("lam must be regular with lam[2] = 0 and "
+                              f"lam[0] + lam[1] divisible by 3, got {lam}")
     if name == "walk":
         gens, weights = cfg.get("generators"), cfg.get("weights")
         if (gens is None) != (weights is None):

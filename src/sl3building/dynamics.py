@@ -318,6 +318,8 @@ def make_srh(frame_or_lines, lam, p):
     require_prime(p)
     if not is_regular(lam):
         raise ValueError("translation vector must be regular")
+    if lam[2] != 0:
+        raise ValueError(f"translation vector must have lam[2] = 0, got {lam}")
     if (lam[0] + lam[1]) % 3 != 0:
         raise ValueError("lam[0] + lam[1] must be divisible by 3 to realize "
                          "the translation in SL3")

@@ -28,9 +28,11 @@ def frac_to_str(x):
 
 
 def str_to_frac(s, where=None):
+    if isinstance(s, bool):
+        raise ParseError(f"bad rational {s!r}: a boolean", where)
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}", where) from exc
 
 

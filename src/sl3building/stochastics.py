@@ -31,6 +31,7 @@ from .padic_linalg import (
     smith_exponents,
     smith_left_transform,
     strip_p_content,
+    valuation_int,
 )
 from .building import (
     LatticeVertex,
@@ -243,18 +244,28 @@ class WalkTrace:
 
 
 def _strip_content(m):
+    """Divide an integer matrix by the gcd of its entries; returns (m / g, g)."""
     g = 0
     for row in m:
         for e in row:
             g = math.gcd(g, e)
     if g in (0, 1):
-        return m
-    return tuple(tuple(e // g for e in row) for row in m)
+        return m, 1
+    return tuple(tuple(e // g for e in row) for row in m), g
 
 
-def _position_record(n, letter, z_int, base, prev_germ, prev_run, p):
-    rel = mat_mul(mat_mul(adjugate3(base.matrix), z_int), base.matrix)
-    rel_int, _ = strip_p_content(rel, p)
+def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
+    """The walk step at relative matrix rel = adj(B) z B, d = v_p(det rel).
+
+    Once the p-content c of rel is stripped, its determinant valuation is
+    exactly D = d - 3c.  The vector distance and the germ are read off rel_int
+    mod p^(D+1): the determinant keeps valuation D there, the least
+    2x2-minor valuation a2 <= D stays a2, and so do the mod-p images of
+    rel_int and of its adjugate divided by p^a2.
+    """
+    rel_int, c = strip_p_content(rel, p)
+    q = p ** (d - 3 * c + 1)
+    rel_int = tuple(tuple(e % q for e in row) for row in rel_int)
     theta = dominant(smith_exponents(rel_int, p))
     germ = None
     run = 0
@@ -267,21 +278,36 @@ def _position_record(n, letter, z_int, base, prev_germ, prev_run, p):
 
 
 def run_walk(config):
-    """Deterministic seeded walk; the trace is a pure function of the config."""
+    """Deterministic seeded walk; the trace is a pure function of the config.
+
+    The position is the content-stripped integer product z of the letters'
+    numerators, and v_p(det z) is kept as a running sum instead of being
+    recomputed: det(num) = den^3 for every generator, so a letter adds
+    3 v_p(den), and stripping a content g subtracts 3 v_p(g).  With the base
+    matrix B, v_p(det(adj(B) z B)) = 3 v_p(det B) + v_p(det z), and each
+    step is read off adj(B) z B reduced mod p^(D+1), D the determinant
+    valuation left after its p-content is stripped (see _position_record).
+    """
     p = config.p
     rng = make_rng(config.seed)
     den, cum = config.thresholds()
     gens_int = [g.num for g in config.generators]
-    base = config.base_vertex
-    z = identity()
-    steps = [_position_record(0, -1, z, base, None, 0, p)]
+    gens_dv = [3 * valuation_int(g.den, p) for g in config.generators]
+    b = config.base_vertex.matrix
+    adj_b = adjugate3(b)
+    d_base = 3 * valuation_int(det3(b), p)
+    z, dz = identity(), 0
+    steps = [_position_record(0, -1, mat_mul(mat_mul(adj_b, z), b), d_base,
+                              None, 0, p)]
     for n in range(1, config.steps + 1):
         r = rng.randrange(den)
         idx = next(i for i, c in enumerate(cum) if r < c)
-        z = _strip_content(mat_mul(z, gens_int[idx]))
+        z, g = _strip_content(mat_mul(z, gens_int[idx]))
+        dz += gens_dv[idx] - 3 * valuation_int(g, p)
         prev = steps[-1]
-        steps.append(_position_record(n, idx, z, base, prev.germ, prev.germ_run, p))
-    final = LatticeVertex.from_matrix(p, mat_mul(z, base.matrix))
+        steps.append(_position_record(n, idx, mat_mul(mat_mul(adj_b, z), b),
+                                      d_base + dz, prev.germ, prev.germ_run, p))
+    final = LatticeVertex.from_matrix(p, mat_mul(z, b))
     return WalkTrace(config, tuple(steps), final)
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the library's fast paths.
 
-Each oracle deliberately avoids the code path it checks: Smith exponents come
-from elimination with minimal-valuation pivoting instead of the minor
-valuations the library reads them off, flag echelon forms from Fraction
+Each oracle deliberately avoids the code path it checks: valuations come
+from dividing by p one unit at a time instead of by binary splitting, Smith
+exponents from elimination with minimal-valuation pivoting instead of the
+minor valuations the library reads them off, flag echelon forms from Fraction
 column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
 vertices, and residue alcoves from a first-step neighbor search.
@@ -15,6 +16,7 @@ from itertools import permutations
 
 from sl3building.padic_linalg import (
     SingularMatrixError,
+    ZeroValuationError,
     _capped_val,
     columns,
     cross,
@@ -38,6 +40,18 @@ from sl3building.building import (
     weyl_dist2,
 )
 from sl3building.boundary import Flag
+
+
+def valuation_loop_oracle(n, p):
+    """p-adic valuation of a nonzero integer, one division by p per unit."""
+    if n == 0:
+        raise ZeroValuationError("valuation of 0 is undefined")
+    v = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def smith_elimination_oracle(m, p):

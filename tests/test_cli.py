@@ -142,6 +142,17 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
     ("appendix", {"t_values": 3}),
     ("appendix", {"t_values": ["one"]}),
     ("measure", {"depth": 6}),
+    ("dynamics", {"lam": [4, 2, 1]}),
+    ("strip", {"depth": True}),
+    ("dynamics", {"p": True}),
+    ("dynamics", {"lam": [2, True, 0]}),
+    ("measure", {"lams": [[True, 0, 0]]}),
+    ("walk", {"trials": True}),
+    ("appendix", {"t_values": [True]}),
+    ("walk", {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+              "weights": [True]}),
+    ("walk", {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+              "weights": [None]}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)

@@ -149,6 +149,20 @@ def test_make_srh_preconditions():
         make_srh(STD_LINES, (2, 2, 0), 5)  # not regular
     with pytest.raises(ValueError):
         make_srh(STD_LINES, (3, 1, 0), 5)  # not realizable with det 1
+    with pytest.raises(ValueError):
+        make_srh(STD_LINES, (4, 2, 1), 5)  # lam[2] != 0
+    with pytest.raises(ValueError):
+        make_srh(STD_LINES, (5, 3, 1), 5)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("lam", [(2, 1, 0), (4, 2, 0), (5, 1, 0), (5, 4, 0),
+                                 (7, 2, 0)])
+def test_make_srh_certifies_to_the_stored_lam(p, lam):
+    lines = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    cert = make_srh(lines, lam, p)
+    assert cert.lam == lam
+    assert certify_srh(cert.element, p).lam == lam
 
 
 def test_make_srh_powers():

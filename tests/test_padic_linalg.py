@@ -25,7 +25,7 @@ from sl3building.padic_linalg import (
 )
 from sl3building.dynamics import schottky_pair
 from sl3building.rng import make_rng
-from oracles import rank, smith_elimination_oracle
+from oracles import rank, smith_elimination_oracle, valuation_loop_oracle
 
 
 def rand_invertible(rng, lo=-9, hi=9):
@@ -54,6 +54,22 @@ def test_valuation_of_zero_rejected():
         valuation(0, 3)
     with pytest.raises(ZeroValuationError):
         valuation(Fraction(0), 5)
+
+
+def test_valuation_int_matches_the_division_loop_oracle():
+    # both signs, units up to ~300 digits, times p^k with k up to 700; half
+    # the cases have k < 20, around the first few powers of two
+    rng = random.Random(20261018)
+    for _ in range(20000):
+        p = rng.choice((2, 3, 5, 7))
+        k = rng.randrange(701) if rng.random() < 0.5 else rng.randrange(20)
+        n = rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.randint(1, 300)) * p ** k
+        assert valuation_int(n, p) == valuation_loop_oracle(n, p)
+    for p in (2, 3, 5, 7):
+        with pytest.raises(ZeroValuationError):
+            valuation_int(0, p)
+        with pytest.raises(ZeroValuationError):
+            valuation_loop_oracle(0, p)
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0),

@@ -4,11 +4,14 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from sl3building import stochastics
 from sl3building.building import (
     LatticeVertex,
+    ResidueChamber,
     dist2,
     is_regular,
     standard_vertex,
@@ -21,7 +24,15 @@ from sl3building.boundary import (
     sector_membership,
 )
 from sl3building.dynamics import GroupElement, make_srh, schottky_pair
-from sl3building.padic_linalg import det3, identity
+from sl3building.padic_linalg import (
+    adjugate3,
+    det3,
+    identity,
+    mat_mul,
+    residue_germ_parts,
+    strip_p_content,
+    valuation_int,
+)
 from sl3building.rng import derive_seed, make_rng
 from sl3building.stochastics import (
     InsufficientConvergenceError,
@@ -211,6 +222,62 @@ def test_walk_reproducibility_bit_for_bit():
     cfg2 = WalkConfig(p, gens, weights, 60, 1235, standard_vertex(p))
     assert json.dumps(to_obj(run_walk(cfg2)), sort_keys=True) != \
         json.dumps(to_obj(t1), sort_keys=True)
+
+
+def test_walk_steps_match_the_exact_relative_position(monkeypatch):
+    # The walk reads theta and the germ off the content-stripped relative
+    # matrix reduced mod p^(D+1), with D taken from its running determinant
+    # valuation.  Replay each word exactly, from base vertices of every type
+    # with det B divisible by p, and check every step against the exact,
+    # unreduced matrix; also check that the matrix whose minors are taken is
+    # that exact matrix mod p^(D+1) with D its own determinant valuation, so
+    # a running valuation that is off in either direction fails.
+    reduced = []
+
+    def spy(m, p):
+        reduced.append(m)
+        return real_smith(m, p)
+
+    real_smith = stochastics.smith_exponents
+    monkeypatch.setattr(stochastics, "smith_exponents", spy)
+    p = 3
+    gens, weights = schottky_generators(p, 42)
+    assert any(g.den % p == 0 for g in gens)
+    bases = [LatticeVertex.from_matrix(p, m) for m in (
+        ((3, 1, 0), (0, 3, 1), (0, 0, 3)),  # criterion 9's x2, type 0
+        ((3, 2, 1), (0, 1, 0), (0, 0, 1)),  # type 1
+        ((9, 4, 7), (0, 3, 2), (0, 0, 9)),  # type 2
+    )]
+    assert sorted(x.vertex_type for x in bases) == [0, 1, 2]
+    p_content_grew = 0
+    for bi, x in enumerate(bases):
+        b = x.matrix
+        for seed in range(3):
+            reduced.clear()
+            trace = run_walk(WalkConfig(p, gens, weights, 40, 100 * bi + seed, x))
+            assert len(reduced) == len(trace.steps)
+            prod = identity()
+            prev_content = 0
+            for step, seen in zip(trace.steps, reduced):
+                if step.letter >= 0:
+                    prod = mat_mul(prod, gens[step.letter].num)
+                g = reduce(math.gcd, (e for row in prod for e in row))
+                p_content_grew += valuation_int(g, p) > prev_content
+                prev_content = valuation_int(g, p)
+                z = tuple(tuple(e // g for e in row) for row in prod)
+                assert step.theta == vector_distance(
+                    x, LatticeVertex.from_matrix(p, mat_mul(z, b)))
+                rel_int, _ = strip_p_content(
+                    mat_mul(mat_mul(adjugate3(b), z), b), p)
+                q = p ** (valuation_int(det3(rel_int), p) + 1)
+                assert seen == tuple(tuple(e % q for e in row) for row in rel_int)
+                germ = None
+                if is_regular(step.theta):
+                    line, normal = residue_germ_parts(rel_int, p)
+                    if line is not None and normal is not None:
+                        germ = ResidueChamber.from_parts(p, line, normal)
+                assert step.germ == germ
+    assert p_content_grew > 0  # some step strips a gcd divisible by p
 
 
 def test_walk_convergence_rate_small():

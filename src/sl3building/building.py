@@ -111,6 +111,15 @@ def standard_vertex(p):
     return LatticeVertex.standard(p)
 
 
+def random_vertex(p, rng):
+    """The vertex of a random nonsingular integer matrix with entries in [-p^2, p^2]."""
+    while True:
+        m = tuple(tuple(rng.randrange(-p * p, p * p + 1) for _ in range(3))
+                  for _ in range(3))
+        if det3(m) != 0:
+            return LatticeVertex.from_matrix(p, m)
+
+
 def vector_distance(x, y):
     """Dominant exponent triple theta(x, y) of the elementary divisors from x to y."""
     if x.matrix == y.matrix:

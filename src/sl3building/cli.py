@@ -33,10 +33,10 @@ import yaml
 
 from .padic_linalg import det3, is_prime, lattice_canonical, mat_mul
 from .building import (
-    LatticeVertex,
     dist2,
     is_regular,
     opposition_involution,
+    random_vertex,
     standard_vertex,
     vector_distance,
 )
@@ -149,10 +149,15 @@ def _validate(name, cfg):
                 isinstance(lam, list) and len(lam) == 3
                 and all(_is_int(a) for a in lam) for lam in cfg["lams"])):
             raise ConfigError("lams must be a list of lists of three integers")
+        # the sampler works modulo p^(a1 + a2 + 1) and N grows like p^(2 a1)
+        if any(max(lam) - min(lam) > 1000 for lam in cfg["lams"]):
+            raise ConfigError("each entry of lams must span at most 1000")
     primes = ([cfg["p"]] if "p" in cfg else []) + list(cfg.get("p_values", []))
     for p in primes:
-        if not (_is_int(p) and is_prime(p)):
-            raise ConfigError(f"p and p_values entries must be prime, got {p!r}")
+        # trial division decides primality exactly, but takes minutes beyond 2^31
+        if not (_is_int(p) and p < 2 ** 31 and is_prime(p)):
+            raise ConfigError("p and p_values entries must be primes below 2^31, "
+                              f"got {p!r}")
     for key in ("flags_per_cert", "trials", "samples", "steps", "r_max",
                 "transports", "radius_cap", "depth", "nmax", "threshold",
                 "budget", "window", "word_length", "partition_length",
@@ -178,6 +183,9 @@ def _validate(name, cfg):
         gens, weights = cfg.get("generators"), cfg.get("weights")
         if (gens is None) != (weights is None):
             raise ConfigError("generators and weights must be given together")
+        if gens is not None and not (isinstance(gens, list)
+                                     and isinstance(weights, list)):
+            raise ConfigError("generators and weights must be lists")
         if gens is not None and len(gens) == 0:
             raise ConfigError("generator list must be nonempty")
         if gens is not None and len(gens) != len(weights):
@@ -440,8 +448,8 @@ def run_selftest(cfg, seed):
     for _ in range(n):
         u = random_sl3z(rng).num
         inv_ok &= lattice_canonical(mat_mul(base, u), p) == c0
-        v1 = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
-        v2 = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
+        v1 = random_vertex(p, rng)
+        v2 = random_vertex(p, rng)
         theta_ok &= vector_distance(v2, v1) == opposition_involution(
             vector_distance(v1, v2))
     check("lattice_canonical_invariance", inv_ok)
@@ -451,8 +459,8 @@ def run_selftest(cfg, seed):
     frame = cert.frame
     ok = True
     for _ in range(n // 2):
-        a = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
-        b = LatticeVertex.from_matrix(p, _rand_lattice(p, rng))
+        a = random_vertex(p, rng)
+        b = random_vertex(p, rng)
         ra = retraction(frame, cert.attracting, a)
         rb = retraction(frame, cert.attracting, b)
         ok &= dist2(ra, rb) <= dist2(a, b)
@@ -469,14 +477,6 @@ def run_selftest(cfg, seed):
         ChamberTriple.of(Flag.standard(), Flag.reversed_standard(), c3)))
     rows = [{"checks": len(records), "failures": failures}]
     return records, rows, (0 if failures == 0 else 3)
-
-
-def _rand_lattice(p, rng):
-    while True:
-        m = tuple(tuple(rng.randrange(-p ** 2, p ** 2 + 1) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) != 0:
-            return m
 
 
 _RUNNERS = {

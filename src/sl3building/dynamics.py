@@ -514,8 +514,8 @@ def limit_set_sample(generators, max_len, p):
         cert = certify_srh(elem, p)
         if cert:
             flags.setdefault(cert.attracting, cert)
-    return LimitSetSample(tuple(sorted(flags, key=lambda f: str(f.matrix))),
-                          max_len, tuple(flags.items()))
+    ordered = sorted(flags, key=lambda f: (f.line, f.plane_normal))
+    return LimitSetSample(tuple(ordered), max_len, tuple(flags.items()))
 
 
 def schubert_avoidance_report(sample, cert):

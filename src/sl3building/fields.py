@@ -1,31 +1,21 @@
-"""Small finite fields for exhaustive cross-checks.
+"""Small prime fields for exhaustive cross-checks.
 
-Supports the prime fields F_p and the four-element field F_4 (bit-polynomial
-representation modulo x^2 + x + 1).  Elements are plain ints in range(q);
-only the handful of operations needed for 3x3 matrix work over the field are
-provided.
+Elements of F_p are plain ints in range(p); only the handful of operations
+needed for 3x3 matrix work over the field are provided.
 """
 
 from __future__ import annotations
 
 from .padic_linalg import is_prime
 
-_GF4_MUL = {
-    (0, 0): 0, (0, 1): 0, (0, 2): 0, (0, 3): 0,
-    (1, 0): 0, (1, 1): 1, (1, 2): 2, (1, 3): 3,
-    (2, 0): 0, (2, 1): 2, (2, 2): 3, (2, 3): 1,
-    (3, 0): 0, (3, 1): 3, (3, 2): 1, (3, 3): 2,
-}
-
 
 class FiniteField:
-    """Arithmetic in F_q for q prime or q = 4."""
+    """Arithmetic in F_q for q prime."""
 
     def __init__(self, q):
-        if q != 4 and not is_prime(q):
-            raise ValueError("supported orders: primes and 4")
+        if not is_prime(q):
+            raise ValueError(f"supported orders: primes, got {q}")
         self.q = q
-        self._gf4 = (q == 4)
 
     def elements(self):
         return range(self.q)
@@ -34,22 +24,20 @@ class FiniteField:
         return range(1, self.q)
 
     def add(self, a, b):
-        return a ^ b if self._gf4 else (a + b) % self.q
+        return (a + b) % self.q
 
     def neg(self, a):
-        return a if self._gf4 else (-a) % self.q
+        return (-a) % self.q
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        return _GF4_MUL[(a, b)] if self._gf4 else (a * b) % self.q
+        return (a * b) % self.q
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._gf4:
-            return next(b for b in self.units() if self.mul(a, b) == 1)
         return pow(a, -1, self.q)
 
     # 3x3 matrix helpers over the field -------------------------------------

@@ -259,14 +259,14 @@ def _field_flag_stab(field, m, line, plane_points):
 
 
 def upper_borel_intersection_count_field(q):
-    """Exhaustive size of P meet P^1 over F_q (odd q), for comparison with (q-1)^2.
+    """Exhaustive size of P meet P^1 over F_q (odd prime q), for comparison with (q-1)^2.
 
     Enumerates the upper-triangular subgroup and keeps the elements
     stabilizing the t = 1 family flag.
     """
-    field = FiniteField(q)
     if q % 2 == 0:
         raise ValueError("t = 1 is degenerate in characteristic 2")
+    field = FiniteField(q)
     v = (1, 1, 1)
     # V_1 over F_q: -x + 2y - z = 0; points v and (2, 1, 0)
     plane_points = (v, (2 % q, 1, 0))

@@ -3,9 +3,10 @@
 The harmonic measure seen from a vertex x is the unique probability on
 chambers at infinity invariant under the stabilizer of x; it gives every
 cone-topology basis set U_x(y) mass 1/N, where N counts the vertices at the
-same vector distance as y.  The sampler draws a uniformly random invertible
-matrix modulo p^k in the stabilizer and pushes a base flag through it, which
-reproduces that measure exactly on events of depth at most k.
+same vector distance as y and comes from Macdonald's closed form.  The
+sampler draws a uniformly random invertible matrix modulo p^k in the
+stabilizer and pushes a base flag through it, which reproduces that measure
+exactly on events of depth at most k.
 
 Random walks multiply seeded generator choices and record, at every step, the
 vector distance from the base vertex and the residue germ of the current
@@ -24,11 +25,9 @@ from .padic_linalg import (
     adjugate3,
     det3,
     identity,
-    is_diagonal_ascending,
     mat_mul,
-    lattice_canonical,
+    minor_valuations,
     residue_germ_parts,
-    smith_exponents,
     smith_left_transform,
     strip_p_content,
     valuation_int,
@@ -123,60 +122,47 @@ def harmonic_sample_in_basis_set(x, y, depth, rng):
     return flag
 
 
-def basis_set_mass_estimate(x, lam, trials, rng, depth=None):
+def basis_set_mass_estimate(x, lam, trials, rng):
     """Empirical harmonic mass of a basis set U_x(y) with theta(x, y) = lam.
 
-    Uses the diagonal representative y and tests the sampled stabilizer
-    element k directly: the sampled chamber's sector passes through y exactly
-    when k^-1 maps the lattice of y onto an ascending diagonal lattice, and
-    since det k is a unit the adjugate serves as the inverse.  The event is
-    measurable at depth lam1 + lam2 + 1, where the discretized sampler
-    reproduces the harmonic measure exactly, so deviations are purely
-    binomial.  Integer arithmetic throughout.
+    Uses the diagonal representative y, with d_y = diag(1, p^a2, p^a1) for
+    dominant lam = (a1, a2, 0), and tests the sampled stabilizer element k
+    directly.  The sampled chamber's sector passes through y exactly when k
+    fixes the lattice of y, that is when d_y^-1 k d_y is integral (det k is
+    a unit): p^a2 | k[1][0], p^a1 | k[2][0] and p^(a1 - a2) | k[2][1], the
+    subgroup _sector_shape_matrix samples.  The event is measurable at depth
+    a1 + a2 + 1, where the discretized sampler reproduces the harmonic
+    measure exactly, so deviations are purely binomial.
     """
-    lam = dominant(lam)
+    a1, a2, _ = dominant(lam)
     p = x.p
-    if depth is None:
-        depth = lam[0] + lam[1] + 1
-    d_y = ((1, 0, 0), (0, p ** lam[1], 0), (0, 0, p ** lam[0]))
+    depth = a1 + a2 + 1
+    m10, m20, m21 = p ** a2, p ** a1, p ** (a1 - a2)
     hits = 0
     for _ in range(trials):
         k = _random_stabilizer_matrix(p, depth, rng)
-        n = mat_mul(adjugate3(k), d_y)
-        if is_diagonal_ascending(lattice_canonical(n, p), p):
+        if k[1][0] % m10 == 0 and k[2][0] % m20 == 0 and k[2][1] % m21 == 0:
             hits += 1
     return Fraction(hits, trials)
 
 
-def count_at_vector_distance(x, lam, cap=2_000_000):
+def count_at_vector_distance(x, lam):
     """Exact number of vertices at vector distance lam from x.
 
-    Enumerates canonical upper-triangular lattice representatives below x
-    with the right determinant valuation and filters by elementary divisors;
-    this covers every vertex once because the canonical form is unique.
+    Macdonald's closed form (Macdonald 1971, "Spherical functions on a group
+    of p-adic type"): with dominant lam = (a1, a2, 0), m = a1 - a2, n = a2
+    and q = p, the count is 1 at m = n = 0, (q^2+q+1) q^(2(max(m, n)-1))
+    when exactly one of m, n is 0, and (q^2+q+1)(q^2+q) q^(2(m+n-2))
+    otherwise.
     """
-    lam = dominant(lam)
-    p = x.p
-    total_exp = lam[0] + lam[1]
-    if total_exp == 0:
+    a1, a2, _ = dominant(lam)
+    q = x.p
+    m, n = a1 - a2, a2
+    if m == 0 and n == 0:
         return 1
-    count = 0
-    work = 0
-    for b0 in range(total_exp + 1):
-        for b1 in range(total_exp + 1 - b0):
-            b2 = total_exp - b0 - b1
-            work += p ** (2 * b0) * p ** b1
-            if work > cap:
-                raise RuntimeError("enumeration cap exceeded")
-            for t01 in range(p ** b0):
-                for t02 in range(p ** b0):
-                    for t12 in range(p ** b1):
-                        m = ((p ** b0, t01, t02),
-                             (0, p ** b1, t12),
-                             (0, 0, p ** b2))
-                        if dominant(smith_exponents(m, p)) == lam:
-                            count += 1
-    return count
+    if m == 0 or n == 0:
+        return (q * q + q + 1) * q ** (2 * (max(m, n) - 1))
+    return (q * q + q + 1) * (q * q + q) * q ** (2 * (m + n - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +247,15 @@ def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
     exactly D = d - 3c.  The vector distance and the germ are read off rel_int
     mod p^(D+1): the determinant keeps valuation D there, the least
     2x2-minor valuation a2 <= D stays a2, and so do the mod-p images of
-    rel_int and of its adjugate divided by p^a2.
+    rel_int and of its adjugate divided by p^a2.  With no content left, the
+    vector distance is (D - a2, a2, 0).
     """
     rel_int, c = strip_p_content(rel, p)
     q = p ** (d - 3 * c + 1)
     rel_int = tuple(tuple(e % q for e in row) for row in rel_int)
-    theta = dominant(smith_exponents(rel_int, p))
+    _, minors, d_rel = minor_valuations(rel_int, p)
+    e2 = min(v for v, *_ in minors)
+    theta = dominant((d_rel - e2, e2, 0))
     germ = None
     run = 0
     if is_regular(theta):

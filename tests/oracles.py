@@ -6,7 +6,10 @@ exponents from elimination with minimal-valuation pivoting instead of the
 minor valuations the library reads them off, flag echelon forms from Fraction
 column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
-vertices, and residue alcoves from a first-step neighbor search.
+vertices, residue alcoves from a first-step neighbor search, vertex counts at
+a vector distance from enumerating canonical lattice representatives instead
+of Macdonald's formula, and the basis-set event of the harmonic mass law from
+the canonical form of adj(k) d_y instead of three divisibility tests.
 ``mat_inv3`` is a Fraction inverse, which the library itself never takes,
 for checking the integer inverses of group elements.
 """
@@ -25,7 +28,10 @@ from sl3building.padic_linalg import (
     from_columns,
     adjugate3,
     integerize,
+    is_diagonal_ascending,
+    lattice_canonical,
     mat_mul,
+    smith_exponents,
     strip_p_content,
     valuation_int,
 )
@@ -34,12 +40,14 @@ from sl3building.building import (
     ResidueChamber,
     canonical_modp_vector,
     dist2,
+    dominant,
     frame_vertex,
     residue_lines,
     vector_distance,
     weyl_dist2,
 )
 from sl3building.boundary import Flag
+from sl3building.stochastics import _random_stabilizer_matrix
 
 
 def valuation_loop_oracle(n, p):
@@ -272,3 +280,54 @@ def residue_opposite_chamber_count(p):
     chambers = residue_chambers(p)
     fixed = chambers[0]
     return sum(1 for c in chambers if residue_opposite(fixed, c))
+
+
+def count_enumeration_oracle(x, lam, cap=2_000_000):
+    """Exact number of vertices at vector distance lam from x.
+
+    Enumerates canonical upper-triangular lattice representatives below x
+    with the right determinant valuation and filters by elementary divisors;
+    this covers every vertex once because the canonical form is unique.
+    """
+    lam = dominant(lam)
+    p = x.p
+    total_exp = lam[0] + lam[1]
+    if total_exp == 0:
+        return 1
+    count = 0
+    work = 0
+    for b0 in range(total_exp + 1):
+        for b1 in range(total_exp + 1 - b0):
+            b2 = total_exp - b0 - b1
+            work += p ** (2 * b0) * p ** b1
+            if work > cap:
+                raise RuntimeError("enumeration cap exceeded")
+            for t01 in range(p ** b0):
+                for t02 in range(p ** b0):
+                    for t12 in range(p ** b1):
+                        m = ((p ** b0, t01, t02),
+                             (0, p ** b1, t12),
+                             (0, 0, p ** b2))
+                        if dominant(smith_exponents(m, p)) == lam:
+                            count += 1
+    return count
+
+
+def basis_set_event_oracle(k, lam, p):
+    """Whether k^-1 maps the lattice of y = diag(1, p^a2, p^a1) onto an
+    ascending diagonal lattice; det k is a unit, so adj(k) serves as k^-1."""
+    lam = dominant(lam)
+    d_y = ((1, 0, 0), (0, p ** lam[1], 0), (0, 0, p ** lam[0]))
+    return is_diagonal_ascending(lattice_canonical(mat_mul(adjugate3(k), d_y), p), p)
+
+
+def basis_set_mass_lattice_oracle(x, lam, trials, rng):
+    """Empirical harmonic mass of U_x(y), each draw decided by the lattice route."""
+    lam = dominant(lam)
+    depth = lam[0] + lam[1] + 1
+    hits = 0
+    for _ in range(trials):
+        k = _random_stabilizer_matrix(x.p, depth, rng)
+        if basis_set_event_oracle(k, lam, x.p):
+            hits += 1
+    return Fraction(hits, trials)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from sl3building.building import (
     LatticeVertex,
     dist2,
+    random_vertex,
     standard_vertex,
     vector_distance,
 )
@@ -262,18 +263,10 @@ def test_criterion_07_equicontinuity_machinery():
     # involution identity on 1e3 random vertex pairs
     vrng = random.Random(73)
     for _ in range(1000):
-        a = _rand_vertex(p, vrng)
-        b = _rand_vertex(p, vrng)
+        a = random_vertex(p, vrng)
+        b = random_vertex(p, vrng)
         ok &= vector_distance(b, a) == opposition_involution(vector_distance(a, b))
     report(7, ok, f"{time.time()-t0:.0f}s, failures={failures}")
-
-
-def _rand_vertex(p, rng, spread=2):
-    while True:
-        m = tuple(tuple(rng.randint(-p ** spread, p ** spread) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) != 0:
-            return LatticeVertex.from_matrix(p, m)
 
 
 def test_criterion_08_strip_growth():
@@ -349,7 +342,7 @@ def test_criterion_10_oracle_equivalence():
     cases = 0
     while cases < 1000:
         c = _rand_flag(rng, bound=4)
-        y = _rand_vertex(p, rng)
+        y = random_vertex(p, rng)
         if dist2(x, y) > 9:
             continue
         cases += 1

@@ -9,6 +9,7 @@ from sl3building.building import (
     LatticeVertex,
     dist2,
     frame_vertex,
+    random_vertex,
     standard_vertex,
 )
 from sl3building.boundary import (
@@ -48,14 +49,6 @@ def rand_flag(rng, bound=6):
                   for _ in range(3))
         if det3(m) != 0:
             return Flag.from_matrix(m)
-
-
-def rand_vertex(p, rng, spread=2):
-    while True:
-        m = tuple(tuple(rng.randint(-p ** spread, p ** spread) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) != 0:
-            return LatticeVertex.from_matrix(p, m)
 
 
 def test_flag_canonical_form_is_a_coset_invariant():
@@ -198,7 +191,7 @@ def test_sector_membership_against_bfs_oracle():
     cases = 0
     while cases < 1000:
         c = rand_flag(rng, bound=4)
-        y = rand_vertex(p, rng)
+        y = random_vertex(p, rng)
         if dist2(x, y) > 9:
             continue
         cases += 1
@@ -222,7 +215,7 @@ def test_basis_set_base_point_cofinality():
     x = standard_vertex(p)
     for _ in range(40):
         c = rand_flag(rng, bound=4)
-        x2 = rand_vertex(p, rng)
+        x2 = random_vertex(p, rng)
         if x2.vertex_type != 0:
             continue
         y = growth_ray_vertex(x, c, rng.randint(1, 3))
@@ -284,8 +277,8 @@ def test_retraction_does_not_increase_distances():
     frame = apartment_from_opposite(Flag.standard(), Flag.reversed_standard())
     c = Flag.standard()
     for _ in range(1000):
-        a = rand_vertex(p, rng)
-        b = rand_vertex(p, rng)
+        a = random_vertex(p, rng)
+        b = random_vertex(p, rng)
         ra = retraction(frame, c, a)
         rb = retraction(frame, c, b)
         assert dist2(ra, rb) <= dist2(a, b)
@@ -335,7 +328,7 @@ def test_retraction_agrees_with_deep_vertex_characterization():
     c = Flag.standard()
     o = frame_vertex(frame, p, (0, 0, 0))
     for _ in range(25):
-        x = rand_vertex(p, rng)
+        x = random_vertex(p, rng)
         rx = retraction(frame, c, x)
         agreed = False
         for t in range(2, 10):

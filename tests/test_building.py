@@ -17,6 +17,7 @@ from sl3building.building import (
     germ_face,
     is_regular,
     opposition_involution,
+    random_vertex,
     residue_chambers,
     residue_lines,
     residue_opposite,
@@ -27,21 +28,13 @@ from sl3building.building import (
 )
 from sl3building.boundary import Flag
 from sl3building.dynamics import random_sl3z
-from sl3building.padic_linalg import adjugate3, det3, mat_mul
+from sl3building.padic_linalg import adjugate3, mat_mul
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
     distance_to_apartment_bruteforce,
     residue_opposite_chamber_count,
     residue_projection_oracle,
 )
-
-
-def rand_vertex(p, rng, spread=2):
-    while True:
-        m = tuple(tuple(rng.randint(-p ** spread, p ** spread) for _ in range(3))
-                  for _ in range(3))
-        if det3(m) != 0:
-            return LatticeVertex.from_matrix(p, m)
 
 
 def test_weyl_vector_utilities():
@@ -77,8 +70,8 @@ def test_theta_symmetry_through_the_involution():
     rng = random.Random(17)
     p = 3
     for _ in range(1000):
-        x = rand_vertex(p, rng)
-        y = rand_vertex(p, rng)
+        x = random_vertex(p, rng)
+        y = random_vertex(p, rng)
         assert vector_distance(y, x) == opposition_involution(vector_distance(x, y))
 
 
@@ -86,7 +79,7 @@ def test_distance_symmetry_and_triangle_inequality():
     rng = random.Random(23)
     p = 2
     for _ in range(300):
-        x, y, z = (rand_vertex(p, rng) for _ in range(3))
+        x, y, z = (random_vertex(p, rng) for _ in range(3))
         assert dist2(x, y) == dist2(y, x)
         dxy = SqrtSum.of_squares((dist2(x, y),))
         dyz = SqrtSum.of_squares((dist2(y, z),))
@@ -98,8 +91,8 @@ def test_isometry_equivariance_of_vector_distance():
     rng = random.Random(29)
     p = 5
     for _ in range(200):
-        x = rand_vertex(p, rng)
-        y = rand_vertex(p, rng)
+        x = random_vertex(p, rng)
+        y = random_vertex(p, rng)
         g = random_sl3z(rng).num
         assert vector_distance(x.apply(g), y.apply(g)) == vector_distance(x, y)
 
@@ -143,7 +136,7 @@ def test_distance_to_apartment_matches_bruteforce_randomly():
     p = 2
     frame = Frame.from_lines(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for _ in range(60):
-        x = rand_vertex(p, rng)
+        x = random_vertex(p, rng)
         q, w = distance_to_apartment(x, frame)
         assert dist2(x, w) == q
         assert q == distance_to_apartment_bruteforce(x, frame, 6)
@@ -154,7 +147,7 @@ def test_distance_to_apartment_isometry_instance():
     p = 3
     frame = Frame.from_lines(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for _ in range(50):
-        x = rand_vertex(p, rng)
+        x = random_vertex(p, rng)
         g = random_sl3z(rng).num
         q1, _ = distance_to_apartment(x, frame)
         q2, _ = distance_to_apartment(x.apply(g), frame.apply(g))
@@ -227,7 +220,7 @@ def test_residue_projection_against_geodesic_step_oracle():
     o = standard_vertex(p)
     found = 0
     while found < 60:
-        y = rand_vertex(p, rng)
+        y = random_vertex(p, rng)
         if not is_regular(vector_distance(o, y)):
             continue
         found += 1
@@ -239,7 +232,7 @@ def test_residue_projection_equivariance():
     p = 3
     o = standard_vertex(p)
     for _ in range(40):
-        y = rand_vertex(p, rng)
+        y = random_vertex(p, rng)
         if not is_regular(vector_distance(o, y)):
             continue
         g = random_sl3z(rng).num

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sl3building.cli import ConfigError, load_config, main
+from sl3building.cli import _SCHEMAS, SUBCOMMANDS, ConfigError, load_config, main
 
 
 def _run(tmp_path, sub, seed=1, config=None, extra=()):
@@ -153,8 +156,44 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
               "weights": [True]}),
     ("walk", {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
               "weights": [None]}),
+    ("walk", {"generators": 5, "weights": 5}),
+    ("dynamics", {"p": 2 ** 61 - 1}),
+    ("measure", {"p_values": [3, 2 ** 61 - 1]}),
+    ("measure", {"lams": [[1001, 0, 0]]}),
+    ("measure", {"lams": [[0, -1001, 0]]}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)
     assert rc == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"
+
+
+def test_measure_counts_far_vertices_in_closed_form(tmp_path):
+    # N at (12, 0, 0) over Q_3 is 13 * 3^22, far beyond any enumeration
+    rc = _run(tmp_path, "measure",
+              config={"p_values": [3], "lams": [[12, 0, 0]], "trials": 400})
+    assert rc == 0
+    rec = json.loads((tmp_path / "measure_records.ndjson").read_text())
+    assert rec["N"] == 13 * 3 ** 22
+
+
+_SCALARS = st.one_of(st.integers(), st.booleans(), st.text(max_size=8),
+                     st.none())
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                       max_leaves=12)
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_config_returns_or_raises_config_error(sub, data):
+    keys = sorted(_SCHEMAS[sub])
+    cfg = data.draw(st.dictionaries(st.sampled_from(keys), _VALUES, max_size=4))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        try:
+            load_config(sub, path)
+        except ConfigError:
+            pass

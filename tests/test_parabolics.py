@@ -137,15 +137,6 @@ def test_field_char_two_is_excluded():
         upper_borel_intersection_count_field(4)
 
 
-def test_gf4_arithmetic():
-    f = FiniteField(4)
-    # x^2 = x + 1 for the generator (element 2 = x, 3 = x + 1)
-    assert f.mul(2, 2) == 3
-    assert f.add(2, 3) == 1
-    for a in f.units():
-        assert f.mul(a, f.inv(a)) == 1
-
-
 def test_genericity_consistent_with_triples_module():
     # the verdicts of the scan coincide with is_generic over Q for each t
     for t in (1, 2, 0, -1, 5):

@@ -48,6 +48,11 @@ from sl3building.stochastics import (
     strip_growth,
 )
 from sl3building.serialize import to_obj
+from oracles import (
+    basis_set_event_oracle,
+    basis_set_mass_lattice_oracle,
+    count_enumeration_oracle,
+)
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -80,13 +85,78 @@ def test_count_at_vector_distance_examples():
     assert count_at_vector_distance(x3, (1, 0, 0)) == 13
 
 
-def test_count_matches_dual_distance():
-    # j swaps (a1, a2, 0) with (a1, a1-a2, 0); counts agree by duality
-    x = standard_vertex(2)
-    assert count_at_vector_distance(x, (2, 1, 0)) == \
-        count_at_vector_distance(x, (2, 1, 0))
-    assert count_at_vector_distance(x, (3, 1, 0)) == \
-        count_at_vector_distance(x, (3, 2, 0))
+# Every shape the enumeration oracle finishes in about a second or less: all
+# dominant (a1, a2, 0) with a1 + a2 up to this bound.
+ORACLE_COUNT_DEGREE = {2: 6, 3: 4, 5: 3}
+
+
+def test_count_matches_the_enumeration_oracle_and_duality():
+    for p, degree in ORACLE_COUNT_DEGREE.items():
+        x = standard_vertex(p)
+        for a1 in range(degree + 1):
+            for a2 in range(min(a1, degree - a1) + 1):
+                assert count_at_vector_distance(x, (a1, a2, 0)) == \
+                    count_enumeration_oracle(x, (a1, a2, 0)), (p, a1, a2)
+    # the opposition involution swaps (a1, a2, 0) with (a1, a1 - a2, 0)
+    for p in (2, 3, 5, 7):
+        x = standard_vertex(p)
+        for a1 in range(12):
+            for a2 in range(a1 + 1):
+                assert count_at_vector_distance(x, (a1, a2, 0)) == \
+                    count_at_vector_distance(x, (a1, a1 - a2, 0))
+    # any order of lam is read through its dominant form
+    assert count_at_vector_distance(standard_vertex(3), (0, 1, 2)) == 156
+
+
+MASS_SHAPES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0),
+               (3, 3, 0), (4, 2, 0))
+
+
+def _boundary_stabilizer_matrices(p, lam):
+    """Determinant-one k = L U with one lower entry of L at, or below, each of
+    the three divisibility thresholds p^a2 | k10, p^a1 | k20, p^(a1-a2) | k21."""
+    a1, a2, _ = lam
+    out = []
+    for (i, j), need in (((1, 0), a2), ((2, 0), a1), ((2, 1), a1 - a2)):
+        for e in range(need + 1):
+            for u in (0, 1, p + 1):
+                low = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+                low[i][j] = p ** e
+                out.append(mat_mul(low, ((1, u, 2 * u), (0, 1, u), (0, 0, 1))))
+    return out
+
+
+def test_basis_set_event_matches_the_lattice_oracle(monkeypatch):
+    # The estimate decides each draw k by three divisibility tests; the
+    # oracle by whether adj(k) d_y has an ascending diagonal canonical form.
+    # Feed the estimate one k at a time: boundary matrices, draws from the
+    # subgroup that keeps the sector (all hits) and plain stabilizer draws.
+    draws = 0
+    hits = 0
+    for p in (2, 3, 5):
+        x = standard_vertex(p)
+        for lam in MASS_SHAPES:
+            depth = lam[0] + lam[1] + 1
+            rng = make_rng(31, p, lam[0], lam[1])
+            ks = _boundary_stabilizer_matrices(p, lam)
+            ks += [stochastics._sector_shape_matrix(p, depth, lam[::-1], rng)
+                   for _ in range(150)]
+            ks += [stochastics._random_stabilizer_matrix(p, depth, rng)
+                   for _ in range(1000)]
+            for k in ks:
+                monkeypatch.setattr(stochastics, "_random_stabilizer_matrix",
+                                    lambda *_: k)
+                got = stochastics.basis_set_mass_estimate(x, lam, 1, None)
+                want = basis_set_event_oracle(k, lam, p)
+                assert got == want, (p, lam, k)
+                hits += want
+            draws += len(ks)
+            monkeypatch.undo()
+            # and on one shared stream the two estimates agree exactly
+            assert stochastics.basis_set_mass_estimate(
+                x, lam, 500, make_rng(32, p, lam[0])) == \
+                basis_set_mass_lattice_oracle(x, lam, 500, make_rng(32, p, lam[0]))
+    assert draws >= 20_000 and 0 < hits < draws
 
 
 def test_harmonic_mass_law_small_scale():
@@ -236,10 +306,10 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
 
     def spy(m, p):
         reduced.append(m)
-        return real_smith(m, p)
+        return real_minors(m, p)
 
-    real_smith = stochastics.smith_exponents
-    monkeypatch.setattr(stochastics, "smith_exponents", spy)
+    real_minors = stochastics.minor_valuations
+    monkeypatch.setattr(stochastics, "minor_valuations", spy)
     p = 3
     gens, weights = schottky_generators(p, 42)
     assert any(g.den % p == 0 for g in gens)

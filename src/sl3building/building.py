@@ -12,6 +12,7 @@ distance is a1^2 - a1*a2 + a2^2, the Eisenstein norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .padic_linalg import (
@@ -167,18 +168,54 @@ def frame_vertex(frame, p, exponents=(0, 0, 0)):
     return LatticeVertex.from_matrix(p, from_columns(cols))
 
 
-def _eisenstein_ball(bound2):
-    """All (i, j) in Z^2 with i^2 - i*j + j^2 <= bound2."""
-    if bound2 < 0:
-        return
+# Balls scanned by ``ApartmentPairDistance.nearest`` and the barycenter
+# shells are kept for reuse: at most this many, each of norm at most
+# _BALL_CACHE_NORM (about 3.6 * bound2 points per ball).
+_BALL_CACHE_SIZE = 64
+_BALL_CACHE_NORM = 1024
+
+
+def _ball_points(bound2):
     r = isqrt(4 * bound2 // 3) + 2
     for i in range(-r, r + 1):
         for j in range(-r, r + 1):
-            if i * i - i * j + j * j <= bound2:
-                yield (i, j)
+            n = i * i - i * j + j * j
+            if n <= bound2:
+                yield (i, j, n)
+
+
+@lru_cache(maxsize=_BALL_CACHE_SIZE)
+def _cached_ball(bound2):
+    return tuple(_ball_points(bound2))
+
+
+def _eisenstein_ball(bound2):
+    """(i, j, i^2 - i*j + j^2) for all (i, j) in Z^2 with norm <= bound2.
+
+    Raster order: i ascending, then j ascending.  Small balls come from a
+    bounded cache, larger ones are generated on the fly.
+    """
+    if bound2 < 0:
+        return ()
+    if bound2 <= _BALL_CACHE_NORM:
+        return _cached_ball(bound2)
+    return _ball_points(bound2)
+
+
+def _skip_norm(b0, best):
+    """Least n with sqrt(n) >= sqrt(b0) + sqrt(best), for integers b0, best >= 0.
+
+    With r = n - b0 - best the condition is r >= 2 sqrt(b0 * best), that is
+    r >= ceil(sqrt(4 * b0 * best)): an integer threshold, recomputed only
+    when best changes.
+    """
+    s = 4 * b0 * best
+    k = isqrt(s)
+    return b0 + best + (k if k * k == s else k + 1)
 
 
 _MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+_ROW_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 class ApartmentPairDistance:
@@ -186,52 +223,112 @@ class ApartmentPairDistance:
 
     Built from the integer relative matrix K = adj(H_to) H_from of a source
     basis H_from and a target frame matrix H_to.  The vertex at exponents m
-    over H_from and the apartment vertex at exponents m_to over H_to differ
-    by diag(p^-m_to) K diag(p^m) up to a scalar, so every minor valuation of
-    their relative position is a minor valuation of K shifted by the
-    exponents of its rows and columns; the kernel's output is stored once
-    and each distance costs three minima.
+    over H_from and the apartment vertex at exponents t over H_to differ by
+    diag(p^-t) K diag(p^m) up to a scalar, so every minor valuation of their
+    relative position is a minor valuation of K shifted by the exponents of
+    its rows and columns.  The kernel's output is stored once, grouped by
+    row and by row pair.  For a fixed source m the minima over columns are
+    taken once (``_source_minima``): a_i per row, b per row pair and c for
+    the determinant.  Each target t then costs three small minima,
+
+        e1 = min_i(a_i - t_i),  e2 = min over pairs (b_i1i2 - t_i1 - t_i2),
+        e3 = c - sum(t),
+
+    and its vector distance is the dominant form of (e1, e2 - e1, e3 - e2).
     """
 
     def __init__(self, k_int, p):
-        self.entries, self.minors, self.det_val = minor_valuations(k_int, p)
+        entries, minors, self.det_val = minor_valuations(k_int, p)
+        self.rows = tuple(tuple((v, j) for v, i, j in entries if i == r)
+                          for r in range(3))
+        self.row_pairs = tuple(
+            tuple((v, j1, j2) for v, i1, i2, j1, j2 in minors if (i1, i2) == rp)
+            for rp in _ROW_PAIRS)
+
+    def _source_minima(self, m):
+        """Per-source minima (a, b, c) for the source vertex at exponents m.
+
+        a[i] = min_j(v_ij + m_j) over the entries of row i, b[k] the same
+        minimum over the 2x2 minors on row pair k (rows (0, 1), (0, 2),
+        (1, 2)) and c = det_val + sum(m).  A nonsingular K has a nonzero
+        entry in every row and a nonzero minor on every row pair.
+        """
+        a = tuple(min(v + m[j] for v, j in row) for row in self.rows)
+        b = tuple(min(v + m[j1] + m[j2] for v, j1, j2 in rp)
+                  for rp in self.row_pairs)
+        return a, b, self.det_val + m[0] + m[1] + m[2]
 
     def theta(self, m, m_to):
         """Vector distance from the m_to vertex of the target to the m vertex."""
-        e1 = min(v + m[j] - m_to[i] for v, i, j in self.entries)
-        e2 = min(v + m[j1] + m[j2] - m_to[i1] - m_to[i2]
-                 for v, i1, i2, j1, j2 in self.minors)
-        e3 = self.det_val + sum(m) - sum(m_to)
+        (a0, a1, a2), (b01, b02, b12), c = self._source_minima(m)
+        t0, t1, t2 = m_to
+        e1 = min(a0 - t0, a1 - t1, a2 - t2)
+        e2 = min(b01 - t0 - t1, b02 - t0 - t2, b12 - t1 - t2)
+        e3 = c - t0 - t1 - t2
         return dominant((e1, e2 - e1, e3 - e2))
 
     def nearest(self, m):
         """Certified (min squared distance, exponents of a minimizer) in the target.
 
-        Greedy descent over unit exponent moves from the origin to some z0,
-        then a scan of every target vertex within CAT(0) radius 2*d(x, z0) of
-        z0, where x is the vertex at m; by the triangle inequality the global
-        minimizer lies in that ball.  The first strict improvement wins, so
-        the witness is deterministic.
+        Greedy descent over unit exponent moves from the origin to some z0
+        with squared distance b0 from the vertex x at m, then a raster scan
+        of the target vertices within CAT(0) radius 2*d(x, z0) of z0; by the
+        triangle inequality the global minimizer lies in that ball.  Squared
+        distances come from the per-source minima with no sort: ``weyl_dist2``
+        does not change under permutations and a common shift, so for the
+        triple (e1, e2 - e1, e3 - e2), whose sum is e3,
+        q = (3(e1^2 + (e2 - e1)^2 + (e3 - e2)^2) - e3^2) / 2.
+
+        The scan shrinks as the best value found so far, best, falls: a point
+        t at squared distance n from z0 with sqrt(n) >= sqrt(b0) + sqrt(best)
+        has d(x, t) >= sqrt(n) - sqrt(b0) >= sqrt(best), so it cannot
+        improve strictly and is skipped.  The test is in integers, as
+        n >= ``_skip_norm(b0, best)``.  Only strict improvements are taken,
+        and a skipped point could not have been one, so the witness is the
+        first minimizer in scan order, exactly as for the full scan.
         """
+        (a0, a1, a2), (b01, b02, b12), c = self._source_minima(m)
+
+        def dist2_at(t0, t1, t2):
+            # the minima spelled out: this is the inner loop of the scan
+            e1 = a0 - t0
+            if a1 - t1 < e1:
+                e1 = a1 - t1
+            if a2 - t2 < e1:
+                e1 = a2 - t2
+            e2 = b01 - t0 - t1
+            if b02 - t0 - t2 < e2:
+                e2 = b02 - t0 - t2
+            if b12 - t1 - t2 < e2:
+                e2 = b12 - t1 - t2
+            e3 = c - t0 - t1 - t2
+            d2, d3 = e2 - e1, e3 - e2
+            return (3 * (e1 * e1 + d2 * d2 + d3 * d3) - e3 * e3) // 2
+
         cur = (0, 0, 0)
-        best = weyl_dist2(self.theta(m, cur))
+        best = dist2_at(0, 0, 0)
         improved = True
         while improved and best > 0:
             improved = False
             for mv in _MOVES:
                 cand = (cur[0] + mv[0], cur[1] + mv[1], cur[2] + mv[2])
-                q = weyl_dist2(self.theta(m, cand))
+                q = dist2_at(*cand)
                 if q < best:
                     cur, best, improved = cand, q, True
                     break
         if best == 0:
             return 0, cur
+        b0 = best
         best_m = cur
-        for (i, j) in _eisenstein_ball(4 * best):
-            cand = (cur[0] + i, cur[1] + j, cur[2])
-            q = weyl_dist2(self.theta(m, cand))
+        z0, z1, z2 = cur
+        n_skip = _skip_norm(b0, best)
+        for i, j, n in _eisenstein_ball(4 * b0):
+            if n >= n_skip:
+                continue
+            q = dist2_at(z0 + i, z1 + j, z2)
             if q < best:
-                best, best_m = q, cand
+                best, best_m = q, (z0 + i, z1 + j, z2)
+                n_skip = _skip_norm(b0, best)
         return best, best_m
 
     def dist2_to_apartment(self, m):

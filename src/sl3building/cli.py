@@ -73,6 +73,7 @@ from .stochastics import (
     harmonic_sample,
     harmonic_sample_in_basis_set,
     strip_growth,
+    within_three_sigma,
 )
 from .stochastics import run_walk as _run_walk
 from .parabolics import (
@@ -154,7 +155,6 @@ def _validate(name, cfg):
             raise ConfigError("each entry of lams must span at most 1000")
     primes = ([cfg["p"]] if "p" in cfg else []) + list(cfg.get("p_values", []))
     for p in primes:
-        # trial division decides primality exactly, but takes minutes beyond 2^31
         if not (_is_int(p) and p < 2 ** 31 and is_prime(p)):
             raise ConfigError("p and p_values entries must be primes below 2^31, "
                               f"got {p!r}")
@@ -331,7 +331,7 @@ def run_measure(cfg, seed):
             emp = basis_set_mass_estimate(x, lam_t, cfg["trials"], rng)
             target = Fraction(1, n_exact)
             sigma = math.sqrt(float(target) * (1 - float(target)) / cfg["trials"])
-            ok = abs(float(emp - target)) <= 3 * sigma
+            ok = within_three_sigma(emp, target, cfg["trials"])
             bad += not ok
             records.append({"p": p, "lam": list(lam_t), "N": n_exact,
                             "empirical": frac_to_str(emp),

@@ -17,9 +17,11 @@ The workhorses are
   homothety-normalized so the smallest elementary divisor is p^0.
 * ``minor_valuations``: the valuations of the entries, the 2x2 minors and
   the determinant of an integer matrix.  It is the one kernel for the
-  relative position of two lattices: ``smith_exponents`` (elementary
-  divisors, hence vector distances), apartment distances and boundary
-  retractions all read their exponents off it.  The elimination form of
+  relative position of two lattices: apartment distances and boundary
+  retractions read their exponents off it, and ``smith_exponents``
+  (elementary divisors, hence vector distances) and the walk, which know
+  the determinant valuation already, read the 2x2 minors alone off its
+  helper ``minor2_valuations``.  The elimination form of
   ``smith_exponents`` is kept as an independent oracle in the test suite.
 
 Relative positions and group inverses are taken through integer adjugates;
@@ -50,14 +52,39 @@ class ZeroValuationError(ValueError):
 # scalars
 # ---------------------------------------------------------------------------
 
+# Sorenson and Webster (2015): strong probable primes to the first 13 prime
+# bases are prime below this bound, so Miller-Rabin with them is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p):
+    """Exact primality for p below ``MR_EXACT_BOUND``; ValueError at or above it.
+
+    Deterministic Miller-Rabin with the first 13 prime bases.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MR_EXACT_BOUND:
+        raise ValueError(f"primality of {p} is not decided exactly at or above "
+                         f"{MR_EXACT_BOUND}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -307,30 +334,38 @@ def is_diagonal_ascending(canon, p):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def minor2_valuations(m_int, p):
+    """(v, i1, i2, j1, j2) for each nonzero 2x2 minor of an integer 3x3 matrix.
+
+    The minor on rows (i1, i2) and columns (j1, j2) has valuation v.
+    """
+    out = []
+    for i1, i2 in _PAIRS:
+        r1, r2 = m_int[i1], m_int[i2]
+        for j1, j2 in _PAIRS:
+            e = r1[j1] * r2[j2] - r1[j2] * r2[j1]
+            if e:
+                out.append((valuation_int(e, p), i1, i2, j1, j2))
+    return tuple(out)
+
+
 def minor_valuations(m_int, p):
     """Valuations of the nonzero minors of a nonsingular integer 3x3 matrix.
 
     Returns (entries, minors, det_val): entries holds (v, i, j) for each
     nonzero entry m[i][j] of valuation v; minors holds (v, i1, i2, j1, j2)
-    for each nonzero 2x2 minor on rows (i1, i2) and columns (j1, j2); det_val
-    is the valuation of the determinant.  Every relative position of two
-    lattices in this package is read off these three: scaling row i by p^r_i
-    and column j by p^c_j shifts each minor's valuation by the sum of its
-    row and column exponents.
+    for each nonzero 2x2 minor on rows (i1, i2) and columns (j1, j2), as
+    ``minor2_valuations`` gives them; det_val is the valuation of the
+    determinant.  Every relative position of two lattices in this package is
+    read off these three: scaling row i by p^r_i and column j by p^c_j
+    shifts each minor's valuation by the sum of its row and column exponents.
     """
     d = det3(m_int)
     if d == 0:
         raise SingularMatrixError("minor valuations require det != 0")
     entries = tuple((valuation_int(e, p), i, j)
                     for i, row in enumerate(m_int) for j, e in enumerate(row) if e)
-    minors = []
-    for i1, i2 in _PAIRS:
-        r1, r2 = m_int[i1], m_int[i2]
-        for j1, j2 in _PAIRS:
-            e = r1[j1] * r2[j2] - r1[j2] * r2[j1]
-            if e:
-                minors.append((valuation_int(e, p), i1, i2, j1, j2))
-    return entries, tuple(minors), valuation_int(d, p)
+    return entries, minor2_valuations(m_int, p), valuation_int(d, p)
 
 
 def smith_exponents(m, p):
@@ -340,17 +375,18 @@ def smith_exponents(m, p):
     p^a3) for suitable U, V invertible over Z_(p); the sum equals the
     valuation of det m.  Read off the minors: a3 is the p-content, a3 + a2
     the least valuation of a 2x2 minor and a3 + a2 + a1 that of the
-    determinant.  The minors are taken of the content-stripped matrix reduced
-    modulo p^(D+1), D its determinant valuation, which keeps the least 2x2
-    minor valuation because it is at most D.  (An elimination version is the
-    oracle in the test suite.)
+    determinant.  The 2x2 minors are taken of the content-stripped matrix
+    reduced modulo p^(D+1), D its determinant valuation, which keeps the
+    least 2x2 minor valuation because it is at most D.  (An elimination
+    version is the oracle in the test suite.)
     """
     m_int, den = integerize(m)
     if det3(m_int) == 0:
         raise SingularMatrixError("smith_exponents requires det != 0")
     m_int, content = strip_p_content(m_int, p)
-    q = p ** (valuation_int(det3(m_int), p) + 1)
-    _, minors, d = minor_valuations(
+    d = valuation_int(det3(m_int), p)
+    q = p ** (d + 1)
+    minors = minor2_valuations(
         tuple(tuple(e % q for e in row) for row in m_int), p)
     e2 = min(v for v, *_ in minors)
     shift = content - valuation_int(den, p)

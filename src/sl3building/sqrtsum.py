@@ -4,15 +4,15 @@ Values of the convex functionals on the building are sums of up to three
 square roots of integers.  Equality is decided symbolically: each sqrt(n) is
 written c * sqrt(s) with s squarefree, and square roots of distinct
 squarefree integers are linearly independent over Q.  Strict comparisons are
-decided by interval refinement with integer square roots, which terminates
-because equality has already been ruled out.
+decided by the sign of an integer approximation of the difference at growing
+decimal scale, which terminates because equality has already been ruled out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +30,24 @@ def _squarefree_split(n):
                 s *= d
         d += 1 if d == 2 else 2
     return a, s * n
+
+
+def _sign_at_scale(terms, digits):
+    """Sign of sum c_s * sqrt(s) over integer (s, c_s) terms, or 0 if unresolved.
+
+    mid = sum of c_s * isqrt(s * 10^(2 digits)) differs from 10^digits times
+    the sum by less than slack = sum of |c_s|, since each integer square root
+    is below the true root by less than 1.  So |mid| > slack decides the
+    sign; otherwise the scale is too coarse and 0 is returned.
+    """
+    scale2 = 10 ** (2 * digits)
+    mid = sum(c * isqrt(s * scale2) for s, c in terms)
+    slack = sum(abs(c) for _, c in terms)
+    if mid > slack:
+        return 1
+    if mid < -slack:
+        return -1
+    return 0
 
 
 class SqrtSum:
@@ -94,20 +112,28 @@ class SqrtSum:
         return lo, hi
 
     def compare(self, other):
-        """-1, 0 or 1; exact."""
+        """-1, 0 or 1; exact.
+
+        Equal term lists are equal values.  Otherwise the difference
+        sum of c_s * sqrt(s) is nonzero; its coefficients are cleared to
+        integers and ``_sign_at_scale`` is tried at 12, 24, 48, ... digits.
+        """
         if self.terms == other.terms:
             return 0
+        den = lcm(*(c.denominator for _, c in self.terms + other.terms))
+        diff = {}
+        for side, side_terms in ((1, self.terms), (-1, other.terms)):
+            for s, c in side_terms:
+                diff[s] = diff.get(s, 0) + side * c.numerator * (den // c.denominator)
+        terms = [(s, c) for s, c in diff.items() if c]
         digits = 12
         while True:
-            lo1, hi1 = self.enclosure(digits)
-            lo2, hi2 = other.enclosure(digits)
-            if hi1 < lo2:
-                return -1
-            if hi2 < lo1:
-                return 1
+            sign = _sign_at_scale(terms, digits)
+            if sign:
+                return sign
             digits *= 2
             if digits > 8000:  # unreachable: equality was excluded symbolically
-                raise RuntimeError("interval refinement failed to separate")
+                raise RuntimeError("integer refinement failed to separate")
 
     def __lt__(self, other):
         return self.compare(other) < 0

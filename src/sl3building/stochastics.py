@@ -26,7 +26,7 @@ from .padic_linalg import (
     det3,
     identity,
     mat_mul,
-    minor_valuations,
+    minor2_valuations,
     residue_germ_parts,
     smith_left_transform,
     strip_p_content,
@@ -251,10 +251,10 @@ def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
     vector distance is (D - a2, a2, 0).
     """
     rel_int, c = strip_p_content(rel, p)
-    q = p ** (d - 3 * c + 1)
+    d_rel = d - 3 * c
+    q = p ** (d_rel + 1)
     rel_int = tuple(tuple(e % q for e in row) for row in rel_int)
-    _, minors, d_rel = minor_valuations(rel_int, p)
-    e2 = min(v for v, *_ in minors)
+    e2 = min(v for v, *_ in minor2_valuations(rel_int, p))
     theta = dominant((d_rel - e2, e2, 0))
     germ = None
     run = 0
@@ -380,15 +380,28 @@ def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2),
     return out
 
 
+def within_three_sigma(frequency, target, trials):
+    """|frequency - target| <= 3 * sqrt(target (1 - target) / trials), exactly.
+
+    Decided squared, in rationals: (frequency - target)^2 * trials <=
+    9 * target * (1 - target).
+    """
+    return (frequency - target) ** 2 * trials <= 9 * target * (1 - target)
+
+
 def estimates_agree(est1, est2):
-    """Two-sample agreement within three binomial standard errors."""
+    """Two-sample agreement within three pooled binomial standard errors.
+
+    Decided squared, in rationals: (f1 - f2)^2 <= 9 P (1 - P) (1/n1 + 1/n2)
+    with P the pooled frequency.
+    """
     out = {}
     for a, b in zip(est1, est2):
-        f1, f2 = float(a.frequency), float(b.frequency)
-        pooled = (f1 * a.trials_used + f2 * b.trials_used) / (a.trials_used + b.trials_used)
-        se = math.sqrt(max(pooled * (1 - pooled), 1e-12)
-                       * (1 / a.trials_used + 1 / b.trials_used))
-        out[a.label] = abs(f1 - f2) <= 3 * se + 1e-12
+        n1, n2 = a.trials_used, b.trials_used
+        f1, f2 = Fraction(a.frequency), Fraction(b.frequency)
+        pooled = (f1 * n1 + f2 * n2) / (n1 + n2)
+        out[a.label] = (f1 - f2) ** 2 <= \
+            9 * pooled * (1 - pooled) * Fraction(n1 + n2, n1 * n2)
     return out
 
 

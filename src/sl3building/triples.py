@@ -224,15 +224,14 @@ def _certified_apartment_min(value_at, radius_cap):
                 cur, best, improved = cand, v, True
                 break
     center = cur
-    best = value_at(center)
     best_set = {center}
     shells_above = 0
     radius = 0
     certified = False
     while radius < radius_cap:
         radius += 1
-        shell = [(i, j) for (i, j) in _eisenstein_ball(radius * radius)
-                 if (radius - 1) ** 2 < i * i - i * j + j * j]
+        shell = [(i, j) for i, j, n in _eisenstein_ball(radius * radius)
+                 if (radius - 1) ** 2 < n]
         threshold = best + _LIPSCHITZ_MARGIN
         all_above = True
         for (i, j) in shell:

@@ -11,11 +11,16 @@ a vector distance from enumerating canonical lattice representatives instead
 of Macdonald's formula, and the basis-set event of the harmonic mass law from
 the canonical form of adj(k) d_y instead of three divisibility tests.
 ``mat_inv3`` is a Fraction inverse, which the library itself never takes,
-for checking the integer inverses of group elements.
+for checking the integer inverses of group elements.  The nearest apartment
+vertex comes from full theta evaluations over the whole search ball instead
+of per-source minima and a shrinking scan, square-root sums are compared by
+Fraction enclosures instead of an integer sign test, and primality by trial
+division instead of Miller-Rabin.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 from sl3building.padic_linalg import (
     SingularMatrixError,
@@ -31,6 +36,7 @@ from sl3building.padic_linalg import (
     is_diagonal_ascending,
     lattice_canonical,
     mat_mul,
+    minor_valuations,
     smith_exponents,
     strip_p_content,
     valuation_int,
@@ -331,3 +337,89 @@ def basis_set_mass_lattice_oracle(x, lam, trials, rng):
         if basis_set_event_oracle(k, lam, x.p):
             hits += 1
     return Fraction(hits, trials)
+
+
+def eisenstein_ball_oracle(bound2):
+    """All (i, j) in Z^2 with i^2 - i*j + j^2 <= bound2, in raster order."""
+    if bound2 < 0:
+        return
+    r = isqrt(4 * bound2 // 3) + 2
+    for i in range(-r, r + 1):
+        for j in range(-r, r + 1):
+            if i * i - i * j + j * j <= bound2:
+                yield (i, j)
+
+
+_NEAREST_MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
+
+def nearest_theta_scan_oracle(k_int, p, m):
+    """Certified (min squared distance, exponents of a minimizer) in the target.
+
+    The search of ``ApartmentPairDistance.nearest`` with every candidate
+    evaluated from scratch: minima over all nine entries and nine 2x2 minors
+    of K = adj(H_to) H_from, a dominance sort and ``weyl_dist2``; greedy
+    descent, then the full ball of radius 2*d(x, z0) with no skipping.
+    """
+    entries, minors, det_val = minor_valuations(k_int, p)
+
+    def theta(m, m_to):
+        e1 = min(v + m[j] - m_to[i] for v, i, j in entries)
+        e2 = min(v + m[j1] + m[j2] - m_to[i1] - m_to[i2]
+                 for v, i1, i2, j1, j2 in minors)
+        e3 = det_val + sum(m) - sum(m_to)
+        return dominant((e1, e2 - e1, e3 - e2))
+
+    cur = (0, 0, 0)
+    best = weyl_dist2(theta(m, cur))
+    improved = True
+    while improved and best > 0:
+        improved = False
+        for mv in _NEAREST_MOVES:
+            cand = (cur[0] + mv[0], cur[1] + mv[1], cur[2] + mv[2])
+            q = weyl_dist2(theta(m, cand))
+            if q < best:
+                cur, best, improved = cand, q, True
+                break
+    if best == 0:
+        return 0, cur
+    best_m = cur
+    for (i, j) in eisenstein_ball_oracle(4 * best):
+        cand = (cur[0] + i, cur[1] + j, cur[2])
+        q = weyl_dist2(theta(m, cand))
+        if q < best:
+            best, best_m = q, cand
+    return best, best_m
+
+
+def sqrtsum_enclosure_compare(a, b):
+    """-1, 0 or 1 for two SqrtSums, by refining both ``enclosure``s.
+
+    Equal term lists are equal; otherwise the two Fraction enclosures are
+    refined at doubling digits until they separate.
+    """
+    if a.terms == b.terms:
+        return 0
+    digits = 12
+    while True:
+        lo1, hi1 = a.enclosure(digits)
+        lo2, hi2 = b.enclosure(digits)
+        if hi1 < lo2:
+            return -1
+        if hi2 < lo1:
+            return 1
+        digits *= 2
+        if digits > 8000:
+            raise RuntimeError("interval refinement failed to separate")
+
+
+def is_prime_trial_division(n):
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

@@ -58,6 +58,7 @@ from sl3building.stochastics import (
     run_walk,
     stationary_estimate,
     strip_growth,
+    within_three_sigma,
 )
 from sl3building.triples import (
     ChamberTriple,
@@ -132,7 +133,7 @@ def test_criterion_02_harmonic_mass_law():
             target = 1.0 / n
             sigma = math.sqrt(target * (1 - target) / trials)
             dev = abs(float(emp) - target) / sigma
-            ok &= dev <= 3
+            ok &= within_three_sigma(emp, Fraction(1, n), trials)
             details.append(f"p={p} lam={lam} dev={dev:.2f}s")
     elapsed = time.time() - t0
     ok &= elapsed < 300

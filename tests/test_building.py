@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from sl3building.building import (
+    _BALL_CACHE_NORM,
     ApartmentPairDistance,
+    _eisenstein_ball,
+    _skip_norm,
     Frame,
     IrregularSegmentError,
     LatticeVertex,
@@ -31,9 +34,12 @@ from sl3building.dynamics import random_sl3z
 from sl3building.padic_linalg import adjugate3, mat_mul
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
+    eisenstein_ball_oracle,
     distance_to_apartment_bruteforce,
+    nearest_theta_scan_oracle,
     residue_opposite_chamber_count,
     residue_projection_oracle,
+    sqrtsum_enclosure_compare,
 )
 
 
@@ -177,6 +183,48 @@ def test_apartment_pair_distance_against_vertex_distances():
             assert ev.theta(m, m_to) == vector_distance(y, x)
         assert ev.dist2_to_apartment(m) == \
             distance_to_apartment_bruteforce(x, f_to, 6)
+
+
+def test_nearest_matches_the_theta_scan_oracle():
+    """Per-source minima and the shrinking scan give the oracle's (q, witness).
+
+    The witness is the first minimizer in scan order, so it must agree
+    exactly, not only up to homothety.
+    """
+    rng = random.Random(43)
+    std = Frame.from_lines(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    nonzero_m = 0
+    for case in range(330):
+        p = (2, 3, 5)[case % 3]
+        f_from = std.apply(random_sl3z(rng).num)
+        f_to = std.apply(random_sl3z(rng).num)
+        k_int = mat_mul(adjugate3(f_to.matrix()), f_from.matrix())
+        m = (0, 0, 0) if case % 5 == 0 else \
+            tuple(rng.randint(-4, 4) for _ in range(3))
+        nonzero_m += m != (0, 0, 0)
+        assert ApartmentPairDistance(k_int, p).nearest(m) == \
+            nearest_theta_scan_oracle(k_int, p, m)
+    assert nonzero_m >= 250
+
+
+def test_skip_norm_is_the_triangle_inequality_threshold():
+    """_skip_norm(b0, best) is the least n with sqrt(n) >= sqrt(b0) + sqrt(best)."""
+    for b0 in range(0, 41):
+        for best in range(0, b0 + 1):
+            bound = SqrtSum.of_squares((b0, best))
+            n = _skip_norm(b0, best)
+            assert sqrtsum_enclosure_compare(SqrtSum.of_squares((n,)), bound) >= 0
+            if n > 0:
+                assert sqrtsum_enclosure_compare(
+                    SqrtSum.of_squares((n - 1,)), bound) < 0
+
+
+def test_eisenstein_ball_points_and_order():
+    for bound2 in list(range(-1, 40)) + [_BALL_CACHE_NORM + 3]:
+        ball = tuple(_eisenstein_ball(bound2))
+        assert [(i, j) for i, j, _ in ball] == list(eisenstein_ball_oracle(bound2))
+        assert all(n == i * i - i * j + j * j for i, j, n in ball)
+    assert _eisenstein_ball(12) is _eisenstein_ball(12)
 
 
 def test_residue_counts():

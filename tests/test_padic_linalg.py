@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3building.padic_linalg import (
+    MR_EXACT_BOUND,
     SingularMatrixError,
     ZeroValuationError,
     columns,
@@ -15,8 +16,10 @@ from sl3building.padic_linalg import (
     det3,
     flag_adapted_basis,
     from_columns,
+    is_prime,
     lattice_canonical,
     mat_mul,
+    require_prime,
     smith_exponents,
     smith_left_transform,
     unit_part,
@@ -25,7 +28,12 @@ from sl3building.padic_linalg import (
 )
 from sl3building.dynamics import schottky_pair
 from sl3building.rng import make_rng
-from oracles import rank, smith_elimination_oracle, valuation_loop_oracle
+from oracles import (
+    is_prime_trial_division,
+    rank,
+    smith_elimination_oracle,
+    valuation_loop_oracle,
+)
 
 
 def rand_invertible(rng, lo=-9, hi=9):
@@ -216,3 +224,31 @@ def _in_span(v, gens):
     stacked = from_columns(tuple(gens))
     full = from_columns(tuple(gens) + (v,))
     return rank(stacked) == rank(full)
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if is_prime_trial_division(n)]
+
+
+def test_is_prime_large_and_adversarial_inputs():
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 31 - 1) ** 2)
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161):
+        assert not is_prime(n)  # Carmichael numbers
+    # strong pseudoprimes to the first 11 and to the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461 and not is_prime(psi12)
+    # the bound itself passes all 13 bases, and is composite
+    assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError):
+        is_prime(MR_EXACT_BOUND)
+    with pytest.raises(ValueError):
+        require_prime(2 ** 89 - 1)  # a Mersenne prime above the bound
+    require_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError):
+        require_prime(2 ** 61 + 1)

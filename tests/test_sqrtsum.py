@@ -1,0 +1,96 @@
+"""Exact comparison of sums of square roots."""
+
+from fractions import Fraction
+from itertools import product
+from math import isqrt
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl3building.sqrtsum import SqrtSum, _sign_at_scale
+from oracles import sqrtsum_enclosure_compare
+
+
+def combination(pairs):
+    """The SqrtSum of c * sqrt(n) over the (n, c) pairs."""
+    out = SqrtSum.zero()
+    for n, c in pairs:
+        out = out + SqrtSum((s, c * a) for s, a in SqrtSum.sqrt_int(n).terms)
+    return out
+
+
+SUMS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=200),
+              st.fractions(min_value=-6, max_value=6, max_denominator=12)),
+    max_size=4).map(combination)
+
+
+def check_against_oracle(a, b):
+    got = a.compare(b)
+    assert got == sqrtsum_enclosure_compare(a, b)
+    assert b.compare(a) == -got
+
+
+@settings(max_examples=300, deadline=None)
+@given(SUMS, SUMS)
+def test_compare_agrees_with_the_enclosure_oracle(a, b):
+    check_against_oracle(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-1, max_value=1),
+       SUMS)
+def test_compare_near_ties_against_a_decimal_root(n, k, delta, extra):
+    # sqrt(n) against its k-digit truncation, shifted by at most one unit in
+    # the last place; the same extra sum on both sides keeps the gap.
+    r = Fraction(isqrt(n * 10 ** (2 * k)) + delta, 10 ** k)
+    a = SqrtSum.sqrt_int(n) + extra
+    b = SqrtSum(((1, r),)) + extra
+    check_against_oracle(a, b)
+
+
+def test_compare_examples():
+    sqrt2_sqrt3 = SqrtSum.of_squares((2, 3))
+    sqrt10 = SqrtSum.of_squares((10,))
+    assert sqrt2_sqrt3.compare(sqrt10) == -1 and sqrt10 > sqrt2_sqrt3
+    # equal values, different radicands: sqrt(8) = 2 sqrt(2)
+    assert SqrtSum.of_squares((8,)).compare(SqrtSum(((2, 2),))) == 0
+    assert SqrtSum.of_squares((8, 18)).compare(SqrtSum(((2, 5),))) == 0
+    assert SqrtSum.of_squares((8,)).compare(SqrtSum.of_squares((2, 2))) == 0
+    # continued-fraction convergents of sqrt(2) on either side
+    sqrt2 = SqrtSum.sqrt_int(2)
+    assert sqrt2.compare(SqrtSum(((1, Fraction(665857, 470832)),))) == -1
+    assert sqrt2.compare(SqrtSum(((1, Fraction(1393, 985)),))) == 1
+    # sqrt(10^12 + 1) = 10^6 + 1/(2 10^6) - 1/(8 10^18) + ...: the gap
+    # needs more than the first round's 12 digits
+    big = SqrtSum.sqrt_int(10 ** 12 + 1)
+    assert big.compare(SqrtSum(((1, 10 ** 6 + Fraction(1, 2 * 10 ** 6)),))) == -1
+    assert big.compare(SqrtSum(((1, 10 ** 6 + Fraction(1, 2 * 10 ** 6)
+                                     - Fraction(1, 10 ** 18)),))) == 1
+    # Fraction coefficients
+    half = SqrtSum(((3, Fraction(1, 2)),))
+    assert half.compare(SqrtSum(((1, Fraction(6, 7)),))) == 1  # 0.866 > 0.857
+    assert half.compare(SqrtSum(((1, Fraction(13, 15)),))) == -1  # 0.866 < 0.8667
+    assert SqrtSum.zero().compare(SqrtSum.zero()) == 0
+
+
+def test_sign_at_scale_never_misdecides_at_coarse_scales():
+    # At 0 and 1 digits integer square roots are crude, so many sums land
+    # inside the slack; every sign that is returned must still be right.
+    # One root against several whose fractional parts are near 1 (15, 35,
+    # 63 are one below a square) puts the rounding error close to the slack.
+    decided = 0
+    for big in range(2, 400):
+        for coeffs in product(range(3), repeat=3):
+            small = [(s, c) for s, c in zip((15, 35, 63), coeffs) if c]
+            truth = sqrtsum_enclosure_compare(combination([(big, 1)]),
+                                              combination(small))
+            for sign in (1, -1):
+                terms = [(big, sign)] + [(s, -sign * c) for s, c in small]
+                for digits in (0, 1):
+                    got = _sign_at_scale(terms, digits)
+                    assert got in (0, sign * truth)
+                    decided += got != 0
+    assert decided > 20000

@@ -35,6 +35,7 @@ from sl3building.padic_linalg import (
 )
 from sl3building.rng import derive_seed, make_rng
 from sl3building.stochastics import (
+    EventEstimate,
     InsufficientConvergenceError,
     WalkConfig,
     convergence_report,
@@ -46,6 +47,7 @@ from sl3building.stochastics import (
     run_walk,
     stationary_estimate,
     strip_growth,
+    within_three_sigma,
 )
 from sl3building.serialize import to_obj
 from oracles import (
@@ -308,8 +310,8 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
         reduced.append(m)
         return real_minors(m, p)
 
-    real_minors = stochastics.minor_valuations
-    monkeypatch.setattr(stochastics, "minor_valuations", spy)
+    real_minors = stochastics.minor2_valuations
+    monkeypatch.setattr(stochastics, "minor2_valuations", spy)
     p = 3
     gens, weights = schottky_generators(p, 42)
     assert any(g.den % p == 0 for g in gens)
@@ -383,6 +385,29 @@ def test_stationary_estimates_agree_across_base_vertices():
     est2 = stationary_estimate(WalkConfig(p, gens, weights, 120, 52, x2), 60, events)
     agreement = estimates_agree(est1, est2)
     assert agreement["E"]
+
+
+def test_three_sigma_verdicts_are_exact_at_the_boundary():
+    # |10/17 - 1/2| = 3 sqrt((1/4) / 289) exactly; the float test
+    # abs(emp - t) <= 3 * sigma rejected this point.
+    t = Fraction(1, 2)
+    assert within_three_sigma(Fraction(10, 17), t, 289)
+    assert within_three_sigma(Fraction(7, 17), t, 289)
+    eps = Fraction(1, 10 ** 30)
+    assert not within_three_sigma(Fraction(10, 17) + eps, t, 289)
+    assert not within_three_sigma(Fraction(7, 17) - eps, t, 289)
+    assert within_three_sigma(Fraction(1, 8), Fraction(1, 50), 16)
+    # pooled two-sample test: f1 = 3/9, f2 = 9/9 at n1 = n2 = 9 lies exactly
+    # on (f1 - f2)^2 = 9 P (1 - P) (1/n1 + 1/n2), P = 2/3
+    a = EventEstimate("E", Fraction(3, 9), 0.0, 9)
+    assert estimates_agree([a], [EventEstimate("E", Fraction(1), 0.0, 9)])["E"]
+    assert not estimates_agree(
+        [EventEstimate("E", Fraction(2, 9), 0.0, 9)],
+        [EventEstimate("E", Fraction(1), 0.0, 9)])["E"]
+    # both frequencies 0: zero pooled variance and zero difference agree
+    # without a variance floor
+    zero = EventEstimate("E", Fraction(0), 0.0, 5)
+    assert estimates_agree([zero], [EventEstimate("E", Fraction(0), 0.0, 7)])["E"]
 
 
 def test_stationary_estimate_deterministic_walk_is_dirac():

@@ -42,12 +42,6 @@ class FiniteField:
 
     # 3x3 matrix helpers over the field -------------------------------------
 
-    def mat_mul(self, a, b):
-        return tuple(tuple(
-            self._dot(tuple(a[i][k] for k in range(3)),
-                      tuple(b[k][j] for k in range(3)))
-            for j in range(3)) for i in range(3))
-
     def mat_vec(self, m, v):
         return tuple(self._dot(row, v) for row in m)
 

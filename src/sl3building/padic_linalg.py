@@ -454,8 +454,7 @@ def flag_adapted_basis(line, normal, p):
     basis = [tuple(n[k] if r == i else (-n[i] if r == k else 0) for r in range(3))
              for i in range(3) if i != k]
     idx = [i for i in range(3) if i != k]
-    alpha = Fraction(f1[idx[0]], n[k])
-    f2 = basis[1] if alpha != 0 and valuation(alpha, p) == 0 else basis[0]
+    f2 = basis[1] if f1[idx[0]] % p else basis[0]
     w = cross(f1, f2)
     j = min((i for i in range(3) if w[i] != 0), key=lambda i: valuation_int(w[i], p))
     if valuation_int(w[j], p) != 0:

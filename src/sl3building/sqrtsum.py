@@ -1,9 +1,10 @@
 """Exact comparison of sums of square roots of nonnegative integers.
 
 Values of the convex functionals on the building are sums of up to three
-square roots of integers.  Equality is decided symbolically: each sqrt(n) is
-written c * sqrt(s) with s squarefree, and square roots of distinct
-squarefree integers are linearly independent over Q.  Strict comparisons are
+square roots of integers.  Each sqrt(n) is written c * sqrt(s) with s
+squarefree and c an integer, so a value is a tuple of integer (s, c) terms.
+Equality is decided symbolically, since square roots of distinct squarefree
+integers are linearly independent over Q.  Strict comparisons are
 decided by the sign of an integer approximation of the difference at growing
 decimal scale, which terminates because equality has already been ruled out.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -58,9 +59,8 @@ class SqrtSum:
     def __init__(self, terms=()):
         collected = {}
         for s, c in terms:
-            if c:
-                collected[s] = collected.get(s, Fraction(0)) + Fraction(c)
-        self.terms = tuple(sorted((s, c) for s, c in collected.items() if c != 0))
+            collected[s] = collected.get(s, 0) + c
+        self.terms = tuple(sorted((s, c) for s, c in collected.items() if c))
 
     @classmethod
     def zero(cls):
@@ -68,20 +68,19 @@ class SqrtSum:
 
     @classmethod
     def sqrt_int(cls, n):
-        if n < 0:
-            raise ValueError("negative radicand")
-        if n == 0:
-            return cls()
-        a, s = _squarefree_split(n)
-        return cls(((s, Fraction(a)),))
+        return cls.of_squares((n,))
 
     @classmethod
     def of_squares(cls, squares):
         """The value sqrt(q1) + sqrt(q2) + ... for integer squared distances."""
-        out = cls()
+        terms = []
         for q in squares:
-            out = out + cls.sqrt_int(q)
-        return out
+            if q < 0:
+                raise ValueError("negative radicand")
+            if q:
+                a, s = _squarefree_split(q)
+                terms.append((s, a))
+        return cls(terms)
 
     def __add__(self, other):
         return SqrtSum(self.terms + other.terms)
@@ -115,16 +114,14 @@ class SqrtSum:
         """-1, 0 or 1; exact.
 
         Equal term lists are equal values.  Otherwise the difference
-        sum of c_s * sqrt(s) is nonzero; its coefficients are cleared to
-        integers and ``_sign_at_scale`` is tried at 12, 24, 48, ... digits.
+        sum of c_s * sqrt(s) is nonzero, and ``_sign_at_scale`` is tried on
+        it at 12, 24, 48, ... digits.
         """
         if self.terms == other.terms:
             return 0
-        den = lcm(*(c.denominator for _, c in self.terms + other.terms))
-        diff = {}
-        for side, side_terms in ((1, self.terms), (-1, other.terms)):
-            for s, c in side_terms:
-                diff[s] = diff.get(s, 0) + side * c.numerator * (den // c.denominator)
+        diff = dict(self.terms)
+        for s, c in other.terms:
+            diff[s] = diff.get(s, 0) - c
         terms = [(s, c) for s, c in diff.items() if c]
         digits = 12
         while True:
@@ -146,10 +143,6 @@ class SqrtSum:
 
     def __ge__(self, other):
         return self.compare(other) >= 0
-
-    def __float__(self):
-        lo, hi = self.enclosure(18)
-        return float((lo + hi) / 2)
 
     def __repr__(self):
         if not self.terms:

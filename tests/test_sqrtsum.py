@@ -4,10 +4,20 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl3building.boundary import Flag
+from sl3building.building import LatticeVertex
+from sl3building.rng import make_rng
 from sl3building.sqrtsum import SqrtSum, _sign_at_scale
+from sl3building.triples import (
+    ChamberTriple,
+    barycenter,
+    construct_generic,
+    distance_sum,
+)
 from oracles import sqrtsum_enclosure_compare
 
 
@@ -74,6 +84,37 @@ def test_compare_examples():
     assert half.compare(SqrtSum(((1, Fraction(6, 7)),))) == 1  # 0.866 > 0.857
     assert half.compare(SqrtSum(((1, Fraction(13, 15)),))) == -1  # 0.866 < 0.8667
     assert SqrtSum.zero().compare(SqrtSum.zero()) == 0
+
+
+SQUARES = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                    st.integers(min_value=0, max_value=1000).map(lambda a: a * a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SQUARES, max_size=4))
+def test_of_squares_is_the_sum_of_its_roots(qs):
+    folded = SqrtSum.zero()
+    for q in qs:
+        folded = folded + SqrtSum.sqrt_int(q)
+    assert SqrtSum.of_squares(qs) == folded
+
+
+def test_negative_radicands_are_rejected():
+    with pytest.raises(ValueError):
+        SqrtSum.sqrt_int(-1)
+    with pytest.raises(ValueError):
+        SqrtSum.of_squares((4, -2))
+
+
+def test_barycenter_values_have_integer_coefficients():
+    p = 5
+    c3 = construct_generic(Flag.standard(), Flag.reversed_standard(), p,
+                           rng=make_rng(21), depth=4)
+    triple = ChamberTriple.of(Flag.standard(), Flag.reversed_standard(), c3)
+    x = LatticeVertex.from_matrix(p, ((25, 3, 1), (0, 5, 2), (0, 0, 1)))
+    for value in (barycenter(triple, p).min_value, distance_sum(triple, x)):
+        assert value.terms
+        assert all(type(c) is int for _, c in value.terms)
 
 
 def test_sign_at_scale_never_misdecides_at_coarse_scales():

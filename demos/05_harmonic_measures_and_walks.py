@@ -67,6 +67,7 @@ print(f"\nsymmetric pair: {converged}/{trials} seeded walks converge "
       "directionally by step 150")
 
 # the strip spanned by two opposite chambers is a Euclidean plane of vertices
-counts, exponent = strip_growth(Flag.standard(), Flag.reversed_standard(), 20)
+counts, exponent = strip_growth(Flag.standard(), Flag.reversed_standard(),
+                                p, 20)
 print("\nstrip vertex counts (R, count):", counts[:5], "...")
 print("log-log growth exponent over R <= 20:", round(exponent, 3))

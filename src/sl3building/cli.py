@@ -387,7 +387,7 @@ def run_strip(cfg, seed):
     records, rows = [], []
     bad = 0
     for pi, (a, b) in enumerate(pairs):
-        counts, expo = strip_growth(a, b, cfg["r_max"])
+        counts, expo = strip_growth(a, b, p, cfg["r_max"])
         ok = 1.8 <= expo <= 2.2 and counts[0][1] == 7
         bad += not ok
         records.append({"pair": pi, "counts": counts, "exponent": expo, "pass": ok})

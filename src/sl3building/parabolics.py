@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic_linalg import det3, dot, from_columns, mat_vec
+from .padic_linalg import adjugate3, det3, dot, from_columns, mat_vec, transpose
 from .boundary import Flag, apartment_from_opposite, is_opposite
 from .triples import (
     ChamberTriple,
@@ -111,16 +111,13 @@ def stabilizes_line(m, v):
 
 
 def stabilizes_plane(m, normal):
-    # the plane is stable iff the inverse-transpose fixes its normal line;
-    # equivalently m maps two spanning vectors back into the plane
-    k = next(i for i, e in enumerate(normal) if e != 0)
-    basis = []
-    for i in range(3):
-        if i != k:
-            vec = tuple(normal[k] if r == i else (-normal[i] if r == k else 0)
-                        for r in range(3))
-            basis.append(vec)
-    return all(dot(normal, mat_vec(m, b)) == 0 for b in basis)
+    """Whether m maps the plane with this normal to itself.
+
+    m must be invertible: normals move by the cofactor matrix
+    transpose(adj(m)), a multiple of the inverse transpose, as in
+    ``Flag.apply``.
+    """
+    return stabilizes_line(transpose(adjugate3(m)), normal)
 
 
 def stabilizes_flag(m, flag):

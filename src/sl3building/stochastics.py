@@ -11,15 +11,19 @@ exactly on events of depth at most k.
 Random walks multiply seeded generator choices and record, at every step, the
 vector distance from the base vertex and the residue germ of the current
 position; directional convergence is germ stabilization along the tail.
+
+Strip growth counts the vertices of an opposite pair's own apartment by exact
+squared distance from its base vertex; the growth exponent is a least-squares
+fit, reported as a float.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .padic_linalg import (
     adjugate3,
@@ -35,14 +39,15 @@ from .padic_linalg import (
 from .building import (
     LatticeVertex,
     ResidueChamber,
+    _eisenstein_ball,
+    dist2,
     dominant,
+    frame_vertex,
     is_regular,
 )
 from .boundary import (
     Flag,
-    NotOppositeError,
     apartment_from_opposite,
-    is_opposite,
     sector_membership,
 )
 from .rng import derive_seed, make_rng
@@ -409,29 +414,25 @@ def estimates_agree(est1, est2):
 # strip growth
 # ---------------------------------------------------------------------------
 
-def strip_growth(c1, c2, r_max):
+def strip_growth(c1, c2, p, r_max):
     """Vertex counts of the apartment spanned by an opposite pair, by radius.
 
-    Returns a list of (R, count of apartment vertices within CAT(0) distance
-    R of a base apartment vertex) for R = 1..r_max, together with the
-    least-squares exponent of log count against log R.  The apartment vertex
-    set is the triangular lattice, so the exponent is 2 up to boundary terms.
+    Returns (R, count of the apartment's vertices within CAT(0) distance R
+    of its base vertex o) for R = 1..r_max and the least-squares exponent of
+    log count against log R, nan for fewer than two radii.  The counts are
+    read off the sorted exact dist2(o, v) over the frame vertices v with
+    exponents (i, j, 0), (i, j) in the Eisenstein ball of norm r_max^2, which
+    holds every apartment vertex within r_max of o.  An apartment is a
+    Euclidean plane of vertices, so the exponent is 2 up to boundary terms.
+    Raises NotOppositeError for a pair that spans no apartment.
     """
-    if not is_opposite(c1, c2):
-        raise NotOppositeError("strip is defined for opposite chambers")
-    apartment_from_opposite(c1, c2)  # validates the span exists
-    counts = []
-    for r in range(1, r_max + 1):
-        n = 0
-        bound = r * r
-        lim = int(math.isqrt(4 * bound // 3)) + 2
-        for i in range(-lim, lim + 1):
-            for j in range(-lim, lim + 1):
-                if i * i - i * j + j * j <= bound:
-                    n += 1
-        counts.append((r, n))
-    logs_r = np.log([r for r, _ in counts])
-    logs_n = np.log([n for _, n in counts])
-    exponent = float(np.polyfit(logs_r, logs_n, 1)[0]) if len(counts) > 1 \
-        else float("nan")
-    return counts, exponent
+    frame = apartment_from_opposite(c1, c2)
+    o = frame_vertex(frame, p)
+    d2 = sorted(dist2(o, frame_vertex(frame, p, (i, j, 0)))
+                for i, j, _ in _eisenstein_ball(r_max * r_max))
+    counts = [(r, bisect_right(d2, r * r)) for r in range(1, r_max + 1)]
+    if len(counts) < 2:
+        return counts, float("nan")
+    fit = statistics.linear_regression([math.log(r) for r, _ in counts],
+                                       [math.log(n) for _, n in counts])
+    return counts, fit.slope

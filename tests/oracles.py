@@ -13,9 +13,10 @@ the canonical form of adj(k) d_y instead of three divisibility tests.
 ``mat_inv3`` is a Fraction inverse, which the library itself never takes,
 for checking the integer inverses of group elements.  The nearest apartment
 vertex comes from full theta evaluations over the whole search ball instead
-of per-source minima and a shrinking scan, square-root sums are compared by
-Fraction enclosures instead of an integer sign test, and primality by trial
-division instead of Miller-Rabin.
+of per-source minima and a shrinking scan, strip vertex counts from the
+Eisenstein norm instead of distances between apartment vertices, square-root
+sums are compared by Fraction enclosures instead of an integer sign test, and
+primality by trial division instead of Miller-Rabin.
 """
 
 from fractions import Fraction
@@ -348,6 +349,17 @@ def eisenstein_ball_oracle(bound2):
         for j in range(-r, r + 1):
             if i * i - i * j + j * j <= bound2:
                 yield (i, j)
+
+
+def strip_counts_oracle(r_max):
+    """(R, number of Eisenstein points of norm <= R^2) for R = 1..r_max.
+
+    The apartment vertex counts of ``strip_growth`` from the norm
+    i^2 - i*j + j^2 of the triangular lattice alone, with no flag, frame or
+    lattice in sight.
+    """
+    return [(r, sum(1 for _ in eisenstein_ball_oracle(r * r)))
+            for r in range(1, r_max + 1)]
 
 
 _NEAREST_MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))

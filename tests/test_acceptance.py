@@ -285,7 +285,7 @@ def test_criterion_08_strip_growth():
     ok = True
     exps = []
     for a, b in pairs:
-        counts, expo = strip_growth(a, b, 20)
+        counts, expo = strip_growth(a, b, p, 20)
         ok &= counts[0][1] == 7
         ok &= 1.8 <= expo <= 2.2
         exps.append(round(expo, 3))

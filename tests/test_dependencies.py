@@ -1,0 +1,50 @@
+"""The package's third-party imports are exactly its declared dependencies."""
+
+import ast
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sl3building
+
+PACKAGE = Path(sl3building.__file__).resolve().parent
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+
+# distribution name -> top-level module, where the two differ
+IMPORT_NAMES = {"PyYAML": "yaml"}
+
+
+def test_importing_every_module_loads_no_numpy():
+    modules = [f"sl3building.{m.name}"
+               for m in pkgutil.iter_modules([str(PACKAGE)])]
+    code = "".join(f"import {m}\n" for m in modules) + \
+        "import sys\nprint('numpy' in sys.modules)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_third_party_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    expected = set()
+    for spec in declared:
+        name = re.match(r"[A-Za-z0-9_.-]+", spec).group(0)
+        expected.add(IMPORT_NAMES.get(name, name))
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == expected

@@ -19,6 +19,7 @@ from sl3building.building import (
 )
 from sl3building.boundary import (
     Flag,
+    NotOppositeError,
     growth_ray_vertex,
     is_opposite,
     sector_membership,
@@ -54,6 +55,7 @@ from oracles import (
     basis_set_event_oracle,
     basis_set_mass_lattice_oracle,
     count_enumeration_oracle,
+    strip_counts_oracle,
 )
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -432,8 +434,23 @@ def test_stationary_estimate_requires_convergence():
 
 
 def test_strip_growth_counts_and_exponent():
-    counts, expo = strip_growth(Flag.standard(), Flag.reversed_standard(), 20)
+    counts, expo = strip_growth(Flag.standard(), Flag.reversed_standard(),
+                                5, 20)
     assert counts[0] == (1, 7)
     assert 1.8 <= expo <= 2.2
-    with pytest.raises(Exception):
-        strip_growth(Flag.standard(), Flag.standard(), 5)
+    with pytest.raises(NotOppositeError):
+        strip_growth(Flag.standard(), Flag.standard(), 5, 5)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_strip_growth_counts_on_sampled_pair_match_oracle(p):
+    rng = make_rng(31, p)
+    c1 = Flag.standard()
+    c2 = harmonic_sample(standard_vertex(p), 4, rng)
+    while not is_opposite(c1, c2) or c2 == Flag.reversed_standard():
+        c2 = harmonic_sample(standard_vertex(p), 4, rng)
+    counts, expo = strip_growth(c1, c2, p, 8)
+    assert counts == strip_counts_oracle(8)
+    assert math.isfinite(expo)
+    counts, expo = strip_growth(c1, c2, p, 1)
+    assert counts == [(1, 7)] and math.isnan(expo)

@@ -12,7 +12,6 @@ distance is a1^2 - a1*a2 + a2^2, the Eisenstein norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .padic_linalg import (
@@ -168,50 +167,19 @@ def frame_vertex(frame, p, exponents=(0, 0, 0)):
     return LatticeVertex.from_matrix(p, from_columns(cols))
 
 
-# Balls scanned by ``ApartmentPairDistance.nearest`` and the barycenter
-# shells are kept for reuse: at most this many, each of norm at most
-# _BALL_CACHE_NORM (about 3.6 * bound2 points per ball).
-_BALL_CACHE_SIZE = 64
-_BALL_CACHE_NORM = 1024
+def _eisenstein_ball(bound2):
+    """(i, j, i^2 - i*j + j^2) for all (i, j) in Z^2 with norm <= bound2.
 
-
-def _ball_points(bound2):
+    Raster order: i ascending, then j ascending; empty for bound2 < 0.
+    """
+    if bound2 < 0:
+        return
     r = isqrt(4 * bound2 // 3) + 2
     for i in range(-r, r + 1):
         for j in range(-r, r + 1):
             n = i * i - i * j + j * j
             if n <= bound2:
                 yield (i, j, n)
-
-
-@lru_cache(maxsize=_BALL_CACHE_SIZE)
-def _cached_ball(bound2):
-    return tuple(_ball_points(bound2))
-
-
-def _eisenstein_ball(bound2):
-    """(i, j, i^2 - i*j + j^2) for all (i, j) in Z^2 with norm <= bound2.
-
-    Raster order: i ascending, then j ascending.  Small balls come from a
-    bounded cache, larger ones are generated on the fly.
-    """
-    if bound2 < 0:
-        return ()
-    if bound2 <= _BALL_CACHE_NORM:
-        return _cached_ball(bound2)
-    return _ball_points(bound2)
-
-
-def _skip_norm(b0, best):
-    """Least n with sqrt(n) >= sqrt(b0) + sqrt(best), for integers b0, best >= 0.
-
-    With r = n - b0 - best the condition is r >= 2 sqrt(b0 * best), that is
-    r >= ceil(sqrt(4 * b0 * best)): an integer threshold, recomputed only
-    when best changes.
-    """
-    s = 4 * b0 * best
-    k = isqrt(s)
-    return b0 + best + (k if k * k == s else k + 1)
 
 
 _MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
@@ -235,6 +203,9 @@ class ApartmentPairDistance:
         e3 = c - sum(t),
 
     and its vector distance is the dominant form of (e1, e2 - e1, e3 - e2).
+    The nearest target vertex to a source vertex comes from descent over the
+    six unit moves alone: a vertex no farther than its six neighbours is a
+    nearest one (the lemma in ``nearest``).
     """
 
     def __init__(self, k_int, p):
@@ -270,27 +241,35 @@ class ApartmentPairDistance:
     def nearest(self, m):
         """Certified (min squared distance, exponents of a minimizer) in the target.
 
-        Greedy descent over unit exponent moves from the origin to some z0
-        with squared distance b0 from the vertex x at m, then a raster scan
-        of the target vertices within CAT(0) radius 2*d(x, z0) of z0; by the
-        triangle inequality the global minimizer lies in that ball.  Squared
-        distances come from the per-source minima with no sort: ``weyl_dist2``
-        does not change under permutations and a common shift, so for the
-        triple (e1, e2 - e1, e3 - e2), whose sum is e3,
-        q = (3(e1^2 + (e2 - e1)^2 + (e3 - e2)^2) - e3^2) / 2.
+        Greedy descent over the six unit exponent moves from the origin: take
+        the first move that strictly lowers the squared distance q from the
+        vertex x at m, until none does.  q is a nonnegative integer, so the
+        descent ends.  Squared distances come from the per-source minima with
+        no sort: ``weyl_dist2`` does not change under permutations and a
+        common shift, so for the triple (e1, e2 - e1, e3 - e2), whose sum is
+        e3, q = (3(e1^2 + (e2 - e1)^2 + (e3 - e2)^2) - e3^2) / 2.
 
-        The scan shrinks as the best value found so far, best, falls: a point
-        t at squared distance n from z0 with sqrt(n) >= sqrt(b0) + sqrt(best)
-        has d(x, t) >= sqrt(n) - sqrt(b0) >= sqrt(best), so it cannot
-        improve strictly and is skipped.  The test is in integers, as
-        n >= ``_skip_norm(b0, best)``.  Only strict improvements are taken,
-        and a skipped point could not have been one, so the witness is the
-        first minimizer in scan order, exactly as for the full scan.
+        Lemma: a vertex v of the target apartment A that is no farther from
+        x than its six neighbours in A is a nearest vertex of A.  Proof: let
+        s be any vertex of A and C a chamber of A at v whose closed cone at
+        v holds s.  Then s - v = a*u1 + b*u2 with integers a, b >= 0, where
+        u1, u2 are the unit edges of C at v and u1.u2 = 1/2.  Let y = rho(x)
+        for the retraction rho onto A centred at C (Abramenko and Brown,
+        Buildings, GTM 248).  rho is 1-Lipschitz, fixes A, and is an
+        isometry on an apartment that holds C and x (the building axioms give
+        one), so d(x, s) >= |y - s| and d(x, w) = |y - w| for each vertex w
+        of C.  v + u1 and v + u2 are among the six neighbours, so
+        |y - v - u_i|^2 >= |y - v|^2, that is 2(y - v).u_i <= 1.  Hence
+
+            d(x, s)^2 - d(x, v)^2 >= |s - v|^2 - 2(y - v).(s - v)
+                >= a^2 + ab + b^2 - a - b = a(a - 1) + b(b - 1) + ab >= 0.
+
+        So the point where the descent ends is a global minimizer.
         """
         (a0, a1, a2), (b01, b02, b12), c = self._source_minima(m)
 
         def dist2_at(t0, t1, t2):
-            # the minima spelled out: this is the inner loop of the scan
+            # the minima spelled out: this is the inner loop of the descent
             e1 = a0 - t0
             if a1 - t1 < e1:
                 e1 = a1 - t1
@@ -316,20 +295,7 @@ class ApartmentPairDistance:
                 if q < best:
                     cur, best, improved = cand, q, True
                     break
-        if best == 0:
-            return 0, cur
-        b0 = best
-        best_m = cur
-        z0, z1, z2 = cur
-        n_skip = _skip_norm(b0, best)
-        for i, j, n in _eisenstein_ball(4 * b0):
-            if n >= n_skip:
-                continue
-            q = dist2_at(z0 + i, z1 + j, z2)
-            if q < best:
-                best, best_m = q, (z0 + i, z1 + j, z2)
-                n_skip = _skip_norm(b0, best)
-        return best, best_m
+        return best, cur
 
     def dist2_to_apartment(self, m):
         """Certified min squared distance from the m-vertex to the target apartment."""

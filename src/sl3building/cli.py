@@ -158,11 +158,14 @@ def _validate(name, cfg):
         if not (_is_int(p) and p < 2 ** 31 and is_prime(p)):
             raise ConfigError("p and p_values entries must be primes below 2^31, "
                               f"got {p!r}")
+    # the strip fit needs two radii; the equicont probes sit at vector
+    # distance (2, 1, 0), and sampling their basis sets needs depth above 2
+    lows = {"trials": 1, "r_max": 2, "depth": 3 if name == "equicont" else 1}
     for key in ("flags_per_cert", "trials", "samples", "steps", "r_max",
                 "transports", "radius_cap", "depth", "nmax", "threshold",
                 "budget", "window", "word_length", "partition_length",
                 "conjugators", "triples", "pairs"):
-        low = 1 if key in ("depth", "trials", "r_max") else 0
+        low = lows.get(key, 0)
         if key in cfg and cfg[key] is not None and (not _is_int(cfg[key])
                                                     or cfg[key] < low):
             raise ConfigError(f"{key} must be an integer >= {low}")

@@ -12,8 +12,9 @@ of Macdonald's formula, and the basis-set event of the harmonic mass law from
 the canonical form of adj(k) d_y instead of three divisibility tests.
 ``mat_inv3`` is a Fraction inverse, which the library itself never takes,
 for checking the integer inverses of group elements.  The nearest apartment
-vertex comes from full theta evaluations over the whole search ball instead
-of per-source minima and a shrinking scan, strip vertex counts from the
+vertex comes from full theta evaluations, greedy descent and then a scan of
+every vertex the triangle inequality leaves possible, instead of per-source
+minima and the six-move descent alone, strip vertex counts from the
 Eisenstein norm instead of distances between apartment vertices, square-root
 sums are compared by Fraction enclosures instead of an integer sign test, and
 primality by trial division instead of Miller-Rabin.
@@ -368,10 +369,12 @@ _NEAREST_MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0
 def nearest_theta_scan_oracle(k_int, p, m):
     """Certified (min squared distance, exponents of a minimizer) in the target.
 
-    The search of ``ApartmentPairDistance.nearest`` with every candidate
+    The descent of ``ApartmentPairDistance.nearest`` with every candidate
     evaluated from scratch: minima over all nine entries and nine 2x2 minors
-    of K = adj(H_to) H_from, a dominance sort and ``weyl_dist2``; greedy
-    descent, then the full ball of radius 2*d(x, z0) with no skipping.
+    of K = adj(H_to) H_from, a dominance sort and ``weyl_dist2``.  It does
+    not rely on the six-move lemma: after the descent ends at z0 it scans
+    the full ball of radius 2*d(x, z0), which by the triangle inequality
+    holds every minimizer, and takes only strict improvements.
     """
     entries, minors, det_val = minor_valuations(k_int, p)
 

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sl3building.building import (
-    _BALL_CACHE_NORM,
     ApartmentPairDistance,
     _eisenstein_ball,
-    _skip_norm,
     Frame,
     IrregularSegmentError,
     LatticeVertex,
@@ -31,7 +31,7 @@ from sl3building.building import (
 )
 from sl3building.boundary import Flag
 from sl3building.dynamics import random_sl3z
-from sl3building.padic_linalg import adjugate3, mat_mul
+from sl3building.padic_linalg import adjugate3, det3, mat_mul
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
     eisenstein_ball_oracle,
@@ -39,7 +39,6 @@ from oracles import (
     nearest_theta_scan_oracle,
     residue_opposite_chamber_count,
     residue_projection_oracle,
-    sqrtsum_enclosure_compare,
 )
 
 
@@ -186,10 +185,11 @@ def test_apartment_pair_distance_against_vertex_distances():
 
 
 def test_nearest_matches_the_theta_scan_oracle():
-    """Per-source minima and the shrinking scan give the oracle's (q, witness).
+    """Six-move descent alone gives the oracle's (q, witness).
 
-    The witness is the first minimizer in scan order, so it must agree
-    exactly, not only up to homothety.
+    The oracle scans the whole ball of radius 2*d(x, z0) after the descent
+    and takes only strict improvements, so the witness must agree exactly,
+    not only up to homothety.
     """
     rng = random.Random(43)
     std = Frame.from_lines(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -207,24 +207,41 @@ def test_nearest_matches_the_theta_scan_oracle():
     assert nonzero_m >= 250
 
 
-def test_skip_norm_is_the_triangle_inequality_threshold():
-    """_skip_norm(b0, best) is the least n with sqrt(n) >= sqrt(b0) + sqrt(best)."""
-    for b0 in range(0, 41):
-        for best in range(0, b0 + 1):
-            bound = SqrtSum.of_squares((b0, best))
-            n = _skip_norm(b0, best)
-            assert sqrtsum_enclosure_compare(SqrtSum.of_squares((n,)), bound) >= 0
-            if n > 0:
-                assert sqrtsum_enclosure_compare(
-                    SqrtSum.of_squares((n - 1,)), bound) < 0
+# The six unit moves of the apartment in the (i, j) coordinates of the
+# exponents (i, j, 0): +-e_0, +-e_1, and +-e_2 = -+(1, 1) mod (1, 1, 1).
+_HEX_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k_int=st.lists(st.integers(-10 ** 8, 10 ** 8), min_size=9, max_size=9)
+       .map(lambda e: (tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9]))),
+       p=st.sampled_from((2, 3, 5, 7)),
+       m=st.tuples(*[st.integers(-4, 4)] * 3))
+def test_six_move_local_minima_are_global(k_int, p, m):
+    """``nearest`` attains the window minimum, and so does every local minimum.
+
+    The window is |i|, |j| <= 8 around the witness w, in the target
+    apartment's exponents (w0 + i, w1 + j, w2); squared distances come from
+    ``theta`` and ``weyl_dist2``.  A vertex strictly inside the window that
+    is no farther than its six neighbours must reach the same value.
+    """
+    assume(det3(k_int) != 0)
+    ev = ApartmentPairDistance(k_int, p)
+    best, w = ev.nearest(m)
+    q = {(i, j): weyl_dist2(ev.theta(m, (w[0] + i, w[1] + j, w[2])))
+         for i in range(-8, 9) for j in range(-8, 9)}
+    assert best == q[(0, 0)] == min(q.values())
+    for (i, j), v in q.items():
+        if max(abs(i), abs(j)) < 8 and \
+                all(v <= q[(i + di, j + dj)] for di, dj in _HEX_MOVES):
+            assert v == best
 
 
 def test_eisenstein_ball_points_and_order():
-    for bound2 in list(range(-1, 40)) + [_BALL_CACHE_NORM + 3]:
+    for bound2 in list(range(-1, 40)) + [1027]:
         ball = tuple(_eisenstein_ball(bound2))
         assert [(i, j) for i, j, _ in ball] == list(eisenstein_ball_oracle(bound2))
         assert all(n == i * i - i * j + j * j for i, j, n in ball)
-    assert _eisenstein_ball(12) is _eisenstein_ball(12)
 
 
 def test_residue_counts():

@@ -161,6 +161,9 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
     ("measure", {"p_values": [3, 2 ** 61 - 1]}),
     ("measure", {"lams": [[1001, 0, 0]]}),
     ("measure", {"lams": [[0, -1001, 0]]}),
+    ("strip", {"r_max": 1}),
+    ("equicont", {"depth": 1}),
+    ("equicont", {"depth": 2}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)

@@ -8,7 +8,10 @@ flags is an element of S3 read off four incidence tests (equal lines, equal
 planes, and whether the line of each lies on the plane of the other);
 opposite means the order-reversing permutation.  Sector membership, the basis
 sets of the cone topology, and the retraction onto an apartment centered at
-one of its ideal chambers are all decided through exact lattice normal forms.
+one of its ideal chambers are all decided by ``minor_valuations`` of a
+relative matrix: its least entry, 2x2 minor and determinant valuations are
+the elementary divisors, and the same minima over its bottom rows are the
+Iwasawa exponents.
 """
 
 from __future__ import annotations
@@ -25,14 +28,11 @@ from .padic_linalg import (
     dot,
     from_columns,
     integerize,
-    is_diagonal_ascending,
-    lattice_canonical,
     mat_mul,
     mat_vec,
     minor_valuations,
     primitive_vector,
     transpose,
-    valuation_int,
 )
 from .building import Frame, LatticeVertex, adapted_basis_at, frame_vertex
 
@@ -193,15 +193,31 @@ def opposite_in_apartment(d, frame):
 def sector_membership(x, c, y):
     """Whether the vertex y lies in the (closed) sector from x toward c.
 
-    Decided algebraically: in a basis of the lattice of x adapted to c, the
-    lattice of y must be spanned by p-power multiples of the basis vectors
-    with exponents increasing toward the back of the flag.
+    Let H be a basis of the lattice of x adapted to c, B a basis of the
+    lattice of y, and n = adj(X H) B, an integer matrix whose columns span
+    the lattice L of y in the coordinates H (up to homothety).  y lies in
+    the sector exactly when L = diag(p^f) Z_(p)^3 up to homothety with
+    f0 <= f1 <= f2: p-power multiples of the basis vectors, with exponents
+    increasing toward the back of the flag.
+
+    Let e0, e0 + e1 and e0 + e1 + e2 be the least entry, least 2x2 minor and
+    determinant valuations of n; e0 <= e1 <= e2 are its elementary-divisor
+    exponents.  Then y lies in the sector iff every entry of row i of n has
+    valuation at least e_i, that is iff diag(p^-e) n is integral.  If it is,
+    L is contained in M = diag(p^e) Z_(p)^3, and both have index
+    p^(e0 + e1 + e2) in Z_(p)^3, so L = M with e ascending.  Conversely, if
+    L = p^k diag(p^f) Z_(p)^3 with f ascending, its elementary-divisor
+    exponents are k + f, so e = k + f and the columns of n, which lie in L,
+    have row i in p^(e_i) Z_(p).  Row 0 passes trivially, since e0 is the
+    least entry valuation.
     """
-    p = x.p
     h = adapted_basis_at(x, c)
     n = mat_mul(adjugate3(mat_mul(x.matrix, h)), y.matrix)
-    canon = lattice_canonical(n, p)
-    return is_diagonal_ascending(canon, p)
+    entries, minors, det_v = minor_valuations(n, x.p)
+    e0 = min(v for v, *_ in entries)
+    e01 = min(v for v, *_ in minors)
+    e = (e0, e01 - e0, det_v - e01)
+    return all(v >= e[i] for v, i, _ in entries)
 
 
 def basis_set_contains(x, y, c):
@@ -260,12 +276,18 @@ def retraction(frame, c, x):
     c must be an ideal chamber of the apartment.  The image is the apartment
     vertex whose exponents are the Iwasawa diagonal of the lattice of x with
     respect to the frame basis ordered by c; it fixes the apartment pointwise
-    and does not increase distances.
+    and does not increase distances.  The diagonal of the upper-triangular
+    basis of the relative matrix n is read off ``minor_valuations``: with a2
+    the least valuation in row 2 of n and a12 the least valuation of a 2x2
+    minor on rows (1, 2), it is (det - a12, a12 - a2, a2), since both minima
+    are invariant under column operations over Z_(p).
     """
     order = chamber_order_in_frame(frame, c)
     n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
-    canon = lattice_canonical(n, x.p)
-    exps = tuple(valuation_int(canon[i][i], x.p) for i in range(3))
+    entries, minors, det_v = minor_valuations(n, x.p)
+    a2 = min(v for v, i, _ in entries if i == 2)
+    a12 = min(v for v, i1, i2, *_ in minors if (i1, i2) == (1, 2))
+    exps = (det_v - a12, a12 - a2, a2)
     m = [0, 0, 0]
     for k in range(3):
         m[order[k]] = exps[k]

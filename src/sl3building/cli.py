@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 import yaml
 
@@ -357,20 +358,17 @@ def run_equicont(cfg, seed):
               for c in (cert.attracting, cert.repelling)]
     records, failures, checked = [], 0, 0
     rng = make_rng(seed, 8)
-    for wi, g in enumerate(words):
-        for y in probes:
-            if not equicontinuity_set_member(g, o, y):
-                continue
-            c = harmonic_sample_in_basis_set(o, y, cfg["depth"], rng)
-            d = harmonic_sample_in_basis_set(o, y, cfg["depth"], rng)
-            ok = equicontinuity_check(g, o, y, c, d)
-            checked += 1
-            failures += not ok
-            records.append({"word": list(g.word or ()), "ok": ok})
-            if checked >= cfg["samples"]:
-                break
+    for g, y in product(words, probes):
         if checked >= cfg["samples"]:
             break
+        if not equicontinuity_set_member(g, o, y):
+            continue
+        c = harmonic_sample_in_basis_set(o, y, cfg["depth"], rng)
+        d = harmonic_sample_in_basis_set(o, y, cfg["depth"], rng)
+        ok = equicontinuity_check(g, o, y, c, d)
+        checked += 1
+        failures += not ok
+        records.append({"word": list(g.word or ()), "ok": ok})
     part = partition_check(gens, cfg["partition_length"], o, frame)
     records.append({"partition_check": part})
     rows = [{"checked": checked, "failures": failures, "partition": part}]
@@ -532,6 +530,9 @@ def main(argv=None):
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
     try:
+        # derive_seed reads the seed mod 2^64, so any other seed would alias
+        if not 0 <= args.seed < 2 ** 64:
+            raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
         cfg = load_config(args.subcommand, args.config)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}))

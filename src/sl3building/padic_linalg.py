@@ -14,15 +14,20 @@ The workhorses are
   one-division-per-unit loop survives only as its oracle in the test suite.
 * ``lattice_canonical``: the unique upper-triangular basis matrix of a
   Z_(p)-lattice, with p-power pivots and reduced off-diagonal entries,
-  homothety-normalized so the smallest elementary divisor is p^0.
+  homothety-normalized so the smallest elementary divisor is p^0.  It is
+  the normal form of a vertex and decides no relative position.
 * ``minor_valuations``: the valuations of the entries, the 2x2 minors and
   the determinant of an integer matrix.  It is the one kernel for the
-  relative position of two lattices: apartment distances and boundary
-  retractions read their exponents off it, and ``smith_exponents``
-  (elementary divisors, hence vector distances) and the walk, which know
-  the determinant valuation already, read the 2x2 minors alone off its
-  helper ``minor2_valuations``.  The elimination form of
-  ``smith_exponents`` is kept as an independent oracle in the test suite.
+  relative position of two lattices.  The least entry, least 2x2 minor and
+  determinant valuations are the partial sums of the ascending elementary
+  divisor exponents (``smith_exponents``, hence vector distances, and
+  sector membership); the least valuations over the bottom row and the
+  bottom two rows give the Iwasawa exponents (retractions, apartment
+  distances).  The walk, which knows the determinant valuation already,
+  reads the 2x2 minors alone off its helper ``minor2_valuations``.  The
+  elimination form of ``smith_exponents`` and the Hermite-form routes of
+  sector membership and retraction are kept as independent oracles in the
+  test suite.
 
 Relative positions and group inverses are taken through integer adjugates;
 the package has no rational inverse.  adj(A) = det(A) A^-1 differs from the
@@ -321,16 +326,6 @@ def lattice_canonical(m, p):
     return tuple(tuple(row) for row in out)
 
 
-def is_diagonal_ascending(canon, p):
-    """True if a canonical lattice matrix is diagonal with ascending exponents."""
-    for i in range(3):
-        for j in range(3):
-            if i != j and canon[i][j] != 0:
-                return False
-    e = [valuation_int(canon[i][i], p) for i in range(3)]
-    return e[0] <= e[1] <= e[2]
-
-
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -373,24 +368,18 @@ def smith_exponents(m, p):
 
     Returns the sorted triple (a1 >= a2 >= a3) with U m V = diag(p^a1, p^a2,
     p^a3) for suitable U, V invertible over Z_(p); the sum equals the
-    valuation of det m.  Read off the minors: a3 is the p-content, a3 + a2
-    the least valuation of a 2x2 minor and a3 + a2 + a1 that of the
-    determinant.  The 2x2 minors are taken of the content-stripped matrix
-    reduced modulo p^(D+1), D its determinant valuation, which keeps the
-    least 2x2 minor valuation because it is at most D.  (An elimination
-    version is the oracle in the test suite.)
+    valuation of det m.  Read off ``minor_valuations`` of the integer matrix
+    c m, c the common denominator: its least entry, least 2x2 minor and
+    determinant valuations are a3 + v(c), a3 + a2 + 2 v(c) and
+    a3 + a2 + a1 + 3 v(c).  (An elimination version is the oracle in the
+    test suite.)
     """
     m_int, den = integerize(m)
-    if det3(m_int) == 0:
-        raise SingularMatrixError("smith_exponents requires det != 0")
-    m_int, content = strip_p_content(m_int, p)
-    d = valuation_int(det3(m_int), p)
-    q = p ** (d + 1)
-    minors = minor2_valuations(
-        tuple(tuple(e % q for e in row) for row in m_int), p)
+    entries, minors, d = minor_valuations(m_int, p)
+    e1 = min(v for v, *_ in entries)
     e2 = min(v for v, *_ in minors)
-    shift = content - valuation_int(den, p)
-    return (d - e2 + shift, e2 + shift, shift)
+    shift = valuation_int(den, p)
+    return (d - e2 - shift, e2 - e1 - shift, e1 - shift)
 
 
 def smith_left_transform(m, p):

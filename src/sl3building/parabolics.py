@@ -11,7 +11,8 @@ apartments share the ideal vertex <e2>).
 The diagonalizable subgroup P meet P^1 is the two-parameter matrix family
 A_(a,e) below; (a, e) -> A_(a,e) is a group homomorphism and each member
 stabilizes both defining flags.  Everything here is exact, over Q by default
-with small finite fields available for exhaustive cross-checks.
+with exhaustive cross-checks over prime fields F_q in integer arithmetic
+mod q.
 """
 
 from __future__ import annotations
@@ -19,14 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic_linalg import adjugate3, det3, dot, from_columns, mat_vec, transpose
+from .padic_linalg import (
+    adjugate3,
+    cross,
+    det3,
+    dot,
+    from_columns,
+    mat_vec,
+    require_prime,
+    transpose,
+)
 from .boundary import Flag, apartment_from_opposite, is_opposite
 from .triples import (
     ChamberTriple,
     apartment_ideal_simplices,
     is_generic,
 )
-from .fields import FiniteField
 
 
 SPAN_VECTOR = (1, 1, 1)
@@ -220,39 +229,36 @@ def generic_family_scan(t_values):
 # finite-field cross checks
 # ---------------------------------------------------------------------------
 
-def torus_members_field(field):
-    """All A_(a,e) over a finite field; empty in characteristic 2 at t = 1.
+def torus_members_field(q):
+    """All A_(a,e) over the prime field F_q, entries in range(q).
 
     In characteristic 2 the parameter t = 1 equals -1, which is excluded from
     the generic range, so the family is only enumerated for odd q.
     """
-    if field.q % 2 == 0:
+    require_prime(q)
+    if q % 2 == 0:
         raise ValueError("t = 1 is degenerate in characteristic 2")
     out = []
-    for a in field.units():
-        for e in field.units():
-            i = field.inv(field.mul(a, e))
-            two_e = field.add(e, e)
-            two_a = field.add(a, a)
-            m = ((a, field.sub(two_e, two_a),
-                  field.sub(field.add(i, a), two_e)),
-                 (0, e, field.sub(i, e)),
-                 (0, 0, i))
-            out.append(m)
+    for a in range(1, q):
+        for e in range(1, q):
+            i = pow(a * e, -1, q)
+            out.append(((a, (2 * e - 2 * a) % q, (i + a - 2 * e) % q),
+                        (0, e, (i - e) % q),
+                        (0, 0, i)))
     return out
 
 
-def _field_flag_stab(field, m, line, plane_points):
-    w = field.mat_vec(m, line)
-    if not field.proportional(w, line):
+def _field_flag_stab(q, m, line, plane_points):
+    """Whether m fixes the flag <line> < span(plane_points) over F_q.
+
+    The image of the line is proportional to it iff their cross product
+    vanishes mod q; each image of a plane point stays in the plane iff it
+    is dependent on the two points mod q.
+    """
+    if any(e % q for e in cross(mat_vec(m, line), line)):
         return False
-    for b in plane_points:
-        img = field.mat_vec(m, b)
-        # membership in the span of plane_points: rank stays 2
-        m3 = (plane_points[0], plane_points[1], img)
-        if field.det3(tuple(zip(*m3))) != 0:
-            return False
-    return True
+    return all(det3((plane_points[0], plane_points[1], mat_vec(m, b))) % q == 0
+               for b in plane_points)
 
 
 def upper_borel_intersection_count_field(q):
@@ -263,18 +269,18 @@ def upper_borel_intersection_count_field(q):
     """
     if q % 2 == 0:
         raise ValueError("t = 1 is degenerate in characteristic 2")
-    field = FiniteField(q)
+    require_prime(q)
     v = (1, 1, 1)
     # V_1 over F_q: -x + 2y - z = 0; points v and (2, 1, 0)
     plane_points = (v, (2 % q, 1, 0))
     count = 0
-    for a in field.units():
-        for e in field.units():
-            i = field.inv(field.mul(a, e))
-            for b in field.elements():
-                for c in field.elements():
-                    for f in field.elements():
+    for a in range(1, q):
+        for e in range(1, q):
+            i = pow(a * e, -1, q)
+            for b in range(q):
+                for c in range(q):
+                    for f in range(q):
                         m = ((a, b, c), (0, e, f), (0, 0, i))
-                        if _field_flag_stab(field, m, v, plane_points):
+                        if _field_flag_stab(q, m, v, plane_points):
                             count += 1
     return count

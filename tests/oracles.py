@@ -6,10 +6,12 @@ exponents from elimination with minimal-valuation pivoting instead of the
 minor valuations the library reads them off, flag echelon forms from Fraction
 column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
-vertices, residue alcoves from a first-step neighbor search, vertex counts at
-a vector distance from enumerating canonical lattice representatives instead
-of Macdonald's formula, and the basis-set event of the harmonic mass law from
-the canonical form of adj(k) d_y instead of three divisibility tests.
+vertices or from the Hermite form of the relative matrix (and retractions
+from its pivots) instead of its minor valuations, residue alcoves from a
+first-step neighbor search, vertex counts at a vector distance from
+enumerating canonical lattice representatives instead of Macdonald's
+formula, and the basis-set event of the harmonic mass law from the
+canonical form of adj(k) d_y instead of three divisibility tests.
 ``mat_inv3`` is a Fraction inverse, which the library itself never takes,
 for checking the integer inverses of group elements.  The nearest apartment
 vertex comes from full theta evaluations, greedy descent and then a scan of
@@ -35,7 +37,6 @@ from sl3building.padic_linalg import (
     from_columns,
     adjugate3,
     integerize,
-    is_diagonal_ascending,
     lattice_canonical,
     mat_mul,
     minor_valuations,
@@ -46,6 +47,7 @@ from sl3building.padic_linalg import (
 from sl3building.building import (
     LatticeVertex,
     ResidueChamber,
+    adapted_basis_at,
     canonical_modp_vector,
     dist2,
     dominant,
@@ -54,7 +56,7 @@ from sl3building.building import (
     vector_distance,
     weyl_dist2,
 )
-from sl3building.boundary import Flag
+from sl3building.boundary import Flag, chamber_order_in_frame
 from sl3building.stochastics import _random_stabilizer_matrix
 
 
@@ -212,6 +214,34 @@ def sector_membership_oracle(x, c, y, radius):
     """Membership by exhaustive sector enumeration; valid when d(x, y) <= radius."""
     assert dist2(x, y) <= radius * radius, "oracle radius too small"
     return y.matrix in sector_vertices_bfs(x, c, radius)
+
+
+def is_diagonal_ascending(canon, p):
+    """True if a canonical lattice matrix is diagonal with ascending exponents."""
+    for i in range(3):
+        for j in range(3):
+            if i != j and canon[i][j] != 0:
+                return False
+    e = [valuation_int(canon[i][i], p) for i in range(3)]
+    return e[0] <= e[1] <= e[2]
+
+
+def sector_membership_lattice_oracle(x, c, y):
+    """Membership by the Hermite form of the relative matrix in an adapted basis."""
+    h = adapted_basis_at(x, c)
+    n = mat_mul(adjugate3(mat_mul(x.matrix, h)), y.matrix)
+    return is_diagonal_ascending(lattice_canonical(n, x.p), x.p)
+
+
+def retraction_lattice_oracle(frame, c, x):
+    """Retraction with the Iwasawa exponents read off the Hermite-form pivots."""
+    order = chamber_order_in_frame(frame, c)
+    n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
+    canon = lattice_canonical(n, x.p)
+    m = [0, 0, 0]
+    for k in range(3):
+        m[order[k]] = valuation_int(canon[k][k], x.p)
+    return frame_vertex(frame, x.p, tuple(m))
 
 
 def _neighbor_vertices(o):

@@ -1,12 +1,16 @@
 """Flags at infinity, Schubert positions, sectors, retractions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sl3building.building import (
     LatticeVertex,
+    adapted_basis_at,
     dist2,
     frame_vertex,
     random_vertex,
@@ -32,12 +36,14 @@ from sl3building.boundary import (
     weyl_distance,
 )
 from sl3building.dynamics import random_sl3z
-from sl3building.padic_linalg import det3, mat_mul
+from sl3building.padic_linalg import adjugate3, det3, mat_mul, valuation_int
 from sl3building.parabolics import family_flag
 from sl3building.serialize import from_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
     flag_echelon_oracle,
+    retraction_lattice_oracle,
+    sector_membership_lattice_oracle,
     sector_membership_oracle,
     weyl_distance_oracle,
 )
@@ -196,6 +202,74 @@ def test_sector_membership_against_bfs_oracle():
             continue
         cases += 1
         assert sector_membership(x, c, y) == sector_membership_oracle(x, c, y, 3)
+
+
+_PRIMES = st.sampled_from((2, 3, 5, 7))
+_MATRICES = (st.lists(st.integers(-30, 30), min_size=9, max_size=9)
+             .map(lambda e: (tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9]))))
+
+
+def _near_flag(o, c, k, e):
+    """c moved by an element of the stabilizer of o that is 1 mod p^k there.
+
+    In the coordinates of the lattice of o the element is I + p^k E; the
+    adjugate of the basis matrix stands in for its inverse, since the action
+    on flags is projective.
+    """
+    u = tuple(tuple(o.p ** k * e[i][j] + (i == j) for j in range(3))
+              for i in range(3))
+    assume(det3(u) != 0)
+    return c.apply(mat_mul(o.matrix, mat_mul(u, adjugate3(o.matrix))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=_PRIMES, xm=_MATRICES, cm=_MATRICES, ym=_MATRICES, dm=_MATRICES,
+       on_ray=st.booleans(), t=st.integers(0, 3), k=st.integers(0, 3))
+def test_sector_membership_and_retraction_match_the_lattice_oracles(
+        p, xm, cm, ym, dm, on_ray, t, k):
+    """The minor-valuation routes agree with the Hermite-form routes.
+
+    y is a random vertex or the growth-ray vertex at parameter t (t = 0 is
+    x itself); the sectors tested point toward c, a random flag, and a flag
+    congruent to c mod p^k at x, so both verdicts occur.  The retraction is
+    taken onto the apartment of c and a random flag, centered at each of
+    its six ideal chambers.
+    """
+    assume(det3(xm) != 0 and det3(cm) != 0 and det3(ym) != 0)
+    x = LatticeVertex.from_matrix(p, xm)
+    c = Flag.from_matrix(cm)
+    y = growth_ray_vertex(x, c, t) if on_ray else LatticeVertex.from_matrix(p, ym)
+    for d in (c, Flag.from_matrix(ym), _near_flag(x, c, k, dm)):
+        assert sector_membership(x, d, y) == sector_membership_lattice_oracle(x, d, y)
+    assume(det3(dm) != 0 and is_opposite(c, Flag.from_matrix(dm)))
+    frame = apartment_from_opposite(c, Flag.from_matrix(dm))
+    for e in apartment_chambers(frame):
+        assert retraction(frame, e, y) == retraction_lattice_oracle(frame, e, y)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=_PRIMES, om=_MATRICES, cm=_MATRICES, dm=_MATRICES,
+       near=st.booleans(), k=st.integers(0, 4), rmax=st.integers(0, 6))
+def test_common_depth_closed_form(p, om, cm, dm, near, k, rmax):
+    """common_depth(c, d, o, rmax) = min(rmax, v(K10), v(K21), floor(v(K20) / 2)).
+
+    K = adj(H_d) H_c with H_f the basis of o adapted to f, and v(0) is
+    infinite.  The growth-ray vertex at t is H_c diag(1, p^t, p^2t), which
+    lies in the sector toward d iff diag(1, p^-t, p^-2t) K diag(1, p^t, p^2t)
+    is integral.  d is a random flag or congruent to c mod p^k at o.
+    """
+    assume(det3(om) != 0 and det3(cm) != 0 and det3(dm) != 0)
+    o = LatticeVertex.from_matrix(p, om)
+    c = Flag.from_matrix(cm)
+    d = _near_flag(o, c, k, dm) if near else Flag.from_matrix(dm)
+    k_rel = mat_mul(adjugate3(adapted_basis_at(o, d)), adapted_basis_at(o, c))
+
+    def v(e):
+        return math.inf if e == 0 else valuation_int(e, p)
+
+    half = math.inf if k_rel[2][0] == 0 else v(k_rel[2][0]) // 2
+    assert common_depth(c, d, o, rmax) == min(rmax, v(k_rel[1][0]),
+                                              v(k_rel[2][1]), half)
 
 
 def test_basis_set_type_guard():

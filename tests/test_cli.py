@@ -1,5 +1,6 @@
 """Batch harness: subcommands, configs, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -169,6 +170,22 @@ def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, con
     rc = _run(tmp_path, sub, config=config)
     assert rc == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"
+
+
+def test_equicont_with_zero_samples_checks_none(tmp_path):
+    rc = _run(tmp_path, "equicont", config={"samples": 0, "word_length": 2,
+                                            "partition_length": 2})
+    assert rc == 0
+    with open(tmp_path / "equicont_aggregate.csv") as fh:
+        assert next(csv.DictReader(fh))["checked"] == "0"
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seeds_outside_64_bits_are_config_errors(tmp_path, capsys, seed):
+    rc = _run(tmp_path, "strip", seed=seed, config=SMALL["strip"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"
+    assert not (tmp_path / "strip_records.ndjson").exists()
 
 
 def test_measure_counts_far_vertices_in_closed_form(tmp_path):

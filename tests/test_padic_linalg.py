@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl3building.padic_linalg import (
@@ -147,6 +147,24 @@ def test_smith_exponents_rational_entries():
         if det3(m) == 0:
             continue
         assert smith_exponents(m, 3) == smith_elimination_oracle(m, 3)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)),
+       a=st.lists(st.integers(-30, 30), min_size=9, max_size=9),
+       b=st.lists(st.integers(-30, 30), min_size=9, max_size=9),
+       exps=st.tuples(*[st.integers(0, 6)] * 3),
+       den=st.integers(1, 200))
+def test_smith_exponents_match_elimination_oracle_property(p, a, b, exps, den):
+    """A diag(p^exps) B / den: elementary divisors well apart from 0 and 1."""
+    a = (tuple(a[0:3]), tuple(a[3:6]), tuple(a[6:9]))
+    b = (tuple(b[0:3]), tuple(b[3:6]), tuple(b[6:9]))
+    assume(det3(a) != 0 and det3(b) != 0)
+    d = tuple(tuple(p ** exps[i] if i == j else 0 for j in range(3))
+              for i in range(3))
+    m = tuple(tuple(Fraction(e, den) for e in row)
+              for row in mat_mul(a, mat_mul(d, b)))
+    assert smith_exponents(m, p) == smith_elimination_oracle(m, p)
 
 
 def test_smith_invariance_under_unimodular_factors():

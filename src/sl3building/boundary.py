@@ -33,6 +33,7 @@ from .padic_linalg import (
     minor_valuations,
     primitive_vector,
     transpose,
+    valuation_int,
 )
 from .building import Frame, LatticeVertex, adapted_basis_at, frame_vertex
 
@@ -247,23 +248,35 @@ def growth_ray_vertex(x, c, t):
     return LatticeVertex.from_matrix(p, from_columns(scaled))
 
 
+def ray_depth(h_c, adj_h_d, p, rmax):
+    """``common_depth`` from the adapted bases: H_c and the adjugate of H_d.
+
+    Let K = adj(H_d) H_c, with v(0) infinite.  The growth-ray vertex at t is
+    H_c diag(1, p^t, p^2t), and it lies in the sector toward d iff
+    diag(1, p^-t, p^-2t) K diag(1, p^t, p^2t) is integral.  Only K[1][0],
+    K[2][1] (scaled by p^-t) and K[2][0] (scaled by p^-2t) can fail, so the
+    depth is min(rmax, v(K[1][0]), v(K[2][1]), floor(v(K[2][0]) / 2)).  The
+    conditions only tighten as t grows, so this is also the first t at which
+    the ray leaves the sector, less one.
+    """
+    depth = rmax
+    for i, j, scale in ((1, 0, 1), (2, 1, 1), (2, 0, 2)):
+        k = sum(adj_h_d[i][m] * h_c[m][j] for m in range(3))
+        if k:
+            depth = min(depth, valuation_int(k, p) // scale)
+    return depth
+
+
 def common_depth(c, d, o, rmax):
     """How far the sectors from o toward c and d agree along the growth ray.
 
     Returns the largest t <= rmax such that the vertex at parameter t on the
     growth ray of Q(o, c) lies in Q(o, d) as well; 0 when only the base point
     does.  This realizes the entourage scale of the cone-topology uniformity.
+    It is ``ray_depth`` of the bases of o adapted to c and d.
     """
-    if c == d:
-        return rmax
-    depth = 0
-    for t in range(1, rmax + 1):
-        y = growth_ray_vertex(o, c, t)
-        if sector_membership(o, d, y):
-            depth = t
-        else:
-            break
-    return depth
+    return ray_depth(adapted_basis_at(o, c), adjugate3(adapted_basis_at(o, d)),
+                     o.p, rmax)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from .triples import (
 )
 from .stochastics import (
     WalkConfig,
+    a2_ball_count,
     basis_set_mass_estimate,
     convergence_report,
     count_at_vector_distance,
@@ -389,7 +390,7 @@ def run_strip(cfg, seed):
     bad = 0
     for pi, (a, b) in enumerate(pairs):
         counts, expo = strip_growth(a, b, p, cfg["r_max"])
-        ok = 1.8 <= expo <= 2.2 and counts[0][1] == 7
+        ok = all(n == a2_ball_count(r) for r, n in counts)
         bad += not ok
         records.append({"pair": pi, "counts": counts, "exponent": expo, "pass": ok})
         rows.append({"pair": pi, "exponent": round(expo, 4),
@@ -540,7 +541,8 @@ def main(argv=None):
     try:
         records, rows, status = _RUNNERS[args.subcommand](cfg, args.seed)
     except HorizonExceededError as exc:
-        print(json.dumps({"error": "horizon", "detail": str(exc)}))
+        print(json.dumps({"error": "horizon", "detail": str(exc),
+                          "trajectory": exc.trajectory}))
         return 3
     rec_path, agg_path = _write_outputs(args.out, args.subcommand, cfg,
                                         args.seed, records, rows)

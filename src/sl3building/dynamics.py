@@ -35,6 +35,7 @@ from .padic_linalg import (
 )
 from .building import (
     LatticeVertex,
+    adapted_basis_at,
     canonical_modp_vector,
     Frame,
     dist2,
@@ -56,9 +57,9 @@ from .boundary import (
     apartment_chambers,
     apartment_from_opposite,
     chamber_order_in_frame,
-    common_depth,
     growth_ray_vertex,
     is_opposite,
+    ray_depth,
     sector_membership,
     weyl_distance,
 )
@@ -343,10 +344,13 @@ def make_srh(frame_or_lines, lam, p):
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
-def _apartment_candidate(chambers, flag, base, threshold):
+def _apartment_candidate(chambers, adj_bases, h_flag, p, threshold):
+    """The apartment chamber of greatest common depth with the flag, when
+    that depth reaches threshold; the depths come from the flag's adapted
+    basis and the chambers' adjugated ones."""
     best = None
-    for e in chambers:
-        de = common_depth(flag, e, base, threshold + 1)
+    for e, adj_h_e in zip(chambers, adj_bases):
+        de = ray_depth(h_flag, adj_h_e, p, threshold + 1)
         if de >= threshold and (best is None or de > best[1]):
             best = (e, de)
     return best
@@ -360,18 +364,24 @@ def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
     least threshold for three consecutive steps, and the apartment chamber
     read off at that point is confirmed at roughly twice the step count
     (iteration paths are piecewise straight, so a transient leg that fooled
-    the run rule fails the doubled confirmation).
+    the run rule fails the doubled confirmation).  Each depth is
+    ``common_depth`` of two flags at base, taken by ``ray_depth`` from the
+    adapted bases: each image's basis is computed once, and the apartment
+    chambers' adjugated bases once per call.
     """
+    p = base.p
     chambers = apartment_chambers(cert.frame)
-    prev = None
+    adj_bases = [adjugate3(adapted_basis_at(base, e)) for e in chambers]
+    h_prev = None
     prev_depth = -1
     run = 0
     candidate = None
     confirm_at = None
     trajectory = []
     for n, flag in enumerate(flags_sequence, start=1):
-        if prev is not None:
-            d = common_depth(prev, flag, base, threshold + 1)
+        h_flag = adapted_basis_at(base, flag)
+        if h_prev is not None:
+            d = ray_depth(h_prev, adjugate3(h_flag), p, threshold + 1)
             trajectory.append((n, d))
             if d >= threshold and d >= prev_depth:
                 run += 1
@@ -379,18 +389,20 @@ def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
                 run = 0
             prev_depth = d
             if candidate is None and run >= 3:
-                best = _apartment_candidate(chambers, flag, base, threshold)
+                best = _apartment_candidate(chambers, adj_bases, h_flag, p,
+                                            threshold)
                 if best is not None:
                     candidate = best[0]
                     confirm_at = 2 * n + 2
                 else:
                     run = 0
             elif candidate is not None and n >= confirm_at:
-                best = _apartment_candidate(chambers, flag, base, threshold)
+                best = _apartment_candidate(chambers, adj_bases, h_flag, p,
+                                            threshold)
                 if best is not None and best[0] == candidate:
                     return candidate
                 candidate, confirm_at, run = None, None, 0
-        prev = flag
+        h_prev = h_flag
         if n >= nmax:
             break
     raise HorizonExceededError("iteration did not stabilize before the horizon",

@@ -13,7 +13,8 @@ vector distance from the base vertex and the residue germ of the current
 position; directional convergence is germ stabilization along the tail.
 
 Strip growth counts the vertices of an opposite pair's own apartment by exact
-squared distance from its base vertex; the growth exponent is a least-squares
+squared distance from its base vertex; the counts are checked against the
+theta series of the A2 lattice, and the growth exponent is a least-squares
 fit, reported as a float.
 """
 
@@ -413,6 +414,22 @@ def estimates_agree(est1, est2):
 # ---------------------------------------------------------------------------
 # strip growth
 # ---------------------------------------------------------------------------
+
+def a2_ball_count(r):
+    """Number of apartment vertices within CAT(0) distance r of a vertex.
+
+    The vertices of an apartment form the A2 lattice, and ``dist2`` between
+    the frame vertices at exponents (i, j, 0) and (0, 0, 0) is its norm
+    i^2 - ij + j^2.  It has r(0) = 1 vector of norm 0 and
+    r(n) = 6 (d_{1,3}(n) - d_{2,3}(n)) of norm n >= 1, where d_{k,3}(n)
+    counts the divisors of n congruent to k mod 3 (Conway and Sloane, SPLAG,
+    ch. 4, 6.2).  Summing over n <= r^2 divisor by divisor, a divisor m
+    occurs in r^2 // m of the norms.
+    """
+    n = r * r
+    return 1 + 6 * sum((n // m) * (1 if m % 3 == 1 else -1)
+                       for m in range(1, n + 1) if m % 3)
+
 
 def strip_growth(c1, c2, p, r_max):
     """Vertex counts of the apartment spanned by an opposite pair, by radius.

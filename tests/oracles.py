@@ -7,10 +7,11 @@ minor valuations the library reads them off, flag echelon forms from Fraction
 column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
 vertices or from the Hermite form of the relative matrix (and retractions
-from its pivots) instead of its minor valuations, residue alcoves from a
-first-step neighbor search, vertex counts at a vector distance from
-enumerating canonical lattice representatives instead of Macdonald's
-formula, and the basis-set event of the harmonic mass law from the
+from its pivots) instead of its minor valuations, common depth from walking
+the growth ray vertex by vertex instead of the relative matrix of two
+adapted bases, residue alcoves from a first-step neighbor search, vertex
+counts at a vector distance from enumerating canonical lattice
+representatives instead of Macdonald's formula, and the basis-set event of the harmonic mass law from the
 canonical form of adj(k) d_y instead of three divisibility tests.
 ``mat_inv3`` is a Fraction inverse, which the library itself never takes,
 for checking the integer inverses of group elements.  The nearest apartment
@@ -56,7 +57,12 @@ from sl3building.building import (
     vector_distance,
     weyl_dist2,
 )
-from sl3building.boundary import Flag, chamber_order_in_frame
+from sl3building.boundary import (
+    Flag,
+    chamber_order_in_frame,
+    growth_ray_vertex,
+    sector_membership,
+)
 from sl3building.stochastics import _random_stabilizer_matrix
 
 
@@ -231,6 +237,25 @@ def sector_membership_lattice_oracle(x, c, y):
     h = adapted_basis_at(x, c)
     n = mat_mul(adjugate3(mat_mul(x.matrix, h)), y.matrix)
     return is_diagonal_ascending(lattice_canonical(n, x.p), x.p)
+
+
+def common_depth_ray_oracle(c, d, o, rmax):
+    """Common depth by walking the growth ray of Q(o, c) one vertex at a time.
+
+    Each vertex is built and tested for membership in Q(o, d) until the first
+    one outside, instead of reading the depth off the relative matrix of the
+    two adapted bases.
+    """
+    if c == d:
+        return rmax
+    depth = 0
+    for t in range(1, rmax + 1):
+        y = growth_ray_vertex(o, c, t)
+        if sector_membership(o, d, y):
+            depth = t
+        else:
+            break
+    return depth
 
 
 def retraction_lattice_oracle(frame, c, x):

@@ -50,6 +50,7 @@ from sl3building.parabolics import (
 from sl3building.rng import derive_seed, make_rng
 from sl3building.stochastics import (
     WalkConfig,
+    a2_ball_count,
     basis_set_mass_estimate,
     convergence_report,
     count_at_vector_distance,
@@ -271,7 +272,8 @@ def test_criterion_07_equicontinuity_machinery():
 
 
 def test_criterion_08_strip_growth():
-    """Exponent in [1.8, 2.2] over R <= 20 for 3 opposite pairs; count(1) = 7."""
+    """Exponent in [1.8, 2.2] over R <= 20 for 3 opposite pairs; count(1) = 7;
+    every count(R) is the A2 lattice count of norms <= R^2."""
     t0 = time.time()
     p = 5
     x = standard_vertex(p)
@@ -288,6 +290,7 @@ def test_criterion_08_strip_growth():
         counts, expo = strip_growth(a, b, p, 20)
         ok &= counts[0][1] == 7
         ok &= 1.8 <= expo <= 2.2
+        ok &= all(n == a2_ball_count(r) for r, n in counts)
         exps.append(round(expo, 3))
     report(8, ok, f"{time.time()-t0:.0f}s, exponents={exps}")
 

@@ -31,6 +31,7 @@ from sl3building.boundary import (
     is_opposite,
     opposite_in_apartment,
     perm_length,
+    ray_depth,
     retraction,
     sector_membership,
     weyl_distance,
@@ -41,6 +42,7 @@ from sl3building.parabolics import family_flag
 from sl3building.serialize import from_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
 from oracles import (
+    common_depth_ray_oracle,
     flag_echelon_oracle,
     retraction_lattice_oracle,
     sector_membership_lattice_oracle,
@@ -249,27 +251,34 @@ def test_sector_membership_and_retraction_match_the_lattice_oracles(
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(p=_PRIMES, om=_MATRICES, cm=_MATRICES, dm=_MATRICES,
-       near=st.booleans(), k=st.integers(0, 4), rmax=st.integers(0, 6))
-def test_common_depth_closed_form(p, om, cm, dm, near, k, rmax):
+       which=st.sampled_from(("same", "near", "random")), k=st.integers(0, 4),
+       rmax=st.integers(0, 6))
+def test_common_depth_closed_form(p, om, cm, dm, which, k, rmax):
     """common_depth(c, d, o, rmax) = min(rmax, v(K10), v(K21), floor(v(K20) / 2)).
 
     K = adj(H_d) H_c with H_f the basis of o adapted to f, and v(0) is
     infinite.  The growth-ray vertex at t is H_c diag(1, p^t, p^2t), which
     lies in the sector toward d iff diag(1, p^-t, p^-2t) K diag(1, p^t, p^2t)
-    is integral.  d is a random flag or congruent to c mod p^k at o.
+    is integral.  ``common_depth`` and the ``ray_depth`` kernel both match
+    the ray walk of ``common_depth_ray_oracle``; d is c itself, a flag
+    congruent to c mod p^k at o, or a random flag.
     """
     assume(det3(om) != 0 and det3(cm) != 0 and det3(dm) != 0)
     o = LatticeVertex.from_matrix(p, om)
     c = Flag.from_matrix(cm)
-    d = _near_flag(o, c, k, dm) if near else Flag.from_matrix(dm)
-    k_rel = mat_mul(adjugate3(adapted_basis_at(o, d)), adapted_basis_at(o, c))
+    d = {"same": lambda: c, "near": lambda: _near_flag(o, c, k, dm),
+         "random": lambda: Flag.from_matrix(dm)}[which]()
+    h_c, h_d = adapted_basis_at(o, c), adapted_basis_at(o, d)
+    k_rel = mat_mul(adjugate3(h_d), h_c)
 
     def v(e):
         return math.inf if e == 0 else valuation_int(e, p)
 
     half = math.inf if k_rel[2][0] == 0 else v(k_rel[2][0]) // 2
-    assert common_depth(c, d, o, rmax) == min(rmax, v(k_rel[1][0]),
-                                              v(k_rel[2][1]), half)
+    expected = common_depth_ray_oracle(c, d, o, rmax)
+    assert common_depth(c, d, o, rmax) == expected
+    assert ray_depth(h_c, adjugate3(h_d), p, rmax) == expected
+    assert expected == min(rmax, v(k_rel[1][0]), v(k_rel[2][1]), half)
 
 
 def test_basis_set_type_guard():

@@ -11,7 +11,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3building.cli import _SCHEMAS, SUBCOMMANDS, ConfigError, load_config, main
+from sl3building.boundary import HorizonExceededError
+from sl3building.cli import (
+    _RUNNERS,
+    _SCHEMAS,
+    SUBCOMMANDS,
+    ConfigError,
+    load_config,
+    main,
+)
 
 
 def _run(tmp_path, sub, seed=1, config=None, extra=()):
@@ -119,6 +127,18 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
     rc = _run(tmp_path, "barycenter",
               config={"transports": 1, "triples": 1, "radius_cap": 1})
     assert rc == 3
+
+
+def test_horizon_error_reports_its_trajectory(tmp_path, capsys, monkeypatch):
+    def runner(cfg, seed):
+        raise HorizonExceededError("no limit", trajectory=[(2, 0), (3, 1)])
+
+    monkeypatch.setitem(_RUNNERS, "dynamics", runner)
+    rc = _run(tmp_path, "dynamics")
+    assert rc == 3
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+        "error": "horizon", "detail": "no limit", "trajectory": [[2, 0], [3, 1]]}
+    assert not (tmp_path / "dynamics_records.ndjson").exists()
 
 
 @pytest.mark.parametrize("sub, config", [

@@ -15,8 +15,10 @@ from sl3building.building import (
 from sl3building.boundary import (
     ALL_PERMS,
     Flag,
+    HorizonExceededError,
     LONGEST_PERM,
     boundary_retraction,
+    common_depth,
     growth_ray_vertex,
     is_opposite,
 )
@@ -271,6 +273,43 @@ def test_north_south_inverse_uses_swapped_chambers():
         c = harmonic_sample(x, 3, rng)
         assert north_south_limit(inv, c) == \
             boundary_retraction(cert.frame, cert.attracting, c, p)
+
+
+def _assert_trajectory_of_images(exc, flags, base, threshold):
+    """The trajectory is the common depth of each image f_n with f_(n-1)."""
+    expected = [(n, common_depth(flags[n - 1], flags[n], base, threshold + 1))
+                for n in range(2, len(flags))]
+    assert exc.trajectory == expected
+    assert len({d for _, d in expected}) > 1  # a stale basis would show
+
+
+def test_north_south_horizon_trajectory_recomputed_from_the_images():
+    # the earliest candidate is read at n = 4 and confirmed at n >= 10, so
+    # a horizon of 8 always runs out
+    p, threshold, nmax = 3, 4, 8
+    cert = make_srh(STD_LINES, (2, 1, 0), p)
+    rng = make_rng(4321)
+    for _ in range(3):
+        c = harmonic_sample(standard_vertex(p), 4, rng)
+        with pytest.raises(HorizonExceededError) as info:
+            north_south_limit(cert, c, nmax=nmax, threshold=threshold)
+        flags = [c]  # flags[n] = g^n c
+        for _ in range(nmax):
+            flags.append(flags[-1].apply(cert.element.num))
+        _assert_trajectory_of_images(info.value, flags, cert.base_vertex(),
+                                     threshold)
+
+
+def test_universal_contraction_horizon_trajectory_recomputed_from_the_images():
+    p, threshold, nmax = 5, 4, 8
+    cert1, cert2 = schottky_pair(p, make_rng(21))
+    c = cert1.repelling
+    with pytest.raises(HorizonExceededError) as info:
+        universal_contraction(cert1, cert2, c, nmax=nmax, threshold=threshold)
+    flags = [c] + [c.apply((cert2.element.power(n) * cert1.element.power(n)).num)
+                   for n in range(1, nmax + 1)]
+    _assert_trajectory_of_images(info.value, flags, cert2.base_vertex(),
+                                 threshold)
 
 
 def test_proximal_pair_check_basics():

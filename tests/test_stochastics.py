@@ -39,6 +39,7 @@ from sl3building.stochastics import (
     EventEstimate,
     InsufficientConvergenceError,
     WalkConfig,
+    a2_ball_count,
     convergence_report,
     count_at_vector_distance,
     direction_estimate,
@@ -440,6 +441,11 @@ def test_strip_growth_counts_and_exponent():
     assert 1.8 <= expo <= 2.2
     with pytest.raises(NotOppositeError):
         strip_growth(Flag.standard(), Flag.standard(), 5, 5)
+
+
+def test_a2_ball_count_matches_the_eisenstein_norm_count():
+    assert a2_ball_count(0) == 1
+    assert [(r, a2_ball_count(r)) for r in range(1, 31)] == strip_counts_oracle(30)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -344,12 +344,12 @@ def make_srh(frame_or_lines, lam, p):
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
-def _apartment_candidate(chambers, adj_bases, h_flag, p, threshold):
+def _apartment_candidate(chambers, h_flag, p, threshold):
     """The apartment chamber of greatest common depth with the flag, when
     that depth reaches threshold; the depths come from the flag's adapted
-    basis and the chambers' adjugated ones."""
+    basis and the (chamber, adjugated adapted basis) pairs in chambers."""
     best = None
-    for e, adj_h_e in zip(chambers, adj_bases):
+    for e, adj_h_e in chambers:
         de = ray_depth(h_flag, adj_h_e, p, threshold + 1)
         if de >= threshold and (best is None or de > best[1]):
             best = (e, de)
@@ -370,8 +370,8 @@ def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
     chambers' adjugated bases once per call.
     """
     p = base.p
-    chambers = apartment_chambers(cert.frame)
-    adj_bases = [adjugate3(adapted_basis_at(base, e)) for e in chambers]
+    chambers = [(e, adjugate3(adapted_basis_at(base, e)))
+                for e in apartment_chambers(cert.frame)]
     h_prev = None
     prev_depth = -1
     run = 0
@@ -389,16 +389,14 @@ def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
                 run = 0
             prev_depth = d
             if candidate is None and run >= 3:
-                best = _apartment_candidate(chambers, adj_bases, h_flag, p,
-                                            threshold)
+                best = _apartment_candidate(chambers, h_flag, p, threshold)
                 if best is not None:
                     candidate = best[0]
                     confirm_at = 2 * n + 2
                 else:
                     run = 0
             elif candidate is not None and n >= confirm_at:
-                best = _apartment_candidate(chambers, adj_bases, h_flag, p,
-                                            threshold)
+                best = _apartment_candidate(chambers, h_flag, p, threshold)
                 if best is not None and best[0] == candidate:
                     return candidate
                 candidate, confirm_at, run = None, None, 0

@@ -384,7 +384,8 @@ def germ_face(o, z):
     if o.matrix == z.matrix:
         raise ValueError("germ of a trivial segment")
     n_int, _ = strip_p_content(mat_mul(adjugate3(o.matrix), z.matrix), o.p)
-    return residue_germ_parts(n_int, o.p)
+    _, line, normal = residue_germ_parts(n_int, o.p)
+    return line, normal
 
 
 def residue_projection(o, target):

@@ -23,11 +23,19 @@ The workhorses are
   divisor exponents (``smith_exponents``, hence vector distances, and
   sector membership); the least valuations over the bottom row and the
   bottom two rows give the Iwasawa exponents (retractions, apartment
-  distances).  The walk, which knows the determinant valuation already,
-  reads the 2x2 minors alone off its helper ``minor2_valuations``.  The
-  elimination form of ``smith_exponents`` and the Hermite-form routes of
-  sector membership and retraction are kept as independent oracles in the
-  test suite.
+  distances).
+* ``residue_germ_parts``: the germ of a segment from the standard lattice,
+  read off one adjugate of its integer basis: the valuation e2 of the gcd
+  of the nine 2x2 minors, the mod-p line of the basis and the mod-p line
+  of the adjugate divided by p^e2.  The walk knows the determinant
+  valuation D already, so this one call gives it the vector distance
+  (D - e2, e2, 0) as well as the germ; ``building.germ_face`` calls it
+  too.
+
+The elimination form of ``smith_exponents`` and the Hermite-form routes of
+sector membership and retraction are kept as independent oracles in the
+test suite, and so is the walk's earlier route, which took the valuation of
+each 2x2 minor one by one.
 
 Relative positions and group inverses are taken through integer adjugates;
 the package has no rational inverse.  adj(A) = det(A) A^-1 differs from the
@@ -42,7 +50,7 @@ det-valuation D satisfies p^D Z^3 <= L, so L is determined mod p^(D+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
@@ -208,22 +216,19 @@ def primitive_vector(v):
 
     The sign is normalized so the last nonzero coordinate is positive, which
     makes the result a canonical representative of the line spanned by v.
+    An all-int vector is divided by its gcd with no Fraction arithmetic.
     """
-    if all(e == 0 for e in v):
-        raise ValueError("zero vector has no primitive representative")
-    den = 1
+    den = 0  # stays 0 while every entry is an int
     for e in v:
-        if isinstance(e, Fraction):
-            den = den * e.denominator // gcd(den, e.denominator)
-    ints = [int(e * den) for e in v]
-    g = 0
-    for e in ints:
-        g = gcd(g, e)
-    ints = [e // g for e in ints]
-    last = next(e for e in reversed(ints) if e != 0)
-    if last < 0:
-        ints = [-e for e in ints]
-    return tuple(ints)
+        if type(e) is not int:
+            den = lcm(den or 1, e.denominator)
+    ints = [int(e * den) for e in v] if den else v
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    if next(e for e in reversed(ints) if e) < 0:
+        g = -g
+    return tuple(e // g for e in ints)
 
 
 def integerize(m):
@@ -329,38 +334,30 @@ def lattice_canonical(m, p):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def minor2_valuations(m_int, p):
-    """(v, i1, i2, j1, j2) for each nonzero 2x2 minor of an integer 3x3 matrix.
-
-    The minor on rows (i1, i2) and columns (j1, j2) has valuation v.
-    """
-    out = []
-    for i1, i2 in _PAIRS:
-        r1, r2 = m_int[i1], m_int[i2]
-        for j1, j2 in _PAIRS:
-            e = r1[j1] * r2[j2] - r1[j2] * r2[j1]
-            if e:
-                out.append((valuation_int(e, p), i1, i2, j1, j2))
-    return tuple(out)
-
-
 def minor_valuations(m_int, p):
     """Valuations of the nonzero minors of a nonsingular integer 3x3 matrix.
 
     Returns (entries, minors, det_val): entries holds (v, i, j) for each
     nonzero entry m[i][j] of valuation v; minors holds (v, i1, i2, j1, j2)
-    for each nonzero 2x2 minor on rows (i1, i2) and columns (j1, j2), as
-    ``minor2_valuations`` gives them; det_val is the valuation of the
-    determinant.  Every relative position of two lattices in this package is
-    read off these three: scaling row i by p^r_i and column j by p^c_j
-    shifts each minor's valuation by the sum of its row and column exponents.
+    for each nonzero 2x2 minor on rows (i1, i2) and columns (j1, j2);
+    det_val is the valuation of the determinant.  Every relative position
+    of two lattices in this package is read off these three: scaling row i
+    by p^r_i and column j by p^c_j shifts each minor's valuation by the sum
+    of its row and column exponents.
     """
     d = det3(m_int)
     if d == 0:
         raise SingularMatrixError("minor valuations require det != 0")
     entries = tuple((valuation_int(e, p), i, j)
                     for i, row in enumerate(m_int) for j, e in enumerate(row) if e)
-    return entries, minor2_valuations(m_int, p), valuation_int(d, p)
+    minors = []
+    for i1, i2 in _PAIRS:
+        r1, r2 = m_int[i1], m_int[i2]
+        for j1, j2 in _PAIRS:
+            e = r1[j1] * r2[j2] - r1[j2] * r2[j1]
+            if e:
+                minors.append((valuation_int(e, p), i1, i2, j1, j2))
+    return entries, tuple(minors), valuation_int(d, p)
 
 
 def smith_exponents(m, p):
@@ -476,17 +473,24 @@ def _mod_p_column_space_line(m_int, p):
 def residue_germ_parts(n_int, p):
     """Germ data of the segment from the standard lattice toward span(n_int).
 
-    n_int is an integer basis matrix of the target lattice, already
-    normalized so its smallest elementary-divisor exponent is 0 (use
-    strip_p_content).  Returns (line, plane_normal) over F_p, either of which
-    is None when the corresponding part of the germ degenerates:
+    n_int is an integer basis matrix of the target lattice with p-content 0
+    (use strip_p_content), so its smallest elementary-divisor exponent is 0;
+    n_int reduced mod p^(D+1), D its determinant valuation, gives the same
+    answer.  Returns (e2, line, plane_normal): e2 is the valuation of the gcd
+    of the nine 2x2 minors, the sum of the two smallest exponents, so the
+    vector distance is (D - e2, e2, 0) up to order.  line and plane_normal
+    are over F_p, either of them None when that part of the germ
+    degenerates:
 
     * line: the mod-p image of the target lattice, when one-dimensional;
     * plane_normal: a normal vector of the mod-p image of the codimension-one
-      step of the p-power filtration, read off the transposed adjugate.
+      step of the p-power filtration, read off the transposed adjugate
+      divided by p^e2.
     """
-    line = _mod_p_column_space_line(n_int, p)
     adj_t = transpose(adjugate3(n_int))
-    adj_t, _ = strip_p_content(adj_t, p)
-    normal = _mod_p_column_space_line(adj_t, p)
-    return line, normal
+    e2 = valuation_int(gcd(*(e for row in adj_t for e in row)), p)
+    q = p ** e2
+    line = _mod_p_column_space_line(n_int, p)
+    normal = _mod_p_column_space_line(
+        tuple(tuple(e // q for e in row) for row in adj_t), p)
+    return e2, line, normal

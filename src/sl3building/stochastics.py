@@ -31,10 +31,8 @@ from .padic_linalg import (
     det3,
     identity,
     mat_mul,
-    minor2_valuations,
     residue_germ_parts,
     smith_left_transform,
-    strip_p_content,
     valuation_int,
 )
 from .building import (
@@ -237,72 +235,65 @@ class WalkTrace:
 
 def _strip_content(m):
     """Divide an integer matrix by the gcd of its entries; returns (m / g, g)."""
-    g = 0
-    for row in m:
-        for e in row:
-            g = math.gcd(g, e)
-    if g in (0, 1):
+    g = math.gcd(*(e for row in m for e in row))
+    if g == 1:
         return m, 1
     return tuple(tuple(e // g for e in row) for row in m), g
 
 
 def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
-    """The walk step at relative matrix rel = adj(B) z B, d = v_p(det rel).
+    """The walk step at position rel, of content 1, with d = v_p(det rel).
 
-    Once the p-content c of rel is stripped, its determinant valuation is
-    exactly D = d - 3c.  The vector distance and the germ are read off rel_int
-    mod p^(D+1): the determinant keeps valuation D there, the least
-    2x2-minor valuation a2 <= D stays a2, and so do the mod-p images of
-    rel_int and of its adjugate divided by p^a2.  With no content left, the
-    vector distance is (D - a2, a2, 0).
+    rel has no p-content, so its least elementary-divisor exponent is 0 and
+    the vector distance is (d - e2, e2, 0), e2 the least 2x2-minor
+    valuation.  Both e2 and the germ are read off rel mod p^(d+1)
+    (``residue_germ_parts``): the determinant keeps valuation d there,
+    e2 <= d stays e2, and so do the mod-p images of rel and of its adjugate
+    divided by p^e2.
     """
-    rel_int, c = strip_p_content(rel, p)
-    d_rel = d - 3 * c
-    q = p ** (d_rel + 1)
-    rel_int = tuple(tuple(e % q for e in row) for row in rel_int)
-    e2 = min(v for v, *_ in minor2_valuations(rel_int, p))
-    theta = dominant((d_rel - e2, e2, 0))
+    q = p ** (d + 1)
+    e2, line, normal = residue_germ_parts(
+        tuple(tuple(e % q for e in row) for row in rel), p)
+    theta = dominant((d - e2, e2, 0))
     germ = None
     run = 0
-    if is_regular(theta):
-        line, normal = residue_germ_parts(rel_int, p)
-        if line is not None and normal is not None:
-            germ = ResidueChamber.from_parts(p, line, normal)
-            run = prev_run + 1 if germ == prev_germ else 1
+    if is_regular(theta) and line is not None and normal is not None:
+        germ = ResidueChamber.from_parts(p, line, normal)
+        run = prev_run + 1 if germ == prev_germ else 1
     return WalkStep(n, letter, theta, germ, run)
 
 
 def run_walk(config):
     """Deterministic seeded walk; the trace is a pure function of the config.
 
-    The position is the content-stripped integer product z of the letters'
-    numerators, and v_p(det z) is kept as a running sum instead of being
-    recomputed: det(num) = den^3 for every generator, so a letter adds
-    3 v_p(den), and stripping a content g subtracts 3 v_p(g).  With the base
-    matrix B, v_p(det(adj(B) z B)) = 3 v_p(det B) + v_p(det z), and each
-    step is read off adj(B) z B reduced mod p^(D+1), D the determinant
-    valuation left after its p-content is stripped (see _position_record).
+    The position is held in the coordinates of the base matrix B: after the
+    letters g_1, ..., g_n it is rel, the content-stripped integer product of
+    the matrices G_i, G the content-stripped adj(B) num B of a generator.
+    Since B adj(B) = det(B) I and scalars leave lattice classes alone, rel
+    is proportional to adj(B) z B for the product z of the letters'
+    numerators, and B rel spans the vertex reached.  v_p(det rel) is kept as
+    a running sum: a letter adds v_p(det G), and stripping a content g
+    subtracts 3 v_p(g).  Each step is read off rel mod p^(D+1), D that
+    determinant valuation (see _position_record).
     """
     p = config.p
     rng = make_rng(config.seed)
     den, cum = config.thresholds()
-    gens_int = [g.num for g in config.generators]
-    gens_dv = [3 * valuation_int(g.den, p) for g in config.generators]
     b = config.base_vertex.matrix
     adj_b = adjugate3(b)
-    d_base = 3 * valuation_int(det3(b), p)
-    z, dz = identity(), 0
-    steps = [_position_record(0, -1, mat_mul(mat_mul(adj_b, z), b), d_base,
-                              None, 0, p)]
+    gens = [_strip_content(mat_mul(mat_mul(adj_b, g.num), b))[0]
+            for g in config.generators]
+    gens_dv = [valuation_int(det3(g), p) for g in gens]
+    rel, d = identity(), 0
+    steps = [_position_record(0, -1, rel, d, None, 0, p)]
     for n in range(1, config.steps + 1):
-        r = rng.randrange(den)
-        idx = next(i for i, c in enumerate(cum) if r < c)
-        z, g = _strip_content(mat_mul(z, gens_int[idx]))
-        dz += gens_dv[idx] - 3 * valuation_int(g, p)
+        idx = bisect_right(cum, rng.randrange(den))
+        rel, g = _strip_content(mat_mul(rel, gens[idx]))
+        d += gens_dv[idx] - 3 * valuation_int(g, p)
         prev = steps[-1]
-        steps.append(_position_record(n, idx, mat_mul(mat_mul(adj_b, z), b),
-                                      d_base + dz, prev.germ, prev.germ_run, p))
-    final = LatticeVertex.from_matrix(p, mat_mul(z, b))
+        steps.append(_position_record(n, idx, rel, d, prev.germ, prev.germ_run,
+                                      p))
+    final = LatticeVertex.from_matrix(p, mat_mul(b, rel))
     return WalkTrace(config, tuple(steps), final)
 
 

@@ -19,13 +19,16 @@ vertex comes from full theta evaluations, greedy descent and then a scan of
 every vertex the triangle inequality leaves possible, instead of per-source
 minima and the six-move descent alone, strip vertex counts from the
 Eisenstein norm instead of distances between apartment vertices, square-root
-sums are compared by Fraction enclosures instead of an integer sign test, and
-primality by trial division instead of Miller-Rabin.
+sums are compared by Fraction enclosures instead of an integer sign test,
+primality by trial division instead of Miller-Rabin, the walk in the
+coordinates of the letters' product with its minors' valuations taken one
+by one instead of in base-vertex coordinates with one gcd of the minors, and
+primitive vectors with a Fraction pass over every entry.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt
+from math import gcd, isqrt
 
 from sl3building.padic_linalg import (
     SingularMatrixError,
@@ -37,12 +40,14 @@ from sl3building.padic_linalg import (
     flag_adapted_basis,
     from_columns,
     adjugate3,
+    identity,
     integerize,
     lattice_canonical,
     mat_mul,
     minor_valuations,
     smith_exponents,
     strip_p_content,
+    transpose,
     valuation_int,
 )
 from sl3building.building import (
@@ -53,6 +58,7 @@ from sl3building.building import (
     dist2,
     dominant,
     frame_vertex,
+    is_regular,
     residue_lines,
     vector_distance,
     weyl_dist2,
@@ -63,7 +69,8 @@ from sl3building.boundary import (
     growth_ray_vertex,
     sector_membership,
 )
-from sl3building.stochastics import _random_stabilizer_matrix
+from sl3building.rng import make_rng
+from sl3building.stochastics import WalkStep, WalkTrace, _random_stabilizer_matrix
 
 
 def valuation_loop_oracle(n, p):
@@ -493,3 +500,85 @@ def is_prime_trial_division(n):
             return False
         d += 1
     return True
+
+
+def _mod_p_line_oracle(m, p):
+    """A nonzero column of m mod p when m mod p has rank 1, else None.
+
+    Rank at most 1 is read off the 2x2 minors mod p, all zero.
+    """
+    red = tuple(tuple(e % p for e in row) for row in m)
+    if any(e % p for row in adjugate3(red) for e in row):
+        return None
+    return next((c for c in zip(*red) if any(c)), None)
+
+
+def _walk_record_oracle(n, letter, z, adj_b, b, d, prev_germ, prev_run, p):
+    rel_int, c = strip_p_content(mat_mul(mat_mul(adj_b, z), b), p)
+    d_rel = d - 3 * c
+    q = p ** (d_rel + 1)
+    rel_int = tuple(tuple(e % q for e in row) for row in rel_int)
+    e2 = min(v for v, *_ in minor_valuations(rel_int, p)[1])
+    theta = dominant((d_rel - e2, e2, 0))
+    germ = None
+    run = 0
+    if is_regular(theta):
+        adj_t, _ = strip_p_content(transpose(adjugate3(rel_int)), p)
+        line = _mod_p_line_oracle(rel_int, p)
+        normal = _mod_p_line_oracle(adj_t, p)
+        if line is not None and normal is not None:
+            germ = ResidueChamber.from_parts(p, line, normal)
+            run = prev_run + 1 if germ == prev_germ else 1
+    return WalkStep(n, letter, theta, germ, run)
+
+
+def run_walk_oracle(config):
+    """``run_walk`` in the coordinates of the letters' product.
+
+    The position is z, the content-stripped product of the letters'
+    numerators, with v_p(det z) a running sum of 3 v_p(den) per letter less
+    3 v_p(g) per stripped content g.  Each step forms adj(B) z B with two
+    more products, strips its p-content, reduces it mod p^(D+1) and takes
+    the valuation of each 2x2 minor one by one; the germ's plane comes from
+    the p-content-stripped adjugate.  The final vertex is that of z B.
+    """
+    p = config.p
+    rng = make_rng(config.seed)
+    den, cum = config.thresholds()
+    b = config.base_vertex.matrix
+    adj_b = adjugate3(b)
+    d_base = 3 * valuation_int(det3(b), p)
+    z, dz = identity(), 0
+    steps = [_walk_record_oracle(0, -1, z, adj_b, b, d_base, None, 0, p)]
+    for n in range(1, config.steps + 1):
+        r = rng.randrange(den)
+        idx = next(i for i, c in enumerate(cum) if r < c)
+        gen = config.generators[idx]
+        prod = mat_mul(z, gen.num)
+        g = gcd(*(e for row in prod for e in row))
+        z = tuple(tuple(e // g for e in row) for row in prod)
+        dz += 3 * valuation_int(gen.den, p) - 3 * valuation_int(g, p)
+        prev = steps[-1]
+        steps.append(_walk_record_oracle(n, idx, z, adj_b, b, d_base + dz,
+                                         prev.germ, prev.germ_run, p))
+    return WalkTrace(config, tuple(steps),
+                     LatticeVertex.from_matrix(p, mat_mul(z, b)))
+
+
+def primitive_vector_oracle(v):
+    """``primitive_vector`` with a Fraction test and a product on every entry."""
+    if all(e == 0 for e in v):
+        raise ValueError("zero vector has no primitive representative")
+    den = 1
+    for e in v:
+        if isinstance(e, Fraction):
+            den = den * e.denominator // gcd(den, e.denominator)
+    ints = [int(e * den) for e in v]
+    g = 0
+    for e in ints:
+        g = gcd(g, e)
+    ints = [e // g for e in ints]
+    last = next(e for e in reversed(ints) if e != 0)
+    if last < 0:
+        ints = [-e for e in ints]
+    return tuple(ints)

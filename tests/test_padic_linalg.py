@@ -19,7 +19,9 @@ from sl3building.padic_linalg import (
     is_prime,
     lattice_canonical,
     mat_mul,
+    primitive_vector,
     require_prime,
+    residue_germ_parts,
     smith_exponents,
     smith_left_transform,
     unit_part,
@@ -30,6 +32,7 @@ from sl3building.dynamics import schottky_pair
 from sl3building.rng import make_rng
 from oracles import (
     is_prime_trial_division,
+    primitive_vector_oracle,
     rank,
     smith_elimination_oracle,
     valuation_loop_oracle,
@@ -270,3 +273,52 @@ def test_is_prime_large_and_adversarial_inputs():
     require_prime(2 ** 61 - 1)
     with pytest.raises(ValueError):
         require_prime(2 ** 61 + 1)
+
+
+_ENTRY = st.one_of(st.integers(-60, 60),
+                   st.fractions(min_value=-60, max_value=60, max_denominator=30))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(v=st.tuples(_ENTRY, _ENTRY, _ENTRY))
+def test_primitive_vector_matches_its_fraction_oracle(v):
+    """Int, Fraction and mixed vectors, zeros and negative last entries."""
+    assume(any(v))
+    out = primitive_vector(v)
+    assert out == primitive_vector_oracle(v)
+    assert all(type(e) is int for e in out)
+
+
+@pytest.mark.parametrize("v", [
+    (0, 0, -4), (6, -9, 0), (-2, 4, -6), (0, 5, 0), (3, 0, 0),
+    (Fraction(1, 2), Fraction(-1, 3), 0), (Fraction(4), 0, Fraction(-2)),
+    (Fraction(2, 3), 4, -6), (0, Fraction(-5, 7), 0), (12, 18, -24),
+])
+def test_primitive_vector_examples_match_the_oracle(v):
+    assert primitive_vector(v) == primitive_vector_oracle(v)
+    assert primitive_vector(v)[[i for i, e in enumerate(v) if e][-1]] > 0
+
+
+@pytest.mark.parametrize("v", [(0, 0, 0), (Fraction(0), 0, Fraction(0, 7))])
+def test_primitive_vector_rejects_the_zero_vector(v):
+    for f in (primitive_vector, primitive_vector_oracle):
+        with pytest.raises(ValueError):
+            f(v)
+
+
+def test_residue_germ_parts_is_unchanged_by_the_reduction_mod_p_d_plus_1():
+    # With D the determinant valuation of a basis of p-content 0, its
+    # reduction mod p^(D+1) has the same e2, line and plane normal.
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        for _ in range(200):
+            m = tuple(tuple(rng.randint(-40, 40) * p ** rng.randint(0, 3)
+                            for _ in range(3)) for _ in range(3))
+            d = det3(m)
+            if d == 0 or all(e % p == 0 for row in m for e in row):
+                continue
+            q = p ** (valuation_int(d, p) + 1)
+            red = tuple(tuple(e % q for e in row) for row in m)
+            e2, line, normal = residue_germ_parts(m, p)
+            assert residue_germ_parts(red, p) == (e2, line, normal)
+            assert e2 == smith_exponents(m, p)[1] + smith_exponents(m, p)[2]

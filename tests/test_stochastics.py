@@ -4,9 +4,11 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl3building import stochastics
 from sl3building.building import (
@@ -24,7 +26,12 @@ from sl3building.boundary import (
     is_opposite,
     sector_membership,
 )
-from sl3building.dynamics import GroupElement, make_srh, schottky_pair
+from sl3building.dynamics import (
+    GroupElement,
+    make_srh,
+    random_sl3z,
+    schottky_pair,
+)
 from sl3building.padic_linalg import (
     adjugate3,
     det3,
@@ -56,12 +63,14 @@ from oracles import (
     basis_set_event_oracle,
     basis_set_mass_lattice_oracle,
     count_enumeration_oracle,
+    run_walk_oracle,
     strip_counts_oracle,
 )
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+@lru_cache(maxsize=None)
 def schottky_generators(p, seed):
     cert1, cert2 = schottky_pair(p, make_rng(seed, 0xC0))
     gens = (cert1.element, cert1.element.inverse(),
@@ -300,21 +309,24 @@ def test_walk_reproducibility_bit_for_bit():
 
 
 def test_walk_steps_match_the_exact_relative_position(monkeypatch):
-    # The walk reads theta and the germ off the content-stripped relative
-    # matrix reduced mod p^(D+1), with D taken from its running determinant
-    # valuation.  Replay each word exactly, from base vertices of every type
-    # with det B divisible by p, and check every step against the exact,
-    # unreduced matrix; also check that the matrix whose minors are taken is
-    # that exact matrix mod p^(D+1) with D its own determinant valuation, so
-    # a running valuation that is off in either direction fails.
+    # The walk holds its position in base-vertex coordinates, a matrix of
+    # content 1 proportional to adj(B) z B, and reads theta and the germ off
+    # it reduced mod p^(D+1), with D its running determinant valuation.
+    # Replay each word exactly, from base vertices of every type with det B
+    # divisible by p, and check every step against the exact, unreduced
+    # matrix; also check that the matrix handed to residue_germ_parts is u
+    # times that exact matrix mod p^(D+1), entry by entry in [0, p^(D+1)),
+    # with u a p-adic unit and D the exact matrix's own determinant
+    # valuation, so a running valuation that is off in either direction
+    # fails.
     reduced = []
 
     def spy(m, p):
         reduced.append(m)
-        return real_minors(m, p)
+        return real_germ_parts(m, p)
 
-    real_minors = stochastics.minor2_valuations
-    monkeypatch.setattr(stochastics, "minor2_valuations", spy)
+    real_germ_parts = stochastics.residue_germ_parts
+    monkeypatch.setattr(stochastics, "residue_germ_parts", spy)
     p = 3
     gens, weights = schottky_generators(p, 42)
     assert any(g.den % p == 0 for g in gens)
@@ -345,14 +357,84 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
                 rel_int, _ = strip_p_content(
                     mat_mul(mat_mul(adjugate3(b), z), b), p)
                 q = p ** (valuation_int(det3(rel_int), p) + 1)
-                assert seen == tuple(tuple(e % q for e in row) for row in rel_int)
+                i, j = next((i, j) for i in range(3) for j in range(3)
+                            if rel_int[i][j] % p)
+                u = seen[i][j] * pow(rel_int[i][j], -1, q) % q
+                assert u % p
+                assert seen == tuple(tuple(u * e % q for e in row)
+                                     for row in rel_int)
                 germ = None
                 if is_regular(step.theta):
-                    line, normal = residue_germ_parts(rel_int, p)
+                    _, line, normal = residue_germ_parts(rel_int, p)
                     if line is not None and normal is not None:
                         germ = ResidueChamber.from_parts(p, line, normal)
                 assert step.germ == germ
     assert p_content_grew > 0  # some step strips a gcd divisible by p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_walk_matches_the_product_coordinate_oracle(p):
+    # Whole traces, steps and final vertex, against the walk in the
+    # coordinates of the letters' product, from the standard vertex and from
+    # non-standard base vertices of all three types.
+    gens, weights = schottky_generators(p, 42)
+    assert any(g.den % p == 0 for g in gens)
+    bases = [standard_vertex(p)] + [LatticeVertex.from_matrix(p, m) for m in (
+        ((p, 1, 0), (0, p, 1), (0, 0, p)),
+        ((p, 1, 1), (0, 1, 0), (0, 0, 1)),
+        ((p, 1, 0), (0, p, 1), (0, 0, 1)),
+    )]
+    assert [x.vertex_type for x in bases] == [0, 0, 1, 2]
+    regular = 0
+    for bi, x in enumerate(bases):
+        for seed in range(2):
+            cfg = WalkConfig(p, gens, weights, 40, 10 * bi + seed, x)
+            trace = run_walk(cfg)
+            assert trace == run_walk_oracle(cfg)
+            regular += sum(s.germ is not None for s in trace.steps)
+    assert regular > 0
+
+
+_CONJ_LETTER = st.one_of(
+    st.integers(0, 2 ** 32).map(lambda s: ("z", s)),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda ab: ("d",) + ab))
+
+
+def _conjugator(p, word):
+    g = GroupElement(identity())
+    for letter in word:
+        if letter[0] == "z":
+            h = random_sl3z(make_rng(letter[1]))
+        else:
+            a, b = letter[1:]
+            h = GroupElement.from_matrix(tuple(
+                tuple(Fraction(p) ** e if i == j else 0 for j in range(3))
+                for i, e in enumerate((a, b, -a - b))))
+        g = g * h
+    return g
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(word=st.lists(_CONJ_LETTER, min_size=1, max_size=3),
+       base=st.sampled_from((((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                             ((3, 2, 1), (0, 1, 0), (0, 0, 1)))),
+       seed=st.integers(0, 2 ** 32))
+def test_walk_is_equivariant_under_conjugation(word, base, seed):
+    # The walk of g h g^-1 from g x at the same seed draws the same letters
+    # and sees the same vector distances and germ runs; it ends at g times
+    # the end of the walk of h from x.  The germs themselves move by the
+    # change of residue coordinates and are not compared.
+    p = 3
+    gens, weights = schottky_generators(p, 42)
+    g = _conjugator(p, word)
+    g_inv = g.inverse()
+    x = LatticeVertex.from_matrix(p, base)
+    trace = run_walk(WalkConfig(p, gens, weights, 40, seed, x))
+    moved = run_walk(WalkConfig(p, tuple(g * h * g_inv for h in gens), weights,
+                                40, seed, x.apply(g.num)))
+    assert [(s.letter, s.theta, s.germ_run) for s in moved.steps] == \
+        [(s.letter, s.theta, s.germ_run) for s in trace.steps]
+    assert moved.final_position == trace.final_position.apply(g.num)
 
 
 def test_walk_convergence_rate_small():

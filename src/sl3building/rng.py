@@ -4,6 +4,11 @@ All randomness flows through Python's Mersenne Twister seeded by a splitmix64
 derivation of (seed, index...) so that independent trials get independent,
 reproducible streams: derive(seed, k) feeds each trial k its own generator
 and results are bit-identical across runs and platforms.
+
+On the harmonic sampler's path a stream is defined by its getrandbits words:
+``stochastics._random_stabilizer_matrix`` draws each entry below q as
+getrandbits(q.bit_length()), drawn again while at least q, which is the
+algorithm of CPython's ``randrange(q)``, so it consumes the same words.
 """
 
 from __future__ import annotations

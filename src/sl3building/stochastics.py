@@ -61,13 +61,34 @@ class InsufficientConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _random_stabilizer_matrix(p, depth, rng):
+    """A uniformly random matrix mod q = p^depth whose determinant is a unit.
+
+    Entries are drawn in row order the way ``rng.randrange(q)`` draws them:
+    r = rng.getrandbits(k) with k = q.bit_length(), drawn again while
+    r >= q, so the Mersenne Twister stream is consumed word for word as by
+    randrange.  A matrix is kept when its determinant is nonzero mod p.
+
+    Both loops end with probability one.  An entry draw is accepted with
+    probability q / 2^k > 1/2, since 2^(k-1) <= q.  A matrix is accepted
+    with probability |GL3(F_p)| / p^9 = (1 - 1/p)(1 - 1/p^2)(1 - 1/p^3),
+    at least 168/512, since its determinant mod p depends only on the
+    residues mod p, which are uniform on F_p^9.
+    """
     if depth < 1:  # modulo p^0 = 1 every draw is 0, so no unit would come
         raise ValueError(f"sampling depth must be at least 1, got {depth}")
     q = p ** depth
+    getrandbits = rng.getrandbits
+    k = q.bit_length()
     while True:
-        m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
-        if det3(m) % p != 0:
-            return m
+        e = []
+        for _ in range(9):
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            e.append(r)
+        a, b, c, d, f, g, h, i, j = e
+        if (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p:
+            return ((a, b, c), (d, f, g), (h, i, j))
 
 
 def harmonic_sample(x, depth, rng):
@@ -138,6 +159,8 @@ def basis_set_mass_estimate(x, lam, trials, rng):
     a1 + a2 + 1, where the discretized sampler reproduces the harmonic
     measure exactly, so deviations are purely binomial.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     a1, a2, _ = dominant(lam)
     p = x.p
     depth = a1 + a2 + 1

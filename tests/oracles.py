@@ -22,8 +22,10 @@ Eisenstein norm instead of distances between apartment vertices, square-root
 sums are compared by Fraction enclosures instead of an integer sign test,
 primality by trial division instead of Miller-Rabin, the walk in the
 coordinates of the letters' product with its minors' valuations taken one
-by one instead of in base-vertex coordinates with one gcd of the minors, and
-primitive vectors with a Fraction pass over every entry.
+by one instead of in base-vertex coordinates with one gcd of the minors,
+primitive vectors with a Fraction pass over every entry, and the harmonic
+sampler's stabilizer matrices from randrange and ``det3`` instead of raw
+getrandbits words and an inline determinant.
 """
 
 from fractions import Fraction
@@ -70,7 +72,7 @@ from sl3building.boundary import (
     sector_membership,
 )
 from sl3building.rng import make_rng
-from sl3building.stochastics import WalkStep, WalkTrace, _random_stabilizer_matrix
+from sl3building.stochastics import WalkStep, WalkTrace
 
 
 def valuation_loop_oracle(n, p):
@@ -391,13 +393,24 @@ def basis_set_event_oracle(k, lam, p):
     return is_diagonal_ascending(lattice_canonical(mat_mul(adjugate3(k), d_y), p), p)
 
 
+def random_stabilizer_matrix_oracle(p, depth, rng):
+    """A random matrix mod p^depth with unit determinant, drawn by randrange."""
+    if depth < 1:
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
+    q = p ** depth
+    while True:
+        m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
+        if det3(m) % p != 0:
+            return m
+
+
 def basis_set_mass_lattice_oracle(x, lam, trials, rng):
     """Empirical harmonic mass of U_x(y), each draw decided by the lattice route."""
     lam = dominant(lam)
     depth = lam[0] + lam[1] + 1
     hits = 0
     for _ in range(trials):
-        k = _random_stabilizer_matrix(x.p, depth, rng)
+        k = random_stabilizer_matrix_oracle(x.p, depth, rng)
         if basis_set_event_oracle(k, lam, x.p):
             hits += 1
     return Fraction(hits, trials)

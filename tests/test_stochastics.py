@@ -1,5 +1,6 @@
 """Harmonic sampling, counting, walks and strips."""
 
+import itertools
 import json
 import math
 import random
@@ -63,6 +64,7 @@ from oracles import (
     basis_set_event_oracle,
     basis_set_mass_lattice_oracle,
     count_enumeration_oracle,
+    random_stabilizer_matrix_oracle,
     run_walk_oracle,
     strip_counts_oracle,
 )
@@ -171,6 +173,91 @@ def test_basis_set_event_matches_the_lattice_oracle(monkeypatch):
                 x, lam, 500, make_rng(32, p, lam[0])) == \
                 basis_set_mass_lattice_oracle(x, lam, 500, make_rng(32, p, lam[0]))
     assert draws >= 20_000 and 0 < hits < draws
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_stabilizer_draws_match_the_randrange_oracle(seed):
+    # p = 2 makes q a power of two, where half of all raw draws are rejected
+    for p in (2, 3, 5, 7):
+        for depth in range(1, 6):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert stochastics._random_stabilizer_matrix(p, depth, fast) == \
+                    random_stabilizer_matrix_oracle(p, depth, slow), (p, depth)
+            assert fast.getstate() == slow.getstate(), (p, depth)
+
+
+def test_stabilizer_draw_rejects_depth_below_one_before_drawing():
+    rng = make_rng(3)
+    state = rng.getstate()
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            stochastics._random_stabilizer_matrix(2, depth, rng)
+    assert rng.getstate() == state
+
+
+class _ScriptedBits:
+    """An rng whose getrandbits returns the scripted values in order and
+    records the bit widths asked for."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return next(self._values)
+
+
+def test_stabilizer_unit_test_accepts_exactly_gl3():
+    # Each matrix over F_p is offered as the first depth-1 draw, then the
+    # identity: the sampler accepts the offered matrix iff it stops after
+    # nine draws.  |GL3(F_p)| / p^9 is the per-matrix acceptance chance.
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ident_entries = sum(ident, ())
+    for p, units in ((2, 168), (3, 11_232)):
+        accepted = 0
+        for m in itertools.product(range(p), repeat=9):
+            rng = _ScriptedBits(m + ident_entries)
+            got = stochastics._random_stabilizer_matrix(p, 1, rng)
+            assert set(rng.widths) == {p.bit_length()}
+            if len(rng.widths) == 9:
+                assert got == (m[0:3], m[3:6], m[6:9])
+                accepted += 1
+            else:
+                assert got == ident
+        assert accepted == units == (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
+
+
+def test_basis_set_mass_estimate_rejects_fewer_than_one_trial():
+    x = standard_vertex(2)
+    rng = make_rng(4)
+    state = rng.getstate()
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            stochastics.basis_set_mass_estimate(x, (1, 0, 0), trials, rng)
+    assert rng.getstate() == state
+
+
+# Estimates at 2,000 trials on the criterion-2 streams, with the next
+# rng.random() after each, as recorded with the randrange sampler.
+MASS_GOLDEN = {
+    (2, (1, 0, 0)): (Fraction(31, 250), 0.19009700043875677),
+    (2, (1, 1, 0)): (Fraction(281, 2000), 0.5792586748385476),
+    (2, (2, 1, 0)): (Fraction(11, 500), 0.6091859226662136),
+    (3, (1, 0, 0)): (Fraction(191, 2000), 0.524754967793343),
+    (3, (1, 1, 0)): (Fraction(39, 500), 0.6664289346122841),
+    (3, (2, 1, 0)): (Fraction(1, 250), 0.18551845210892526),
+}
+
+
+def test_basis_set_mass_estimate_matches_its_recorded_values():
+    for (p, lam), (mass, after) in MASS_GOLDEN.items():
+        rng = make_rng(2024, p, lam[0], lam[1])
+        assert stochastics.basis_set_mass_estimate(
+            standard_vertex(p), lam, 2000, rng) == mass, (p, lam)
+        assert rng.random() == after, (p, lam)
 
 
 def test_harmonic_mass_law_small_scale():

@@ -190,8 +190,8 @@ def _newton_root_valuations(coeffs, p):
     """Root valuations of a polynomial over Q_p from its Newton polygon.
 
     coeffs = (c0, ..., cn) are integers, c0, cn != 0.  Each lower-hull segment of
-    slope s contributes (length) roots of valuation -s.  Returns the list of
-    valuations as Fractions, in increasing order.
+    slope s contributes (length) roots of valuation -s.  Returns the sorted
+    valuations, or None when a slope is not an integer (irrational roots).
     """
     pts = [(i, valuation_int(c, p)) for i, c in enumerate(coeffs) if c != 0]
     hull = [pts[0]]
@@ -205,7 +205,9 @@ def _newton_root_valuations(coeffs, p):
         hull.append(pt)
     vals = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
+        slope, rest = divmod(y2 - y1, x2 - x1)
+        if rest:
+            return None
         vals.extend([-slope] * (x2 - x1))
     return sorted(vals)
 
@@ -260,9 +262,8 @@ def _rational_eigenvalues_distinct_valuations(g, p):
     # char poly of num: y^3 - tr y^2 + sec y - den^3, since det(num) = den^3
     b2, b1, b0 = -tr, sec, -g.den ** 3
     vals = _newton_root_valuations((b0, b1, b2, 1), p)
-    if any(v.denominator != 1 for v in vals):
+    if vals is None:
         return SrhRejection("irrational spectrum")
-    vals = [int(v) for v in vals]
     if len(set(vals)) < 3:
         if vals[0] == vals[2]:
             return SrhRejection("not hyperbolic")

@@ -31,11 +31,15 @@ The workhorses are
   valuation D already, so this one call gives it the vector distance
   (D - e2, e2, 0) as well as the germ; ``building.germ_face`` calls it
   too.
+* ``smith_left_transform``: the adapted basis of a lattice span, in
+  integers, off one pivot, one 2x2 minor through it and the determinant;
+  the conditioned harmonic sampler and the walk's direction estimate.
 
-The elimination form of ``smith_exponents`` and the Hermite-form routes of
-sector membership and retraction are kept as independent oracles in the
-test suite, and so is the walk's earlier route, which took the valuation of
-each 2x2 minor one by one.
+The elimination form of ``smith_exponents``, the Fraction elimination of
+``smith_left_transform`` (``smith_left_transform_oracle``) and the
+Hermite-form routes of sector membership and retraction are kept as
+independent oracles in the test suite, and so is the walk's earlier route,
+which took the valuation of each 2x2 minor one by one.
 
 Relative positions and group inverses are taken through integer adjugates;
 the package has no rational inverse.  adj(A) = det(A) A^-1 differs from the
@@ -49,7 +53,6 @@ det-valuation D satisfies p^D Z^3 <= L, so L is determined mod p^(D+1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -150,12 +153,6 @@ def valuation(x, p):
     return valuation_int(x.numerator, p) - valuation_int(x.denominator, p)
 
 
-def unit_part(x, p):
-    """The p-adic unit u with x = p^v * u."""
-    v = valuation(x, p)
-    return Fraction(x) / Fraction(p) ** v
-
-
 # ---------------------------------------------------------------------------
 # plain matrix helpers (rows of tuples, exact entries)
 # ---------------------------------------------------------------------------
@@ -237,14 +234,15 @@ def integerize(m):
     Returns the integer matrix c*m together with the p-independent scalar c.
     Scaling a basis matrix by a scalar only moves the lattice inside its
     homothety class, so homothety-normalized constructions may ignore c.
+    An all-int matrix comes back as it is, with c = 1.
     """
-    den = 1
+    den = 0  # stays 0 while every entry is an int
     for row in m:
         for e in row:
-            if isinstance(e, Fraction):
-                den = den * e.denominator // gcd(den, e.denominator)
-    if den == 1:
-        return tuple(tuple(int(e) for e in row) for row in m), 1
+            if type(e) is not int:
+                den = lcm(den or 1, e.denominator)
+    if not den:
+        return m, 1
     return tuple(tuple(int(e * den) for e in row) for row in m), den
 
 
@@ -382,49 +380,43 @@ def smith_exponents(m, p):
 def smith_left_transform(m, p):
     """Adapted basis for the column span of an invertible rational matrix.
 
-    Returns (P, d) with P invertible over Z_(p) and d ascending such that the
-    lattice spanned by the columns of m equals the span of p^(d_i) * P_i,
-    where P_i are the columns of P.  Exact Fraction arithmetic; use only off
-    the hot paths.
+    Returns (P, d) with P an integer matrix of content 1, invertible over
+    Z_(p), and d ascending such that the lattice spanned by the columns of m
+    equals the span of p^(d_i) * P_i, where P_i are the columns of P.
+
+    Elimination with least-valuation pivots on n = den m, in closed form
+    (Bareiss 1968; Sylvester's identity): the pivots a = n[i0][j0], then
+    b = r(i1, j1) among the minors r(i, j) = a n[i][j] - n[i][j0] n[i0][j],
+    each the first least valuation in the elimination's scan order, leave
+    the entries r / a, then c / (a b) with c = b r(i2, j2) - r(i2, j1)
+    r(i1, j2).  P is the eliminating basis times a b p^d3, up to content.
     """
-    work = [[Fraction(e) for e in row] for row in m]
-    if det3(work) == 0:
+    n, den = integerize(m)
+    if det3(n) == 0:
         raise SingularMatrixError("smith_left_transform requires det != 0")
-    left = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    d = []
-    for step in range(3):
-        bi = bj = None
-        bv = None
-        for i in range(step, 3):
-            for j in range(step, 3):
-                if work[i][j] != 0:
-                    v = valuation(work[i][j], p)
-                    if bv is None or v < bv:
-                        bi, bj, bv = i, j, v
-        # row swap corresponds to swapping columns of the accumulated left part
-        work[step], work[bi] = work[bi], work[step]
-        for r in left:
-            r[step], r[bi] = r[bi], r[step]
-        for r in work:
-            r[step], r[bj] = r[bj], r[step]
-        u = unit_part(work[step][step], p)
-        work[step] = [e / u for e in work[step]]
-        for r in left:
-            r[step] = r[step] * u
-        pv = Fraction(p) ** bv
-        for i in range(3):
-            if i != step and work[i][step] != 0:
-                f = work[i][step] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[step])]
-                for r in left:
-                    r[step] = r[step] + f * r[i]
-        for j in range(step + 1, 3):
-            if work[step][j] != 0:
-                f = work[step][j] / pv
-                for i in range(3):
-                    work[i][j] = work[i][j] - f * work[i][step]
-        d.append(bv)
-    return tuple(tuple(r) for r in left), tuple(d)
+    v0, i0, j0 = min((valuation_int(e, p), i, j)
+                     for i, row in enumerate(n) for j, e in enumerate(row) if e)
+    a = n[i0][j0]
+
+    def minor(i, j):
+        return a * n[i][j] - n[i][j0] * n[i0][j]
+
+    rows = tuple(0 if i == i0 else i for i in (1, 2))
+    cols = tuple(0 if j == j0 else j for j in (1, 2))
+    w1, i1, j1 = min(((valuation_int(e, p), i, j)
+                      for i in rows for j in cols if (e := minor(i, j))),
+                     key=lambda t: t[0])
+    i2, j2 = 3 - i0 - i1, 3 - j0 - j1
+    b = minor(i1, j1)
+    c = b * minor(i2, j2) - minor(i2, j1) * minor(i1, j2)
+    v2 = valuation_int(c, p) - v0 - w1
+    f0, f1 = a * b * p ** (v2 - v0), b * p ** (v2 - w1 + v0)
+    left = tuple((f0 * n[i][j0], f1 * minor(i, j1), c if i == i2 else 0)
+                 for i in range(3))
+    g = gcd(*(e for row in left for e in row))
+    s = valuation_int(den, p)
+    return (tuple(tuple(e // g for e in row) for row in left),
+            (v0 - s, w1 - v0 - s, v2 - s))
 
 
 def flag_adapted_basis(line, normal, p):

@@ -106,6 +106,12 @@ def _sector_shape_matrix(p, depth, exps, rng):
 
     exps is ascending with exps[0] = 0; entry (i, j) below the diagonal must
     be divisible by p^(exps[i] - exps[j]).
+
+    The loop ends with probability one.  Entries with a positive gap are
+    multiples of p, so the matrix mod p is block upper triangular over the
+    blocks of equal exponents; the other entries are uniform mod p.  So a
+    matrix is accepted with probability prod |GL_k(F_p)| / p^(k^2) over
+    the blocks, at least (1 - 1/p)^3 >= 1/8.
     """
     if depth < 1:
         raise ValueError(f"sampling depth must be at least 1, got {depth}")

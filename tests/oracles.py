@@ -23,9 +23,12 @@ sums are compared by Fraction enclosures instead of an integer sign test,
 primality by trial division instead of Miller-Rabin, the walk in the
 coordinates of the letters' product with its minors' valuations taken one
 by one instead of in base-vertex coordinates with one gcd of the minors,
-primitive vectors with a Fraction pass over every entry, and the harmonic
+primitive vectors with a Fraction pass over every entry, the harmonic
 sampler's stabilizer matrices from randrange and ``det3`` instead of raw
-getrandbits words and an inline determinant.
+getrandbits words and an inline determinant, and the adapted basis of
+``smith_left_transform`` from Fraction elimination with unit pivots
+instead of its closed form in one pivot, one 2x2 minor and the
+determinant.
 """
 
 from fractions import Fraction
@@ -50,6 +53,7 @@ from sl3building.padic_linalg import (
     smith_exponents,
     strip_p_content,
     transpose,
+    valuation,
     valuation_int,
 )
 from sl3building.building import (
@@ -132,6 +136,62 @@ def smith_elimination_oracle(m, p):
         active_c.remove(bj)
     exps = [e + content - shift for e in exps]
     return tuple(sorted(exps, reverse=True))
+
+
+def unit_part(x, p):
+    """The p-adic unit u with x = p^v * u."""
+    v = valuation(x, p)
+    return Fraction(x) / Fraction(p) ** v
+
+
+def smith_left_transform_oracle(m, p):
+    """``smith_left_transform`` by Fraction elimination with unit pivots.
+
+    Returns (P, d) with P invertible over Z_(p) and d ascending such that the
+    lattice spanned by the columns of m equals the span of p^(d_i) * P_i,
+    where P_i are the columns of P.  Each step pivots on the first
+    least-valuation entry of the remaining block, swaps it to the front,
+    divides its row by the pivot's unit part and clears its row and column;
+    the row operations accumulate, inverted, in P.
+    """
+    work = [[Fraction(e) for e in row] for row in m]
+    if det3(work) == 0:
+        raise SingularMatrixError("smith_left_transform requires det != 0")
+    left = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
+    d = []
+    for step in range(3):
+        bi = bj = None
+        bv = None
+        for i in range(step, 3):
+            for j in range(step, 3):
+                if work[i][j] != 0:
+                    v = valuation(work[i][j], p)
+                    if bv is None or v < bv:
+                        bi, bj, bv = i, j, v
+        # row swap corresponds to swapping columns of the accumulated left part
+        work[step], work[bi] = work[bi], work[step]
+        for r in left:
+            r[step], r[bi] = r[bi], r[step]
+        for r in work:
+            r[step], r[bj] = r[bj], r[step]
+        u = unit_part(work[step][step], p)
+        work[step] = [e / u for e in work[step]]
+        for r in left:
+            r[step] = r[step] * u
+        pv = Fraction(p) ** bv
+        for i in range(3):
+            if i != step and work[i][step] != 0:
+                f = work[i][step] / pv
+                work[i] = [x - f * y for x, y in zip(work[i], work[step])]
+                for r in left:
+                    r[step] = r[step] + f * r[i]
+        for j in range(step + 1, 3):
+            if work[step][j] != 0:
+                f = work[step][j] / pv
+                for i in range(3):
+                    work[i][j] = work[i][j] - f * work[i][step]
+        d.append(bv)
+    return tuple(tuple(r) for r in left), tuple(d)
 
 
 def rank(m):

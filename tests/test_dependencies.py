@@ -48,3 +48,13 @@ def test_third_party_imports_match_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) == expected
+
+
+def test_padic_linalg_imports_nothing_from_fractions():
+    # its normal forms and adapted bases are integer arithmetic throughout
+    tree = ast.parse((PACKAGE / "padic_linalg.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "fractions" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"

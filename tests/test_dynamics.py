@@ -217,6 +217,12 @@ def test_certify_rejections():
         ((0, 0, 1), (1, 0, Fraction(-1, 5)), (0, 1, Fraction(-1, 5))))
     got = certify_srh(comp, 5)
     assert not got and got.reason == "irrational spectrum"
+    # char poly x^3 + x^2/5 - 1: eigenvalue valuations -1, 1/2, 1/2 at
+    # p = 5, so a Newton slope is not an integer and no Hensel lift is tried
+    half = GroupElement.from_matrix(
+        ((0, 0, 1), (1, 0, 0), (0, 1, Fraction(-1, 5))))
+    got = certify_srh(half, 5)
+    assert not got and got.reason == "irrational spectrum"
 
 
 def test_certify_distinct_valuations_accepts():

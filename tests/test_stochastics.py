@@ -17,6 +17,7 @@ from sl3building.building import (
     ResidueChamber,
     dist2,
     is_regular,
+    random_vertex,
     standard_vertex,
     vector_distance,
 )
@@ -230,6 +231,53 @@ def test_stabilizer_unit_test_accepts_exactly_gl3():
         assert accepted == units == (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
 
 
+class _ScriptedRange:
+    """An rng whose randrange returns the scripted values in order and
+    records the bounds asked for."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return next(self._values)
+
+
+@pytest.mark.parametrize("exps", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)])
+def test_sector_shape_unit_test_accepts_exactly_the_block_units(exps):
+    # Each residue pattern over F_p of the entries not forced into pZ is
+    # offered as the first draw, then the identity: the sampler accepts the
+    # offered matrix iff it stops after nine draws.  The product over the
+    # blocks of equal exponents of |GL_k(F_p)| / p^(k^2) is the per-matrix
+    # acceptance chance.
+    depth = exps[2] + 1
+    gaps = [max(0, exps[i] - exps[j]) for i in range(3) for j in range(3)]
+    free = [k for k in range(9) if gaps[k] == 0]
+    ident = sum(identity(), ())
+    blocks = [exps.count(e) for e in sorted(set(exps))]
+    for p in (2, 3):
+        accepted = 0
+        for pattern in itertools.product(range(p), repeat=len(free)):
+            first = [1] * 9  # a forced entry is p^gap whatever is drawn
+            for k, r in zip(free, pattern):
+                first[k] = r
+            rng = _ScriptedRange(first + list(ident))
+            got = stochastics._sector_shape_matrix(p, depth, exps, rng)
+            assert rng.bounds[:9] == [p ** (depth - g) for g in gaps]
+            if len(rng.bounds) == 9:
+                entries = [e * p ** g for e, g in zip(first, gaps)]
+                assert got == tuple(tuple(entries[3 * i:3 * i + 3])
+                                    for i in range(3))
+                accepted += 1
+            else:
+                assert got == identity()
+        units = math.prod(math.prod(p ** k - p ** i for i in range(k))
+                          for k in blocks)
+        assert accepted == units * p ** (len(free) - sum(k * k for k in blocks))
+        assert 8 * accepted >= p ** len(free)
+
+
 def test_basis_set_mass_estimate_rejects_fewer_than_one_trial():
     x = standard_vertex(2)
     rng = make_rng(4)
@@ -322,6 +370,15 @@ def test_conditioned_sampler_stays_in_the_basis_set():
         for _ in range(50):
             c = harmonic_sample_in_basis_set(x, y, 2 * t + 2, rng)
             assert sector_membership(x, c, y)
+    # random pairs at the least admissible depth theta_1 + 1
+    rng = make_rng(17)
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            x, y = random_vertex(p, rng), random_vertex(p, rng)
+            depth = vector_distance(x, y)[0] + 1
+            for _ in range(8):
+                c = harmonic_sample_in_basis_set(x, y, depth, rng)
+                assert sector_membership(x, c, y)
 
 
 def test_conditioned_sampler_depth_guard():
@@ -544,6 +601,18 @@ def test_direction_estimate_matches_deterministic_direction():
     trace = run_walk(cfg)
     est = direction_estimate(standard_vertex(p), trace.final_position)
     assert est == cert.attracting
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2 ** 32 - 1))
+def test_direction_estimate_is_the_sector_chamber_exactly_when_regular(p, seed):
+    rng = make_rng(seed)
+    for _ in range(6):
+        x, z = random_vertex(p, rng), random_vertex(p, rng)
+        c = direction_estimate(x, z)
+        assert (c is not None) == is_regular(vector_distance(x, z))
+        if c is not None:
+            assert sector_membership(x, c, z)
 
 
 def test_stationary_estimates_agree_across_base_vertices():

@@ -19,7 +19,6 @@ from .padic_linalg import (
     SingularMatrixError,
     ZeroValuationError,
     smith_exponents,
-    valuation,
 )
 from .building import (
     Frame,

@@ -43,11 +43,6 @@ LONGEST_PERM = (2, 1, 0)
 ALL_PERMS = tuple(permutations(range(3)))
 
 
-def perm_length(w):
-    """Number of inversions; the longest element has length 3."""
-    return sum(1 for i in range(3) for j in range(i + 1, 3) if w[i] > w[j])
-
-
 class NotOppositeError(ValueError):
     """Raised when an operation requires a pair of opposite chambers."""
 

@@ -318,12 +318,13 @@ def distance_to_apartment(x, frame):
 # ---------------------------------------------------------------------------
 
 def canonical_modp_vector(v, p):
-    red = tuple(e % p for e in v)
-    if not any(red):
+    """The multiple of a 3-vector mod p whose last nonzero entry is 1."""
+    a, b, c = v[0] % p, v[1] % p, v[2] % p
+    last = c or b or a
+    if not last:
         raise ValueError("vector vanishes mod p")
-    k = max(i for i, e in enumerate(red) if e)
-    inv = pow(red[k], -1, p)
-    return tuple((e * inv) % p for e in red)
+    inv = pow(last, -1, p)
+    return a * inv % p, b * inv % p, c * inv % p
 
 
 @dataclass(frozen=True)

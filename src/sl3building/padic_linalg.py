@@ -28,9 +28,9 @@ The workhorses are
   read off one adjugate of its integer basis: the valuation e2 of the gcd
   of the nine 2x2 minors, the mod-p line of the basis and the mod-p line
   of the adjugate divided by p^e2.  The walk knows the determinant
-  valuation D already, so this one call gives it the vector distance
-  (D - e2, e2, 0) as well as the germ; ``building.germ_face`` calls it
-  too.
+  valuation D already, so this one call on the basis mod p^(floor(D/2)+1)
+  gives it the vector distance (D - e2, e2, 0) as well as the germ;
+  ``building.germ_face`` calls it too.
 * ``smith_left_transform``: the adapted basis of a lattice span, in
   integers, off one pivot, one 2x2 minor through it and the determinant;
   the conditioned harmonic sampler and the walk's direction estimate.
@@ -38,8 +38,9 @@ The workhorses are
 The elimination form of ``smith_exponents``, the Fraction elimination of
 ``smith_left_transform`` (``smith_left_transform_oracle``) and the
 Hermite-form routes of sector membership and retraction are kept as
-independent oracles in the test suite, and so is the walk's earlier route,
-which took the valuation of each 2x2 minor one by one.
+independent oracles in the test suite, and so are the walk's earlier route,
+which took the valuation of each 2x2 minor one by one, and the tuple form of
+``residue_germ_parts`` (``residue_germ_parts_oracle``).
 
 Relative positions and group inverses are taken through integer adjugates;
 the package has no rational inverse.  adj(A) = det(A) A^-1 differs from the
@@ -139,18 +140,6 @@ def valuation_int(n, p):
             n //= powers[k]
             v += 1 << k
     return v
-
-
-def valuation(x, p):
-    """p-adic valuation of a nonzero rational.
-
-    v(p) = 1, v(3/4) = -2 for p = 2, and v(x*y) = v(x) + v(y).
-    """
-    if isinstance(x, int):
-        return valuation_int(x, p)
-    if x == 0:
-        raise ZeroValuationError("valuation of 0 is undefined")
-    return valuation_int(x.numerator, p) - valuation_int(x.denominator, p)
 
 
 # ---------------------------------------------------------------------------
@@ -445,44 +434,62 @@ def flag_adapted_basis(line, normal, p):
 # germ extraction (reductions mod p of a relative lattice position)
 # ---------------------------------------------------------------------------
 
-def _mod_p_column_space_line(m_int, p):
-    """If the mod-p reduction of m has rank 1, return a spanning column."""
-    red = [[e % p for e in row] for row in m_int]
-    cols = list(zip(*red))
-    nonzero = [c for c in cols if any(c)]
-    if not nonzero:
+def _mod_p_column_space_line(x0, x1, x2, y0, y1, y2, z0, z1, z2, p):
+    """The first nonzero column of a matrix mod p whose reduction has rank 1.
+
+    The columns (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) are taken mod p.
+    Returns None when all of them vanish or two are independent, which a
+    nonzero cross product with the first nonzero column shows.
+    """
+    x0, x1, x2 = x0 % p, x1 % p, x2 % p
+    y0, y1, y2 = y0 % p, y1 % p, y2 % p
+    z0, z1, z2 = z0 % p, z1 % p, z2 % p
+    if x0 or x1 or x2:
+        b0, b1, b2 = x0, x1, x2
+        others = ((y0, y1, y2), (z0, z1, z2))
+    elif y0 or y1 or y2:
+        b0, b1, b2 = y0, y1, y2
+        others = ((z0, z1, z2),)
+    elif z0 or z1 or z2:
+        return z0, z1, z2
+    else:
         return None
-    base = nonzero[0]
-    k = next(i for i, e in enumerate(base) if e)
-    inv = pow(base[k], -1, p)
-    for c in nonzero[1:]:
-        f = (c[k] * inv) % p
-        if any((e - f * b) % p for e, b in zip(c, base)):
+    for c0, c1, c2 in others:
+        if (c1 * b2 - c2 * b1) % p or (c2 * b0 - c0 * b2) % p or \
+                (c0 * b1 - c1 * b0) % p:
             return None  # rank >= 2
-    return tuple(e % p for e in base)
+    return b0, b1, b2
 
 
 def residue_germ_parts(n_int, p):
     """Germ data of the segment from the standard lattice toward span(n_int).
 
     n_int is an integer basis matrix of the target lattice with p-content 0
-    (use strip_p_content), so its smallest elementary-divisor exponent is 0;
-    n_int reduced mod p^(D+1), D its determinant valuation, gives the same
-    answer.  Returns (e2, line, plane_normal): e2 is the valuation of the gcd
-    of the nine 2x2 minors, the sum of the two smallest exponents, so the
-    vector distance is (D - e2, e2, 0) up to order.  line and plane_normal
-    are over F_p, either of them None when that part of the germ
-    degenerates:
+    (use strip_p_content), so its elementary-divisor exponents are
+    (0, s2, s3) with s2 <= s3.  Returns (e2, line, plane_normal): e2 = s2 is
+    the valuation of the gcd of the nine 2x2 minors, so the vector distance
+    is (D - e2, e2, 0) with D the determinant valuation.  line and
+    plane_normal are over F_p, either of them None when that part of the
+    germ degenerates:
 
     * line: the mod-p image of the target lattice, when one-dimensional;
     * plane_normal: a normal vector of the mod-p image of the codimension-one
       step of the p-power filtration, read off the transposed adjugate
       divided by p^e2.
+
+    n_int reduced mod p^k with k > e2 gives the same answer, since its 2x2
+    minors agree with the true ones mod p^k; as e2 = s2 <= D/2, the modulus
+    p^(floor(D/2) + 1) suffices.
     """
-    adj_t = transpose(adjugate3(n_int))
-    e2 = valuation_int(gcd(*(e for row in adj_t for e in row)), p)
+    (a, b, c), (d, e, f), (g, h, i) = n_int
+    # the cofactors, that is the transposed adjugate, row by row
+    c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+    c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
+    c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
+    e2 = valuation_int(gcd(c00, c01, c02, c10, c11, c12, c20, c21, c22), p)
+    line = _mod_p_column_space_line(a, d, g, b, e, h, c, f, i, p)
     q = p ** e2
-    line = _mod_p_column_space_line(n_int, p)
-    normal = _mod_p_column_space_line(
-        tuple(tuple(e // q for e in row) for row in adj_t), p)
+    normal = _mod_p_column_space_line(c00 // q, c10 // q, c20 // q,
+                                      c01 // q, c11 // q, c21 // q,
+                                      c02 // q, c12 // q, c22 // q, p)
     return e2, line, normal

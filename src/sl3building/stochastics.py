@@ -228,6 +228,8 @@ class WalkConfig:
             raise ValueError("weights must all be positive")
         if sum(ws) != 1:
             raise ValueError("weights must sum to 1")
+        if type(self.steps) is not int or self.steps < 0:
+            raise ValueError(f"steps must be an int >= 0, got {self.steps!r}")
 
     def thresholds(self):
         ws = [Fraction(w) for w in self.weights]
@@ -262,28 +264,37 @@ class WalkTrace:
         return self.steps[-1].theta
 
 
-def _strip_content(m):
-    """Divide an integer matrix by the gcd of its entries; returns (m / g, g)."""
-    g = math.gcd(*(e for row in m for e in row))
-    if g == 1:
-        return m, 1
-    return tuple(tuple(e // g for e in row) for row in m), g
+def _mul_strip(m, n):
+    """The integer product m n divided by the gcd of its entries; (m n / g, g)."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    (r, s, t), (u, v, w), (x, y, z) = n
+    p00, p01, p02 = a * r + b * u + c * x, a * s + b * v + c * y, a * t + b * w + c * z
+    p10, p11, p12 = d * r + e * u + f * x, d * s + e * v + f * y, d * t + e * w + f * z
+    p20, p21, p22 = g * r + h * u + i * x, g * s + h * v + i * y, g * t + h * w + i * z
+    k = math.gcd(p00, p01, p02, p10, p11, p12, p20, p21, p22)
+    if k != 1:
+        p00, p01, p02 = p00 // k, p01 // k, p02 // k
+        p10, p11, p12 = p10 // k, p11 // k, p12 // k
+        p20, p21, p22 = p20 // k, p21 // k, p22 // k
+    return ((p00, p01, p02), (p10, p11, p12), (p20, p21, p22)), k
 
 
 def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
     """The walk step at position rel, of content 1, with d = v_p(det rel).
 
-    rel has no p-content, so its least elementary-divisor exponent is 0 and
-    the vector distance is (d - e2, e2, 0), e2 the least 2x2-minor
-    valuation.  Both e2 and the germ are read off rel mod p^(d+1)
-    (``residue_germ_parts``): the determinant keeps valuation d there,
-    e2 <= d stays e2, and so do the mod-p images of rel and of its adjugate
+    rel has no p-content, so its elementary-divisor exponents are
+    (0, e2, d - e2) with e2 <= d - e2, and the vector distance is
+    (d - e2, e2, 0), e2 the least 2x2-minor valuation.  Both e2 and the germ
+    are read off rel mod p^(floor(d/2) + 1) (``residue_germ_parts``): e2 is at
+    most floor(d/2), and the 2x2 minors mod that modulus are the true ones,
+    so e2 stays e2 and so do the mod-p images of rel and of its adjugate
     divided by p^e2.
     """
-    q = p ** (d + 1)
+    q = p ** (d // 2 + 1)
+    (a, b, c), (e, f, g), (h, i, j) = rel
     e2, line, normal = residue_germ_parts(
-        tuple(tuple(e % q for e in row) for row in rel), p)
-    theta = dominant((d - e2, e2, 0))
+        ((a % q, b % q, c % q), (e % q, f % q, g % q), (h % q, i % q, j % q)), p)
+    theta = (d - e2, e2, 0)
     germ = None
     run = 0
     if is_regular(theta) and line is not None and normal is not None:
@@ -302,22 +313,21 @@ def run_walk(config):
     is proportional to adj(B) z B for the product z of the letters'
     numerators, and B rel spans the vertex reached.  v_p(det rel) is kept as
     a running sum: a letter adds v_p(det G), and stripping a content g
-    subtracts 3 v_p(g).  Each step is read off rel mod p^(D+1), D that
-    determinant valuation (see _position_record).
+    subtracts 3 v_p(g).  Each step is read off rel mod p^(floor(D/2) + 1),
+    D that determinant valuation (see _position_record).
     """
     p = config.p
     rng = make_rng(config.seed)
     den, cum = config.thresholds()
     b = config.base_vertex.matrix
     adj_b = adjugate3(b)
-    gens = [_strip_content(mat_mul(mat_mul(adj_b, g.num), b))[0]
-            for g in config.generators]
+    gens = [_mul_strip(mat_mul(adj_b, g.num), b)[0] for g in config.generators]
     gens_dv = [valuation_int(det3(g), p) for g in gens]
     rel, d = identity(), 0
     steps = [_position_record(0, -1, rel, d, None, 0, p)]
     for n in range(1, config.steps + 1):
         idx = bisect_right(cum, rng.randrange(den))
-        rel, g = _strip_content(mat_mul(rel, gens[idx]))
+        rel, g = _mul_strip(rel, gens[idx])
         d += gens_dv[idx] - 3 * valuation_int(g, p)
         prev = steps[-1]
         steps.append(_position_record(n, idx, rel, d, prev.germ, prev.germ_run,
@@ -376,8 +386,12 @@ def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2),
     events is a sequence of (label, x, y) with U_x(y) the event.  Each trial
     runs an independent walk (seed derived from the config seed and the trial
     index), keeps it when the convergence detector fires, and classifies the
-    estimated limit chamber against each event.
+    estimated limit chamber against each event.  Raises ValueError for
+    trials < 1 and InsufficientConvergenceError when fewer than
+    min_converged of the trials, or none of them, converge.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     converged = 0
     hits = {label: 0 for label, _, _ in events}
     for t in range(trials):
@@ -395,7 +409,7 @@ def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2),
         for label, x, y in events:
             if sector_membership(x, chamber, y):
                 hits[label] += 1
-    if Fraction(converged, trials) < min_converged:
+    if converged == 0 or Fraction(converged, trials) < min_converged:
         raise InsufficientConvergenceError(
             f"only {converged}/{trials} walks converged")
     out = []

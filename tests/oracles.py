@@ -28,7 +28,11 @@ sampler's stabilizer matrices from randrange and ``det3`` instead of raw
 getrandbits words and an inline determinant, and the adapted basis of
 ``smith_left_transform`` from Fraction elimination with unit pivots
 instead of its closed form in one pivot, one 2x2 minor and the
-determinant.
+determinant, and the germ parts from a transposed adjugate and a rank-1
+test by elimination over tuples of the unreduced basis instead of nine
+cofactors and cross products on locals of the basis mod p^(floor(D/2)+1).
+The rational ``valuation`` and ``perm_length`` live here because only the
+tests use them.
 """
 
 from fractions import Fraction
@@ -53,7 +57,6 @@ from sl3building.padic_linalg import (
     smith_exponents,
     strip_p_content,
     transpose,
-    valuation,
     valuation_int,
 )
 from sl3building.building import (
@@ -89,6 +92,23 @@ def valuation_loop_oracle(n, p):
         n //= p
         v += 1
     return v
+
+
+def valuation(x, p):
+    """p-adic valuation of a nonzero rational.
+
+    v(p) = 1, v(3/4) = -2 for p = 2, and v(x*y) = v(x) + v(y).
+    """
+    if isinstance(x, int):
+        return valuation_int(x, p)
+    if x == 0:
+        raise ZeroValuationError("valuation of 0 is undefined")
+    return valuation_int(x.numerator, p) - valuation_int(x.denominator, p)
+
+
+def perm_length(w):
+    """Number of inversions; the longest element has length 3."""
+    return sum(1 for i in range(3) for j in range(i + 1, 3) if w[i] > w[j])
 
 
 def smith_elimination_oracle(m, p):
@@ -584,6 +604,36 @@ def _mod_p_line_oracle(m, p):
     if any(e % p for row in adjugate3(red) for e in row):
         return None
     return next((c for c in zip(*red) if any(c)), None)
+
+
+def _mod_p_column_space_line_oracle(m_int, p):
+    """If the mod-p reduction of m has rank 1, return a spanning column."""
+    red = [[e % p for e in row] for row in m_int]
+    cols = list(zip(*red))
+    nonzero = [c for c in cols if any(c)]
+    if not nonzero:
+        return None
+    base = nonzero[0]
+    k = next(i for i, e in enumerate(base) if e)
+    inv = pow(base[k], -1, p)
+    for c in nonzero[1:]:
+        f = (c[k] * inv) % p
+        if any((e - f * b) % p for e, b in zip(c, base)):
+            return None  # rank >= 2
+    return tuple(e % p for e in base)
+
+
+def residue_germ_parts_oracle(n_int, p):
+    """``residue_germ_parts`` through ``transpose(adjugate3(n_int))`` and a
+    rank-1 test by unit-inverse elimination on lists, for an unreduced n_int
+    of p-content 0."""
+    adj_t = transpose(adjugate3(n_int))
+    e2 = valuation_int(gcd(*(e for row in adj_t for e in row)), p)
+    q = p ** e2
+    line = _mod_p_column_space_line_oracle(n_int, p)
+    normal = _mod_p_column_space_line_oracle(
+        tuple(tuple(e // q for e in row) for row in adj_t), p)
+    return e2, line, normal
 
 
 def _walk_record_oracle(n, letter, z, adj_b, b, d, prev_germ, prev_run, p):

@@ -30,7 +30,6 @@ from sl3building.boundary import (
     growth_ray_vertex,
     is_opposite,
     opposite_in_apartment,
-    perm_length,
     ray_depth,
     retraction,
     sector_membership,
@@ -44,6 +43,7 @@ from sl3building.sqrtsum import SqrtSum
 from oracles import (
     common_depth_ray_oracle,
     flag_echelon_oracle,
+    perm_length,
     retraction_lattice_oracle,
     sector_membership_lattice_oracle,
     sector_membership_oracle,

@@ -1,5 +1,6 @@
 """Vertices, distances, apartments and residues."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from sl3building.building import (
     Frame,
     IrregularSegmentError,
     LatticeVertex,
+    canonical_modp_vector,
     dist2,
     distance_to_apartment,
     dominant,
@@ -317,3 +319,17 @@ def test_germ_face_degeneration_patterns():
     wall2 = LatticeVertex.from_matrix(p, ((3, 0, 0), (0, 1, 0), (0, 0, 1)))
     line, normal = germ_face(o, wall2)
     assert line is None and normal is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_canonical_modp_vector_is_the_multiple_ending_in_one(p):
+    # every vector of F_p^3, lifted with entries of both signs and beyond p
+    for v in itertools.product(range(p), repeat=3):
+        lift = tuple(e + p * s for e, s in zip(v, (-1, 2, -3)))
+        if not any(v):
+            with pytest.raises(ValueError):
+                canonical_modp_vector(lift, p)
+            continue
+        out = canonical_modp_vector(lift, p)
+        assert out in {tuple(k * e % p for e in v) for k in range(1, p)}
+        assert [e for e in out if e][-1] == 1

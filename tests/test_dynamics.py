@@ -39,10 +39,10 @@ from sl3building.dynamics import (
     schubert_avoidance_report,
     universal_contraction,
 )
-from sl3building.padic_linalg import cross, det3, identity, mat_mul, mat_vec, valuation
+from sl3building.padic_linalg import cross, det3, identity, mat_mul, mat_vec
 from sl3building.stochastics import harmonic_sample
 from sl3building.rng import make_rng
-from oracles import mat_inv3
+from oracles import mat_inv3, valuation
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

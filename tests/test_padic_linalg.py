@@ -25,7 +25,7 @@ from sl3building.padic_linalg import (
     residue_germ_parts,
     smith_exponents,
     smith_left_transform,
-    valuation,
+    strip_p_content,
     valuation_int,
 )
 from sl3building.dynamics import schottky_pair
@@ -34,9 +34,11 @@ from oracles import (
     is_prime_trial_division,
     primitive_vector_oracle,
     rank,
+    residue_germ_parts_oracle,
     smith_elimination_oracle,
     smith_left_transform_oracle,
     unit_part,
+    valuation,
     valuation_loop_oracle,
 )
 
@@ -353,3 +355,38 @@ def test_residue_germ_parts_is_unchanged_by_the_reduction_mod_p_d_plus_1():
             e2, line, normal = residue_germ_parts(m, p)
             assert residue_germ_parts(red, p) == (e2, line, normal)
             assert e2 == smith_exponents(m, p)[1] + smith_exponents(m, p)[2]
+
+
+@st.composite
+def _p_content_free_matrices(draw):
+    # either entries u p^k, most of them divisible by p, or U diag(1, p^a,
+    # p^b) V with a <= b, which puts e2 = a at or next to floor(D/2); the
+    # p-content is stripped, and determinant valuations reach about 25
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    if draw(st.booleans()):
+        entry = st.builds(lambda u, k: u * p ** k,
+                          st.integers(-20, 20), st.integers(0, 8))
+        m = tuple(tuple(draw(entry) for _ in range(3)) for _ in range(3))
+    else:
+        a = draw(st.integers(0, 11))
+        b = draw(st.integers(a, 11))
+        small = st.integers(-3, 3)
+        u, v = (tuple(tuple(draw(small) for _ in range(3)) for _ in range(3))
+                for _ in range(2))
+        m = mat_mul(mat_mul(u, ((1, 0, 0), (0, p ** a, 0), (0, 0, p ** b))), v)
+    assume(det3(m) != 0)
+    return p, strip_p_content(m, p)[0]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_p_content_free_matrices())
+def test_residue_germ_parts_mod_p_to_half_the_det_valuation_matches_the_oracle(pm):
+    # e2 = s2 <= floor(D/2), and the 2x2 minors of the reduction mod
+    # p^(floor(D/2)+1) agree with the true ones to that modulus, so e2 and
+    # the adjugate divided by p^e2 survive it mod p.
+    p, m = pm
+    expected = residue_germ_parts_oracle(m, p)
+    q = p ** (valuation_int(det3(m), p) // 2 + 1)
+    red = tuple(tuple(e % q for e in row) for row in m)
+    assert residue_germ_parts(red, p) == expected
+    assert residue_germ_parts(m, p) == expected

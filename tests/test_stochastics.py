@@ -407,6 +407,12 @@ def test_walk_config_validation():
         WalkConfig(p, (g, g), (Fraction(3, 2), Fraction(-1, 2)), 5, 1, x)
     with pytest.raises(ValueError):
         WalkConfig(p, (g, g), (Fraction(3, 4), Fraction(1, 2)), 5, 1, x)
+    # steps is an int >= 0: a negative count would give a one-record trace
+    # and a fractional one a TypeError inside run_walk
+    for steps in (-3, -1, 2.5, 3.0, True, "5", None):
+        with pytest.raises(ValueError):
+            WalkConfig(p, (g,), (Fraction(1),), steps, 1, x)
+    assert len(run_walk(WalkConfig(p, (g,), (Fraction(1),), 2, 1, x)).steps) == 3
 
 
 def test_deterministic_srh_walk():
@@ -455,14 +461,15 @@ def test_walk_reproducibility_bit_for_bit():
 def test_walk_steps_match_the_exact_relative_position(monkeypatch):
     # The walk holds its position in base-vertex coordinates, a matrix of
     # content 1 proportional to adj(B) z B, and reads theta and the germ off
-    # it reduced mod p^(D+1), with D its running determinant valuation.
-    # Replay each word exactly, from base vertices of every type with det B
-    # divisible by p, and check every step against the exact, unreduced
-    # matrix; also check that the matrix handed to residue_germ_parts is u
-    # times that exact matrix mod p^(D+1), entry by entry in [0, p^(D+1)),
-    # with u a p-adic unit and D the exact matrix's own determinant
-    # valuation, so a running valuation that is off in either direction
-    # fails.
+    # it reduced mod p^(floor(D/2)+1), with D its running determinant
+    # valuation.  Replay each word exactly, from base vertices of every type
+    # with det B divisible by p, and check every step against the exact,
+    # unreduced matrix; also check that the matrix handed to
+    # residue_germ_parts is u times that exact matrix mod p^(floor(D/2)+1),
+    # entry by entry in [0, p^(floor(D/2)+1)), with u a p-adic unit and D
+    # the exact matrix's own determinant valuation.  A running valuation
+    # that is off in either direction fails the theta check, and the
+    # modulus check too unless it keeps floor(D/2).
     reduced = []
 
     def spy(m, p):
@@ -500,7 +507,7 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
                     x, LatticeVertex.from_matrix(p, mat_mul(z, b)))
                 rel_int, _ = strip_p_content(
                     mat_mul(mat_mul(adjugate3(b), z), b), p)
-                q = p ** (valuation_int(det3(rel_int), p) + 1)
+                q = p ** (valuation_int(det3(rel_int), p) // 2 + 1)
                 i, j = next((i, j) for i in range(3) for j in range(3)
                             if rel_int[i][j] % p)
                 u = seen[i][j] * pow(rel_int[i][j], -1, q) % q
@@ -670,6 +677,21 @@ def test_stationary_estimate_requires_convergence():
     cfg = WalkConfig(p, (g,), (Fraction(1),), 20, 9, standard_vertex(p))
     with pytest.raises(InsufficientConvergenceError):
         stationary_estimate(cfg, 10, [])
+
+
+def test_stationary_estimate_rejects_no_trials_and_no_convergence():
+    # neither may end in Fraction(0, 0), a bare ZeroDivisionError
+    p = 3
+    g = GroupElement.from_matrix(identity())
+    cfg = WalkConfig(p, (g,), (Fraction(1),), 20, 9, standard_vertex(p))
+    for trials in (0, -2):
+        with pytest.raises(ValueError):
+            stationary_estimate(cfg, trials, [])
+    # the identity walk never converges, so no frequency has a denominator
+    # even when no convergence rate is required
+    with pytest.raises(InsufficientConvergenceError):
+        stationary_estimate(cfg, 4, [("E", cfg.base_vertex, cfg.base_vertex)],
+                            min_converged=Fraction(0))
 
 
 def test_strip_growth_counts_and_exponent():

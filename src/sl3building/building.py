@@ -186,6 +186,11 @@ _MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 _ROW_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def _pad3(terms):
+    """The one to three terms padded to exactly three by repeating them."""
+    return tuple((terms * 3)[:3])
+
+
 class ApartmentPairDistance:
     """Exact distances from the vertices of one basis to a frame apartment.
 
@@ -195,9 +200,13 @@ class ApartmentPairDistance:
     diag(p^-t) K diag(p^m) up to a scalar, so every minor valuation of their
     relative position is a minor valuation of K shifted by the exponents of
     its rows and columns.  The kernel's output is stored once, grouped by
-    row and by row pair.  For a fixed source m the minima over columns are
-    taken once (``_source_minima``): a_i per row, b per row pair and c for
-    the determinant.  Each target t then costs three small minima,
+    row and by row pair, and each group is padded to exactly three terms by
+    repeating its own terms: a repeated term leaves a minimum unchanged, and
+    a nonsingular K has a nonzero entry in every row and a nonzero minor on
+    every row pair, so no group is empty.  For a fixed source m the minima
+    over columns are taken once (``_source_minima``, one three-way ``min``
+    per row and per row pair): a_i per row, b per row pair and c for the
+    determinant.  Each target t then costs three small minima,
 
         e1 = min_i(a_i - t_i),  e2 = min over pairs (b_i1i2 - t_i1 - t_i2),
         e3 = c - sum(t),
@@ -210,28 +219,36 @@ class ApartmentPairDistance:
 
     def __init__(self, k_int, p):
         entries, minors, self.det_val = minor_valuations(k_int, p)
-        self.rows = tuple(tuple((v, j) for v, i, j in entries if i == r)
+        self.rows = tuple(_pad3([(v, j) for v, i, j in entries if i == r])
                           for r in range(3))
         self.row_pairs = tuple(
-            tuple((v, j1, j2) for v, i1, i2, j1, j2 in minors if (i1, i2) == rp)
+            _pad3([(v, j1, j2) for v, i1, i2, j1, j2 in minors if (i1, i2) == rp])
             for rp in _ROW_PAIRS)
 
     def _source_minima(self, m):
-        """Per-source minima (a, b, c) for the source vertex at exponents m.
+        """Per-source minima (a0, a1, a2, b01, b02, b12, c) at exponents m.
 
-        a[i] = min_j(v_ij + m_j) over the entries of row i, b[k] the same
-        minimum over the 2x2 minors on row pair k (rows (0, 1), (0, 2),
-        (1, 2)) and c = det_val + sum(m).  A nonsingular K has a nonzero
-        entry in every row and a nonzero minor on every row pair.
+        a_i = min_j(v_ij + m_j) over the entries of row i, b_i1i2 the same
+        minimum over the 2x2 minors on rows (i1, i2) and c = det_val + sum(m).
         """
-        a = tuple(min(v + m[j] for v, j in row) for row in self.rows)
-        b = tuple(min(v + m[j1] + m[j2] for v, j1, j2 in rp)
-                  for rp in self.row_pairs)
-        return a, b, self.det_val + m[0] + m[1] + m[2]
+        (r0, r1, r2), (q01, q02, q12) = self.rows, self.row_pairs
+        (x, i), (y, j), (z, k) = r0
+        a0 = min(x + m[i], y + m[j], z + m[k])
+        (x, i), (y, j), (z, k) = r1
+        a1 = min(x + m[i], y + m[j], z + m[k])
+        (x, i), (y, j), (z, k) = r2
+        a2 = min(x + m[i], y + m[j], z + m[k])
+        (x, i, u), (y, j, v), (z, k, w) = q01
+        b01 = min(x + m[i] + m[u], y + m[j] + m[v], z + m[k] + m[w])
+        (x, i, u), (y, j, v), (z, k, w) = q02
+        b02 = min(x + m[i] + m[u], y + m[j] + m[v], z + m[k] + m[w])
+        (x, i, u), (y, j, v), (z, k, w) = q12
+        b12 = min(x + m[i] + m[u], y + m[j] + m[v], z + m[k] + m[w])
+        return a0, a1, a2, b01, b02, b12, self.det_val + m[0] + m[1] + m[2]
 
     def theta(self, m, m_to):
         """Vector distance from the m_to vertex of the target to the m vertex."""
-        (a0, a1, a2), (b01, b02, b12), c = self._source_minima(m)
+        a0, a1, a2, b01, b02, b12, c = self._source_minima(m)
         t0, t1, t2 = m_to
         e1 = min(a0 - t0, a1 - t1, a2 - t2)
         e2 = min(b01 - t0 - t1, b02 - t0 - t2, b12 - t1 - t2)
@@ -266,36 +283,34 @@ class ApartmentPairDistance:
 
         So the point where the descent ends is a global minimizer.
         """
-        (a0, a1, a2), (b01, b02, b12), c = self._source_minima(m)
-
-        def dist2_at(t0, t1, t2):
-            # the minima spelled out: this is the inner loop of the descent
-            e1 = a0 - t0
-            if a1 - t1 < e1:
-                e1 = a1 - t1
-            if a2 - t2 < e1:
-                e1 = a2 - t2
-            e2 = b01 - t0 - t1
-            if b02 - t0 - t2 < e2:
-                e2 = b02 - t0 - t2
-            if b12 - t1 - t2 < e2:
-                e2 = b12 - t1 - t2
-            e3 = c - t0 - t1 - t2
-            d2, d3 = e2 - e1, e3 - e2
-            return (3 * (e1 * e1 + d2 * d2 + d3 * d3) - e3 * e3) // 2
-
-        cur = (0, 0, 0)
-        best = dist2_at(0, 0, 0)
-        improved = True
-        while improved and best > 0:
-            improved = False
-            for mv in _MOVES:
-                cand = (cur[0] + mv[0], cur[1] + mv[1], cur[2] + mv[2])
-                q = dist2_at(*cand)
+        a0, a1, a2, b01, b02, b12, c = self._source_minima(m)
+        t0 = t1 = t2 = 0
+        e1, e2 = min(a0, a1, a2), min(b01, b02, b12)
+        d2, d3 = e2 - e1, c - e2
+        best = (3 * (e1 * e1 + d2 * d2 + d3 * d3) - c * c) // 2
+        while best > 0:
+            for s0, s1, s2 in _MOVES:
+                u0, u1, u2 = t0 + s0, t1 + s1, t2 + s2
+                # the q formula spelled out: this is the inner loop of the descent
+                e1 = a0 - u0
+                if a1 - u1 < e1:
+                    e1 = a1 - u1
+                if a2 - u2 < e1:
+                    e1 = a2 - u2
+                e2 = b01 - u0 - u1
+                if b02 - u0 - u2 < e2:
+                    e2 = b02 - u0 - u2
+                if b12 - u1 - u2 < e2:
+                    e2 = b12 - u1 - u2
+                e3 = c - u0 - u1 - u2
+                d2, d3 = e2 - e1, e3 - e2
+                q = (3 * (e1 * e1 + d2 * d2 + d3 * d3) - e3 * e3) // 2
                 if q < best:
-                    cur, best, improved = cand, q, True
+                    t0, t1, t2, best = u0, u1, u2, q
                     break
-        return best, cur
+            else:
+                break
+        return best, (t0, t1, t2)
 
     def dist2_to_apartment(self, m):
         """Certified min squared distance from the m-vertex to the target apartment."""

@@ -133,38 +133,6 @@ def stabilizes_flag(m, flag):
     return stabilizes_line(m, flag.line) and stabilizes_plane(m, flag.plane_normal)
 
 
-STANDARD_APARTMENT_SIMPLICES = (
-    ("line", (1, 0, 0)), ("line", (0, 1, 0)), ("line", (0, 0, 1)),
-    ("plane", (0, 0, 1)), ("plane", (0, 1, 0)), ("plane", (1, 0, 0)),
-    ("chamber", ((1, 0, 0), (0, 0, 1))),   # <e1> < <e1,e2>
-    ("chamber", ((1, 0, 0), (0, 1, 0))),   # <e1> < <e1,e3>
-    ("chamber", ((0, 1, 0), (0, 0, 1))),   # <e2> < <e1,e2>
-    ("chamber", ((0, 1, 0), (1, 0, 0))),   # <e2> < <e2,e3>
-    ("chamber", ((0, 0, 1), (0, 1, 0))),   # <e3> < <e1,e3>
-    ("chamber", ((0, 0, 1), (1, 0, 0))),   # <e3> < <e2,e3>
-)
-
-
-def stabilized_apartment_simplices(m):
-    """Labels of the standard-apartment ideal simplices stabilized by m.
-
-    The twelve simplices are the coordinate lines, the coordinate planes
-    (named by their normals) and the six coordinate chambers given as
-    (line, plane normal) pairs.
-    """
-    out = []
-    for kind, data in STANDARD_APARTMENT_SIMPLICES:
-        if kind == "line" and stabilizes_line(m, data):
-            out.append((kind, data))
-        elif kind == "plane" and stabilizes_plane(m, data):
-            out.append((kind, data))
-        elif kind == "chamber":
-            line, normal = data
-            if stabilizes_line(m, line) and stabilizes_plane(m, normal):
-                out.append((kind, data))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # position reports
 # ---------------------------------------------------------------------------

@@ -33,22 +33,35 @@ def _squarefree_split(n):
     return a, s * n
 
 
+def _root_sum_at_scale(terms, digits):
+    """(mid, slack) for integer (s, c_s) terms: 10^digits times their sum, bracketed.
+
+    mid = sum of c_s * isqrt(s * 10^(2 digits)) and slack = sum of |c_s|.
+    Each integer square root is below the true root by less than 1, so
+    10^digits * sum c_s * sqrt(s) lies within slack of mid, and in
+    [mid, mid + slack] when every c_s is positive.
+    """
+    scale2 = 10 ** (2 * digits)
+    return (sum(c * isqrt(s * scale2) for s, c in terms),
+            sum(abs(c) for _, c in terms))
+
+
 def _sign_at_scale(terms, digits):
     """Sign of sum c_s * sqrt(s) over integer (s, c_s) terms, or 0 if unresolved.
 
-    mid = sum of c_s * isqrt(s * 10^(2 digits)) differs from 10^digits times
-    the sum by less than slack = sum of |c_s|, since each integer square root
-    is below the true root by less than 1.  So |mid| > slack decides the
-    sign; otherwise the scale is too coarse and 0 is returned.
+    |mid| > slack of ``_root_sum_at_scale`` decides the sign; otherwise the
+    scale is too coarse and 0 is returned.
     """
-    scale2 = 10 ** (2 * digits)
-    mid = sum(c * isqrt(s * scale2) for s, c in terms)
-    slack = sum(abs(c) for _, c in terms)
+    mid, slack = _root_sum_at_scale(terms, digits)
     if mid > slack:
         return 1
     if mid < -slack:
         return -1
     return 0
+
+
+# the first scale of ``SqrtSum.compare``; ``triples`` brackets at it too
+FIRST_DIGITS = 12
 
 
 class SqrtSum:
@@ -115,7 +128,7 @@ class SqrtSum:
 
         Equal term lists are equal values.  Otherwise the difference
         sum of c_s * sqrt(s) is nonzero, and ``_sign_at_scale`` is tried on
-        it at 12, 24, 48, ... digits.
+        it at FIRST_DIGITS = 12, then 24, 48, ... digits.
         """
         if self.terms == other.terms:
             return 0
@@ -123,7 +136,7 @@ class SqrtSum:
         for s, c in other.terms:
             diff[s] = diff.get(s, 0) - c
         terms = [(s, c) for s, c in diff.items() if c]
-        digits = 12
+        digits = FIRST_DIGITS
         while True:
             sign = _sign_at_scale(terms, digits)
             if sign:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .padic_linalg import (
     adjugate3,
@@ -36,7 +37,7 @@ from .boundary import (
     apartment_from_opposite,
     is_opposite,
 )
-from .sqrtsum import SqrtSum
+from .sqrtsum import FIRST_DIGITS, SqrtSum, _root_sum_at_scale
 from .stochastics import harmonic_sample, harmonic_sample_in_basis_set
 
 
@@ -199,32 +200,69 @@ class BarycenterResult:
 
 _LIPSCHITZ_MARGIN = SqrtSum.sqrt_int(3)  # 3-Lipschitz sum x covering radius 1/sqrt(3)
 _TWO = SqrtSum.of_squares((4,))
+_SCALE2 = 10 ** (2 * FIRST_DIGITS)
+
+
+def _bracket(value):
+    """(value, lo, hi) with 10^12 * value in [lo, hi], for positive coefficients."""
+    lo, slack = _root_sum_at_scale(value.terms, FIRST_DIGITS)
+    return value, lo, lo + slack
+
+
+def _scaled_floor(squares):
+    """isqrt(qa 10^24) + isqrt(qb 10^24) for the squared distances (qa, qb)."""
+    return isqrt(squares[0] * _SCALE2) + isqrt(squares[1] * _SCALE2)
+
+
+def _compare_squares(squares, lo, ref):
+    """Exact sign of sqrt(qa) + sqrt(qb) - r for a bracketed reference r.
+
+    lo = ``_scaled_floor(squares)``, so 10^12 (sqrt(qa) + sqrt(qb))
+    lies in [lo, lo + 2) while 10^12 r lies in [r_lo, r_hi].  So lo > r_hi
+    (strict: a zero reference has r_lo = r_hi, and lo = r_hi may be a tie)
+    puts the value above r, lo + 2 <= r_lo puts it below, and anything else,
+    ties included, goes to ``SqrtSum.compare``.
+    """
+    value, r_lo, r_hi = ref
+    if lo > r_hi:
+        return 1
+    if lo + 2 <= r_lo:
+        return -1
+    return SqrtSum.of_squares(squares).compare(value)
 
 
 def _certified_apartment_min(value_at, radius_cap):
     """Certified minimum of a convex vertex function on one apartment.
 
-    Expanding triangular-lattice shells around a greedily improved center;
-    the search stops once the two outermost shells lie entirely above the
-    best value plus sqrt(3).  Convexity then forbids a better vertex outside:
-    a geodesic from an interior minimizer to it would cross the annulus at a
-    point whose nearest lattice vertex (within covering radius 1/sqrt(3) of
-    the 3-Lipschitz function) would contradict the shell bound.
+    value_at(m) gives the two squared distances (qa, qb) of the vertex m,
+    whose value is sqrt(qa) + sqrt(qb).  Expanding triangular-lattice
+    shells around a greedily improved center; the search stops once the two
+    outermost shells lie entirely above the best value plus sqrt(3).
+    Convexity then forbids a better vertex outside: a geodesic from an
+    interior minimizer to it would cross the annulus at a point whose
+    nearest lattice vertex (within covering radius 1/sqrt(3) of the
+    3-Lipschitz function) would contradict the shell bound.
+
+    Values are compared by ``_compare_squares`` against integer enclosures
+    of the best value and of the best value plus sqrt(3), taken once each
+    time the best value changes; a ``SqrtSum`` is built only for a new best
+    value and for the comparisons the enclosures leave open.
     """
     cur = (0, 0)
-    best = value_at(cur)
+    best = _bracket(SqrtSum.of_squares(value_at(cur)))
     moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
     improved = True
-    while improved and not best.is_zero():
+    while improved and not best[0].is_zero():
         improved = False
         for mv in moves:
             cand = (cur[0] + mv[0], cur[1] + mv[1])
-            v = value_at(cand)
-            if v < best:
-                cur, best, improved = cand, v, True
+            sq = value_at(cand)
+            if _compare_squares(sq, _scaled_floor(sq), best) < 0:
+                cur, best, improved = cand, _bracket(SqrtSum.of_squares(sq)), True
                 break
     center = cur
     best_set = {center}
+    threshold = _bracket(best[0] + _LIPSCHITZ_MARGIN)
     shells_above = 0
     radius = 0
     certified = False
@@ -232,26 +270,26 @@ def _certified_apartment_min(value_at, radius_cap):
         radius += 1
         shell = [(i, j) for i, j, n in _eisenstein_ball(radius * radius)
                  if (radius - 1) ** 2 < n]
-        threshold = best + _LIPSCHITZ_MARGIN
         all_above = True
         for (i, j) in shell:
             m = (center[0] + i, center[1] + j)
-            v = value_at(m)
-            cmp = v.compare(best)
+            sq = value_at(m)
+            lo = _scaled_floor(sq)
+            cmp = _compare_squares(sq, lo, best)
             if cmp < 0:
-                best, best_set = v, {m}
-                threshold = best + _LIPSCHITZ_MARGIN
+                best, best_set = _bracket(SqrtSum.of_squares(sq)), {m}
+                threshold = _bracket(best[0] + _LIPSCHITZ_MARGIN)
                 all_above = False
             elif cmp == 0:
                 best_set.add(m)
                 all_above = False
-            elif v.compare(threshold) <= 0:
+            elif _compare_squares(sq, lo, threshold) <= 0:
                 all_above = False
         shells_above = shells_above + 1 if all_above else 0
         if shells_above >= 2:
             certified = True
             break
-    return best, best_set, radius, certified
+    return best[0], best_set, radius, certified
 
 
 def barycenter(triple, p, radius_cap=12):
@@ -261,9 +299,13 @@ def barycenter(triple, p, radius_cap=12):
     apartments (the squared distances are integers, and a vertex off an
     apartment contributes at least 1 from it), so a certified in-apartment
     search on each of the three apartments determines the global vertex
-    minimum whenever that minimum is at most 2, which genericity guarantees
-    in practice.  Returns the full minimizing vertex set; no tie-break is
-    applied, keeping the set exactly equivariant.
+    minimum whenever that minimum is at most 2.  ``certified`` is true
+    exactly when all three shell searches certified their minimum within
+    ``radius_cap`` and the overall minimum is at most 2.  Genericity does
+    not imply the latter: generic triples with a larger minimum exist, and
+    for them the result is the in-apartment minimum, uncertified.  Returns
+    the full minimizing vertex set; no tie-break is applied, keeping the set
+    exactly equivariant.
     """
     if not is_generic(triple):
         raise ValueError("barycenter requires a generic triple")
@@ -280,8 +322,7 @@ def barycenter(triple, p, radius_cap=12):
 
         def value_at(m, _ea=ev_a, _eb=ev_b):
             mm = (m[0], m[1], 0)
-            return SqrtSum.of_squares((_ea.dist2_to_apartment(mm),
-                                       _eb.dist2_to_apartment(mm)))
+            return _ea.dist2_to_apartment(mm), _eb.dist2_to_apartment(mm)
 
         best, best_set, rad, cert = _certified_apartment_min(value_at, radius_cap)
         radius = max(radius, rad)

@@ -31,8 +31,12 @@ instead of its closed form in one pivot, one 2x2 minor and the
 determinant, and the germ parts from a transposed adjugate and a rank-1
 test by elimination over tuples of the unreduced basis instead of nine
 cofactors and cross products on locals of the basis mod p^(floor(D/2)+1).
-The rational ``valuation`` and ``perm_length`` live here because only the
-tests use them.
+The barycenter's shell search runs on ``SqrtSum`` values throughout
+(``certified_apartment_min_oracle``) instead of integer enclosures of the
+pairs of squared distances.  The rational ``valuation``, ``perm_length`` and
+``stabilized_apartment_simplices`` live here because only the tests use
+them, and ``harmonic_generic_triples`` draws test inputs for several
+modules.
 """
 
 from fractions import Fraction
@@ -62,24 +66,26 @@ from sl3building.padic_linalg import (
 from sl3building.building import (
     LatticeVertex,
     ResidueChamber,
+    _eisenstein_ball,
     adapted_basis_at,
-    canonical_modp_vector,
     dist2,
     dominant,
     frame_vertex,
     is_regular,
+    random_vertex,
     residue_lines,
-    vector_distance,
     weyl_dist2,
 )
 from sl3building.boundary import (
-    Flag,
     chamber_order_in_frame,
     growth_ray_vertex,
     sector_membership,
 )
+from sl3building.parabolics import stabilizes_line, stabilizes_plane
 from sl3building.rng import make_rng
-from sl3building.stochastics import WalkStep, WalkTrace
+from sl3building.sqrtsum import SqrtSum
+from sl3building.stochastics import WalkStep, WalkTrace, harmonic_sample
+from sl3building.triples import ChamberTriple, is_generic
 
 
 def valuation_loop_oracle(n, p):
@@ -562,6 +568,66 @@ def nearest_theta_scan_oracle(k_int, p, m):
     return best, best_m
 
 
+_LIPSCHITZ_MARGIN = SqrtSum.sqrt_int(3)
+
+
+def certified_apartment_min_oracle(value_at, radius_cap):
+    """Certified minimum of a convex vertex function on one apartment.
+
+    Expanding triangular-lattice shells around a greedily improved center;
+    the search stops once the two outermost shells lie entirely above the
+    best value plus sqrt(3).  Convexity then forbids a better vertex outside:
+    a geodesic from an interior minimizer to it would cross the annulus at a
+    point whose nearest lattice vertex (within covering radius 1/sqrt(3) of
+    the 3-Lipschitz function) would contradict the shell bound.
+
+    value_at returns ``SqrtSum`` values, and every comparison is
+    ``SqrtSum.compare``: the route of ``triples._certified_apartment_min``
+    before it compared pairs of squared distances through integer enclosures.
+    """
+    cur = (0, 0)
+    best = value_at(cur)
+    moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+    improved = True
+    while improved and not best.is_zero():
+        improved = False
+        for mv in moves:
+            cand = (cur[0] + mv[0], cur[1] + mv[1])
+            v = value_at(cand)
+            if v < best:
+                cur, best, improved = cand, v, True
+                break
+    center = cur
+    best_set = {center}
+    shells_above = 0
+    radius = 0
+    certified = False
+    while radius < radius_cap:
+        radius += 1
+        shell = [(i, j) for i, j, n in _eisenstein_ball(radius * radius)
+                 if (radius - 1) ** 2 < n]
+        threshold = best + _LIPSCHITZ_MARGIN
+        all_above = True
+        for (i, j) in shell:
+            m = (center[0] + i, center[1] + j)
+            v = value_at(m)
+            cmp = v.compare(best)
+            if cmp < 0:
+                best, best_set = v, {m}
+                threshold = best + _LIPSCHITZ_MARGIN
+                all_above = False
+            elif cmp == 0:
+                best_set.add(m)
+                all_above = False
+            elif v.compare(threshold) <= 0:
+                all_above = False
+        shells_above = shells_above + 1 if all_above else 0
+        if shells_above >= 2:
+            certified = True
+            break
+    return best, best_set, radius, certified
+
+
 def sqrtsum_enclosure_compare(a, b):
     """-1, 0 or 1 for two SqrtSums, by refining both ``enclosure``s.
 
@@ -705,3 +771,52 @@ def primitive_vector_oracle(v):
     if last < 0:
         ints = [-e for e in ints]
     return tuple(ints)
+
+
+STANDARD_APARTMENT_SIMPLICES = (
+    ("line", (1, 0, 0)), ("line", (0, 1, 0)), ("line", (0, 0, 1)),
+    ("plane", (0, 0, 1)), ("plane", (0, 1, 0)), ("plane", (1, 0, 0)),
+    ("chamber", ((1, 0, 0), (0, 0, 1))),   # <e1> < <e1,e2>
+    ("chamber", ((1, 0, 0), (0, 1, 0))),   # <e1> < <e1,e3>
+    ("chamber", ((0, 1, 0), (0, 0, 1))),   # <e2> < <e1,e2>
+    ("chamber", ((0, 1, 0), (1, 0, 0))),   # <e2> < <e2,e3>
+    ("chamber", ((0, 0, 1), (0, 1, 0))),   # <e3> < <e1,e3>
+    ("chamber", ((0, 0, 1), (1, 0, 0))),   # <e3> < <e2,e3>
+)
+
+
+def stabilized_apartment_simplices(m):
+    """Labels of the standard-apartment ideal simplices stabilized by m.
+
+    The twelve simplices are the coordinate lines, the coordinate planes
+    (named by their normals) and the six coordinate chambers given as
+    (line, plane normal) pairs.
+    """
+    out = []
+    for kind, data in STANDARD_APARTMENT_SIMPLICES:
+        if kind == "line" and stabilizes_line(m, data):
+            out.append((kind, data))
+        elif kind == "plane" and stabilizes_plane(m, data):
+            out.append((kind, data))
+        elif kind == "chamber":
+            line, normal = data
+            if stabilizes_line(m, line) and stabilizes_plane(m, normal):
+                out.append((kind, data))
+    return frozenset(out)
+
+
+def harmonic_generic_triples(p, depth, count, rng):
+    """count generic triples of harmonic samples at random vertices.
+
+    Each draw takes a fresh ``random_vertex`` and three ``harmonic_sample``s
+    at it, at the given depth, and keeps the triple when it is generic.
+    """
+    out = []
+    while len(out) < count:
+        x = random_vertex(p, rng)
+        chambers = [harmonic_sample(x, depth, rng) for _ in range(3)]
+        if len(set(chambers)) == 3:
+            triple = ChamberTriple.of(*chambers)
+            if is_generic(triple):
+                out.append(triple)
+    return out

@@ -33,11 +33,14 @@ from sl3building.building import (
 )
 from sl3building.boundary import Flag
 from sl3building.dynamics import random_sl3z
-from sl3building.padic_linalg import adjugate3, det3, mat_mul
+from sl3building.padic_linalg import adjugate3, det3, mat_mul, minor_valuations
+from sl3building.rng import make_rng
 from sl3building.sqrtsum import SqrtSum
+from sl3building.triples import pairwise_frames
 from oracles import (
     eisenstein_ball_oracle,
     distance_to_apartment_bruteforce,
+    harmonic_generic_triples,
     nearest_theta_scan_oracle,
     residue_opposite_chamber_count,
     residue_projection_oracle,
@@ -186,12 +189,33 @@ def test_apartment_pair_distance_against_vertex_distances():
             distance_to_apartment_bruteforce(x, f_to, 6)
 
 
+def _pair_frame_relative_matrices():
+    """(p, K) for K = adj(H_i) H_k of the pair apartments of generic triples.
+
+    These are the matrices ``barycenter`` builds.  Two pair apartments share
+    a chamber at infinity, so K is triangular up to the order of its rows
+    and columns: its rows hold 1, 2 and 3 nonzero entries, and its row pairs
+    1, 2 and 3 nonzero 2x2 minors.
+    """
+    for p in (2, 3, 5):
+        for triple in harmonic_generic_triples(p, 4, 4, make_rng(43, p)):
+            frames = pairwise_frames(triple)
+            for k in range(3):
+                for i in range(3):
+                    if i != k:
+                        yield p, mat_mul(adjugate3(frames[i].matrix()),
+                                         frames[k].matrix())
+
+
 def test_nearest_matches_the_theta_scan_oracle():
     """Six-move descent alone gives the oracle's (q, witness).
 
     The oracle scans the whole ball of radius 2*d(x, z0) after the descent
     and takes only strict improvements, so the witness must agree exactly,
-    not only up to homothety.
+    not only up to homothety.  Independent random SL3(Z) frames give dense
+    K; the pair-apartment K of generic triples give sparse rows, so the
+    padding of ``ApartmentPairDistance`` to three terms is checked on rows
+    of one and two terms as well.
     """
     rng = random.Random(43)
     std = Frame.from_lines(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -207,6 +231,18 @@ def test_nearest_matches_the_theta_scan_oracle():
         assert ApartmentPairDistance(k_int, p).nearest(m) == \
             nearest_theta_scan_oracle(k_int, p, m)
     assert nonzero_m >= 250
+    sparse = 0
+    for p, k_int in _pair_frame_relative_matrices():
+        assert sorted(sum(1 for e in row if e) for row in k_int) == [1, 2, 3]
+        minors = minor_valuations(k_int, p)[1]
+        assert sorted(sum(1 for _, i1, i2, _, _ in minors if (i1, i2) == rp)
+                      for rp in ((0, 1), (0, 2), (1, 2))) == [1, 2, 3]
+        sparse += 1
+        for m in [(0, 0, 0)] + [tuple(rng.randint(-4, 4) for _ in range(3))
+                                for _ in range(4)]:
+            assert ApartmentPairDistance(k_int, p).nearest(m) == \
+                nearest_theta_scan_oracle(k_int, p, m)
+    assert sparse == 72
 
 
 # The six unit moves of the apartment in the (i, j) coordinates of the

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl3building.boundary import Flag, is_opposite, weyl_distance
+from sl3building.boundary import is_opposite
 from sl3building.padic_linalg import mat_mul, mat_vec
 from sl3building.parabolics import (
     family_flag,
@@ -14,13 +14,13 @@ from sl3building.parabolics import (
     lower_flag,
     lower_torus_member,
     pairwise_position_report,
-    stabilized_apartment_simplices,
     torus_family_member,
     upper_borel_intersection_count_field,
     torus_members_field,
     upper_flag,
 )
 from sl3building.triples import ChamberTriple, is_generic
+from oracles import stabilized_apartment_simplices
 
 
 def test_upper_and_lower_flags_are_opposite():

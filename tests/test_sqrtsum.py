@@ -14,6 +14,9 @@ from sl3building.rng import make_rng
 from sl3building.sqrtsum import SqrtSum, _sign_at_scale
 from sl3building.triples import (
     ChamberTriple,
+    _bracket,
+    _compare_squares,
+    _scaled_floor,
     barycenter,
     construct_generic,
     distance_sum,
@@ -135,3 +138,45 @@ def test_sign_at_scale_never_misdecides_at_coarse_scales():
                     assert got in (0, sign * truth)
                     decided += got != 0
     assert decided > 20000
+
+
+def test_square_pair_enclosure_rule_decides_exactly_the_non_ties(monkeypatch):
+    """``_compare_squares`` against ``SqrtSum.compare``, exhaustively.
+
+    sqrt(qa) + sqrt(qb) for qa, qb in [0, 40] against r = sqrt(c) + sqrt(d),
+    c <= d in [0, 12], and against r + sqrt(3), bracketed by ``_bracket``.
+    Every sign must be right, and ``SqrtSum.compare`` must be reached for
+    the ties and for nothing else.  The ties include values 0 against 0,
+    sqrt(18) against sqrt(8) + sqrt(2) = 3 sqrt(2), sqrt(9) against
+    sqrt(4) + sqrt(1), sqrt(3) + sqrt(1) against sqrt(1) + sqrt(3), and
+    sqrt(27) against sqrt(12) + sqrt(3) = 3 sqrt(3), whose coefficient 3 is
+    the whole slack of its bracket.
+    """
+    exact = SqrtSum.compare
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return exact(self, other)
+
+    monkeypatch.setattr(SqrtSum, "compare", counted)
+    values = {(qa, qb): SqrtSum.of_squares((qa, qb))
+              for qa in range(41) for qb in range(41)}
+    ties = set()
+    for c in range(13):
+        for d in range(c, 13):
+            best = SqrtSum.of_squares((c, d))
+            for shift, ref in ((0, best), (3, best + SqrtSum.sqrt_int(3))):
+                bracket = _bracket(ref)
+                for sq, value in values.items():
+                    before = len(calls)
+                    got = _compare_squares(sq, _scaled_floor(sq), bracket)
+                    fell_back = len(calls) > before
+                    truth = exact(value, ref)
+                    assert got == truth, (sq, c, d, shift)
+                    assert fell_back == (truth == 0), (sq, c, d, shift)
+                    if truth == 0:
+                        ties.add((sq, c, d, shift))
+    assert {((0, 0), 0, 0, 0), ((18, 0), 2, 8, 0), ((0, 18), 2, 8, 0),
+            ((9, 0), 1, 4, 0), ((3, 1), 0, 1, 3), ((27, 0), 0, 12, 3),
+            ((12, 3), 0, 12, 3)} <= ties

@@ -15,7 +15,6 @@ from sl3building import stochastics
 from sl3building.building import (
     LatticeVertex,
     ResidueChamber,
-    dist2,
     is_regular,
     random_vertex,
     standard_vertex,

@@ -30,6 +30,8 @@ from sl3building.triples import (
     is_generic,
 )
 from sl3building.rng import make_rng
+from sl3building import triples
+from oracles import certified_apartment_min_oracle, harmonic_generic_triples
 
 
 def rand_flag(rng, bound=6):
@@ -239,3 +241,41 @@ def test_generic_triple_found_inside_a_basis_set():
     from sl3building.boundary import sector_membership
     for c in triple.chambers:
         assert sector_membership(x, c, y)
+
+
+def test_shell_search_matches_the_sqrtsum_oracle_on_harmonic_triples(monkeypatch):
+    """The square-pair shell search gives the SqrtSum search's results exactly.
+
+    Generic triples of harmonic samples at random vertices, 12 per (p, depth)
+    cell, where minima above 0, uncertified searches and tied minimizers
+    (at 0 and above) all occur.  ``barycenter`` runs once as it is and once
+    with ``certified_apartment_min_oracle`` (the search on ``SqrtSum``
+    values throughout) in place of ``_certified_apartment_min``; every field
+    of the two results must agree.
+    """
+    def sqrtsum_search(value_at, radius_cap):
+        return certified_apartment_min_oracle(
+            lambda m: SqrtSum.of_squares(value_at(m)), radius_cap)
+
+    positive = uncertified = tied_at_zero = tied_above_zero = 0
+    for p in (2, 3, 5, 7):
+        for depth in (2, 4, 6):
+            for T in harmonic_generic_triples(p, depth, 12, make_rng(77, p, depth)):
+                res = barycenter(T, p)
+                with monkeypatch.context() as patch:
+                    patch.setattr(triples, "_certified_apartment_min", sqrtsum_search)
+                    expected = barycenter(T, p)
+                assert res.min_value == expected.min_value, (p, depth)
+                assert res.min_squares == expected.min_squares, (p, depth)
+                assert res.min_vertices == expected.min_vertices, (p, depth)
+                assert res.search_radius == expected.search_radius, (p, depth)
+                assert res.certified == expected.certified, (p, depth)
+                positive += not res.min_value.is_zero()
+                uncertified += not res.certified
+                if len(res.min_vertices) > 1:
+                    if res.min_value.is_zero():
+                        tied_at_zero += 1
+                    else:
+                        tied_above_zero += 1
+    assert positive >= 60 and uncertified >= 5
+    assert tied_at_zero >= 10 and tied_above_zero >= 30

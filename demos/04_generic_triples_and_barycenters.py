@@ -16,7 +16,6 @@ from sl3building import (
     ChamberTriple,
     apartment_infinity_intersection,
     barycenter,
-    is_generic,
 )
 from sl3building.boundary import apartment_from_opposite
 from sl3building.dynamics import GroupElement

@@ -198,7 +198,7 @@ class BarycenterResult:
         return self.min_value.enclosure(digits)
 
 
-_LIPSCHITZ_MARGIN = SqrtSum.sqrt_int(3)  # 3-Lipschitz sum x covering radius 1/sqrt(3)
+_LIPSCHITZ_MARGIN = SqrtSum.sqrt_int(3)  # the shell certificate's margin
 _TWO = SqrtSum.of_squares((4,))
 _SCALE2 = 10 ** (2 * FIRST_DIGITS)
 
@@ -231,17 +231,51 @@ def _compare_squares(squares, lo, ref):
     return SqrtSum.of_squares(squares).compare(value)
 
 
+def _neighbour_bound(q):
+    """Least integer k with sqrt(k) >= sqrt(q) - 1 (0 for q <= 1)."""
+    return q + 1 - isqrt(4 * q) if q > 1 else 0
+
+
 def _certified_apartment_min(value_at, radius_cap):
     """Certified minimum of a convex vertex function on one apartment.
 
-    value_at(m) gives the two squared distances (qa, qb) of the vertex m,
-    whose value is sqrt(qa) + sqrt(qb).  Expanding triangular-lattice
-    shells around a greedily improved center; the search stops once the two
-    outermost shells lie entirely above the best value plus sqrt(3).
-    Convexity then forbids a better vertex outside: a geodesic from an
-    interior minimizer to it would cross the annulus at a point whose
-    nearest lattice vertex (within covering radius 1/sqrt(3) of the
-    3-Lipschitz function) would contradict the shell bound.
+    value_at(m) gives the two squared distances (qa, qb) from the vertex m
+    to two fixed vertex sets of the building (the vertices of the other two
+    pair apartments), and the value of m is sqrt(qa) + sqrt(qb), a sum of
+    two 1-Lipschitz distances.  Expanding triangular-lattice shells around a
+    greedily improved center; the search stops once the two outermost
+    shells lie entirely above the best value b plus sqrt(3).
+
+    The certificate.  Let F(x) = d(x, A_a) + d(x, A_b), the distances to
+    the two apartments as sets.  Distance to a convex set of a CAT(0) space
+    is convex and 1-Lipschitz, so F is convex and 2-Lipschitz on this
+    apartment, a Euclidean plane with unit edges.  Every point of an
+    apartment lies within the covering radius 1/sqrt(3) of one of its
+    vertices, so F(m) <= value(m) <= F(m) + 2/sqrt(3) at each vertex m.
+    Suppose the shells of radii r - 1 and r (norms in ((r-2)^2, r^2]) lie
+    above b + delta, and a vertex y beyond radius r has value(y) <= b.  The
+    best vertex m* is not in those shells, so it lies within radius r - 2.
+    F <= b at m* and at y, hence on the segment between them by convexity.
+    The segment crosses the circle of radius r - 1 about the center at a
+    point x, whose nearest vertex z is within 1/sqrt(3) of it and so lies
+    in one of the two shells.  Then value(z) <= F(z) + 2/sqrt(3)
+    <= F(x) + 4/sqrt(3) <= b + 4/sqrt(3).  So delta = 4/sqrt(3) proves that
+    no vertex outside the shells has value <= b, and that the tie set is
+    complete.  The search uses delta = sqrt(3), which this argument does
+    not reach; it is kept because changing it changes records.  A shell
+    found above the threshold of its own scan is above every later one,
+    since the threshold only falls.
+
+    The skip rule.  A vertex whose neighbour has a term of at least n has
+    that term at least ``_neighbour_bound(n)``: its square root is at least
+    sqrt(n) - 1.  ``bounds`` holds, per shell offset, the pair of bounds
+    that offset passes to its neighbours: from its exact squares when it
+    was evaluated, from its own bounds when it was skipped.  A shell vertex
+    whose best pair (ka, kb) over its known neighbours compares strictly
+    above the threshold is strictly above it itself, so it is skipped
+    unevaluated: evaluating it would change neither the best value, nor the
+    tie set, nor whether its shell lies above.  A tie goes to the exact
+    comparison and is never skipped.
 
     Values are compared by ``_compare_squares`` against integer enclosures
     of the best value and of the best value plus sqrt(3), taken once each
@@ -249,7 +283,8 @@ def _certified_apartment_min(value_at, radius_cap):
     value and for the comparisons the enclosures leave open.
     """
     cur = (0, 0)
-    best = _bracket(SqrtSum.of_squares(value_at(cur)))
+    cur_sq = value_at(cur)
+    best = _bracket(SqrtSum.of_squares(cur_sq))
     moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
     improved = True
     while improved and not best[0].is_zero():
@@ -258,11 +293,13 @@ def _certified_apartment_min(value_at, radius_cap):
             cand = (cur[0] + mv[0], cur[1] + mv[1])
             sq = value_at(cand)
             if _compare_squares(sq, _scaled_floor(sq), best) < 0:
-                cur, best, improved = cand, _bracket(SqrtSum.of_squares(sq)), True
+                cur, cur_sq = cand, sq
+                best, improved = _bracket(SqrtSum.of_squares(sq)), True
                 break
     center = cur
     best_set = {center}
     threshold = _bracket(best[0] + _LIPSCHITZ_MARGIN)
+    bounds = {(0, 0): (_neighbour_bound(cur_sq[0]), _neighbour_bound(cur_sq[1]))}
     shells_above = 0
     radius = 0
     certified = False
@@ -272,8 +309,21 @@ def _certified_apartment_min(value_at, radius_cap):
                  if (radius - 1) ** 2 < n]
         all_above = True
         for (i, j) in shell:
+            ka = kb = 0
+            for di, dj in moves:
+                nb = bounds.get((i + di, j + dj))
+                if nb is not None:
+                    if nb[0] > ka:
+                        ka = nb[0]
+                    if nb[1] > kb:
+                        kb = nb[1]
+            k = (ka, kb)
+            if _compare_squares(k, _scaled_floor(k), threshold) > 0:
+                bounds[i, j] = (_neighbour_bound(ka), _neighbour_bound(kb))
+                continue
             m = (center[0] + i, center[1] + j)
             sq = value_at(m)
+            bounds[i, j] = (_neighbour_bound(sq[0]), _neighbour_bound(sq[1]))
             lo = _scaled_floor(sq)
             cmp = _compare_squares(sq, lo, best)
             if cmp < 0:

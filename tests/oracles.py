@@ -576,14 +576,14 @@ def certified_apartment_min_oracle(value_at, radius_cap):
 
     Expanding triangular-lattice shells around a greedily improved center;
     the search stops once the two outermost shells lie entirely above the
-    best value plus sqrt(3).  Convexity then forbids a better vertex outside:
-    a geodesic from an interior minimizer to it would cross the annulus at a
-    point whose nearest lattice vertex (within covering radius 1/sqrt(3) of
-    the 3-Lipschitz function) would contradict the shell bound.
+    best value plus sqrt(3) (the certificate is argued in the docstring of
+    ``triples._certified_apartment_min``).
 
-    value_at returns ``SqrtSum`` values, and every comparison is
-    ``SqrtSum.compare``: the route of ``triples._certified_apartment_min``
-    before it compared pairs of squared distances through integer enclosures.
+    value_at returns ``SqrtSum`` values, every shell vertex is evaluated and
+    every comparison is ``SqrtSum.compare``: the route of
+    ``triples._certified_apartment_min`` before it compared pairs of squared
+    distances through integer enclosures and skipped the vertices its
+    neighbours put above the threshold.
     """
     cur = (0, 0)
     best = value_at(cur)

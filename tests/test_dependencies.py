@@ -14,6 +14,7 @@ import sl3building
 
 PACKAGE = Path(sl3building.__file__).resolve().parent
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
 
 # distribution name -> top-level module, where the two differ
 IMPORT_NAMES = {"PyYAML": "yaml"}
@@ -58,3 +59,27 @@ def test_padic_linalg_imports_nothing_from_fractions():
             assert all(a.name.split(".")[0] != "fractions" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.module != "fractions"
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, by an ``ast`` scan."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - used
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports names only to re-export them
+    demos = list((TESTS.parent / "demos").glob("*.py"))
+    assert demos
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += [*TESTS.glob("*.py"), *demos]
+    unused = {f"{p.parent.name}/{p.name}": sorted(_unused_imports(p))
+              for p in paths}
+    assert {k: v for k, v in unused.items() if v} == {}

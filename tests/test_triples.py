@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from sl3building.building import Frame, LatticeVertex, standard_vertex
+from sl3building.building import (
+    ApartmentPairDistance,
+    Frame,
+    LatticeVertex,
+    _eisenstein_ball,
+    frame_vertex,
+    standard_vertex,
+)
 from sl3building.boundary import (
     Flag,
     apartment_chambers,
@@ -28,6 +35,7 @@ from sl3building.triples import (
     genericity_rate,
     is_antipodal,
     is_generic,
+    pairwise_frames,
 )
 from sl3building.rng import make_rng
 from sl3building import triples
@@ -279,3 +287,104 @@ def test_shell_search_matches_the_sqrtsum_oracle_on_harmonic_triples(monkeypatch
                         tied_above_zero += 1
     assert positive >= 60 and uncertified >= 5
     assert tied_at_zero >= 10 and tied_above_zero >= 30
+
+
+def _vertex_set_squares(us, vs, seen):
+    """value_at of the squared distances to the vertex sets us and vs.
+
+    N(i, j) = i^2 - ij + j^2 is the squared distance of two apartment
+    vertices; each vertex evaluated is appended to seen.
+    """
+    def norm(m, u):
+        i, j = m[0] - u[0], m[1] - u[1]
+        return i * i - i * j + j * j
+
+    def value_at(m):
+        seen.append(m)
+        return min(norm(m, u) for u in us), min(norm(m, v) for v in vs)
+
+    return value_at
+
+
+def test_shell_search_skip_rule_matches_the_sqrtsum_oracle_on_vertex_distances():
+    """Skipping shell vertices leaves every result of the shell search exact.
+
+    Each term of value_at is the squared distance to a fixed vertex set, the
+    premise of the skip rule.  On the grid (two single vertices u and v of
+    even coordinates within radius 4, each unordered pair once since the
+    search treats its two terms alike, at four radius caps)
+    ``_certified_apartment_min`` must give the ``SqrtSum`` oracle's results
+    and evaluate a subset of its vertices, some strictly.  A bound that
+    does not step down fails on the grid.  A rule that skips ties does not
+    (a radius-7 scan of all vertex pairs found no case), so the two vertex
+    sets U = {0, (-3, -2)} and V = {0, (-2, 0)} and their mirror image are
+    added: there (-3, -2) has value sqrt(0) + sqrt(3), tied with the
+    threshold 0 + sqrt(3), its neighbours' bounds reach (0, 3) before it is
+    scanned, and it alone keeps its shell from lying above.
+    """
+    grid = [(i, j) for i, j, _ in _eisenstein_ball(16) if i % 2 == 0 == j % 2]
+    cases = [((u,), (v,)) for a, u in enumerate(grid) for v in grid[a:]]
+    cases += [(((0, 0), (-3, -2)), ((0, 0), (-2, 0))),
+              (((0, 0), (-2, -3)), ((0, 0), (0, -2)))]
+    skipped = 0
+    for radius_cap in (1, 2, 3, 12):
+        for us, vs in cases:
+            seen, oracle_seen = [], []
+            got = triples._certified_apartment_min(
+                _vertex_set_squares(us, vs, seen), radius_cap)
+            oracle_value = _vertex_set_squares(us, vs, oracle_seen)
+            expected = certified_apartment_min_oracle(
+                lambda m: SqrtSum.of_squares(oracle_value(m)), radius_cap)
+            assert got == expected, (us, vs, radius_cap)
+            assert set(seen) <= set(oracle_seen)
+            skipped += len(oracle_seen) - len(seen)
+    assert skipped > 0
+
+
+def test_a_six_move_local_minimum_of_the_distance_sum_need_not_be_global():
+    """Why the barycenter searches shells and not just six-move descent.
+
+    A harmonic generic triple (``harmonic_generic_triples(2, 5, 25,
+    make_rng(4242, 2, 5))``, the 19th).  On the apartment of its first and
+    third chambers, the vertex at exponents 0, where descent from the
+    origin stops, is no larger than its six neighbours, at sqrt(3) +
+    sqrt(19), yet the minimum is sqrt(37) (descent stops above it on the
+    other two apartments too).
+    """
+    p = 2
+    T = ChamberTriple.of(
+        Flag((231, 19, 4), (-237, 1153, 8210)),
+        Flag((1454, 12, 29), (-33, -395, 1818)),
+        Flag((1500, 26, 17), (-161, 5317, 6074)))
+    frame = pairwise_frames(T)[1]
+
+    def value(i, j):
+        return distance_sum(T, frame_vertex(frame, p, (i, j, 0)))
+
+    local_min = value(0, 0)
+    assert local_min == SqrtSum.of_squares((3, 19))
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+        assert local_min <= value(di, dj)
+    res = barycenter(T, p)
+    assert res.min_value == SqrtSum.of_squares((37,))
+    assert local_min > res.min_value
+
+
+def test_barycenter_skips_shell_vertices_a_neighbour_puts_above(monkeypatch):
+    """The skip rule cuts the apartment distances of a bench triple.
+
+    A full scan of the family triple makes 368 ``dist2_to_apartment`` calls:
+    61 vertices per apartment, two terms each, and two for the minimizer's
+    squares.  The skip rule leaves 184.
+    """
+    calls = []
+    original = ApartmentPairDistance.dist2_to_apartment
+
+    def counted(self, m):
+        calls.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(ApartmentPairDistance, "dist2_to_apartment", counted)
+    res = barycenter(family_triple(1), 5)
+    assert res.search_radius == 4 and res.certified
+    assert len(calls) <= 200

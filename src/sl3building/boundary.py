@@ -8,10 +8,11 @@ flags is an element of S3 read off four incidence tests (equal lines, equal
 planes, and whether the line of each lies on the plane of the other);
 opposite means the order-reversing permutation.  Sector membership, the basis
 sets of the cone topology, and the retraction onto an apartment centered at
-one of its ideal chambers are all decided by ``minor_valuations`` of a
-relative matrix: its least entry, 2x2 minor and determinant valuations are
-the elementary divisors, and the same minima over its bottom rows are the
-Iwasawa exponents.
+one of its ideal chambers are decided by ``minor_valuations`` of a relative
+matrix: its least entry, 2x2 minor and determinant valuations are the
+elementary divisors, and the same minima over its bottom rows are the
+Iwasawa exponents.  The boundary retraction needs no valuation at all: it
+keeps Weyl distance from its centre.
 """
 
 from __future__ import annotations
@@ -302,59 +303,19 @@ def retraction(frame, c, x):
     return frame_vertex(frame, x.p, tuple(m))
 
 
-def boundary_retraction(frame, c, d, p, horizon=100000):
+def boundary_retraction(frame, c, d, p):
     """Boundary extension of the retraction centered at c, evaluated at d.
 
-    Retracts the vertices x_n going to infinity along the d-direction ray and
-    reports the ideal chamber of the apartment whose sector their images
-    finally follow.  The retracted path is piecewise linear in n (its pivot
-    exponents are minima of linear forms read off minor valuations), so the
-    step at which the direction stabilizes is certified exactly: past the
-    last crossing of those linear forms the exponent increments are constant
-    and their growth rates name the chamber.
+    It is the one chamber e of the frame apartment with
+    weyl_distance(c, e) == weyl_distance(c, d).  Some apartment A' holds
+    both c and d, and the retraction maps A' onto the frame apartment A by
+    the isomorphism that fixes their common sector germ at c; that
+    isomorphism keeps Weyl distance from c.  The boundary of A is a Coxeter
+    complex, so exactly one of its chambers lies at each Weyl distance from
+    c.  The prime p does not enter.
     """
-    for e in apartment_chambers(frame):
-        if e == d:
-            return d
-    order_c = chamber_order_in_frame(frame, c)
-    h = frame.matrix(order_c)
-    o = frame_vertex(frame, p, (0, 0, 0))
-    n0 = mat_mul(adjugate3(h), mat_mul(o.matrix, adapted_basis_at(o, d)))
-    # column j of the ray vertex scales by p^(j * n), so the bottom-up corner
-    # minors of n0 * diag(1, p^n, p^2n) have valuations that are minima of
-    # linear forms in n, with slopes the sums of their column indices
-    entries, minors, det_v = minor_valuations(n0, p)
-    row2 = [(v, j) for v, i, j in entries if i == 2]
-    pairs12 = [(v, j1 + j2) for v, i1, i2, j1, j2 in minors if (i1, i2) == (1, 2)]
-
-    def crossing_bound(forms):
-        best = 0
-        for a, (va, sa) in enumerate(forms):
-            for vb, sb in forms[a + 1:]:
-                if sa != sb:
-                    best = max(best, abs(va - vb))
-        return best
-
-    n_star = max(crossing_bound(row2), crossing_bound(pairs12)) + 1
-    if n_star > horizon:
-        raise HorizonExceededError(
-            "certified stabilization bound exceeds the horizon",
-            trajectory=[("n_star", n_star)])
-
-    def exps_at(n):
-        a3 = min(v + s * n for v, s in row2)
-        a23 = min(v + s * n for v, s in pairs12)
-        total = det_v + 3 * n
-        return (total - a23, a23 - a3, a3)
-
-    e_lo = exps_at(n_star)
-    e_hi = exps_at(n_star + 1)
-    slopes = tuple(b - a for a, b in zip(e_lo, e_hi))
-    if len(set(slopes)) != 3:
-        raise AssertionError("retraction direction degenerated onto a wall; "
-                             "the limit chamber must be unique")
-    ranking = sorted(range(3), key=lambda i: slopes[i])
-    direction = tuple(order_c[i] for i in ranking)
-    v = frame.lines
-    return Flag.from_matrix(from_columns(
-        (v[direction[0]], v[direction[1]], v[direction[2]])))
+    chambers = apartment_chambers(frame)
+    if c not in chambers:
+        raise ValueError("chamber does not belong to the apartment at infinity")
+    w = weyl_distance(c, d)
+    return next(e for e in chambers if weyl_distance(c, e) == w)

@@ -163,13 +163,10 @@ def _validate(name, cfg):
     # the strip fit needs two radii; the equicont probes sit at vector
     # distance (2, 1, 0), and sampling their basis sets needs depth above 2
     lows = {"trials": 1, "r_max": 2, "depth": 3 if name == "equicont" else 1}
-    for key in ("flags_per_cert", "trials", "samples", "steps", "r_max",
-                "transports", "radius_cap", "depth", "nmax", "threshold",
-                "budget", "window", "word_length", "partition_length",
-                "conjugators", "triples", "pairs"):
+    for key, default in _SCHEMAS[name].items():
         low = lows.get(key, 0)
-        if key in cfg and cfg[key] is not None and (not _is_int(cfg[key])
-                                                    or cfg[key] < low):
+        if key != "p" and _is_int(default) and not (_is_int(cfg[key])
+                                                    and cfg[key] >= low):
             raise ConfigError(f"{key} must be an integer >= {low}")
     if name == "appendix" and not (isinstance(cfg["t_values"], list) and all(
             _is_int(t) or isinstance(t, str) for t in cfg["t_values"])):

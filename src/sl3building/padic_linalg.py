@@ -14,8 +14,9 @@ The workhorses are
   one-division-per-unit loop survives only as its oracle in the test suite.
 * ``lattice_canonical``: the unique upper-triangular basis matrix of a
   Z_(p)-lattice, with p-power pivots and reduced off-diagonal entries,
-  homothety-normalized so the smallest elementary divisor is p^0.  It is
-  the normal form of a vertex and decides no relative position.
+  homothety-normalized so the smallest elementary divisor is p^0, read off
+  two columns mod p^(D+1) in closed form.  It is the normal form of a
+  vertex and decides no relative position.
 * ``minor_valuations``: the valuations of the entries, the 2x2 minors and
   the determinant of an integer matrix.  It is the one kernel for the
   relative position of two lattices.  The least entry, least 2x2 minor and
@@ -35,9 +36,10 @@ The workhorses are
   integers, off one pivot, one 2x2 minor through it and the determinant;
   the conditioned harmonic sampler and the walk's direction estimate.
 
-The elimination form of ``smith_exponents``, the Fraction elimination of
-``smith_left_transform`` (``smith_left_transform_oracle``) and the
-Hermite-form routes of sector membership and retraction are kept as
+The elimination form of ``smith_exponents``, the column elimination of
+``lattice_canonical`` (``lattice_canonical_oracle``), the Fraction
+elimination of ``smith_left_transform`` (``smith_left_transform_oracle``)
+and the Hermite-form routes of sector membership and retraction are kept as
 independent oracles in the test suite, and so are the walk's earlier route,
 which took the valuation of each 2x2 minor one by one, and the tuple form of
 ``residue_germ_parts`` (``residue_germ_parts_oracle``).
@@ -259,11 +261,6 @@ def strip_p_content(m_int, p):
 # normal forms over Z_(p)
 # ---------------------------------------------------------------------------
 
-def _capped_val(e, p, cap):
-    """Valuation of a residue in [0, p^cap), with 0 treated as valuation cap."""
-    return cap if e == 0 else valuation_int(e, p)
-
-
 def lattice_canonical(m, p):
     """Canonical basis of the Z_(p)-lattice spanned by the columns of m.
 
@@ -271,51 +268,40 @@ def lattice_canonical(m, p):
     matrix with pivots p^(a_i) and entries to the right of each pivot reduced
     to the canonical residue in [0, p^(a_i)).  Two rational matrices span
     homothetic lattices iff their canonical forms coincide.
+
+    It is read off two columns mod q = p^(D+1), D the determinant valuation
+    after stripping the p-content; the lattice holds p^D Z^3, so nothing is
+    lost mod q.  The column x of least bottom valuation a2, x[2] = u p^a2,
+    is the last column once divided by u.  Each other column c gives
+    u c - (c[2] / p^a2) x with bottom entry 0; the one of least middle
+    valuation a1, divided by its unit, is the middle column, and the first
+    is p^(D - a1 - a2) e0.  Reducing x's middle entry mod p^a1 (which moves
+    its top entry by the same multiple of the middle column) and both top
+    entries mod p^a0 leaves the unique reduced form.
     """
     m_int, _ = integerize(m)
-    d = det3(m_int)
-    if d == 0:
+    det = det3(m_int)
+    if det == 0:
         raise SingularMatrixError("columns do not span a lattice")
-    m_int, _ = strip_p_content(m_int, p)
-    big = valuation_int(det3(m_int), p) + 1
-    q = p ** big
-    cols = [list(col) for col in zip(*m_int)]
-    cols = [[e % q for e in col] for col in cols]
-    pivots = [0, 0, 0]
-    for row in (2, 1, 0):
-        best, best_v = None, None
-        for j in range(row + 1):
-            v = _capped_val(cols[j][row], p, big)
-            if best_v is None or v < best_v:
-                best, best_v = j, v
-        if best_v >= big:  # cannot happen for a genuine lattice
-            raise SingularMatrixError("degenerate column span")
-        cols[row], cols[best] = cols[best], cols[row]
-        pv = p ** best_v
-        u = cols[row][row] // pv
-        uinv = pow(u, -1, q)
-        cols[row] = [(e * uinv) % q for e in cols[row]]
-        pivots[row] = best_v
-        for j in range(row):
-            e = cols[j][row]
-            if e:
-                f = e // pv
-                cols[j] = [(x - f * y) % q for x, y in zip(cols[j], cols[row])]
-    # second pass: reduce entries above the pivots
-    for j in (1, 2):
-        for i in range(j - 1, -1, -1):
-            mod = p ** pivots[i]
-            r = cols[j][i] % mod
-            f = (cols[j][i] - r) // mod
-            if f:
-                cols[j] = [(x - f * y) % q for x, y in zip(cols[j], cols[i])]
-            cols[j][i] = r
-    out = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for i in range(3):
-        out[i][i] = p ** pivots[i]
-        for j in range(i + 1, 3):
-            out[i][j] = cols[j][i] % (p ** pivots[i])
-    return tuple(tuple(row) for row in out)
+    m_int, k = strip_p_content(m_int, p)
+    d = valuation_int(det, p) - 3 * k
+    q = p ** (d + 1)
+    cols = [tuple(e % q for e in col) for col in zip(*m_int)]
+    a2, j = min((valuation_int(c[2], p), j) for j, c in enumerate(cols) if c[2])
+    x = cols.pop(j)
+    p2 = p ** a2
+    u = x[2] // p2
+    ys = ((u * c[0] - c[2] // p2 * x[0], (u * c[1] - c[2] // p2 * x[1]) % q)
+          for c in cols)
+    a1, y0, y1 = min(((valuation_int(y1, p), y0, y1) for y0, y1 in ys if y1),
+                     key=lambda t: t[0])
+    p1, p0 = p ** a1, p ** (d - a1 - a2)
+    y0 = y0 * pow(y1 // p1, -1, q) % p0
+    u_inv = pow(u, -1, q)
+    x1 = x[1] * u_inv % q
+    return ((p0, y0, (x[0] * u_inv - x1 // p1 * y0) % p0),
+            (0, p1, x1 % p1),
+            (0, 0, p2))
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))

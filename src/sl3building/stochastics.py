@@ -25,6 +25,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .padic_linalg import (
     adjugate3,
@@ -233,15 +234,8 @@ class WalkConfig:
 
     def thresholds(self):
         ws = [Fraction(w) for w in self.weights]
-        den = 1
-        for w in ws:
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        cum = []
-        acc = 0
-        for w in ws:
-            acc += int(w * den)
-            cum.append(acc)
-        return den, cum
+        den = math.lcm(*(w.denominator for w in ws))
+        return den, list(accumulate(int(w * den) for w in ws))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,12 @@ instead of its closed form in one pivot, one 2x2 minor and the
 determinant, and the germ parts from a transposed adjugate and a rank-1
 test by elimination over tuples of the unreduced basis instead of nine
 cofactors and cross products on locals of the basis mod p^(floor(D/2)+1).
+The Hermite form of a lattice comes from column elimination
+(``lattice_canonical_oracle``) instead of two pivot columns in closed form,
+and the Hermite-form oracles above call it, so they stay independent of
+that closed form.  The boundary retraction comes from the retracted ray and
+its certified crossing bound (``boundary_retraction_iwasawa_oracle``)
+instead of the apartment chamber at the same Weyl distance from the centre.
 The barycenter's shell search runs on ``SqrtSum`` values throughout
 (``certified_apartment_min_oracle``) instead of integer enclosures of the
 pairs of squared distances.  The rational ``valuation``, ``perm_length`` and
@@ -46,7 +52,6 @@ from math import gcd, isqrt
 from sl3building.padic_linalg import (
     SingularMatrixError,
     ZeroValuationError,
-    _capped_val,
     columns,
     cross,
     det3,
@@ -55,7 +60,6 @@ from sl3building.padic_linalg import (
     adjugate3,
     identity,
     integerize,
-    lattice_canonical,
     mat_mul,
     minor_valuations,
     smith_exponents,
@@ -77,6 +81,8 @@ from sl3building.building import (
     weyl_dist2,
 )
 from sl3building.boundary import (
+    Flag,
+    apartment_chambers,
     chamber_order_in_frame,
     growth_ray_vertex,
     sector_membership,
@@ -115,6 +121,66 @@ def valuation(x, p):
 def perm_length(w):
     """Number of inversions; the longest element has length 3."""
     return sum(1 for i in range(3) for j in range(i + 1, 3) if w[i] > w[j])
+
+
+def _capped_val(e, p, cap):
+    """Valuation of a residue in [0, p^cap), with 0 treated as valuation cap."""
+    return cap if e == 0 else valuation_int(e, p)
+
+
+def lattice_canonical_oracle(m, p):
+    """Canonical basis of the Z_(p)-lattice spanned by the columns of m.
+
+    Column elimination mod p^(D+1), D the determinant valuation after
+    stripping the p-content: rows from the bottom up, each pivot the first
+    column of least valuation in that row, then a second pass that reduces
+    the entries above the pivots.  The library reads the same Hermite form
+    off two columns in closed form.
+    """
+    m_int, _ = integerize(m)
+    d = det3(m_int)
+    if d == 0:
+        raise SingularMatrixError("columns do not span a lattice")
+    m_int, _ = strip_p_content(m_int, p)
+    big = valuation_int(det3(m_int), p) + 1
+    q = p ** big
+    cols = [list(col) for col in zip(*m_int)]
+    cols = [[e % q for e in col] for col in cols]
+    pivots = [0, 0, 0]
+    for row in (2, 1, 0):
+        best, best_v = None, None
+        for j in range(row + 1):
+            v = _capped_val(cols[j][row], p, big)
+            if best_v is None or v < best_v:
+                best, best_v = j, v
+        if best_v >= big:  # cannot happen for a genuine lattice
+            raise SingularMatrixError("degenerate column span")
+        cols[row], cols[best] = cols[best], cols[row]
+        pv = p ** best_v
+        u = cols[row][row] // pv
+        uinv = pow(u, -1, q)
+        cols[row] = [(e * uinv) % q for e in cols[row]]
+        pivots[row] = best_v
+        for j in range(row):
+            e = cols[j][row]
+            if e:
+                f = e // pv
+                cols[j] = [(x - f * y) % q for x, y in zip(cols[j], cols[row])]
+    # second pass: reduce entries above the pivots
+    for j in (1, 2):
+        for i in range(j - 1, -1, -1):
+            mod = p ** pivots[i]
+            r = cols[j][i] % mod
+            f = (cols[j][i] - r) // mod
+            if f:
+                cols[j] = [(x - f * y) % q for x, y in zip(cols[j], cols[i])]
+            cols[j][i] = r
+    out = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for i in range(3):
+        out[i][i] = p ** pivots[i]
+        for j in range(i + 1, 3):
+            out[i][j] = cols[j][i] % (p ** pivots[i])
+    return tuple(tuple(row) for row in out)
 
 
 def smith_elimination_oracle(m, p):
@@ -331,7 +397,7 @@ def sector_membership_lattice_oracle(x, c, y):
     """Membership by the Hermite form of the relative matrix in an adapted basis."""
     h = adapted_basis_at(x, c)
     n = mat_mul(adjugate3(mat_mul(x.matrix, h)), y.matrix)
-    return is_diagonal_ascending(lattice_canonical(n, x.p), x.p)
+    return is_diagonal_ascending(lattice_canonical_oracle(n, x.p), x.p)
 
 
 def common_depth_ray_oracle(c, d, o, rmax):
@@ -357,11 +423,64 @@ def retraction_lattice_oracle(frame, c, x):
     """Retraction with the Iwasawa exponents read off the Hermite-form pivots."""
     order = chamber_order_in_frame(frame, c)
     n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
-    canon = lattice_canonical(n, x.p)
+    canon = lattice_canonical_oracle(n, x.p)
     m = [0, 0, 0]
     for k in range(3):
         m[order[k]] = valuation_int(canon[k][k], x.p)
     return frame_vertex(frame, x.p, tuple(m))
+
+
+def boundary_retraction_iwasawa_oracle(frame, c, d, p):
+    """Boundary retraction centred at c, read off the retracted ray toward d.
+
+    The retracted images of the vertices x_n going to infinity along the
+    ray toward d have pivot exponents that are minima of linear forms in n
+    read off ``minor_valuations``.  Past the last crossing of those forms
+    the exponent increments are constant, and ranking them names the
+    chamber.  The library instead returns the apartment chamber at the Weyl
+    distance of d from c.
+    """
+    for e in apartment_chambers(frame):
+        if e == d:
+            return d
+    order_c = chamber_order_in_frame(frame, c)
+    h = frame.matrix(order_c)
+    o = frame_vertex(frame, p, (0, 0, 0))
+    n0 = mat_mul(adjugate3(h), mat_mul(o.matrix, adapted_basis_at(o, d)))
+    # column j of the ray vertex scales by p^(j * n), so the bottom-up corner
+    # minors of n0 * diag(1, p^n, p^2n) have valuations that are minima of
+    # linear forms in n, with slopes the sums of their column indices
+    entries, minors, det_v = minor_valuations(n0, p)
+    row2 = [(v, j) for v, i, j in entries if i == 2]
+    pairs12 = [(v, j1 + j2) for v, i1, i2, j1, j2 in minors if (i1, i2) == (1, 2)]
+
+    def crossing_bound(forms):
+        best = 0
+        for a, (va, sa) in enumerate(forms):
+            for vb, sb in forms[a + 1:]:
+                if sa != sb:
+                    best = max(best, abs(va - vb))
+        return best
+
+    n_star = max(crossing_bound(row2), crossing_bound(pairs12)) + 1
+
+    def exps_at(n):
+        a3 = min(v + s * n for v, s in row2)
+        a23 = min(v + s * n for v, s in pairs12)
+        total = det_v + 3 * n
+        return (total - a23, a23 - a3, a3)
+
+    e_lo = exps_at(n_star)
+    e_hi = exps_at(n_star + 1)
+    slopes = tuple(b - a for a, b in zip(e_lo, e_hi))
+    if len(set(slopes)) != 3:
+        raise AssertionError("retraction direction degenerated onto a wall; "
+                             "the limit chamber must be unique")
+    ranking = sorted(range(3), key=lambda i: slopes[i])
+    direction = tuple(order_c[i] for i in ranking)
+    v = frame.lines
+    return Flag.from_matrix(from_columns(
+        (v[direction[0]], v[direction[1]], v[direction[2]])))
 
 
 def _neighbor_vertices(o):
@@ -476,7 +595,8 @@ def basis_set_event_oracle(k, lam, p):
     ascending diagonal lattice; det k is a unit, so adj(k) serves as k^-1."""
     lam = dominant(lam)
     d_y = ((1, 0, 0), (0, p ** lam[1], 0), (0, 0, p ** lam[0]))
-    return is_diagonal_ascending(lattice_canonical(mat_mul(adjugate3(k), d_y), p), p)
+    return is_diagonal_ascending(
+        lattice_canonical_oracle(mat_mul(adjugate3(k), d_y), p), p)
 
 
 def random_stabilizer_matrix_oracle(p, depth, rng):

@@ -36,11 +36,19 @@ from sl3building.boundary import (
     weyl_distance,
 )
 from sl3building.dynamics import random_sl3z
-from sl3building.padic_linalg import adjugate3, det3, mat_mul, valuation_int
+from sl3building.padic_linalg import (
+    adjugate3,
+    det3,
+    from_columns,
+    mat_mul,
+    valuation_int,
+)
 from sl3building.parabolics import family_flag
 from sl3building.serialize import from_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
+from sl3building.stochastics import harmonic_sample
 from oracles import (
+    boundary_retraction_iwasawa_oracle,
     common_depth_ray_oracle,
     flag_echelon_oracle,
     perm_length,
@@ -433,6 +441,66 @@ def test_boundary_retraction_examples():
     generic = Flag.from_matrix(((1, 1, 2), (1, 2, 1), (3, 1, 1)))
     assert is_opposite(generic, c)
     assert boundary_retraction(frame, c, generic, p) == Flag.standard()
+
+
+def _small_vector(rng):
+    while True:
+        v = tuple(rng.randint(-4, 4) for _ in range(3))
+        if any(v):
+            return v
+
+
+def _flags_near_apartment(frame, rng):
+    """Flags that share a line or a plane with a chamber of the frame apartment.
+
+    A harmonic flag is almost always opposite the centre.  These flags fall
+    in the other cells, the two 3-cycles among them, where
+    weyl_distance(c, d) and weyl_distance(d, c) differ.
+    """
+    v = frame.lines
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            a, b = _small_vector(rng), _small_vector(rng)
+            through_line = from_columns((v[i], a, b))
+            mix = tuple(rng.randint(1, 4) * x + rng.randint(-4, 4) * y
+                        for x, y in zip(v[i], v[j]))
+            in_plane = from_columns((mix, v[i], a))
+            for m in (through_line, in_plane):
+                if det3(m) != 0:
+                    yield Flag.from_matrix(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_boundary_retraction_matches_the_iwasawa_oracle(p):
+    rng = random.Random(1000 + p)
+    cells = set()
+    for _ in range(12):
+        c0 = rand_flag(rng)
+        c1 = rand_flag(rng)
+        if not is_opposite(c0, c1):
+            continue
+        frame = apartment_from_opposite(c0, c1)
+        o = frame_vertex(frame, p, (0, 0, 0))
+        ds = [harmonic_sample(o, 3, rng) for _ in range(4)]
+        ds += [rand_flag(rng) for _ in range(2)]
+        ds += list(_flags_near_apartment(frame, rng))
+        for c in apartment_chambers(frame):
+            for d in ds:
+                cells.add(weyl_distance(c, d))
+                assert boundary_retraction(frame, c, d, p) == \
+                    boundary_retraction_iwasawa_oracle(frame, c, d, p)
+    assert cells == set(ALL_PERMS)
+
+
+def test_boundary_retraction_rejects_a_centre_outside_the_apartment():
+    frame = apartment_from_opposite(Flag.standard(), Flag.reversed_standard())
+    c = Flag.from_matrix(((1, 1, 2), (1, 2, 1), (3, 1, 1)))
+    assert c not in apartment_chambers(frame)
+    for d in (Flag.standard(), Flag.from_matrix(((2, 1, 0), (1, 1, 0), (5, 3, 1)))):
+        with pytest.raises(ValueError, match="apartment at infinity"):
+            boundary_retraction(frame, c, d, 5)
 
 
 def test_opposite_in_apartment():

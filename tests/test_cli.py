@@ -234,6 +234,20 @@ def test_load_config_returns_or_raises_config_error(sub, data):
         with open(path, "w") as fh:
             yaml.safe_dump(cfg, fh)
         try:
-            load_config(sub, path)
+            loaded = load_config(sub, path)
         except ConfigError:
-            pass
+            return
+    assert all(type(loaded[key]) is int
+               for key, default in _SCHEMAS[sub].items() if type(default) is int)
+
+
+_INT_KEYS = [(sub, key) for sub, schema in _SCHEMAS.items()
+             for key, default in schema.items() if type(default) is int]
+
+
+@pytest.mark.parametrize("sub, key", _INT_KEYS)
+def test_integer_config_key_set_to_null_is_a_config_error(tmp_path, capsys,
+                                                          sub, key):
+    rc = _run(tmp_path, sub, config={key: None})
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"

@@ -32,6 +32,7 @@ from sl3building.dynamics import schottky_pair
 from sl3building.rng import make_rng
 from oracles import (
     is_prime_trial_division,
+    lattice_canonical_oracle,
     primitive_vector_oracle,
     rank,
     residue_germ_parts_oracle,
@@ -216,6 +217,32 @@ def test_lattice_canonical_mod_homothety():
     base = ((25, 0, 0), (0, 5, 0), (0, 0, 5))
     scaled = tuple(tuple(e * 25 for e in row) for row in base)
     assert lattice_canonical(base, p) == lattice_canonical(scaled, p)
+
+
+@st.composite
+def lattice_bases(draw):
+    # entries of 10 or 1000 bits (the size of a walk's final position) with
+    # p-power factors, column scales that make the determinant valuation
+    # large, a p-content and sometimes denominators
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    bits = draw(st.sampled_from((10, 10, 1000)))
+    content = p ** draw(st.integers(0, 3))
+    scales = [p ** draw(st.integers(0, 40)) for _ in range(3)]
+    entry = st.builds(lambda a, k, den: Fraction(a * p ** k, den),
+                      st.integers(-2 ** bits, 2 ** bits), st.integers(0, 6),
+                      st.sampled_from((1, 1, 1, 1, p, 6, p ** 3)))
+    m = tuple(tuple(int(e) if e.denominator == 1 else e
+                    for e in (draw(entry) * content * s for s in scales))
+              for _ in range(3))
+    assume(det3(m) != 0)
+    return m, p
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(lattice_bases())
+def test_lattice_canonical_matches_the_elimination_oracle(case):
+    m, p = case
+    assert lattice_canonical(m, p) == lattice_canonical_oracle(m, p)
 
 
 def test_smith_left_transform_reconstructs_the_lattice():

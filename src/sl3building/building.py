@@ -427,8 +427,9 @@ def adapted_basis_at(x, flag):
 
     The line moves to those coordinates by the adjugate of the basis matrix
     of x, the plane normal by its transpose; both are projective, so the
-    determinant never needs dividing out.
+    determinant never needs dividing out, and both are made primitive.
     """
     m = x.matrix
-    return flag_adapted_basis(mat_vec(adjugate3(m), flag.line),
-                              mat_vec(transpose(m), flag.plane_normal), x.p)
+    return flag_adapted_basis(primitive_vector(mat_vec(adjugate3(m), flag.line)),
+                              primitive_vector(mat_vec(transpose(m), flag.plane_normal)),
+                              x.p)

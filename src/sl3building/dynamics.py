@@ -24,6 +24,7 @@ from .padic_linalg import (
     adjugate3,
     cross,
     det3,
+    flag_adapted_basis,
     from_columns,
     identity,
     integerize,
@@ -31,6 +32,7 @@ from .padic_linalg import (
     mat_vec,
     primitive_vector,
     require_prime,
+    transpose,
     valuation_int,
 )
 from .building import (
@@ -357,30 +359,33 @@ def _apartment_candidate(chambers, h_flag, p, threshold):
     return best
 
 
-def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
+def _stable_apartment_direction(chambers, base, pairs, threshold, nmax):
     """Common stabilization detector for power iterations.
 
-    flags_sequence yields successive image flags; convergence is declared
+    pairs yields the successive images (line, normal) of a flag as primitive
+    vectors in the coordinates of the basis M of base: a flag (l, n) of Q^3
+    is (adj(M) l, M^T n) there, up to scalars, and ``flag_adapted_basis`` of
+    that pair is ``adapted_basis_at(base, flag)``.  Convergence is declared
     when the agreement depth of successive images is nondecreasing and at
-    least threshold for three consecutive steps, and the apartment chamber
-    read off at that point is confirmed at roughly twice the step count
-    (iteration paths are piecewise straight, so a transient leg that fooled
-    the run rule fails the doubled confirmation).  Each depth is
-    ``common_depth`` of two flags at base, taken by ``ray_depth`` from the
-    adapted bases: each image's basis is computed once, and the apartment
-    chambers' adjugated bases once per call.
+    least threshold for three consecutive steps, and the chamber of
+    ``chambers`` (the apartment's six) read off at that point is confirmed
+    at roughly twice the step count (iteration paths are piecewise straight,
+    so a transient leg that fooled the run rule fails the doubled
+    confirmation).  Each depth is ``common_depth`` of two flags at base,
+    taken by ``ray_depth`` from the adapted bases: each image's basis is
+    computed once, and the apartment chambers' adjugated bases once per
+    call.
     """
     p = base.p
-    chambers = [(e, adjugate3(adapted_basis_at(base, e)))
-                for e in apartment_chambers(cert.frame)]
+    chamber_bases = [(e, adjugate3(adapted_basis_at(base, e))) for e in chambers]
     h_prev = None
     prev_depth = -1
     run = 0
     candidate = None
     confirm_at = None
     trajectory = []
-    for n, flag in enumerate(flags_sequence, start=1):
-        h_flag = adapted_basis_at(base, flag)
+    for n, (line, normal) in enumerate(pairs, start=1):
+        h_flag = flag_adapted_basis(line, normal, p)
         if h_prev is not None:
             d = ray_depth(h_prev, adjugate3(h_flag), p, threshold + 1)
             trajectory.append((n, d))
@@ -390,14 +395,14 @@ def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
                 run = 0
             prev_depth = d
             if candidate is None and run >= 3:
-                best = _apartment_candidate(chambers, h_flag, p, threshold)
+                best = _apartment_candidate(chamber_bases, h_flag, p, threshold)
                 if best is not None:
                     candidate = best[0]
                     confirm_at = 2 * n + 2
                 else:
                     run = 0
             elif candidate is not None and n >= confirm_at:
-                best = _apartment_candidate(chambers, h_flag, p, threshold)
+                best = _apartment_candidate(chamber_bases, h_flag, p, threshold)
                 if best is not None and best[0] == candidate:
                     return candidate
                 candidate, confirm_at, run = None, None, 0
@@ -408,26 +413,66 @@ def _stable_apartment_direction(cert, flags_sequence, threshold, nmax, base):
                                trajectory=trajectory)
 
 
+def _primitive_image(m, v):
+    """``primitive_vector`` of the integer product m v, unrolled."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return primitive_vector((a * x + b * y + c * z, d * x + e * y + f * z,
+                             g * x + h * y + i * z))
+
+
+def _content_stripped(m):
+    """An integer matrix divided by the gcd of its entries."""
+    k = gcd(*(e for row in m for e in row))
+    return tuple(tuple(e // k for e in row) for row in m)
+
+
+def _in_base(base, c, elements):
+    """A flag and group elements in the coordinates of the basis M of base.
+
+    Returns the line adj(M) c.line, the normal M^T c.plane_normal and, for
+    each element g, G = adj(M) num(g) M with its content stripped.  All are
+    projective: M adj(M) = det(M) I, so G^n adj(M) v is proportional to
+    adj(M) g^n v and adj(G)^T M^T n to M^T adj(g)^T n.
+    """
+    m = base.matrix
+    adj_m = adjugate3(m)
+    return (mat_vec(adj_m, c.line), mat_vec(transpose(m), c.plane_normal),
+            [_content_stripped(mat_mul(adj_m, mat_mul(g.num, m)))
+             for g in elements])
+
+
 def north_south_limit(cert, c, nmax=40, threshold=4):
     """Limit of the power iteration g^n c, certified by depth stabilization.
 
     The result always lies on the translation apartment and coincides with
     the boundary retraction onto that apartment centered at the repelling
     chamber; the two routes are independent and cross-checked in the tests.
+
+    The iteration runs in the coordinates of the basis M of the base vertex
+    (the frame vertex at 0): with G = adj(M) g M, content stripped, the line
+    steps by G and the plane normal by adj(G)^T, each made primitive once
+    per step.  Projectively adj(M) g^n line is G^n adj(M) line and
+    M^T adj(g^n)^T normal is (adj(G)^T)^n M^T normal, and
+    ``primitive_vector`` is canonical, so every adapted basis, depth and
+    limit is the one the flags g^n c give at the base vertex.
     """
-    for e in apartment_chambers(cert.frame):
-        if e == c:
-            return c
-    base = cert.base_vertex()
-    g = cert.element.num
+    frame = cert.frame
+    chambers = apartment_chambers(frame)
+    if c in chambers:
+        return c
+    base = frame_vertex(frame, cert.p)
+    line, normal, (g,) = _in_base(base, c, (cert.element,))
+    adj_g_t = transpose(_content_stripped(adjugate3(g)))
 
-    def images():
-        cur = c
+    def pairs(line, normal):
         while True:
-            cur = cur.apply(g)
-            yield cur
+            line = _primitive_image(g, line)
+            normal = _primitive_image(adj_g_t, normal)
+            yield line, normal
 
-    return _stable_apartment_direction(cert, images(), threshold, nmax, base)
+    return _stable_apartment_direction(chambers, base, pairs(line, normal),
+                                       threshold, nmax)
 
 
 def proximal_pair_check(cert1, cert2):
@@ -459,21 +504,24 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     """Limit of g2^n g1^n c for a pair passing proximal_pair_check.
 
     The iteration contracts every ideal chamber to the attracting chamber of
-    cert2.
+    cert2.  It runs in the coordinates of cert2's base vertex, as
+    ``north_south_limit`` does, with W = G2^n G1^n held content stripped.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
-    base = cert2.base_vertex()
-    g1 = cert1.element
-    g2 = cert2.element
+    frame = cert2.frame
+    base = frame_vertex(frame, cert2.p)
+    line, normal, (g1, g2) = _in_base(base, c, (cert1.element, cert2.element))
 
-    def images():
-        w = g2 * g1  # g2^n g1^n at step n
+    def pairs():
+        w = _content_stripped(mat_mul(g2, g1))  # G2^n G1^n at step n
         while True:
-            yield c.apply(w.num)
-            w = g2 * w * g1
+            yield (_primitive_image(w, line),
+                   _primitive_image(transpose(adjugate3(w)), normal))
+            w = _content_stripped(mat_mul(g2, mat_mul(w, g1)))
 
-    return _stable_apartment_direction(cert2, images(), threshold, nmax, base)
+    return _stable_apartment_direction(apartment_chambers(frame), base, pairs(),
+                                       threshold, nmax)
 
 
 # ---------------------------------------------------------------------------

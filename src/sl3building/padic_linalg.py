@@ -397,12 +397,13 @@ def smith_left_transform(m, p):
 def flag_adapted_basis(line, normal, p):
     """Basis of Z_(p)^3 triangular for the flag <line> < {x : normal . x = 0}.
 
-    Returns an integer matrix H with unit determinant valuation whose columns
-    (f1, f2, f3) satisfy f1 in <line> and f2 in the plane.  The first column
-    is primitive in Z^3, the first two span the p-saturation of the plane.
+    line and normal are primitive integer vectors, as ``primitive_vector``
+    returns them; the callers strip their content.  Returns an integer
+    matrix H with unit determinant valuation whose columns (f1, f2, f3)
+    satisfy f1 in <line> and f2 in the plane.  The first column is the line,
+    the first two span the p-saturation of the plane.
     """
-    f1 = primitive_vector(line)
-    n = primitive_vector(normal)
+    f1, n = line, normal
     k = next(i for i in range(3) if n[i] % p != 0)
     basis = [tuple(n[k] if r == i else (-n[i] if r == k else 0) for r in range(3))
              for i in range(3) if i != k]

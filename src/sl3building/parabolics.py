@@ -10,9 +10,9 @@ apartments share the ideal vertex <e2>).
 
 The diagonalizable subgroup P meet P^1 is the two-parameter matrix family
 A_(a,e) below; (a, e) -> A_(a,e) is a group homomorphism and each member
-stabilizes both defining flags.  Everything here is exact, over Q by default
-with exhaustive cross-checks over prime fields F_q in integer arithmetic
-mod q.
+stabilizes both defining flags.  Everything here is exact over Q; the
+lower-triangular analogue and the exhaustive cross-checks over prime fields
+F_q are test oracles.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from fractions import Fraction
 
 from .padic_linalg import (
     adjugate3,
-    cross,
     det3,
     dot,
     from_columns,
     mat_vec,
-    require_prime,
     transpose,
 )
 from .boundary import Flag, apartment_from_opposite, is_opposite
@@ -93,20 +91,6 @@ def torus_family_member(a, e):
         raise AssertionError("family member must have determinant 1")
     if not (stabilizes_flag(m, upper_flag()) and stabilizes_flag(m, family_flag(1))):
         raise AssertionError("family member must stabilize both defining flags")
-    return m
-
-
-def lower_torus_member(a, e):
-    """The lower-triangular analogue inside P' meet P^1."""
-    a, e = Fraction(a), Fraction(e)
-    if a * e == 0:
-        raise ValueError("parameters must be nonzero")
-    i = 1 / (a * e)
-    m = ((a, 0, 0),
-         (a - e, e, 0),
-         (a - 2 * e + i, 2 * e - 2 * i, i))
-    if det3(m) != 1:
-        raise AssertionError("family member must have determinant 1")
     return m
 
 
@@ -191,64 +175,3 @@ def pairwise_position_report(t):
 def generic_family_scan(t_values):
     """Genericity verdict of the flag triple for each parameter."""
     return {t: pairwise_position_report(t).generic for t in t_values}
-
-
-# ---------------------------------------------------------------------------
-# finite-field cross checks
-# ---------------------------------------------------------------------------
-
-def torus_members_field(q):
-    """All A_(a,e) over the prime field F_q, entries in range(q).
-
-    In characteristic 2 the parameter t = 1 equals -1, which is excluded from
-    the generic range, so the family is only enumerated for odd q.
-    """
-    require_prime(q)
-    if q % 2 == 0:
-        raise ValueError("t = 1 is degenerate in characteristic 2")
-    out = []
-    for a in range(1, q):
-        for e in range(1, q):
-            i = pow(a * e, -1, q)
-            out.append(((a, (2 * e - 2 * a) % q, (i + a - 2 * e) % q),
-                        (0, e, (i - e) % q),
-                        (0, 0, i)))
-    return out
-
-
-def _field_flag_stab(q, m, line, plane_points):
-    """Whether m fixes the flag <line> < span(plane_points) over F_q.
-
-    The image of the line is proportional to it iff their cross product
-    vanishes mod q; each image of a plane point stays in the plane iff it
-    is dependent on the two points mod q.
-    """
-    if any(e % q for e in cross(mat_vec(m, line), line)):
-        return False
-    return all(det3((plane_points[0], plane_points[1], mat_vec(m, b))) % q == 0
-               for b in plane_points)
-
-
-def upper_borel_intersection_count_field(q):
-    """Exhaustive size of P meet P^1 over F_q (odd prime q), for comparison with (q-1)^2.
-
-    Enumerates the upper-triangular subgroup and keeps the elements
-    stabilizing the t = 1 family flag.
-    """
-    if q % 2 == 0:
-        raise ValueError("t = 1 is degenerate in characteristic 2")
-    require_prime(q)
-    v = (1, 1, 1)
-    # V_1 over F_q: -x + 2y - z = 0; points v and (2, 1, 0)
-    plane_points = (v, (2 % q, 1, 0))
-    count = 0
-    for a in range(1, q):
-        for e in range(1, q):
-            i = pow(a * e, -1, q)
-            for b in range(q):
-                for c in range(q):
-                    for f in range(q):
-                        m = ((a, b, c), (0, e, f), (0, 0, i))
-                        if _field_flag_stab(q, m, v, plane_points):
-                            count += 1
-    return count

@@ -70,9 +70,20 @@ class SqrtSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
+        """The value sum of c * sqrt(n) over (n, c) terms, in normal form.
+
+        Each radicand n >= 0 is split as a^2 s with s squarefree, and the
+        term becomes (s, c a); terms of one s are merged and zeros dropped.
+        Square roots of distinct squarefree integers are linearly
+        independent over Q, so equal values have equal term tuples.
+        """
         collected = {}
-        for s, c in terms:
-            collected[s] = collected.get(s, 0) + c
+        for n, c in terms:
+            if n < 0:
+                raise ValueError("negative radicand")
+            if n and c:
+                a, s = _squarefree_split(n)
+                collected[s] = collected.get(s, 0) + c * a
         self.terms = tuple(sorted((s, c) for s, c in collected.items() if c))
 
     @classmethod
@@ -86,14 +97,7 @@ class SqrtSum:
     @classmethod
     def of_squares(cls, squares):
         """The value sqrt(q1) + sqrt(q2) + ... for integer squared distances."""
-        terms = []
-        for q in squares:
-            if q < 0:
-                raise ValueError("negative radicand")
-            if q:
-                a, s = _squarefree_split(q)
-                terms.append((s, a))
-        return cls(terms)
+        return cls((q, 1) for q in squares)
 
     def __add__(self, other):
         return SqrtSum(self.terms + other.terms)

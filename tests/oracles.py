@@ -41,8 +41,13 @@ The barycenter's shell search runs on ``SqrtSum`` values throughout
 (``certified_apartment_min_oracle``) instead of integer enclosures of the
 pairs of squared distances.  The rational ``valuation``, ``perm_length`` and
 ``stabilized_apartment_simplices`` live here because only the tests use
-them, and ``harmonic_generic_triples`` draws test inputs for several
-modules.
+them, as do the lower-triangular torus member of the Borel family and its
+finite-field cross-checks (``torus_members_field``,
+``upper_borel_intersection_count_field``), and ``harmonic_generic_triples``
+draws test inputs for several modules.  The north-south limit comes from
+moving the flag itself by ``Flag.apply`` and mapping each image to the base
+vertex (``north_south_limit_flag_oracle``) instead of stepping a pair in
+base-vertex coordinates by one conjugated matrix.
 """
 
 from fractions import Fraction
@@ -61,7 +66,9 @@ from sl3building.padic_linalg import (
     identity,
     integerize,
     mat_mul,
+    mat_vec,
     minor_valuations,
+    require_prime,
     smith_exponents,
     strip_p_content,
     transpose,
@@ -82,9 +89,11 @@ from sl3building.building import (
 )
 from sl3building.boundary import (
     Flag,
+    HorizonExceededError,
     apartment_chambers,
     chamber_order_in_frame,
     growth_ray_vertex,
+    ray_depth,
     sector_membership,
 )
 from sl3building.parabolics import stabilizes_line, stabilizes_plane
@@ -361,7 +370,8 @@ def sector_vertices_bfs(x, c, radius):
     """
     p = x.p
     g = columns(mat_mul(mat_inv3(x.matrix), c.matrix))
-    h = flag_adapted_basis(g[0], cross(g[0], g[1]), p)
+    h = flag_adapted_basis(primitive_vector_oracle(g[0]),
+                           primitive_vector_oracle(cross(g[0], g[1])), p)
     base = mat_mul(x.matrix, h)
     out = set()
     r2 = radius * radius
@@ -417,6 +427,86 @@ def common_depth_ray_oracle(c, d, o, rmax):
         else:
             break
     return depth
+
+
+def _apartment_candidate_oracle(chambers, h_flag, p, threshold):
+    """The apartment chamber of greatest common depth with the flag, when
+    that depth reaches threshold; the depths come from the flag's adapted
+    basis and the (chamber, adjugated adapted basis) pairs in chambers."""
+    best = None
+    for e, adj_h_e in chambers:
+        de = ray_depth(h_flag, adj_h_e, p, threshold + 1)
+        if de >= threshold and (best is None or de > best[1]):
+            best = (e, de)
+    return best
+
+
+def _stable_apartment_direction_flag_oracle(cert, flags_sequence, threshold,
+                                            nmax, base):
+    """The stabilization detector on flags of Q^3, each mapped to base.
+
+    Each image's adapted basis is ``adapted_basis_at(base, flag)``, instead
+    of ``flag_adapted_basis`` of a pair already in base coordinates.
+    """
+    p = base.p
+    chambers = [(e, adjugate3(adapted_basis_at(base, e)))
+                for e in apartment_chambers(cert.frame)]
+    h_prev = None
+    prev_depth = -1
+    run = 0
+    candidate = None
+    confirm_at = None
+    trajectory = []
+    for n, flag in enumerate(flags_sequence, start=1):
+        h_flag = adapted_basis_at(base, flag)
+        if h_prev is not None:
+            d = ray_depth(h_prev, adjugate3(h_flag), p, threshold + 1)
+            trajectory.append((n, d))
+            if d >= threshold and d >= prev_depth:
+                run += 1
+            else:
+                run = 0
+            prev_depth = d
+            if candidate is None and run >= 3:
+                best = _apartment_candidate_oracle(chambers, h_flag, p, threshold)
+                if best is not None:
+                    candidate = best[0]
+                    confirm_at = 2 * n + 2
+                else:
+                    run = 0
+            elif candidate is not None and n >= confirm_at:
+                best = _apartment_candidate_oracle(chambers, h_flag, p, threshold)
+                if best is not None and best[0] == candidate:
+                    return candidate
+                candidate, confirm_at, run = None, None, 0
+        h_prev = h_flag
+        if n >= nmax:
+            break
+    raise HorizonExceededError("iteration did not stabilize before the horizon",
+                               trajectory=trajectory)
+
+
+def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
+    """``north_south_limit`` with the flag itself moved by ``Flag.apply``.
+
+    Each step applies g to the flag of Q^3 and maps the image into the base
+    vertex's coordinates again, instead of stepping a (line, normal) pair
+    already in those coordinates by one conjugated matrix.
+    """
+    for e in apartment_chambers(cert.frame):
+        if e == c:
+            return c
+    base = cert.base_vertex()
+    g = cert.element.num
+
+    def images():
+        cur = c
+        while True:
+            cur = cur.apply(g)
+            yield cur
+
+    return _stable_apartment_direction_flag_oracle(cert, images(), threshold,
+                                                   nmax, base)
 
 
 def retraction_lattice_oracle(frame, c, x):
@@ -940,3 +1030,74 @@ def harmonic_generic_triples(p, depth, count, rng):
             if is_generic(triple):
                 out.append(triple)
     return out
+
+
+def lower_torus_member(a, e):
+    """The lower-triangular analogue inside P' meet P^1."""
+    a, e = Fraction(a), Fraction(e)
+    if a * e == 0:
+        raise ValueError("parameters must be nonzero")
+    i = 1 / (a * e)
+    m = ((a, 0, 0),
+         (a - e, e, 0),
+         (a - 2 * e + i, 2 * e - 2 * i, i))
+    if det3(m) != 1:
+        raise AssertionError("family member must have determinant 1")
+    return m
+
+
+def torus_members_field(q):
+    """All A_(a,e) over the prime field F_q, entries in range(q).
+
+    In characteristic 2 the parameter t = 1 equals -1, which is excluded from
+    the generic range, so the family is only enumerated for odd q.
+    """
+    require_prime(q)
+    if q % 2 == 0:
+        raise ValueError("t = 1 is degenerate in characteristic 2")
+    out = []
+    for a in range(1, q):
+        for e in range(1, q):
+            i = pow(a * e, -1, q)
+            out.append(((a, (2 * e - 2 * a) % q, (i + a - 2 * e) % q),
+                        (0, e, (i - e) % q),
+                        (0, 0, i)))
+    return out
+
+
+def _field_flag_stab(q, m, line, plane_points):
+    """Whether m fixes the flag <line> < span(plane_points) over F_q.
+
+    The image of the line is proportional to it iff their cross product
+    vanishes mod q; each image of a plane point stays in the plane iff it
+    is dependent on the two points mod q.
+    """
+    if any(e % q for e in cross(mat_vec(m, line), line)):
+        return False
+    return all(det3((plane_points[0], plane_points[1], mat_vec(m, b))) % q == 0
+               for b in plane_points)
+
+
+def upper_borel_intersection_count_field(q):
+    """Exhaustive size of P meet P^1 over F_q (odd prime q), for comparison with (q-1)^2.
+
+    Enumerates the upper-triangular subgroup and keeps the elements
+    stabilizing the t = 1 family flag.
+    """
+    if q % 2 == 0:
+        raise ValueError("t = 1 is degenerate in characteristic 2")
+    require_prime(q)
+    v = (1, 1, 1)
+    # V_1 over F_q: -x + 2y - z = 0; points v and (2, 1, 0)
+    plane_points = (v, (2 % q, 1, 0))
+    count = 0
+    for a in range(1, q):
+        for e in range(1, q):
+            i = pow(a * e, -1, q)
+            for b in range(q):
+                for c in range(q):
+                    for f in range(q):
+                        m = ((a, b, c), (0, e, f), (0, 0, i))
+                        if _field_flag_stab(q, m, v, plane_points):
+                            count += 1
+    return count

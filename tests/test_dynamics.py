@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl3building.building import (
     LatticeVertex,
@@ -39,10 +41,17 @@ from sl3building.dynamics import (
     schubert_avoidance_report,
     universal_contraction,
 )
-from sl3building.padic_linalg import cross, det3, identity, mat_mul, mat_vec
+from sl3building.padic_linalg import (
+    cross,
+    det3,
+    identity,
+    mat_mul,
+    mat_vec,
+    primitive_vector,
+)
 from sl3building.stochastics import harmonic_sample
 from sl3building.rng import make_rng
-from oracles import mat_inv3, valuation
+from oracles import mat_inv3, north_south_limit_flag_oracle, valuation
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -316,6 +325,90 @@ def test_universal_contraction_horizon_trajectory_recomputed_from_the_images():
                    for n in range(1, nmax + 1)]
     _assert_trajectory_of_images(info.value, flags, cert2.base_vertex(),
                                  threshold)
+
+
+def _limit_or_trajectory(limit_fn, cert, c, nmax, threshold):
+    """("limit", the limit) or ("horizon", the depth trajectory)."""
+    try:
+        return "limit", limit_fn(cert, c, nmax=nmax, threshold=threshold)
+    except HorizonExceededError as exc:
+        return "horizon", exc.trajectory
+
+
+def _lines_off_the_standard_lattice(p, rng):
+    """Three independent integer lines whose determinant p divides, so the
+    frame's base vertex is not the standard one."""
+    while True:
+        m = tuple(tuple(rng.randint(-p * p, p * p) for _ in range(3))
+                  for _ in range(3))
+        if det3(m):
+            lines = tuple(primitive_vector(v) for v in m)
+            if det3(lines) % p == 0:
+                return lines
+
+
+def test_north_south_limit_matches_the_flag_oracle():
+    # The iteration in base-vertex coordinates against the loop that moves
+    # the flag itself by Flag.apply: the same limit at the default horizon,
+    # and the same depth trajectory at horizons too short to confirm.  An
+    # SL3(Z) conjugate of the standard element keeps the standard base
+    # vertex, so one element translates a frame with a base vertex of its
+    # own.
+    outcomes = set()
+    for p in (2, 3, 5):
+        rng = make_rng(2021, p)
+        x = standard_vertex(p)
+        for lam in ((2, 1, 0), (4, 2, 0), (5, 1, 0)):
+            std = make_srh(STD_LINES, lam, p)
+            lines = _lines_off_the_standard_lattice(p, random.Random(p))
+            certs = [std, make_srh(lines, lam, p)] + [
+                std.conjugate(random_sl3z(random.Random(7 * p + i)))
+                for i in range(2)]
+            assert certs[1].base_vertex() != x
+            for cert, threshold in zip(certs * 3, (1, 2, 3, 4) * 3):
+                for depth in (2, 5, 8):
+                    c = harmonic_sample(x, depth, rng)
+                    for nmax in (40, threshold + 3):
+                        got = _limit_or_trajectory(north_south_limit, cert, c,
+                                                   nmax, threshold)
+                        assert got == _limit_or_trajectory(
+                            north_south_limit_flag_oracle, cert, c, nmax,
+                            threshold), (p, lam, threshold, depth, nmax)
+                        outcomes.add((got[0], nmax == 40))
+    # (a flag on the apartment is its own limit at any horizon)
+    assert {("limit", True), ("horizon", False)} <= outcomes
+
+
+def _diagonal(p, a, b):
+    """diag(p^a, p^b, p^(-a-b)) as a group element."""
+    return GroupElement.from_matrix(tuple(
+        tuple(Fraction(p) ** e if i == j else 0 for j in range(3))
+        for i, e in enumerate((a, b, -a - b))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)),
+       lam=st.sampled_from(((2, 1, 0), (4, 2, 0), (5, 1, 0))),
+       frame_seed=st.one_of(st.none(), st.integers(0, 2 ** 32)),
+       k_seed=st.integers(0, 2 ** 32),
+       ab=st.one_of(st.none(), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+       depth=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32))
+def test_north_south_limit_is_equivariant(p, lam, frame_seed, k_seed, ab,
+                                          depth, seed):
+    # For k in SL3(Z[1/p]), a word of random_sl3z and a diagonal p-power
+    # element, the limit of k g k^-1 from k c is k times the limit of g
+    # from c.  g translates the standard frame or one off the standard
+    # lattice; k need not carry the base vertex of g to that of k g k^-1.
+    lines = STD_LINES if frame_seed is None else \
+        _lines_off_the_standard_lattice(p, random.Random(frame_seed))
+    cert = make_srh(lines, lam, p)
+    k = random_sl3z(random.Random(k_seed))
+    if ab is not None:
+        k = k * _diagonal(p, *ab)
+    c = harmonic_sample(standard_vertex(p), depth, make_rng(seed))
+    assert north_south_limit(cert.conjugate(k), c.apply(k.num)) == \
+        north_south_limit(cert, c).apply(k.num)
 
 
 def test_proximal_pair_check_basics():

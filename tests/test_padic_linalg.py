@@ -294,7 +294,8 @@ def test_flag_adapted_basis_is_triangular_and_unimodular():
     for _ in range(200):
         g = rand_invertible(rng)
         gc = columns(g)
-        h = flag_adapted_basis(gc[0], cross(gc[0], gc[1]), p)
+        h = flag_adapted_basis(primitive_vector(gc[0]),
+                               primitive_vector(cross(gc[0], gc[1])), p)
         assert valuation(det3(h), p) == 0
         hc = columns(h)
         assert _in_span(hc[0], (gc[0],))

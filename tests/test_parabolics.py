@@ -12,15 +12,17 @@ from sl3building.parabolics import (
     family_plane_normal,
     generic_family_scan,
     lower_flag,
-    lower_torus_member,
     pairwise_position_report,
     torus_family_member,
-    upper_borel_intersection_count_field,
-    torus_members_field,
     upper_flag,
 )
 from sl3building.triples import ChamberTriple, is_generic
-from oracles import stabilized_apartment_simplices
+from oracles import (
+    lower_torus_member,
+    stabilized_apartment_simplices,
+    torus_members_field,
+    upper_borel_intersection_count_field,
+)
 
 
 def test_upper_and_lower_flags_are_opposite():

@@ -107,6 +107,47 @@ def test_negative_radicands_are_rejected():
         SqrtSum.sqrt_int(-1)
     with pytest.raises(ValueError):
         SqrtSum.of_squares((4, -2))
+    with pytest.raises(ValueError):
+        SqrtSum(((-3, 1),))
+
+
+def _is_squarefree(s):
+    return s >= 1 and all(s % (d * d) for d in range(2, isqrt(s) + 1))
+
+
+# (s, a, c): the term c * sqrt(a^2 s), s any radicand and a, c integers
+FACTORED_TERMS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=500),
+              st.integers(min_value=1, max_value=30),
+              st.integers(min_value=-5, max_value=5)),
+    max_size=5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(FACTORED_TERMS)
+def test_the_raw_constructor_gives_the_normal_form_of_of_squares(terms):
+    # c * sqrt(a^2 s) spelled three ways: as (a^2 s, c), as (s, a c), and,
+    # for c > 0, as sqrt((a c)^2 s) through of_squares; negative c are
+    # of_squares terms subtracted.
+    raw = SqrtSum((a * a * s, c) for s, a, c in terms)
+    pulled = SqrtSum((s, a * c) for s, a, c in terms)
+    plus = SqrtSum.of_squares([(a * c) ** 2 * s for s, a, c in terms if c > 0])
+    minus = SqrtSum.of_squares([(a * c) ** 2 * s for s, a, c in terms if c < 0])
+    assert raw == pulled and hash(raw) == hash(pulled)
+    assert raw + minus == plus and hash(raw + minus) == hash(plus)
+    assert (raw + minus).compare(plus) == 0
+    assert all(_is_squarefree(s) and c for s, c in raw.terms)
+    assert len({s for s, _ in raw.terms}) == len(raw.terms)
+
+
+def test_compare_is_zero_on_equal_values_spelled_differently():
+    assert SqrtSum(((12, 1),)) == SqrtSum.sqrt_int(12)
+    assert SqrtSum(((12, 1),)).compare(SqrtSum.sqrt_int(12)) == 0
+    assert hash(SqrtSum(((12, 1),))) == hash(SqrtSum.sqrt_int(12))
+    assert SqrtSum(((12, 1), (3, -2), (0, 7))).is_zero()
+    assert SqrtSum(((50, 1), (8, 1))).compare(SqrtSum(((2, 7),))) == 0
+    assert SqrtSum(((49, 1),)).compare(SqrtSum(((1, 7),))) == 0
+    assert SqrtSum(((18, Fraction(1, 3)),)) == SqrtSum(((2, 1),))
 
 
 def test_barycenter_values_have_integer_coefficients():

@@ -522,6 +522,31 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
     assert p_content_grew > 0  # some step strips a gcd divisible by p
 
 
+def test_mul_strip_seeded_with_the_determinant_equals_the_plain_gcd():
+    # m G adj(G) = det(G) m, so for m of content 1 the content of m G
+    # divides |det G|, and seeding the gcd with it changes nothing.  Half the
+    # m are built from adj(G) so that m G has a large content.
+    rng = random.Random(19)
+    contents = set()
+    for _ in range(400):
+        bits = rng.choice((3, 40, 1000))
+        while True:
+            g = tuple(tuple(rng.randint(-2 ** bits, 2 ** bits) * rng.choice((1, 2, 9))
+                            for _ in range(3)) for _ in range(3))
+            if det3(g):
+                break
+        r = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
+        m = mat_mul(r, adjugate3(g)) if rng.random() < 0.5 else r
+        k = math.gcd(*(e for row in m for e in row))
+        if not k:
+            continue
+        m = tuple(tuple(e // k for e in row) for row in m)
+        plain = stochastics._mul_strip(m, g, 0)
+        assert stochastics._mul_strip(m, g, abs(det3(g))) == plain
+        contents.add(plain[1] > 1)
+    assert contents == {False, True}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_walk_matches_the_product_coordinate_oracle(p):
     # Whole traces, steps and final vertex, against the walk in the

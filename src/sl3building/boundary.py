@@ -11,8 +11,9 @@ sets of the cone topology, and the retraction onto an apartment centered at
 one of its ideal chambers are decided by ``minor_valuations`` of a relative
 matrix: its least entry, 2x2 minor and determinant valuations are the
 elementary divisors, and the same minima over its bottom rows are the
-Iwasawa exponents.  The boundary retraction needs no valuation at all: it
-keeps Weyl distance from its centre.
+Iwasawa exponents.  A flag's place in a frame apartment is read off its
+incidences with the frame lines, and the boundary retraction needs no
+valuation at all: it keeps Weyl distance from its centre.
 """
 
 from __future__ import annotations
@@ -155,23 +156,43 @@ def apartment_from_opposite(c, d):
     return Frame.from_lines((c.line, middle, d.line))
 
 
+def _frame_chamber(v, i, j):
+    """The flag <v_i> < <v_i, v_j> of the frame lines v, which are primitive."""
+    return Flag(v[i], primitive_vector(cross(v[i], v[j])))
+
+
 def apartment_chambers(frame):
-    """The six ideal chambers of the apartment of a frame."""
-    out = []
-    for order in permutations(range(3)):
-        v = frame.lines
-        out.append(Flag.from_matrix(from_columns((v[order[0]], v[order[1]], v[order[2]]))))
-    return tuple(out)
+    """The six ideal chambers of the apartment of a frame, in ``ALL_PERMS`` order."""
+    return tuple(_frame_chamber(frame.lines, i, j) for i, j, _ in ALL_PERMS)
 
 
 def chamber_order_in_frame(frame, c):
-    """The ordering (i, j, k) of the frame lines realizing the chamber c."""
-    for order in permutations(range(3)):
-        v = frame.lines
-        cand = Flag.from_matrix(from_columns((v[order[0]], v[order[1]], v[order[2]])))
-        if cand == c:
-            return order
+    """The ordering (i, j, k) of the frame lines realizing the chamber c.
+
+    It is the one with c.line = v_i and v_j on the plane of c: that plane
+    is then <v_i, v_j>, and no plane holds all three frame lines.
+    """
+    v = frame.lines
+    if c.line in v:
+        i = v.index(c.line)
+        for j in range(3):
+            if j != i and dot(v[j], c.plane_normal) == 0:
+                return i, j, 3 - i - j
     raise ValueError("chamber does not belong to the apartment at infinity")
+
+
+def is_opposite_to_apartment(c, frame):
+    """Whether c is opposite every ideal chamber of the frame apartment.
+
+    The chamber <v_i> < <v_i, v_j> is opposite c iff v_i is off the plane of
+    c and the line of c is off <v_i, v_j>.  Each frame line and each plane
+    of two of them is in some chamber, so the test runs over those.
+    """
+    u, v, w = frame.lines
+    line = c.line
+    return (all(dot(x, c.plane_normal) != 0 for x in frame.lines)
+            and det3((line, u, v)) != 0 and det3((line, u, w)) != 0
+            and det3((line, v, w)) != 0)
 
 
 def opposite_in_apartment(d, frame):
@@ -313,9 +334,11 @@ def boundary_retraction(frame, c, d, p):
     isomorphism keeps Weyl distance from c.  The boundary of A is a Coxeter
     complex, so exactly one of its chambers lies at each Weyl distance from
     c.  The prime p does not enter.
+
+    With sigma the order of c and w = weyl_distance(c, d), e has the order
+    tau = sigma w^-1: C_i meet E_j is spanned by the v_sigma(a) with a < i
+    and tau^-1 sigma(a) < j, so the Weyl distance of c and e is tau^-1 sigma.
     """
-    chambers = apartment_chambers(frame)
-    if c not in chambers:
-        raise ValueError("chamber does not belong to the apartment at infinity")
-    w = weyl_distance(c, d)
-    return next(e for e in chambers if weyl_distance(c, e) == w)
+    sigma, w = chamber_order_in_frame(frame, c), weyl_distance(c, d)
+    tau = {w[a]: sigma[a] for a in range(3)}
+    return _frame_chamber(frame.lines, tau[0], tau[1])

@@ -363,34 +363,6 @@ class ResidueChamber:
         return cls(p, line_c, normal_c)
 
 
-def residue_lines(p):
-    """Canonical representatives of all lines of F_p^3."""
-    out = [(1, 0, 0)]
-    out += [(a, 1, 0) for a in range(p)]
-    out += [(a, b, 1) for a in range(p) for b in range(p)]
-    return tuple(out)
-
-
-def residue_chambers(p):
-    """All alcoves of the residue building; there are (p^2+p+1)(p+1) of them."""
-    out = []
-    for line in residue_lines(p):
-        for normal in residue_lines(p):
-            if dot(line, normal) % p == 0:
-                out.append(ResidueChamber(p, line, normal))
-    return tuple(out)
-
-
-def residue_opposite(c1, c2):
-    """Opposition of alcoves in the residue building.
-
-    Two flags of F_p^3 are opposite iff neither line lies on the other plane.
-    """
-    p = c1.p
-    return dot(c1.line, c2.plane_normal) % p != 0 and \
-        dot(c2.line, c1.plane_normal) % p != 0
-
-
 def germ_face(o, z):
     """Germ at o of the segment [o, z] as a (line, plane normal) pair over F_p.
 

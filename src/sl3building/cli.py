@@ -379,6 +379,9 @@ def run_strip(cfg, seed):
     x = standard_vertex(p)
     pairs = []
     c1 = Flag.standard()
+    # Each draw is Flag.from_matrix(k), k uniform on GL3(F_p) mod p, and it
+    # is opposite c1 when k20 and k10 k21 - k20 k11 are nonzero mod p, hence
+    # nonzero integers: probability p^3 / ((p^2+p+1)(p+1)) >= 8/21 per draw.
     while len(pairs) < cfg["pairs"]:
         c2 = harmonic_sample(x, cfg["depth"], rng)
         if is_opposite(c1, c2):

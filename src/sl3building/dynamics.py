@@ -11,7 +11,8 @@ slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
 equicontinuity machinery (the sets of group elements pulling the base vertex
-into closed sectors opposite a residue alcove).
+into closed sectors opposite a residue alcove).  The proximal hypothesis and
+equicontinuity membership are incidence tests on lines and planes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .padic_linalg import (
     adjugate3,
     cross,
     det3,
+    dot,
     flag_adapted_basis,
     from_columns,
     identity,
@@ -38,7 +40,6 @@ from .padic_linalg import (
 from .building import (
     LatticeVertex,
     adapted_basis_at,
-    canonical_modp_vector,
     Frame,
     dist2,
     dominant,
@@ -46,10 +47,7 @@ from .building import (
     germ_face,
     is_colinear_growth,
     is_regular,
-    residue_chambers,
-    residue_opposite,
     residue_projection,
-    ResidueChamber,
     vector_distance,
 )
 from .boundary import (
@@ -61,6 +59,7 @@ from .boundary import (
     chamber_order_in_frame,
     growth_ray_vertex,
     is_opposite,
+    is_opposite_to_apartment,
     ray_depth,
     sector_membership,
     weyl_distance,
@@ -108,7 +107,7 @@ class GroupElement:
 
     def inverse(self):
         # det(num) = den^3, so (num/den)^-1 = den adj(num) / den^3
-        w = tuple(-i for i in reversed(self.word)) if self.word else None
+        w = None if self.word is None else tuple(-i for i in reversed(self.word))
         return GroupElement.reduced(adjugate3(self.num), self.den ** 2, w)
 
     def __mul__(self, other):
@@ -121,7 +120,7 @@ class GroupElement:
     def power(self, n):
         if n < 0:
             return self.inverse().power(-n)
-        out = GroupElement(identity())
+        out = GroupElement(identity(), 1, None if self.word is None else ())
         base = self
         while n:
             if n & 1:
@@ -478,8 +477,7 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
 def proximal_pair_check(cert1, cert2):
     """Hypothesis of the universal contraction: cert2's repelling chamber is
     opposite every ideal chamber of cert1's translation apartment."""
-    return all(is_opposite(cert2.repelling, d)
-               for d in apartment_chambers(cert1.frame))
+    return is_opposite_to_apartment(cert2.repelling, cert1.frame)
 
 
 def schottky_pair(p, rng, depth=4):
@@ -587,9 +585,9 @@ def schubert_avoidance_report(sample, cert):
     return hit
 
 
-def fixed_flag_fraction(g, trials, depth, rng, p, base=None):
+def fixed_flag_fraction(g, trials, depth, rng, p):
     """Fraction of harmonic-sampled flags fixed exactly by g."""
-    x = base if base is not None else LatticeVertex.standard(p)
+    x = LatticeVertex.standard(p)
     hits = 0
     for _ in range(trials):
         c = harmonic_sample(x, depth, rng)
@@ -615,7 +613,11 @@ def equicontinuity_set_member(g, o, y):
     """Whether g pulls the base vertex into a closed sector opposite the alcove of y.
 
     The germ of [o, g^-1 o] may sit on a face; membership holds when some
-    residue alcove containing that germ is opposite the alcove of [o, y].
+    residue alcove (l, n) containing that germ is opposite the alcove
+    c_y = (l_y, n_y) of [o, y], that is when l . n_y and l_y . n are nonzero
+    mod p.  A line germ l with l . n_y nonzero is not l_y, so p of the p + 1
+    planes through l miss l_y; dually for a plane germ.  So each part of the
+    germ that is present is tested alone.
     """
     _require_growth_vertex(o, y)
     c_y = residue_projection(o, y)
@@ -624,15 +626,8 @@ def equicontinuity_set_member(g, o, y):
         return True
     line, normal = germ_face(o, z)
     p = o.p
-    if line is not None and normal is not None:
-        candidates = [ResidueChamber.from_parts(p, line, normal)]
-    elif line is not None:
-        ell = canonical_modp_vector(line, p)
-        candidates = [c for c in residue_chambers(p) if c.line == ell]
-    else:
-        nn = canonical_modp_vector(normal, p)
-        candidates = [c for c in residue_chambers(p) if c.plane_normal == nn]
-    return any(residue_opposite(c, c_y) for c in candidates)
+    return ((line is None or dot(line, c_y.plane_normal) % p != 0)
+            and (normal is None or dot(c_y.line, normal) % p != 0))
 
 
 def equicontinuity_check(g, o, y, c, d):
@@ -656,10 +651,7 @@ def equicontinuity_check(g, o, y, c, d):
 
 def partition_probe_set(o, frame):
     """One growth-ray vertex per alcove of the frame apartment at o."""
-    out = []
-    for e in apartment_chambers(frame):
-        out.append(growth_ray_vertex(o, e, 1))
-    return tuple(out)
+    return tuple(growth_ray_vertex(o, e, 1) for e in apartment_chambers(frame))
 
 
 def partition_check(generators, max_len, o, frame):

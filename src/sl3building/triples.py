@@ -2,25 +2,29 @@
 
 An antipodal triple (pairwise opposite chambers) spans three apartments, one
 per pair.  The triple is generic when those three apartments share no ideal
-simplex at infinity.  For generic triples the sum of distances to the three
-apartments is a proper convex function on the building; its vertex minimizers
-form a finite equivariant set computed here by certified expanding-shell
-searches inside the three apartments, merged through the integrality of
-squared distances.
+simplex at infinity; for an antipodal triple that is two determinants: the
+three lines span Q^3 and the three planes share no line.  For generic
+triples the sum of distances to the three apartments is a proper convex
+function on the building; its vertex minimizers form a finite equivariant
+set computed here by certified expanding-shell searches inside the three
+apartments, merged through the integrality of squared distances.
 
 Apartment boundaries are compared through their finitely many ideal
-simplices: three line vertices, three plane vertices and six chambers.
+simplices (three line vertices, three plane vertices and six chambers) by
+``apartment_infinity_intersection``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .padic_linalg import (
     adjugate3,
     cross,
+    det3,
     mat_mul,
     primitive_vector,
 )
@@ -36,6 +40,7 @@ from .boundary import (
     apartment_chambers,
     apartment_from_opposite,
     is_opposite,
+    is_opposite_to_apartment,
 )
 from .sqrtsum import FIRST_DIGITS, SqrtSum, _root_sum_at_scale
 from .stochastics import harmonic_sample, harmonic_sample_in_basis_set
@@ -88,9 +93,6 @@ class ApartmentIdealSimplices:
             self.planes & other.planes,
             self.chambers & other.chambers)
 
-    def is_empty(self):
-        return not (self.lines or self.planes or self.chambers)
-
 
 def apartment_ideal_simplices(frame):
     v = frame.lines
@@ -115,14 +117,21 @@ def pairwise_frames(triple):
 
 
 def is_generic(triple):
-    """Antipodal with no ideal simplex common to all three pair apartments."""
+    """Antipodal with no ideal simplex common to all three pair apartments.
+
+    With l_i, P_i, n_i the line, plane and normal of c_i, the apartment of
+    (c_i, c_j) has lines l_i, l_j, m_ij = P_i meet P_j and planes P_i, P_j,
+    <l_i, l_j>; a common simplex has a common vertex.  Opposition keeps l_i
+    off P_j and P_k, so l_i is neither l_j nor m_jk and no m_ij is l_k: the
+    only possible common line lies on all three planes, det(n_1, n_2, n_3)
+    = 0.  Dually the only possible common plane holds all three lines,
+    det(l_1, l_2, l_3) = 0.
+    """
     if not is_antipodal(triple):
         return False
-    f12, f13, f23 = pairwise_frames(triple)
-    s12 = apartment_ideal_simplices(f12)
-    s13 = apartment_ideal_simplices(f13)
-    s23 = apartment_ideal_simplices(f23)
-    return s12.intersection(s13).intersection(s23).is_empty()
+    c1, c2, c3 = triple.chambers
+    return (det3((c1.line, c2.line, c3.line)) != 0
+            and det3((c1.plane_normal, c2.plane_normal, c3.plane_normal)) != 0)
 
 
 def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
@@ -130,32 +139,20 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
     """A chamber completing an opposite pair to a generic triple.
 
     Candidates are taken from an explicit iterable when provided, otherwise
-    harmonic-sampled at the given depth.  Each candidate is first screened
-    against all six ideal chambers of the apartment of (c1, c2); a candidate
-    opposite all of them is returned after a full genericity check.
+    harmonic-sampled at the given depth.  The first one opposite all six
+    ideal chambers of the apartment of (c1, c2) is returned, and it is
+    generic: it is opposite c1 and c2, its line is off the apartment plane
+    <l1, l2> and its plane misses the apartment line P1 meet P2.
     """
     if not is_opposite(c1, c2):
         raise NotOppositeError("construct_generic requires opposite chambers")
     frame = apartment_from_opposite(c1, c2)
-    six = apartment_chambers(frame)
-
-    def gen():
-        if candidates is not None:
-            yield from candidates
-        else:
-            x = LatticeVertex.standard(p)
-            while True:
-                yield harmonic_sample(x, depth, rng)
-
-    draws = 0
-    for c3 in gen():
-        draws += 1
-        if draws > max_draws:
-            break
-        if all(is_opposite(c3, d) for d in six):
-            triple = ChamberTriple.of(c1, c2, c3)
-            if is_generic(triple):
-                return c3
+    if candidates is None:
+        x = LatticeVertex.standard(p)
+        candidates = iter(lambda: harmonic_sample(x, depth, rng), None)
+    for c3 in islice(candidates, max_draws):
+        if is_opposite_to_apartment(c3, frame):
+            return c3
     raise RuntimeError(f"no generic completion found within {max_draws} draws")
 
 
@@ -397,11 +394,11 @@ def barycenter(triple, p, radius_cap=12):
 # genericity density
 # ---------------------------------------------------------------------------
 
-def genericity_rate(c1, c2, trials, depth, rng, p, base=None):
+def genericity_rate(c1, c2, trials, depth, rng, p):
     """Fraction of harmonic-sampled completions that land in generic position."""
     if not is_opposite(c1, c2):
         raise NotOppositeError("genericity_rate requires opposite chambers")
-    x = base if base is not None else LatticeVertex.standard(p)
+    x = LatticeVertex.standard(p)
     hits = 0
     for _ in range(trials):
         c3 = harmonic_sample(x, depth, rng)

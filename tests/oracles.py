@@ -47,7 +47,19 @@ finite-field cross-checks (``torus_members_field``,
 draws test inputs for several modules.  The north-south limit comes from
 moving the flag itself by ``Flag.apply`` and mapping each image to the base
 vertex (``north_south_limit_flag_oracle``) instead of stepping a pair in
-base-vertex coordinates by one conjugated matrix.
+base-vertex coordinates by one conjugated matrix.  The apartment chambers
+are the flags of the six permuted frame matrices
+(``apartment_chambers_oracle``), and a chamber's order in the frame, the
+boundary retraction and opposition to a whole apartment come from
+searching them (``chamber_order_in_frame_oracle``,
+``boundary_retraction_search_oracle``, ``is_opposite_to_apartment_oracle``)
+instead of incidence tests of the flag against the frame lines.  Genericity
+comes from intersecting the ideal simplices of the three pair apartments
+(``is_generic_simplices_oracle``) instead of two determinants, and
+equicontinuity membership from a search over the residue alcoves that hold
+the germ (``equicontinuity_set_member_oracle``, over ``residue_lines`` and
+``residue_chambers``) instead of one incidence test mod p per part of the
+germ.
 """
 
 from fractions import Fraction
@@ -60,6 +72,7 @@ from sl3building.padic_linalg import (
     columns,
     cross,
     det3,
+    dot,
     flag_adapted_basis,
     from_columns,
     adjugate3,
@@ -79,22 +92,25 @@ from sl3building.building import (
     ResidueChamber,
     _eisenstein_ball,
     adapted_basis_at,
+    canonical_modp_vector,
     dist2,
     dominant,
     frame_vertex,
+    germ_face,
     is_regular,
     random_vertex,
-    residue_lines,
+    residue_projection,
     weyl_dist2,
 )
 from sl3building.boundary import (
     Flag,
     HorizonExceededError,
-    apartment_chambers,
-    chamber_order_in_frame,
+    apartment_from_opposite,
     growth_ray_vertex,
+    is_opposite,
     ray_depth,
     sector_membership,
+    weyl_distance,
 )
 from sl3building.parabolics import stabilizes_line, stabilizes_plane
 from sl3building.rng import make_rng
@@ -450,7 +466,7 @@ def _stable_apartment_direction_flag_oracle(cert, flags_sequence, threshold,
     """
     p = base.p
     chambers = [(e, adjugate3(adapted_basis_at(base, e)))
-                for e in apartment_chambers(cert.frame)]
+                for e in apartment_chambers_oracle(cert.frame)]
     h_prev = None
     prev_depth = -1
     run = 0
@@ -493,7 +509,7 @@ def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
     vertex's coordinates again, instead of stepping a (line, normal) pair
     already in those coordinates by one conjugated matrix.
     """
-    for e in apartment_chambers(cert.frame):
+    for e in apartment_chambers_oracle(cert.frame):
         if e == c:
             return c
     base = cert.base_vertex()
@@ -509,9 +525,61 @@ def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
                                                    nmax, base)
 
 
+def apartment_chambers_oracle(frame):
+    """The six apartment chambers, each the flag of a permuted frame matrix."""
+    v = frame.lines
+    return tuple(Flag.from_matrix(from_columns((v[i], v[j], v[k])))
+                 for i, j, k in permutations(range(3)))
+
+
+def chamber_order_in_frame_oracle(frame, c):
+    """The order of c, found by comparing c with all six apartment chambers."""
+    for order, e in zip(permutations(range(3)), apartment_chambers_oracle(frame)):
+        if e == c:
+            return order
+    raise ValueError("chamber does not belong to the apartment at infinity")
+
+
+def boundary_retraction_search_oracle(frame, c, d):
+    """The apartment chamber at the Weyl distance of d from c, by search."""
+    chambers = apartment_chambers_oracle(frame)
+    if c not in chambers:
+        raise ValueError("chamber does not belong to the apartment at infinity")
+    w = weyl_distance(c, d)
+    return next(e for e in chambers if weyl_distance(c, e) == w)
+
+
+def is_opposite_to_apartment_oracle(c, frame):
+    """Opposition of c to each of the six apartment chambers in turn."""
+    return all(is_opposite(c, e) for e in apartment_chambers_oracle(frame))
+
+
+def is_generic_simplices_oracle(triple):
+    """Genericity by intersecting the ideal simplices of the pair apartments.
+
+    Each apartment contributes its three lines, the three planes of two of
+    them (by canonical normal) and its six chambers; the triple is generic
+    when it is antipodal and the three sets of each kind have no common
+    member.
+    """
+    c1, c2, c3 = triple.chambers
+    if not (is_opposite(c1, c2) and is_opposite(c1, c3) and is_opposite(c2, c3)):
+        return False
+
+    def simplices(a, b):
+        frame = apartment_from_opposite(a, b)
+        v = frame.lines
+        planes = {primitive_vector_oracle(cross(v[i], v[j]))
+                  for i in range(3) for j in range(i + 1, 3)}
+        return set(v), planes, set(apartment_chambers_oracle(frame))
+
+    s12, s13, s23 = simplices(c1, c2), simplices(c1, c3), simplices(c2, c3)
+    return all(not (a & b & c) for a, b, c in zip(s12, s13, s23))
+
+
 def retraction_lattice_oracle(frame, c, x):
     """Retraction with the Iwasawa exponents read off the Hermite-form pivots."""
-    order = chamber_order_in_frame(frame, c)
+    order = chamber_order_in_frame_oracle(frame, c)
     n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
     canon = lattice_canonical_oracle(n, x.p)
     m = [0, 0, 0]
@@ -530,10 +598,10 @@ def boundary_retraction_iwasawa_oracle(frame, c, d, p):
     chamber.  The library instead returns the apartment chamber at the Weyl
     distance of d from c.
     """
-    for e in apartment_chambers(frame):
+    for e in apartment_chambers_oracle(frame):
         if e == d:
             return d
-    order_c = chamber_order_in_frame(frame, c)
+    order_c = chamber_order_in_frame_oracle(frame, c)
     h = frame.matrix(order_c)
     o = frame_vertex(frame, p, (0, 0, 0))
     n0 = mat_mul(adjugate3(h), mat_mul(o.matrix, adapted_basis_at(o, d)))
@@ -571,6 +639,58 @@ def boundary_retraction_iwasawa_oracle(frame, c, d, p):
     v = frame.lines
     return Flag.from_matrix(from_columns(
         (v[direction[0]], v[direction[1]], v[direction[2]])))
+
+
+def residue_lines(p):
+    """Canonical representatives of all lines of F_p^3."""
+    out = [(1, 0, 0)]
+    out += [(a, 1, 0) for a in range(p)]
+    out += [(a, b, 1) for a in range(p) for b in range(p)]
+    return tuple(out)
+
+
+def residue_chambers(p):
+    """All alcoves of the residue building; there are (p^2+p+1)(p+1) of them."""
+    out = []
+    for line in residue_lines(p):
+        for normal in residue_lines(p):
+            if dot(line, normal) % p == 0:
+                out.append(ResidueChamber(p, line, normal))
+    return tuple(out)
+
+
+def residue_opposite(c1, c2):
+    """Opposition of alcoves in the residue building.
+
+    Two flags of F_p^3 are opposite iff neither line lies on the other plane.
+    """
+    p = c1.p
+    return dot(c1.line, c2.plane_normal) % p != 0 and \
+        dot(c2.line, c1.plane_normal) % p != 0
+
+
+def equicontinuity_set_member_oracle(g, o, y):
+    """Equicontinuity membership by a search of the residue alcoves at o.
+
+    The candidates are the alcoves holding the germ of [o, g^-1 o]: the germ
+    itself when it is regular, otherwise every alcove with its line or its
+    plane.  Membership holds when one of them is opposite the alcove of y.
+    """
+    c_y = residue_projection(o, y)
+    z = o.apply(g.inverse().num)
+    if z == o:
+        return True
+    line, normal = germ_face(o, z)
+    p = o.p
+    if line is not None and normal is not None:
+        candidates = [ResidueChamber.from_parts(p, line, normal)]
+    elif line is not None:
+        ell = canonical_modp_vector(line, p)
+        candidates = [c for c in residue_chambers(p) if c.line == ell]
+    else:
+        nn = canonical_modp_vector(normal, p)
+        candidates = [c for c in residue_chambers(p) if c.plane_normal == nn]
+    return any(residue_opposite(c, c_y) for c in candidates)
 
 
 def _neighbor_vertices(o):
@@ -643,7 +763,6 @@ def distance_to_apartment_bruteforce(x, frame, window):
 
 def residue_opposite_chamber_count(p):
     """Number of residue alcoves opposite a fixed one: p^3 for the A2 flag complex."""
-    from sl3building.building import residue_chambers, residue_opposite
     chambers = residue_chambers(p)
     fixed = chambers[0]
     return sum(1 for c in chambers if residue_opposite(fixed, c))

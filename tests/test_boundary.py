@@ -26,16 +26,18 @@ from sl3building.boundary import (
     apartment_from_opposite,
     basis_set_contains,
     boundary_retraction,
+    chamber_order_in_frame,
     common_depth,
     growth_ray_vertex,
     is_opposite,
+    is_opposite_to_apartment,
     opposite_in_apartment,
     ray_depth,
     retraction,
     sector_membership,
     weyl_distance,
 )
-from sl3building.dynamics import random_sl3z
+from sl3building.dynamics import GroupElement, random_sl3z
 from sl3building.padic_linalg import (
     adjugate3,
     det3,
@@ -44,13 +46,18 @@ from sl3building.padic_linalg import (
     valuation_int,
 )
 from sl3building.parabolics import family_flag
+from sl3building.rng import make_rng
 from sl3building.serialize import from_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
 from sl3building.stochastics import harmonic_sample
 from oracles import (
+    apartment_chambers_oracle,
     boundary_retraction_iwasawa_oracle,
+    boundary_retraction_search_oracle,
+    chamber_order_in_frame_oracle,
     common_depth_ray_oracle,
     flag_echelon_oracle,
+    is_opposite_to_apartment_oracle,
     perm_length,
     retraction_lattice_oracle,
     sector_membership_lattice_oracle,
@@ -501,6 +508,72 @@ def test_boundary_retraction_rejects_a_centre_outside_the_apartment():
     for d in (Flag.standard(), Flag.from_matrix(((2, 1, 0), (1, 1, 0), (5, 3, 1)))):
         with pytest.raises(ValueError, match="apartment at infinity"):
             boundary_retraction(frame, c, d, 5)
+
+
+def _harmonic_apartment(p, depth, rng):
+    """A random vertex and the apartment of two opposite harmonic flags there."""
+    x = random_vertex(p, rng)
+    c0 = harmonic_sample(x, depth, rng)
+    c1 = harmonic_sample(x, depth, rng)
+    while not is_opposite(c0, c1):  # each draw succeeds with probability >= 8/21
+        c1 = harmonic_sample(x, depth, rng)
+    return x, apartment_from_opposite(c0, c1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), depth=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_apartment_incidence_closed_forms_match_the_search_oracles(p, depth, seed):
+    # The flags d are harmonic, the six apartment chambers, and flags that
+    # share a line or a plane with an apartment chamber: the cells where a
+    # flag is in the apartment or fails to be opposite all of it.
+    rng = make_rng(seed)
+    x, frame = _harmonic_apartment(p, depth, rng)
+    chambers = apartment_chambers(frame)
+    assert chambers == apartment_chambers_oracle(frame)
+    ds = [harmonic_sample(x, depth, rng) for _ in range(3)]
+    ds += list(_flags_near_apartment(frame, rng)) + list(chambers)
+    outcomes = set()
+    for d in ds:
+        opposite = is_opposite_to_apartment(d, frame)
+        assert opposite == is_opposite_to_apartment_oracle(d, frame)
+        outcomes.add(opposite)
+        if d in chambers:
+            assert chamber_order_in_frame(frame, d) == \
+                chamber_order_in_frame_oracle(frame, d)
+        else:
+            with pytest.raises(ValueError, match="apartment at infinity"):
+                chamber_order_in_frame(frame, d)
+        for c in chambers:
+            assert boundary_retraction(frame, c, d, p) == \
+                boundary_retraction_search_oracle(frame, c, d)
+    assert False in outcomes
+
+
+def _diagonal(p, a, b):
+    """diag(p^a, p^b, p^(-a-b)) as a group element."""
+    return GroupElement.from_matrix(tuple(
+        tuple(Fraction(p) ** e if i == j else 0 for j in range(3))
+        for i, e in enumerate((a, b, -a - b))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), depth=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32),
+       ab=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_boundary_retraction_is_equivariant(p, depth, seed, ab):
+    # g is a random SL3(Z) draw times diag(p^a, p^b, p^(-a-b)); the frame,
+    # the centre and the retracted flag all move by g.
+    rng = make_rng(seed)
+    x, frame = _harmonic_apartment(p, depth, rng)
+    g = (random_sl3z(rng) * _diagonal(p, *ab)).matrix
+    moved = frame.apply(g)
+    ds = [harmonic_sample(x, depth, rng) for _ in range(2)]
+    ds += list(_flags_near_apartment(frame, rng))[:4]
+    for c in apartment_chambers(frame):
+        for d in ds:
+            assert boundary_retraction(moved, c.apply(g), d.apply(g), p) == \
+                boundary_retraction(frame, c, d, p).apply(g)
 
 
 def test_opposite_in_apartment():

@@ -23,9 +23,6 @@ from sl3building.building import (
     is_regular,
     opposition_involution,
     random_vertex,
-    residue_chambers,
-    residue_lines,
-    residue_opposite,
     residue_projection,
     standard_vertex,
     vector_distance,
@@ -42,6 +39,9 @@ from oracles import (
     distance_to_apartment_bruteforce,
     harmonic_generic_triples,
     nearest_theta_scan_oracle,
+    residue_chambers,
+    residue_lines,
+    residue_opposite,
     residue_opposite_chamber_count,
     residue_projection_oracle,
 )

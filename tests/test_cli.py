@@ -5,13 +5,15 @@ import hashlib
 import json
 import os
 import tempfile
+from fractions import Fraction
+from itertools import product
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3building.boundary import HorizonExceededError
+from sl3building.boundary import Flag, HorizonExceededError, is_opposite
 from sl3building.cli import (
     _RUNNERS,
     _SCHEMAS,
@@ -20,6 +22,7 @@ from sl3building.cli import (
     load_config,
     main,
 )
+from sl3building.padic_linalg import det3
 
 
 def _run(tmp_path, sub, seed=1, config=None, extra=()):
@@ -198,6 +201,38 @@ def test_equicont_with_zero_samples_checks_none(tmp_path):
     assert rc == 0
     with open(tmp_path / "equicont_aggregate.csv") as fh:
         assert next(csv.DictReader(fh))["checked"] == "0"
+
+
+def test_equicont_finishes_at_the_largest_accepted_prime(tmp_path):
+    rc = _run(tmp_path, "equicont", config={"p": 2147483647})  # 2^31 - 1
+    assert rc == 0
+    lines = (tmp_path / "equicont_records.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert records[-1]["partition_check"] is True
+    assert len(records) == 61 and all(r["ok"] for r in records[:-1])
+    with open(tmp_path / "equicont_aggregate.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert (row["checked"], row["failures"], row["partition"]) == ("60", "0", "True")
+
+
+@pytest.mark.parametrize("p, share", [(2, Fraction(8, 21)), (3, Fraction(27, 52))])
+def test_strip_pair_draws_are_opposite_the_standard_flag_often(p, share):
+    # run_strip draws Flag.from_matrix(k) with k uniform on GL3(F_p) mod p.
+    # Every k with k20 and k10 k21 - k20 k11 nonzero mod p gives a flag
+    # opposite the standard one, and these k are p^3 / ((p^2+p+1)(p+1))
+    # of GL3(F_p), at least 8/21 for every p.
+    opposite = total = 0
+    for e in product(range(p), repeat=9):
+        k = (e[0:3], e[3:6], e[6:9])
+        if det3(k) % p == 0:
+            continue
+        total += 1
+        if k[2][0] % p and (k[1][0] * k[2][1] - k[2][0] * k[1][1]) % p:
+            opposite += 1
+            assert is_opposite(Flag.standard(), Flag.from_matrix(k))
+    assert Fraction(opposite, total) == share == \
+        Fraction(p ** 3, (p * p + p + 1) * (p + 1))
+    assert share >= Fraction(8, 21)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from sl3building.building import (
     LatticeVertex,
     dominant,
+    germ_face,
+    random_vertex,
     standard_vertex,
     vector_distance,
 )
@@ -42,6 +44,7 @@ from sl3building.dynamics import (
     universal_contraction,
 )
 from sl3building.padic_linalg import (
+    adjugate3,
     cross,
     det3,
     identity,
@@ -51,7 +54,14 @@ from sl3building.padic_linalg import (
 )
 from sl3building.stochastics import harmonic_sample
 from sl3building.rng import make_rng
-from oracles import mat_inv3, north_south_limit_flag_oracle, valuation
+from oracles import (
+    equicontinuity_set_member_oracle,
+    is_opposite_to_apartment_oracle,
+    mat_inv3,
+    north_south_limit_flag_oracle,
+    residue_chambers,
+    valuation,
+)
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -66,6 +76,20 @@ def test_group_element_inverse_and_power():
     assert (g * g.inverse()).matrix == identity()
     assert g.power(3).matrix == mat_mul(g.matrix, mat_mul(g.matrix, g.matrix))
     assert g.power(-2).matrix == (g.inverse() * g.inverse()).matrix
+
+
+def test_group_element_inverse_and_power_keep_their_words():
+    e = GroupElement(identity(), 1, ())
+    assert e.inverse().word == ()
+    assert e.power(2).word == ()
+    g = GroupElement.from_matrix(((1, 2, 3), (0, 1, 4), (0, 0, 1)), word=(1, -2))
+    assert g.inverse().word == (2, -1)
+    assert g.power(3).word == g.word * 3
+    assert g.power(0).word == ()
+    assert g.power(-2).word == g.inverse().word * 2
+    assert (g.power(3).num, g.power(3).den) == ((g * g * g).num, (g * g * g).den)
+    h = GroupElement.from_matrix(g.matrix)
+    assert h.inverse().word is None and h.power(3).word is None
 
 
 def test_group_element_algebra_against_fraction_matrices():
@@ -419,6 +443,19 @@ def test_proximal_pair_check_basics():
     assert proximal_pair_check(cert1, cert2)
 
 
+def test_proximal_pair_check_matches_the_apartment_search():
+    p = 3
+    cert1 = make_srh(STD_LINES, (2, 1, 0), p)
+    rng = make_rng(21)
+    outcomes = []
+    for _ in range(40):
+        cert2 = cert1.conjugate(random_sl3z(rng))
+        got = proximal_pair_check(cert1, cert2)
+        assert got == is_opposite_to_apartment_oracle(cert2.repelling, cert1.frame)
+        outcomes.append(got)
+    assert True in outcomes and False in outcomes
+
+
 def test_universal_contraction_examples():
     p = 5
     cert1, cert2 = schottky_pair(p, make_rng(21))
@@ -497,7 +534,6 @@ def test_fixed_flag_fraction_unipotent_strictly_between():
     frac = fixed_flag_fraction(u, 600, 2, make_rng(8), p)
     assert 0 < frac < 1
     # depth-1 residue count: flags over F_p fixed by the reduction of u
-    from sl3building.building import residue_chambers
     fixed = 0
     total = 0
     for ch in residue_chambers(p):
@@ -531,6 +567,40 @@ def test_equicontinuity_set_membership_examples():
     y_bad = LatticeVertex.from_matrix(p, ((125, 0, 0), (0, 5, 0), (0, 0, 1)))
     with pytest.raises(ValueError):
         equicontinuity_set_member(cert.element, o, y_bad)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), depth=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_equicontinuity_set_member_matches_the_residue_search_oracle(p, depth,
+                                                                     seed):
+    # o is a random vertex with basis M and y a growth-ray vertex toward a
+    # harmonic flag at o.  The g are the identity, an SL3(Z) draw, and
+    # M k D k^-1 M^-1 for k in SL3(Z) and D diagonal.  Then g^-1 o is
+    # M k D^-1 Z^3, so the germ of [o, g^-1 o] is a plane alone for
+    # D = diag(p^-2, p, p), a line alone for D = diag(p^-1, p^-1, p^2),
+    # and an alcove for regular D.
+    rng = make_rng(seed)
+    o = random_vertex(p, rng)
+    y = growth_ray_vertex(o, harmonic_sample(o, depth, rng), rng.randint(1, 2))
+    m, adj_m, det_m = o.matrix, adjugate3(o.matrix), det3(o.matrix)
+
+    def conjugated(d):
+        k = random_sl3z(rng)
+        h = mat_mul(mat_mul(m, (k * d * k.inverse()).matrix), adj_m)
+        return GroupElement.from_matrix(
+            tuple(tuple(e / det_m for e in row) for row in h))
+
+    walls = {"plane": conjugated(_diagonal(p, -2, 1)),
+             "line": conjugated(_diagonal(p, -1, -1))}
+    for kind, g in walls.items():
+        line, normal = germ_face(o, o.apply(g.inverse().num))
+        assert (line is None, normal is None) == (kind == "plane", kind == "line")
+    gs = [GroupElement(identity()), random_sl3z(rng),
+          conjugated(_diagonal(p, 1, 0)), conjugated(_diagonal(p, -1, 2))]
+    for g in gs + list(walls.values()):
+        assert equicontinuity_set_member(g, o, y) == \
+            equicontinuity_set_member_oracle(g, o, y)
 
 
 def test_equicontinuity_check_never_fails_on_admissible_inputs():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl3building.building import (
     ApartmentPairDistance,
@@ -11,6 +13,7 @@ from sl3building.building import (
     LatticeVertex,
     _eisenstein_ball,
     frame_vertex,
+    random_vertex,
     standard_vertex,
 )
 from sl3building.boundary import (
@@ -21,7 +24,7 @@ from sl3building.boundary import (
     is_opposite,
 )
 from sl3building.dynamics import random_sl3z
-from sl3building.padic_linalg import det3
+from sl3building.padic_linalg import cross, det3, from_columns
 from sl3building.parabolics import family_flag, lower_flag, upper_flag
 from sl3building.sqrtsum import SqrtSum
 from sl3building.triples import (
@@ -39,7 +42,13 @@ from sl3building.triples import (
 )
 from sl3building.rng import make_rng
 from sl3building import triples
-from oracles import certified_apartment_min_oracle, harmonic_generic_triples
+from sl3building.stochastics import harmonic_sample
+from oracles import (
+    certified_apartment_min_oracle,
+    harmonic_generic_triples,
+    is_generic_simplices_oracle,
+    is_opposite_to_apartment_oracle,
+)
 
 
 def rand_flag(rng, bound=6):
@@ -149,6 +158,104 @@ def test_completions_opposite_all_six_chambers_are_generic():
             hits += 1
             assert is_generic(ChamberTriple.of(c1, c2, c3))
     assert hits >= 900
+
+
+def _degenerate_completions(c1, c2, rng):
+    """Flags c3 that leave (c1, c2, c3) short of generic position.
+
+    Each has its line on the plane <l1, l2> or its plane through the line
+    P1 meet P2, with the rest of the flag drawn at random.
+    """
+    m = cross(c1.plane_normal, c2.plane_normal)
+    out = []
+    while len(out) < 4:
+        a, b = rng.randint(1, 4), rng.randint(-4, 4)
+        on_pair_plane = tuple(a * u + b * v for u, v in zip(c1.line, c2.line))
+        w1, w2 = (tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(2))
+        for cols in ((on_pair_plane, w1, w2), (w1, m, w2)):
+            if det3(from_columns(cols)) != 0:
+                out.append(Flag.from_matrix(from_columns(cols)))
+    return out
+
+
+def _opposite_harmonic_pair(p, depth, rng):
+    x = random_vertex(p, rng)
+    c1 = harmonic_sample(x, depth, rng)
+    c2 = harmonic_sample(x, depth, rng)
+    while not is_opposite(c1, c2):  # each draw succeeds with probability >= 8/21
+        c2 = harmonic_sample(x, depth, rng)
+    return x, c1, c2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), depth=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_is_generic_matches_the_simplex_oracle(p, depth, seed):
+    # c3 runs over harmonic flags, completions whose line lies on <l1, l2>
+    # or whose plane holds P1 meet P2, and the chambers of the apartment
+    # of (c1, c2).
+    rng = make_rng(seed)
+    x, c1, c2 = _opposite_harmonic_pair(p, depth, rng)
+    c3s = [harmonic_sample(x, depth, rng) for _ in range(4)]
+    c3s += _degenerate_completions(c1, c2, rng)
+    c3s += apartment_chambers(apartment_from_opposite(c1, c2))
+    outcomes = set()
+    for c3 in c3s:
+        if c3 in (c1, c2):
+            continue
+        triple = ChamberTriple.of(c1, c2, c3)
+        generic = is_generic(triple)
+        assert generic == is_generic_simplices_oracle(triple)
+        outcomes.add(generic)
+    assert False in outcomes
+
+
+def test_is_generic_matches_the_simplex_oracle_on_the_family_and_one_apartment():
+    for t in (0, -1, 1, 2, -2, Fraction(1, 2), Fraction(-1, 3)):
+        triple = family_triple(t)
+        assert is_generic(triple) == is_generic_simplices_oracle(triple) == \
+            (t not in (0, -1))
+    from itertools import combinations
+    chambers = apartment_chambers(
+        apartment_from_opposite(Flag.standard(), Flag.reversed_standard()))
+    for c1, c2, c3 in combinations(chambers, 3):
+        triple = ChamberTriple.of(c1, c2, c3)
+        assert is_generic(triple) == is_generic_simplices_oracle(triple)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), depth=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_construct_generic_takes_the_first_candidate_opposite_the_apartment(
+        p, depth, seed):
+    # Degenerate completions come first, so the screen must reject them;
+    # whatever it accepts is generic by both routes.
+    rng = make_rng(seed)
+    x, c1, c2 = _opposite_harmonic_pair(p, depth, rng)
+    frame = apartment_from_opposite(c1, c2)
+    cands = _degenerate_completions(c1, c2, rng)
+    cands += [harmonic_sample(x, depth, rng) for _ in range(6)]
+    expected = next((c for c in cands
+                     if is_opposite_to_apartment_oracle(c, frame)), None)
+    if expected is None:
+        with pytest.raises(RuntimeError):
+            construct_generic(c1, c2, p, candidates=cands)
+        return
+    c3 = construct_generic(c1, c2, p, candidates=cands)
+    assert c3 == expected
+    triple = ChamberTriple.of(c1, c2, c3)
+    assert is_generic(triple) and is_generic_simplices_oracle(triple)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_construct_generic_outputs_are_generic(p):
+    rng = make_rng(23, p)
+    c1, c2 = Flag.standard(), Flag.reversed_standard()
+    for depth in (2, 3, 4):
+        for _ in range(5):
+            c3 = construct_generic(c1, c2, p, rng=rng, depth=depth)
+            triple = ChamberTriple.of(c1, c2, c3)
+            assert is_generic(triple) and is_generic_simplices_oracle(triple)
 
 
 def test_distance_sum_values():

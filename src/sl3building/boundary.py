@@ -13,7 +13,11 @@ matrix: its least entry, 2x2 minor and determinant valuations are the
 elementary divisors, and the same minima over its bottom rows are the
 Iwasawa exponents.  A flag's place in a frame apartment is read off its
 incidences with the frame lines, and the boundary retraction needs no
-valuation at all: it keeps Weyl distance from its centre.
+valuation at all: it keeps Weyl distance from its centre.  The common depth
+of two flags at a vertex is one kernel, ``adapted_depth``, on three entries
+of the relative matrix of their adapted bases, built from each flag's line,
+second adapted column and their cross product; it does not depend on the
+basis of the lattice the flags are written in.
 """
 
 from __future__ import annotations
@@ -37,7 +41,13 @@ from .padic_linalg import (
     transpose,
     valuation_int,
 )
-from .building import Frame, LatticeVertex, adapted_basis_at, frame_vertex
+from .building import (
+    Frame,
+    LatticeVertex,
+    adapted_basis_at,
+    adapted_columns_at,
+    frame_vertex,
+)
 
 
 IDENTITY_PERM = (0, 1, 2)
@@ -156,14 +166,16 @@ def apartment_from_opposite(c, d):
     return Frame.from_lines((c.line, middle, d.line))
 
 
-def _frame_chamber(v, i, j):
-    """The flag <v_i> < <v_i, v_j> of the frame lines v, which are primitive."""
+def frame_chamber(frame, order):
+    """The ideal chamber <v_i> < <v_i, v_j> of the frame apartment, where
+    order = (i, j, k) orders the frame lines v."""
+    v, (i, j, _) = frame.lines, order
     return Flag(v[i], primitive_vector(cross(v[i], v[j])))
 
 
 def apartment_chambers(frame):
     """The six ideal chambers of the apartment of a frame, in ``ALL_PERMS`` order."""
-    return tuple(_frame_chamber(frame.lines, i, j) for i, j, _ in ALL_PERMS)
+    return tuple(frame_chamber(frame, order) for order in ALL_PERMS)
 
 
 def chamber_order_in_frame(frame, c):
@@ -265,22 +277,44 @@ def growth_ray_vertex(x, c, t):
     return LatticeVertex.from_matrix(p, from_columns(scaled))
 
 
-def ray_depth(h_c, adj_h_d, p, rmax):
-    """``common_depth`` from the adapted bases: H_c and the adjugate of H_d.
+def adapted_depth(c, d, p, rmax):
+    """``common_depth`` from the ``flag_adapted_columns`` (l, f2, w, j) of c and d.
 
-    Let K = adj(H_d) H_c, with v(0) infinite.  The growth-ray vertex at t is
-    H_c diag(1, p^t, p^2t), and it lies in the sector toward d iff
-    diag(1, p^-t, p^-2t) K diag(1, p^t, p^2t) is integral.  Only K[1][0],
-    K[2][1] (scaled by p^-t) and K[2][0] (scaled by p^-2t) can fail, so the
-    depth is min(rmax, v(K[1][0]), v(K[2][1]), floor(v(K[2][0]) / 2)).  The
-    conditions only tighten as t grows, so this is also the first t at which
-    the ray leaves the sector, less one.
+    Let H_c and H_d be the adapted bases and K = adj(H_d) H_c, with v(0)
+    infinite.  The growth-ray vertex at t is H_c diag(1, p^t, p^2t), and it
+    lies in the sector toward d iff diag(1, p^-t, p^-2t) K diag(1, p^t, p^2t)
+    is integral.  Only K[1][0], K[2][1] (scaled by p^-t) and K[2][0] (scaled
+    by p^-2t) can fail, so the depth is min(rmax, v(K[1][0]), v(K[2][1]),
+    floor(v(K[2][0]) / 2)); the conditions only tighten as t grows, so this
+    is also the first t at which the ray leaves the sector, less one.  The
+    rows of adj(H_d) are f2 x e_j, e_j x l and l x f2 = w (those of d), so
+    K[1][0] = (l_d x l_c)[j_d], K[2][1] = w_d . f2_c and K[2][0] = w_d . l_c.
+    Each is reduced mod p^(2 rmax) before its valuation: a residue 0 means a
+    valuation of at least 2 rmax, which the cap absorbs, and otherwise the
+    valuation is that of the entry.
+
+    The test is unchanged by K -> B1 K B2 for upper-triangular B1, B2 in
+    GL3(Z_(p)), since diag(1, p^-t, p^-2t) B diag(1, p^t, p^2t) is again
+    such a matrix.  Two adapted bases of a flag differ by such a B on the
+    right, and a change of basis of the lattice multiplies both H_c and H_d
+    on the left by one U in GL3(Z_(p)), which cancels in K; so the depth
+    does not depend on the basis of the lattice in which l and f2 are
+    written.
     """
+    lc, f2c, _, _ = c
+    ld, _, (w0, w1, w2), j = d
+    a, b = (j + 1) % 3, (j + 2) % 3
+    q = p ** (2 * rmax)
     depth = rmax
-    for i, j, scale in ((1, 0, 1), (2, 1, 1), (2, 0, 2)):
-        k = sum(adj_h_d[i][m] * h_c[m][j] for m in range(3))
-        if k:
-            depth = min(depth, valuation_int(k, p) // scale)
+    r = (ld[a] * lc[b] - ld[b] * lc[a]) % q
+    if r:
+        depth = min(depth, valuation_int(r, p))
+    r = (w0 * f2c[0] + w1 * f2c[1] + w2 * f2c[2]) % q
+    if r:
+        depth = min(depth, valuation_int(r, p))
+    r = (w0 * lc[0] + w1 * lc[1] + w2 * lc[2]) % q
+    if r:
+        depth = min(depth, valuation_int(r, p) // 2)
     return depth
 
 
@@ -290,10 +324,10 @@ def common_depth(c, d, o, rmax):
     Returns the largest t <= rmax such that the vertex at parameter t on the
     growth ray of Q(o, c) lies in Q(o, d) as well; 0 when only the base point
     does.  This realizes the entourage scale of the cone-topology uniformity.
-    It is ``ray_depth`` of the bases of o adapted to c and d.
+    It is ``adapted_depth`` of the two flags in the coordinates of o.
     """
-    return ray_depth(adapted_basis_at(o, c), adjugate3(adapted_basis_at(o, d)),
-                     o.p, rmax)
+    return adapted_depth(adapted_columns_at(o, c), adapted_columns_at(o, d),
+                         o.p, rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -341,4 +375,4 @@ def boundary_retraction(frame, c, d, p):
     """
     sigma, w = chamber_order_in_frame(frame, c), weyl_distance(c, d)
     tau = {w[a]: sigma[a] for a in range(3)}
-    return _frame_chamber(frame.lines, tau[0], tau[1])
+    return frame_chamber(frame, (tau[0], tau[1], tau[2]))

@@ -17,11 +17,10 @@ from math import isqrt
 from .padic_linalg import (
     SingularMatrixError,
     adjugate3,
-    columns,
-    cross,
     det3,
     dot,
     flag_adapted_basis,
+    flag_adapted_columns,
     from_columns,
     identity,
     mat_mul,
@@ -389,19 +388,27 @@ def residue_projection(o, target):
         if line is None or normal is None:
             raise IrregularSegmentError("segment [o, y] is not regular")
         return ResidueChamber.from_parts(o.p, line, normal)
-    f1, f2, _ = columns(adapted_basis_at(o, target))
-    normal = primitive_vector(cross(f1, f2))
-    return ResidueChamber.from_parts(o.p, f1, normal)
+    f1, _, w, _ = adapted_columns_at(o, target)
+    return ResidueChamber.from_parts(o.p, f1, primitive_vector(w))
+
+
+def _flag_coordinates_at(x, flag):
+    """The flag's line and plane normal in the coordinates of the lattice of x.
+
+    The line moves by the adjugate of the basis matrix of x, the plane
+    normal by its transpose; both are projective, so the determinant never
+    needs dividing out, and both are made primitive.
+    """
+    m = x.matrix
+    return (primitive_vector(mat_vec(adjugate3(m), flag.line)),
+            primitive_vector(mat_vec(transpose(m), flag.plane_normal)))
 
 
 def adapted_basis_at(x, flag):
-    """``flag_adapted_basis`` of a flag in the coordinates of the lattice of x.
+    """``flag_adapted_basis`` of a flag in the coordinates of the lattice of x."""
+    return flag_adapted_basis(*_flag_coordinates_at(x, flag), x.p)
 
-    The line moves to those coordinates by the adjugate of the basis matrix
-    of x, the plane normal by its transpose; both are projective, so the
-    determinant never needs dividing out, and both are made primitive.
-    """
-    m = x.matrix
-    return flag_adapted_basis(primitive_vector(mat_vec(adjugate3(m), flag.line)),
-                              primitive_vector(mat_vec(transpose(m), flag.plane_normal)),
-                              x.p)
+
+def adapted_columns_at(x, flag):
+    """``flag_adapted_columns`` of a flag in the coordinates of the lattice of x."""
+    return flag_adapted_columns(*_flag_coordinates_at(x, flag), x.p)

@@ -26,7 +26,7 @@ from .padic_linalg import (
     cross,
     det3,
     dot,
-    flag_adapted_basis,
+    flag_adapted_columns,
     from_columns,
     identity,
     integerize,
@@ -39,7 +39,6 @@ from .padic_linalg import (
 )
 from .building import (
     LatticeVertex,
-    adapted_basis_at,
     Frame,
     dist2,
     dominant,
@@ -54,13 +53,14 @@ from .boundary import (
     ALL_PERMS,
     Flag,
     HorizonExceededError,
+    adapted_depth,
     apartment_chambers,
     apartment_from_opposite,
     chamber_order_in_frame,
+    frame_chamber,
     growth_ray_vertex,
     is_opposite,
     is_opposite_to_apartment,
-    ray_depth,
     sector_membership,
     weyl_distance,
 )
@@ -346,47 +346,66 @@ def make_srh(frame_or_lines, lam, p):
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
-def _apartment_candidate(chambers, h_flag, p, threshold):
-    """The apartment chamber of greatest common depth with the flag, when
-    that depth reaches threshold; the depths come from the flag's adapted
-    basis and the (chamber, adjugated adapted basis) pairs in chambers."""
+def _chamber_depths(flag, p, rmax):
+    """The common depths of a flag with the six apartment chambers, in
+    ``ALL_PERMS`` order, from its ``flag_adapted_columns`` in frame
+    coordinates.
+
+    There the chamber (i, j, k) is the coordinate flag with adapted basis
+    (e_i, e_j, e_k), whose adjugate is that permutation matrix transposed,
+    up to sign.  So K = adj(H_e) H_flag has K[1][0] = l[j], K[2][1] = f2[k]
+    and K[2][0] = l[k] up to sign, and the depth is min(rmax, v(l[j]),
+    v(f2[k]), floor(v(l[k]) / 2)), with the valuations taken mod p^(2 rmax)
+    as in ``adapted_depth``.
+    """
+    line, f2, _, _ = flag
+    cap = 2 * rmax
+    q = p ** cap
+    vl = [valuation_int(r, p) if r else cap for r in (e % q for e in line)]
+    vf = [valuation_int(r, p) if r else cap for r in (e % q for e in f2)]
+    return [min(rmax, vl[j], vf[k], vl[k] // 2) for _, j, k in ALL_PERMS]
+
+
+def _apartment_candidate(flag, p, threshold):
+    """The apartment chamber of greatest common depth with the flag, as its
+    order (i, j, k) in ``ALL_PERMS``, and that depth, when it reaches
+    threshold; the first such chamber on ties."""
     best = None
-    for e, adj_h_e in chambers:
-        de = ray_depth(h_flag, adj_h_e, p, threshold + 1)
+    for order, de in zip(ALL_PERMS, _chamber_depths(flag, p, threshold + 1)):
         if de >= threshold and (best is None or de > best[1]):
-            best = (e, de)
+            best = (order, de)
     return best
 
 
-def _stable_apartment_direction(chambers, base, pairs, threshold, nmax):
+def _stable_apartment_direction(p, pairs, threshold, nmax):
     """Common stabilization detector for power iterations.
 
     pairs yields the successive images (line, normal) of a flag as primitive
-    vectors in the coordinates of the basis M of base: a flag (l, n) of Q^3
-    is (adj(M) l, M^T n) there, up to scalars, and ``flag_adapted_basis`` of
-    that pair is ``adapted_basis_at(base, flag)``.  Convergence is declared
-    when the agreement depth of successive images is nondecreasing and at
-    least threshold for three consecutive steps, and the chamber of
-    ``chambers`` (the apartment's six) read off at that point is confirmed
-    at roughly twice the step count (iteration paths are piecewise straight,
-    so a transient leg that fooled the run rule fails the doubled
-    confirmation).  Each depth is ``common_depth`` of two flags at base,
-    taken by ``ray_depth`` from the adapted bases: each image's basis is
-    computed once, and the apartment chambers' adjugated bases once per
-    call.
+    vectors in frame coordinates, those of the matrix F whose columns are
+    the frame lines: a flag (l, n) of Q^3 is (adj(F) l, F^T n) there, up to
+    scalars.  F spans the base vertex (the frame vertex at 0), which is
+    Z_(p)^3 in these coordinates, and the apartment chambers are the
+    coordinate flags.  Convergence is declared when the agreement depth of
+    successive images is nondecreasing and at least threshold for three
+    consecutive steps, and the chamber read off at that point is confirmed
+    at roughly twice the step count (iteration paths are piecewise
+    straight, so a transient leg that fooled the run rule fails the doubled
+    confirmation); it is returned as its order (i, j, k) of the frame
+    lines.  Each depth is ``common_depth`` of two flags at the base vertex:
+    ``adapted_depth`` of their ``flag_adapted_columns``, taken once per
+    image, and against the chambers ``_apartment_candidate``.
     """
-    p = base.p
-    chamber_bases = [(e, adjugate3(adapted_basis_at(base, e))) for e in chambers]
-    h_prev = None
+    rmax = threshold + 1
+    prev = None
     prev_depth = -1
     run = 0
     candidate = None
     confirm_at = None
     trajectory = []
     for n, (line, normal) in enumerate(pairs, start=1):
-        h_flag = flag_adapted_basis(line, normal, p)
-        if h_prev is not None:
-            d = ray_depth(h_prev, adjugate3(h_flag), p, threshold + 1)
+        flag = flag_adapted_columns(line, normal, p)
+        if prev is not None:
+            d = adapted_depth(prev, flag, p, rmax)
             trajectory.append((n, d))
             if d >= threshold and d >= prev_depth:
                 run += 1
@@ -394,30 +413,38 @@ def _stable_apartment_direction(chambers, base, pairs, threshold, nmax):
                 run = 0
             prev_depth = d
             if candidate is None and run >= 3:
-                best = _apartment_candidate(chamber_bases, h_flag, p, threshold)
+                best = _apartment_candidate(flag, p, threshold)
                 if best is not None:
                     candidate = best[0]
                     confirm_at = 2 * n + 2
                 else:
                     run = 0
             elif candidate is not None and n >= confirm_at:
-                best = _apartment_candidate(chamber_bases, h_flag, p, threshold)
+                best = _apartment_candidate(flag, p, threshold)
                 if best is not None and best[0] == candidate:
                     return candidate
                 candidate, confirm_at, run = None, None, 0
-        h_prev = h_flag
+        prev = flag
         if n >= nmax:
             break
     raise HorizonExceededError("iteration did not stabilize before the horizon",
                                trajectory=trajectory)
 
 
+def _primitive(x, y, z):
+    """A nonzero integer vector divided by the gcd of its entries.  Unlike
+    ``primitive_vector`` it keeps the sign, which no depth reads: the
+    detector takes only residues mod p and valuations of these vectors."""
+    k = gcd(x, y, z)
+    return x // k, y // k, z // k
+
+
 def _primitive_image(m, v):
-    """``primitive_vector`` of the integer product m v, unrolled."""
+    """``_primitive`` of the integer product m v, unrolled."""
     (a, b, c), (d, e, f), (g, h, i) = m
     x, y, z = v
-    return primitive_vector((a * x + b * y + c * z, d * x + e * y + f * z,
-                             g * x + h * y + i * z))
+    return _primitive(a * x + b * y + c * z, d * x + e * y + f * z,
+                      g * x + h * y + i * z)
 
 
 def _content_stripped(m):
@@ -426,19 +453,27 @@ def _content_stripped(m):
     return tuple(tuple(e // k for e in row) for row in m)
 
 
-def _in_base(base, c, elements):
-    """A flag and group elements in the coordinates of the basis M of base.
+def _in_frame(frame, c, elements=()):
+    """A flag and group elements in frame coordinates.
 
-    Returns the line adj(M) c.line, the normal M^T c.plane_normal and, for
-    each element g, G = adj(M) num(g) M with its content stripped.  All are
-    projective: M adj(M) = det(M) I, so G^n adj(M) v is proportional to
-    adj(M) g^n v and adj(G)^T M^T n to M^T adj(g)^T n.
+    With F the matrix of the frame lines, returns the line adj(F) c.line,
+    the normal F^T c.plane_normal and, for each element g,
+    G = adj(F) num(g) F with its content stripped.  All are projective:
+    F adj(F) = det(F) I, so G^n adj(F) v is proportional to adj(F) g^n v and
+    adj(G)^T F^T n to F^T adj(g)^T n.
     """
-    m = base.matrix
-    adj_m = adjugate3(m)
-    return (mat_vec(adj_m, c.line), mat_vec(transpose(m), c.plane_normal),
-            [_content_stripped(mat_mul(adj_m, mat_mul(g.num, m)))
+    f = frame.matrix()
+    adj_f = adjugate3(f)
+    return (mat_vec(adj_f, c.line), mat_vec(transpose(f), c.plane_normal),
+            [_content_stripped(mat_mul(adj_f, mat_mul(g.num, f)))
              for g in elements])
+
+
+def _eigenvalue(m, v):
+    """The eigenvalue of the integer matrix m on its eigenvector v, read at
+    the last nonzero entry of v."""
+    r = 2 if v[2] else 1 if v[1] else 0
+    return dot(m[r], v) // v[r]
 
 
 def north_south_limit(cert, c, nmax=40, threshold=4):
@@ -448,30 +483,35 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     the boundary retraction onto that apartment centered at the repelling
     chamber; the two routes are independent and cross-checked in the tests.
 
-    The iteration runs in the coordinates of the basis M of the base vertex
-    (the frame vertex at 0): with G = adj(M) g M, content stripped, the line
-    steps by G and the plane normal by adj(G)^T, each made primitive once
-    per step.  Projectively adj(M) g^n line is G^n adj(M) line and
-    M^T adj(g^n)^T normal is (adj(G)^T)^n M^T normal, and
-    ``primitive_vector`` is canonical, so every adapted basis, depth and
-    limit is the one the flags g^n c give at the base vertex.
+    The iteration runs in frame coordinates, those of the matrix F of the
+    frame lines, which span the base vertex.  The frame lines are the
+    eigenlines of g, so G = adj(F) g F is diagonal, det(F) diag(a, b, k)
+    with a, b, k the eigenvalues of num(g) on them: the line steps by
+    diag(a, b, k) and the plane normal by its transposed adjugate
+    diag(b k, a k, a b), each made primitive once per step.  Projectively
+    adj(F) g^n line is G^n adj(F) line and F^T adj(g^n)^T normal is
+    (adj(G)^T)^n F^T normal.  The depths read off these pairs are those of
+    the flags g^n c at the base vertex, since a depth does not depend on the
+    basis of the lattice it is read in (``adapted_depth``).  The apartment
+    chambers are the coordinate flags there, so c is one of them exactly
+    when its line and its normal each have two zero coordinates.
     """
     frame = cert.frame
-    chambers = apartment_chambers(frame)
-    if c in chambers:
+    line, normal, _ = _in_frame(frame, c)
+    if line.count(0) == 2 and normal.count(0) == 2:
         return c
-    base = frame_vertex(frame, cert.p)
-    line, normal, (g,) = _in_base(base, c, (cert.element,))
-    adj_g_t = transpose(_content_stripped(adjugate3(g)))
+    a, b, k = (_eigenvalue(cert.element.num, v) for v in frame.lines)
+    bk, ak, ab = b * k, a * k, a * b
 
     def pairs(line, normal):
         while True:
-            line = _primitive_image(g, line)
-            normal = _primitive_image(adj_g_t, normal)
+            line = _primitive(a * line[0], b * line[1], k * line[2])
+            normal = _primitive(bk * normal[0], ak * normal[1], ab * normal[2])
             yield line, normal
 
-    return _stable_apartment_direction(chambers, base, pairs(line, normal),
-                                       threshold, nmax)
+    order = _stable_apartment_direction(cert.p, pairs(line, normal),
+                                        threshold, nmax)
+    return frame_chamber(frame, order)
 
 
 def proximal_pair_check(cert1, cert2):
@@ -502,14 +542,14 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     """Limit of g2^n g1^n c for a pair passing proximal_pair_check.
 
     The iteration contracts every ideal chamber to the attracting chamber of
-    cert2.  It runs in the coordinates of cert2's base vertex, as
-    ``north_south_limit`` does, with W = G2^n G1^n held content stripped.
+    cert2.  It runs in the frame coordinates of cert2, as
+    ``north_south_limit`` does, with W = G2^n G1^n held content stripped;
+    there G2 is diagonal and G1 is not.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
     frame = cert2.frame
-    base = frame_vertex(frame, cert2.p)
-    line, normal, (g1, g2) = _in_base(base, c, (cert1.element, cert2.element))
+    line, normal, (g1, g2) = _in_frame(frame, c, (cert1.element, cert2.element))
 
     def pairs():
         w = _content_stripped(mat_mul(g2, g1))  # G2^n G1^n at step n
@@ -518,8 +558,8 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
                    _primitive_image(transpose(adjugate3(w)), normal))
             w = _content_stripped(mat_mul(g2, mat_mul(w, g1)))
 
-    return _stable_apartment_direction(apartment_chambers(frame), base, pairs(),
-                                       threshold, nmax)
+    return frame_chamber(frame, _stable_apartment_direction(
+        cert2.p, pairs(), threshold, nmax))
 
 
 # ---------------------------------------------------------------------------

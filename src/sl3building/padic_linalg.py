@@ -394,27 +394,44 @@ def smith_left_transform(m, p):
             (v0 - s, w1 - v0 - s, v2 - s))
 
 
+def flag_adapted_columns(line, normal, p):
+    """The columns of ``flag_adapted_basis`` that a depth reads: (f1, f2, w, j).
+
+    line and normal are integer vectors of content 1, of either sign; the
+    callers strip their content.  f1 is the line, f2 the
+    second column, w = f1 x f2 (the bottom row of the adjugate of the basis)
+    and j the first row where w is a unit, so that (f1, f2, e_j) is the
+    basis.  With n[k] the first unit entry of the normal and i < i' the
+    other two indices, f2 is n[k] e_i' - n[i'] e_k when line[i] is a unit
+    and n[k] e_i - n[i] e_k otherwise.
+    """
+    x0, x1, x2 = line
+    n0, n1, n2 = normal
+    if n0 % p:
+        f2 = (-n2, 0, n0) if x1 % p else (-n1, n0, 0)
+    elif n1 % p:
+        f2 = (0, -n2, n1) if x0 % p else (n1, -n0, 0)
+    else:
+        f2 = (0, n2, -n1) if x0 % p else (n2, 0, -n0)
+    y0, y1, y2 = f2
+    w = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+    j = next((i for i in range(3) if w[i] % p), None)
+    if j is None:
+        raise SingularMatrixError("flag columns are dependent")
+    return line, f2, w, j
+
+
 def flag_adapted_basis(line, normal, p):
     """Basis of Z_(p)^3 triangular for the flag <line> < {x : normal . x = 0}.
 
-    line and normal are primitive integer vectors, as ``primitive_vector``
-    returns them; the callers strip their content.  Returns an integer
+    line and normal are integer vectors of content 1.  Returns an integer
     matrix H with unit determinant valuation whose columns (f1, f2, f3)
-    satisfy f1 in <line> and f2 in the plane.  The first column is the line,
-    the first two span the p-saturation of the plane.
+    satisfy f1 in <line> and f2 in the plane: the first column is the line,
+    the first two span the p-saturation of the plane, and f3 = e_j is the
+    unit vector of ``flag_adapted_columns``.
     """
-    f1, n = line, normal
-    k = next(i for i in range(3) if n[i] % p != 0)
-    basis = [tuple(n[k] if r == i else (-n[i] if r == k else 0) for r in range(3))
-             for i in range(3) if i != k]
-    idx = [i for i in range(3) if i != k]
-    f2 = basis[1] if f1[idx[0]] % p else basis[0]
-    w = cross(f1, f2)
-    j = min((i for i in range(3) if w[i] != 0), key=lambda i: valuation_int(w[i], p))
-    if valuation_int(w[j], p) != 0:
-        raise SingularMatrixError("flag columns are dependent")
-    f3 = tuple(1 if r == j else 0 for r in range(3))
-    return from_columns((f1, f2, f3))
+    f1, f2, _, j = flag_adapted_columns(line, normal, p)
+    return from_columns((f1, f2, tuple(1 if r == j else 0 for r in range(3))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ column elimination, relative position from trying all six permutations
 against the rank table, sector membership from enumerating the sector's
 vertices or from the Hermite form of the relative matrix (and retractions
 from its pivots) instead of its minor valuations, common depth from walking
-the growth ray vertex by vertex instead of the relative matrix of two
-adapted bases, residue alcoves from a first-step neighbor search, vertex
+the growth ray vertex by vertex (``common_depth_ray_oracle``), or from the
+full relative matrix of the two adapted bases of the base vertex
+(``ray_depth``), instead of three products of the flags' adapted columns
+reduced mod p^(2 rmax), residue alcoves from a first-step neighbor search, vertex
 counts at a vector distance from enumerating canonical lattice
 representatives instead of Macdonald's formula, and the basis-set event of the harmonic mass law from the
 canonical form of adj(k) d_y instead of three divisibility tests.
@@ -44,10 +46,13 @@ pairs of squared distances.  The rational ``valuation``, ``perm_length`` and
 them, as do the lower-triangular torus member of the Borel family and its
 finite-field cross-checks (``torus_members_field``,
 ``upper_borel_intersection_count_field``), and ``harmonic_generic_triples``
-draws test inputs for several modules.  The north-south limit comes from
-moving the flag itself by ``Flag.apply`` and mapping each image to the base
-vertex (``north_south_limit_flag_oracle``) instead of stepping a pair in
-base-vertex coordinates by one conjugated matrix.  The apartment chambers
+draws test inputs for several modules.  The north-south limit and the
+universal contraction come from moving the flag itself by ``Flag.apply``
+and mapping each image to the base vertex, whose adapted bases the
+detector compares by ``ray_depth`` against the six chambers' bases
+(``north_south_limit_flag_oracle``, ``universal_contraction_flag_oracle``),
+instead of stepping a pair in frame coordinates by a diagonal matrix, or by
+G2^n G1^n, and reading the chamber depths off coordinates.  The apartment chambers
 are the flags of the six permuted frame matrices
 (``apartment_chambers_oracle``), and a chamber's order in the frame, the
 boundary retraction and opposition to a whole apartment come from
@@ -108,7 +113,6 @@ from sl3building.boundary import (
     apartment_from_opposite,
     growth_ray_vertex,
     is_opposite,
-    ray_depth,
     sector_membership,
     weyl_distance,
 )
@@ -445,6 +449,22 @@ def common_depth_ray_oracle(c, d, o, rmax):
     return depth
 
 
+def ray_depth(h_c, adj_h_d, p, rmax):
+    """``common_depth`` from the adapted bases: H_c and the adjugate of H_d.
+
+    With K = adj(H_d) H_c and v(0) infinite it is min(rmax, v(K[1][0]),
+    v(K[2][1]), floor(v(K[2][0]) / 2)), each entry summed in full and its
+    valuation taken on the whole entry, instead of three products of the
+    flags' (l, f2, w, j) reduced mod p^(2 rmax).
+    """
+    depth = rmax
+    for i, j, scale in ((1, 0, 1), (2, 1, 1), (2, 0, 2)):
+        k = sum(adj_h_d[i][m] * h_c[m][j] for m in range(3))
+        if k:
+            depth = min(depth, valuation_int(k, p) // scale)
+    return depth
+
+
 def _apartment_candidate_oracle(chambers, h_flag, p, threshold):
     """The apartment chamber of greatest common depth with the flag, when
     that depth reaches threshold; the depths come from the flag's adapted
@@ -523,6 +543,28 @@ def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
 
     return _stable_apartment_direction_flag_oracle(cert, images(), threshold,
                                                    nmax, base)
+
+
+def universal_contraction_flag_oracle(cert1, cert2, c, nmax=40, threshold=4):
+    """``universal_contraction`` with the flag itself moved by g2^n g1^n.
+
+    Each image is c moved by ``Flag.apply`` of the group element
+    g2^n g1^n, taken by ``GroupElement.power``, and mapped to the base
+    vertex of cert2, instead of stepping a (line, normal) pair in frame
+    coordinates by W = G2^n G1^n.
+    """
+    if not is_opposite_to_apartment_oracle(cert2.repelling, cert1.frame):
+        raise ValueError("pair does not satisfy the contraction hypothesis")
+
+    def images():
+        n = 1
+        while True:
+            g = cert2.element.power(n) * cert1.element.power(n)
+            yield c.apply(g.num)
+            n += 1
+
+    return _stable_apartment_direction_flag_oracle(cert2, images(), threshold,
+                                                   nmax, cert2.base_vertex())
 
 
 def apartment_chambers_oracle(frame):

@@ -22,6 +22,7 @@ from sl3building.boundary import (
     IDENTITY_PERM,
     LONGEST_PERM,
     NotOppositeError,
+    adapted_depth,
     apartment_chambers,
     apartment_from_opposite,
     basis_set_contains,
@@ -32,7 +33,6 @@ from sl3building.boundary import (
     is_opposite,
     is_opposite_to_apartment,
     opposite_in_apartment,
-    ray_depth,
     retraction,
     sector_membership,
     weyl_distance,
@@ -41,8 +41,12 @@ from sl3building.dynamics import GroupElement, random_sl3z
 from sl3building.padic_linalg import (
     adjugate3,
     det3,
+    flag_adapted_columns,
     from_columns,
     mat_mul,
+    mat_vec,
+    primitive_vector,
+    transpose,
     valuation_int,
 )
 from sl3building.parabolics import family_flag
@@ -59,6 +63,7 @@ from oracles import (
     flag_echelon_oracle,
     is_opposite_to_apartment_oracle,
     perm_length,
+    ray_depth,
     retraction_lattice_oracle,
     sector_membership_lattice_oracle,
     sector_membership_oracle,
@@ -294,6 +299,67 @@ def test_common_depth_closed_form(p, om, cm, dm, which, k, rmax):
     assert common_depth(c, d, o, rmax) == expected
     assert ray_depth(h_c, adjugate3(h_d), p, rmax) == expected
     assert expected == min(rmax, v(k_rel[1][0]), v(k_rel[2][1]), half)
+
+
+def _sheared_flag(o, c, shear, e):
+    """The flag of H N, H the basis of o adapted to c (in global
+    coordinates) and N lower unitriangular with entries p^a e10, p^b e21 and
+    p^c e20 below the diagonal, for shear = (a, b, c).
+
+    H N is adapted to that flag, so K = adj(H N) H is proportional to N^-1,
+    whose entries below the diagonal are -p^a e10, -p^b e21 and
+    p^(a+b) e10 e21 - p^c e20: each of the three terms of the depth can be
+    the least.
+    """
+    a, b, c_exp = shear
+    p = o.p
+    n = ((1, 0, 0), (p ** a * e[1][0], 1, 0),
+         (p ** c_exp * e[2][0], p ** b * e[2][1], 1))
+    return Flag.from_matrix(mat_mul(o.matrix, mat_mul(adapted_basis_at(o, c), n)))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), depth=st.integers(1, 6),
+       rmax=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
+       which=st.sampled_from(("same", "near", "sheared", "harmonic")),
+       k=st.integers(0, 6),
+       shear=st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 13)),
+       em=_MATRICES, um=_MATRICES)
+def test_adapted_depth_matches_the_ray_oracle_in_any_basis(p, depth, rmax, seed,
+                                                           which, k, shear, em,
+                                                           um):
+    """``adapted_depth`` and ``common_depth`` against the growth-ray walk.
+
+    o is a random vertex off the standard lattice, and c a harmonic flag at
+    o; d is c, c moved by an element 1 mod p^k at o, the flag of c's
+    adapted basis times a lower unitriangular shear, or another harmonic
+    flag at o.  The depth is read three ways: ``common_depth`` (in the
+    Hermite basis M of o), the ``ray_depth`` oracle on the adapted bases,
+    and ``adapted_depth`` of the flags written in the basis M U of the same
+    lattice, U an integer matrix of unit determinant that is in general not
+    upper triangular.
+    """
+    assume(det3(um) % p != 0)
+    rng = make_rng(seed)
+    o = random_vertex(p, rng)
+    while o == standard_vertex(p):
+        o = random_vertex(p, rng)
+    c = harmonic_sample(o, depth, rng)
+    d = {"same": lambda: c, "near": lambda: _near_flag(o, c, k, em),
+         "sheared": lambda: _sheared_flag(o, c, shear, em),
+         "harmonic": lambda: harmonic_sample(o, depth, rng)}[which]()
+    expected = common_depth_ray_oracle(c, d, o, rmax)
+    assert common_depth(c, d, o, rmax) == expected
+    assert ray_depth(adapted_basis_at(o, c), adjugate3(adapted_basis_at(o, d)),
+                     p, rmax) == expected
+    b = mat_mul(o.matrix, um)
+
+    def columns_in_b(f):
+        return flag_adapted_columns(
+            primitive_vector(mat_vec(adjugate3(b), f.line)),
+            primitive_vector(mat_vec(transpose(b), f.plane_normal)), p)
+
+    assert adapted_depth(columns_in_b(c), columns_in_b(d), p, rmax) == expected
 
 
 def test_basis_set_type_guard():

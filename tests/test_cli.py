@@ -1,7 +1,9 @@
 """Batch harness: subcommands, configs, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -13,7 +15,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3building.boundary import Flag, HorizonExceededError, is_opposite
+from sl3building.boundary import (
+    Flag,
+    HorizonExceededError,
+    apartment_from_opposite,
+    is_opposite,
+    is_opposite_to_apartment,
+)
+from sl3building.building import standard_vertex
 from sl3building.cli import (
     _RUNNERS,
     _SCHEMAS,
@@ -23,6 +32,8 @@ from sl3building.cli import (
     main,
 )
 from sl3building.padic_linalg import det3
+from sl3building.rng import make_rng
+from sl3building.stochastics import harmonic_sample
 
 
 def _run(tmp_path, sub, seed=1, config=None, extra=()):
@@ -188,6 +199,7 @@ def test_horizon_error_reports_its_trajectory(tmp_path, capsys, monkeypatch):
     ("strip", {"r_max": 1}),
     ("equicont", {"depth": 1}),
     ("equicont", {"depth": 2}),
+    ("barycenter", {"p": 2, "depth": 1}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)
@@ -286,3 +298,64 @@ def test_integer_config_key_set_to_null_is_a_config_error(tmp_path, capsys,
     rc = _run(tmp_path, sub, config={key: None})
     assert rc == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"
+
+
+def test_depth_one_draws_at_p_two_never_complete_a_generic_triple():
+    # Why _validate rejects barycenter at p = 2, depth = 1: every such draw
+    # is the flag of an invertible 0/1 matrix, and no such flag is opposite
+    # all six chambers of the apartment of the standard pair.
+    frame = apartment_from_opposite(Flag.standard(), Flag.reversed_standard())
+    flags = {Flag.from_matrix((e[0:3], e[3:6], e[6:9]))
+             for e in product(range(2), repeat=9)
+             if det3((e[0:3], e[3:6], e[6:9]))}
+    assert not any(is_opposite_to_apartment(c, frame) for c in flags)
+    rng = make_rng(1, 3)
+    x = standard_vertex(2)
+    assert all(harmonic_sample(x, 1, rng) in flags for _ in range(200))
+
+
+_FUZZ_CONFIGS = {
+    "dynamics": {
+        "p": (2, 3, 5),
+        "lam": ([2, 1, 0], [4, 2, 0], [5, 1, 0], [7, 2, 0]),
+        "flags_per_cert": (0, 1, 2),
+        "conjugators": (0, 1),
+        "depth": (1, 2, 4),
+        "nmax": (0, 1, 2, 5, 40),
+        "threshold": (0, 1, 2, 4, 60),
+    },
+    "barycenter": {
+        "p": (2, 3, 5),
+        "transports": (0, 1),
+        "radius_cap": (0, 1, 3),
+        "depth": (1, 2, 4),
+        "triples": (0, 1, 2),
+    },
+}
+_BAD_VALUES = st.sampled_from((-1, 0, None, "x", True, 2.5, [], 4, [1, 2, 0],
+                               [2, 2, 0], [-1, -2, 0], [2, 1, 3], [2, 1]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), sub=st.sampled_from(sorted(_FUZZ_CONFIGS)),
+       seed=st.integers(-1, 2 ** 64))
+def test_main_exits_zero_two_or_three_on_any_small_config(data, sub, seed):
+    # Any subset of the keys, each from a small range (counts are capped
+    # here, not in the CLI), and now and then one key set to a value of the
+    # wrong kind or range.  An exception escaping main would fail the test;
+    # every outcome prints one JSON line.
+    keys = _FUZZ_CONFIGS[sub]
+    cfg = data.draw(st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values) for key, values in keys.items()}))
+    if data.draw(st.integers(0, 2)) == 2:
+        cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(_BAD_VALUES)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        with contextlib.redirect_stdout(out):
+            rc = main([sub, "--seed", str(seed), "--config", path, "--out", d])
+    assert rc in (0, 2, 3)
+    last = json.loads(out.getvalue().splitlines()[-1])
+    assert ("error" in last) == (rc == 2 or (rc == 3 and "status" not in last))

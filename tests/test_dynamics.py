@@ -1,5 +1,6 @@
 """SRH certification, north-south limits, limit sets, equicontinuity."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3building.building import (
+    Frame,
     LatticeVertex,
     dominant,
+    frame_vertex,
     germ_face,
     random_vertex,
     standard_vertex,
@@ -28,6 +31,8 @@ from sl3building.boundary import (
 )
 from sl3building.dynamics import (
     GroupElement,
+    _apartment_candidate,
+    _chamber_depths,
     certify_srh,
     enumerate_reduced_words,
     equicontinuity_check,
@@ -47,19 +52,24 @@ from sl3building.padic_linalg import (
     adjugate3,
     cross,
     det3,
+    flag_adapted_columns,
     identity,
     mat_mul,
     mat_vec,
     primitive_vector,
+    transpose,
 )
 from sl3building.stochastics import harmonic_sample
 from sl3building.rng import make_rng
 from oracles import (
+    apartment_chambers_oracle,
+    common_depth_ray_oracle,
     equicontinuity_set_member_oracle,
     is_opposite_to_apartment_oracle,
     mat_inv3,
     north_south_limit_flag_oracle,
     residue_chambers,
+    universal_contraction_flag_oracle,
     valuation,
 )
 
@@ -401,6 +411,82 @@ def test_north_south_limit_matches_the_flag_oracle():
                         outcomes.add((got[0], nmax == 40))
     # (a flag on the apartment is its own limit at any horizon)
     assert {("limit", True), ("horizon", False)} <= outcomes
+
+
+def test_universal_contraction_matches_the_flag_oracle():
+    # W = G2^n G1^n in frame coordinates against moving the flag itself by
+    # the group element g2^n g1^n: the same limit at the default horizon,
+    # and the same depth trajectory at horizons too short to confirm.  Each
+    # Schottky pair is also used conjugated by an SL3(Z) element.
+    outcomes = set()
+    for p in (2, 3, 5):
+        pair = schottky_pair(p, make_rng(2022, p))
+        k = random_sl3z(random.Random(p))
+        rng = make_rng(2023, p)
+        x = standard_vertex(p)
+        for cert1, cert2 in (pair, tuple(cert.conjugate(k) for cert in pair)):
+            contract = functools.partial(universal_contraction, cert1)
+            oracle = functools.partial(universal_contraction_flag_oracle, cert1)
+            flags = [cert1.repelling, cert2.attracting] + [
+                harmonic_sample(x, depth, rng) for depth in (2, 5, 8)]
+            for threshold in (1, 2, 3, 4):
+                for c in flags:
+                    for nmax in (40, threshold + 3):
+                        got = _limit_or_trajectory(contract, cert2, c, nmax,
+                                                   threshold)
+                        assert got == _limit_or_trajectory(
+                            oracle, cert2, c, nmax, threshold), \
+                            (p, threshold, c, nmax)
+                        outcomes.add((got[0], nmax == 40))
+                        if nmax == 40:
+                            assert got == ("limit", cert2.attracting)
+    assert outcomes == {("limit", True), ("horizon", False)}
+
+
+def _chamber_moved_near(frame, e, p, k, rng):
+    """The chamber e moved by F (I + p^k E) adj(F), F the frame matrix: an
+    element of the stabilizer of the base vertex that is 1 mod p^k in frame
+    coordinates."""
+    f = frame.matrix()
+    while True:
+        u = tuple(tuple(p ** k * rng.randint(-4, 4) + (i == j) for j in range(3))
+                  for i in range(3))
+        if det3(u):
+            return e.apply(mat_mul(f, mat_mul(u, adjugate3(f))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), rmax=st.integers(1, 6),
+       frame_seed=st.one_of(st.none(), st.integers(0, 2 ** 32)),
+       near=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 6))),
+       depth=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
+def test_chamber_depths_are_read_off_the_frame_coordinates(p, rmax, frame_seed,
+                                                          near, depth, seed):
+    # min(rmax, v(l[j]), v(f2[k]), floor(v(l[k]) / 2)) for the chamber
+    # (i, j, k), against the ray walk from the frame's base vertex toward
+    # each of the six apartment chambers.  The flag is a harmonic draw at
+    # the base vertex, or the apartment chamber of an index moved by an
+    # element 1 mod p^k there, so that deep agreements occur.
+    lines = STD_LINES if frame_seed is None else \
+        _lines_off_the_standard_lattice(p, random.Random(frame_seed))
+    frame = Frame.from_lines(lines)
+    base = frame_vertex(frame, p)
+    rng = make_rng(seed)
+    chambers = apartment_chambers_oracle(frame)
+    if near is None:
+        c = harmonic_sample(base, depth, rng)
+    else:
+        index, k = near
+        c = _chamber_moved_near(frame, chambers[index], p, k, random.Random(seed))
+    f = frame.matrix()
+    columns = flag_adapted_columns(
+        primitive_vector(mat_vec(adjugate3(f), c.line)),
+        primitive_vector(mat_vec(transpose(f), c.plane_normal)), p)
+    expected = [common_depth_ray_oracle(c, e, base, rmax) for e in chambers]
+    assert _chamber_depths(columns, p, rmax) == expected
+    top = max(expected)
+    want = (ALL_PERMS[expected.index(top)], top) if top >= rmax - 1 else None
+    assert _apartment_candidate(columns, p, rmax - 1) == want
 
 
 def _diagonal(p, a, b):

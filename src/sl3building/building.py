@@ -111,7 +111,12 @@ def standard_vertex(p):
 
 
 def random_vertex(p, rng):
-    """The vertex of a random nonsingular integer matrix with entries in [-p^2, p^2]."""
+    """The vertex of a random nonsingular integer matrix with entries in [-p^2, p^2].
+
+    det is a nonzero cubic in nine entries, each uniform on 2p^2 + 1 values,
+    so a draw is singular with probability at most 3 / (2p^2 + 1) <= 1/3
+    (Schwartz-Zippel); the loop ends with probability one.
+    """
     while True:
         m = tuple(tuple(rng.randrange(-p * p, p * p + 1) for _ in range(3))
                   for _ in range(3))
@@ -153,9 +158,7 @@ class Frame:
         return from_columns(tuple(self.lines[i] for i in order))
 
     def apply(self, g):
-        return Frame.from_lines(tuple(
-            tuple(sum(row[k] * v[k] for k in range(3)) for row in g)
-            for v in self.lines))
+        return Frame.from_lines(tuple(mat_vec(g, v) for v in self.lines))
 
 
 def frame_vertex(frame, p, exponents=(0, 0, 0)):
@@ -392,23 +395,22 @@ def residue_projection(o, target):
     return ResidueChamber.from_parts(o.p, f1, primitive_vector(w))
 
 
-def _flag_coordinates_at(x, flag):
-    """The flag's line and plane normal in the coordinates of the lattice of x.
+def flag_in_basis(m, flag):
+    """The flag's line and plane normal in the coordinates of the columns of m.
 
-    The line moves by the adjugate of the basis matrix of x, the plane
-    normal by its transpose; both are projective, so the determinant never
-    needs dividing out, and both are made primitive.
+    The line moves by the adjugate of m, the plane normal by its transpose;
+    both are projective, so the determinant never needs dividing out, and
+    both are made primitive.
     """
-    m = x.matrix
     return (primitive_vector(mat_vec(adjugate3(m), flag.line)),
             primitive_vector(mat_vec(transpose(m), flag.plane_normal)))
 
 
 def adapted_basis_at(x, flag):
     """``flag_adapted_basis`` of a flag in the coordinates of the lattice of x."""
-    return flag_adapted_basis(*_flag_coordinates_at(x, flag), x.p)
+    return flag_adapted_basis(*flag_in_basis(x.matrix, flag), x.p)
 
 
 def adapted_columns_at(x, flag):
     """``flag_adapted_columns`` of a flag in the coordinates of the lattice of x."""
-    return flag_adapted_columns(*_flag_coordinates_at(x, flag), x.p)
+    return flag_adapted_columns(*flag_in_basis(x.matrix, flag), x.p)

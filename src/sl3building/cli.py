@@ -173,14 +173,16 @@ def _validate(name, cfg):
         raise ConfigError("t_values must be a list of integers and rational strings")
     for t in cfg.get("t_values", ()):
         _parse(str_to_frac, t, "t_values")
-    if name == "barycenter" and cfg["p"] == 2 and cfg["depth"] == 1:
+    if name in ("barycenter", "walk") and cfg["p"] == 2 and \
+            cfg["depth"] == 1 and cfg.get("generators") is None:
         # At depth 1 a harmonic draw at the standard vertex is the flag of a
         # 0/1 matrix when p = 2.  A completion must be opposite all six
         # coordinate chambers: no entry of its line or normal may vanish.
         # So the line is (1, 1, 1), and (1, 1, 1) x v = (v2 - v1, v0 - v2,
         # v1 - v0) has a zero entry for every 0/1 vector v, since two of
-        # v0, v1, v2 agree; construct_generic can never succeed.
-        raise ConfigError("barycenter needs depth >= 2 at p = 2: no depth-1 "
+        # v0, v1, v2 agree; construct_generic can never succeed.  The walk
+        # draws its default Schottky pair through it.
+        raise ConfigError(f"{name} needs depth >= 2 at p = 2: no depth-1 "
                           "draw completes a generic triple")
     if name == "dynamics":
         lam = cfg["lam"]

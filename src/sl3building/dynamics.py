@@ -7,6 +7,9 @@ one.  An element is an integer matrix num over a denominator den; it is
 certified when the characteristic polynomial of num has three integer roots
 den*lambda of pairwise distinct p-adic valuations, found by Newton-polygon
 slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
+North-south limits run in frame coordinates on the shared kernels
+``flag_in_basis``, ``in_basis`` and ``mul_strip``, and every depth is
+``boundary.adapted_depth``.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -17,7 +20,7 @@ equicontinuity membership are incidence tests on lines and planes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -29,9 +32,11 @@ from .padic_linalg import (
     flag_adapted_columns,
     from_columns,
     identity,
+    in_basis,
     integerize,
     mat_mul,
     mat_vec,
+    mul_strip,
     primitive_vector,
     require_prime,
     transpose,
@@ -42,7 +47,7 @@ from .building import (
     Frame,
     dist2,
     dominant,
-    frame_vertex,
+    flag_in_basis,
     germ_face,
     is_colinear_growth,
     is_regular,
@@ -131,7 +136,11 @@ class GroupElement:
 
 
 def random_sl3z(rng):
-    """A uniform draw from the SL3(Z) matrices with entries in [-3, 3]."""
+    """A uniform draw from the SL3(Z) matrices with entries in [-3, 3].
+
+    A draw has determinant 1 with probability exactly 640,824 / 7^9, about
+    1/63 (counted in the tests), so the loop ends with probability one.
+    """
     while True:
         m = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
                   for _ in range(3))
@@ -155,32 +164,33 @@ class SrhCertificate:
 
     ``lines`` are the eigenlines ordered by increasing eigenvalue valuation,
     so the first line is the attracting direction.  ``lam`` is the dominant
-    translation vector.
+    translation vector.  The attracting and repelling chambers (the lines
+    in order and reversed) and the frame are built here, once.
     """
 
     p: int
     element: GroupElement
     lines: tuple
     lam: tuple
-    attracting: Flag
-    repelling: Flag
+    attracting: Flag = field(init=False, compare=False)
+    repelling: Flag = field(init=False, compare=False)
+    frame: Frame = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        set_field = object.__setattr__
+        set_field(self, "attracting", Flag.from_matrix(from_columns(self.lines)))
+        set_field(self, "repelling",
+                  Flag.from_matrix(from_columns(self.lines[::-1])))
+        set_field(self, "frame", Frame.from_lines(self.lines))
 
     def __bool__(self):
         return True
 
-    @property
-    def frame(self):
-        return Frame.from_lines(self.lines)
-
-    def base_vertex(self):
-        return frame_vertex(self.frame, self.p, (0, 0, 0))
-
     def conjugate(self, k):
-        """Certificate of k g k^-1, transported field by field."""
+        """Certificate of k g k^-1, with the lines moved by k."""
         lines = tuple(primitive_vector(mat_vec(k.num, v)) for v in self.lines)
         return SrhCertificate(self.p, k * self.element * k.inverse(), lines,
-                              self.lam, self.attracting.apply(k.num),
-                              self.repelling.apply(k.num))
+                              self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +315,15 @@ def certify_srh(g, p):
     lines = tuple(_eigenline(g.num, y) for y in roots)
     # v(lambda) = v(y) - v(den); dominant absorbs the common shift
     lam = dominant(tuple(valuation_int(y, p) for y in roots))
-    attracting = Flag.from_matrix(from_columns(lines))
-    repelling = Flag.from_matrix(from_columns(tuple(reversed(lines))))
-    return SrhCertificate(p, g, lines, lam, attracting, repelling)
+    return SrhCertificate(p, g, lines, lam)
 
 
-def make_srh(frame_or_lines, lam, p):
+def make_srh(lines, lam, p):
     """Build the SRH element translating a given apartment by a regular vector.
 
-    The first line (of an ordered triple, or of a Frame's canonical order)
-    becomes the attracting direction.  SL3 constrains the translation vector:
-    lam = (a1, a2, 0) is realizable with determinant exactly 1 iff
-    a1 + a2 is divisible by 3.
+    The first of the ordered lines becomes the attracting direction.  SL3
+    constrains the translation vector: lam = (a1, a2, 0) is realizable with
+    determinant exactly 1 iff a1 + a2 is divisible by 3.
     """
     require_prime(p)
     if not is_regular(lam):
@@ -326,8 +333,7 @@ def make_srh(frame_or_lines, lam, p):
     if (lam[0] + lam[1]) % 3 != 0:
         raise ValueError("lam[0] + lam[1] must be divisible by 3 to realize "
                          "the translation in SL3")
-    lines = frame_or_lines.lines if isinstance(frame_or_lines, Frame) \
-        else tuple(primitive_vector(v) for v in frame_or_lines)
+    lines = tuple(primitive_vector(v) for v in lines)
     s = (lam[0] + lam[1]) // 3
     exps = (-s, lam[1] - s, lam[0] - s)  # ascending, sum 0
     h = from_columns(lines)
@@ -337,43 +343,29 @@ def make_srh(frame_or_lines, lam, p):
               for i in range(3))
     g = GroupElement.reduced(mat_mul(h, mat_mul(d, adjugate3(h))),
                              det3(h) * p ** -e0)
-    attracting = Flag.from_matrix(from_columns(lines))
-    repelling = Flag.from_matrix(from_columns(tuple(reversed(lines))))
-    return SrhCertificate(p, g, lines, lam, attracting, repelling)
+    return SrhCertificate(p, g, lines, lam)
 
 
 # ---------------------------------------------------------------------------
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
-def _chamber_depths(flag, p, rmax):
-    """The common depths of a flag with the six apartment chambers, in
-    ``ALL_PERMS`` order, from its ``flag_adapted_columns`` in frame
-    coordinates.
-
-    There the chamber (i, j, k) is the coordinate flag with adapted basis
-    (e_i, e_j, e_k), whose adjugate is that permutation matrix transposed,
-    up to sign.  So K = adj(H_e) H_flag has K[1][0] = l[j], K[2][1] = f2[k]
-    and K[2][0] = l[k] up to sign, and the depth is min(rmax, v(l[j]),
-    v(f2[k]), floor(v(l[k]) / 2)), with the valuations taken mod p^(2 rmax)
-    as in ``adapted_depth``.
-    """
-    line, f2, _, _ = flag
-    cap = 2 * rmax
-    q = p ** cap
-    vl = [valuation_int(r, p) if r else cap for r in (e % q for e in line)]
-    vf = [valuation_int(r, p) if r else cap for r in (e % q for e in f2)]
-    return [min(rmax, vl[j], vf[k], vl[k] // 2) for _, j, k in ALL_PERMS]
-
-
 def _apartment_candidate(flag, p, threshold):
     """The apartment chamber of greatest common depth with the flag, as its
     order (i, j, k) in ``ALL_PERMS``, and that depth, when it reaches
-    threshold; the first such chamber on ties."""
+    threshold; the first such chamber on ties, so the search stops at the
+    first depth at the cap.  In frame coordinates the chamber (i, j, k) is
+    the coordinate flag with line e_i and normal e_k.
+    """
+    e, cap = identity(), threshold + 1
     best = None
-    for order, de in zip(ALL_PERMS, _chamber_depths(flag, p, threshold + 1)):
+    for order in ALL_PERMS:
+        chamber = flag_adapted_columns(e[order[0]], e[order[2]], p)
+        de = adapted_depth(flag, chamber, p, cap)
         if de >= threshold and (best is None or de > best[1]):
             best = (order, de)
+            if de == cap:
+                break
     return best
 
 
@@ -382,8 +374,8 @@ def _stable_apartment_direction(p, pairs, threshold, nmax):
 
     pairs yields the successive images (line, normal) of a flag as primitive
     vectors in frame coordinates, those of the matrix F whose columns are
-    the frame lines: a flag (l, n) of Q^3 is (adj(F) l, F^T n) there, up to
-    scalars.  F spans the base vertex (the frame vertex at 0), which is
+    the frame lines: a flag of Q^3 is ``flag_in_basis(F, flag)`` there, up
+    to sign.  F spans the base vertex (the frame vertex at 0), which is
     Z_(p)^3 in these coordinates, and the apartment chambers are the
     coordinate flags.  Convergence is declared when the agreement depth of
     successive images is nondecreasing and at least threshold for three
@@ -439,36 +431,6 @@ def _primitive(x, y, z):
     return x // k, y // k, z // k
 
 
-def _primitive_image(m, v):
-    """``_primitive`` of the integer product m v, unrolled."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    x, y, z = v
-    return _primitive(a * x + b * y + c * z, d * x + e * y + f * z,
-                      g * x + h * y + i * z)
-
-
-def _content_stripped(m):
-    """An integer matrix divided by the gcd of its entries."""
-    k = gcd(*(e for row in m for e in row))
-    return tuple(tuple(e // k for e in row) for row in m)
-
-
-def _in_frame(frame, c, elements=()):
-    """A flag and group elements in frame coordinates.
-
-    With F the matrix of the frame lines, returns the line adj(F) c.line,
-    the normal F^T c.plane_normal and, for each element g,
-    G = adj(F) num(g) F with its content stripped.  All are projective:
-    F adj(F) = det(F) I, so G^n adj(F) v is proportional to adj(F) g^n v and
-    adj(G)^T F^T n to F^T adj(g)^T n.
-    """
-    f = frame.matrix()
-    adj_f = adjugate3(f)
-    return (mat_vec(adj_f, c.line), mat_vec(transpose(f), c.plane_normal),
-            [_content_stripped(mat_mul(adj_f, mat_mul(g.num, f)))
-             for g in elements])
-
-
 def _eigenvalue(m, v):
     """The eigenvalue of the integer matrix m on its eigenvector v, read at
     the last nonzero entry of v."""
@@ -497,7 +459,7 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     when its line and its normal each have two zero coordinates.
     """
     frame = cert.frame
-    line, normal, _ = _in_frame(frame, c)
+    line, normal = flag_in_basis(frame.matrix(), c)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
     a, b, k = (_eigenvalue(cert.element.num, v) for v in frame.lines)
@@ -543,20 +505,25 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
 
     The iteration contracts every ideal chamber to the attracting chamber of
     cert2.  It runs in the frame coordinates of cert2, as
-    ``north_south_limit`` does, with W = G2^n G1^n held content stripped;
-    there G2 is diagonal and G1 is not.
+    ``north_south_limit`` does: with F the matrix of its frame lines, the
+    flag is ``flag_in_basis(F, c)`` and G1, G2 are ``in_basis(F, num)`` of
+    the two elements.  W = G2^n G1^n is held content stripped; G2 is
+    diagonal and G1 is not.  Projectively W adj(F) v is adj(F) g2^n g1^n v,
+    and adj(W)^T F^T n is F^T adj(g2^n g1^n)^T n.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
     frame = cert2.frame
-    line, normal, (g1, g2) = _in_frame(frame, c, (cert1.element, cert2.element))
+    f = frame.matrix()
+    line, normal = flag_in_basis(f, c)
+    g1, g2 = in_basis(f, cert1.element.num), in_basis(f, cert2.element.num)
 
     def pairs():
-        w = _content_stripped(mat_mul(g2, g1))  # G2^n G1^n at step n
+        w = mul_strip(g2, g1, 0)[0]  # G2^n G1^n at step n
         while True:
-            yield (_primitive_image(w, line),
-                   _primitive_image(transpose(adjugate3(w)), normal))
-            w = _content_stripped(mat_mul(g2, mat_mul(w, g1)))
+            yield (_primitive(*mat_vec(w, line)),
+                   _primitive(*mat_vec(transpose(adjugate3(w)), normal)))
+            w = mul_strip(mat_mul(g2, w), g1, 0)[0]
 
     return frame_chamber(frame, _stable_apartment_direction(
         cert2.p, pairs(), threshold, nmax))

@@ -35,6 +35,10 @@ The workhorses are
 * ``smith_left_transform``: the adapted basis of a lattice span, in
   integers, off one pivot, one 2x2 minor through it and the determinant;
   the conditioned harmonic sampler and the walk's direction estimate.
+* ``mul_strip`` and ``in_basis``: the one content-stripped product, and
+  the one change of basis of a group element, adj(m) g m stripped; the
+  walk and the universal contraction.  Flags change basis by
+  ``building.flag_in_basis``, and their depth is ``boundary.adapted_depth``.
 
 The elimination form of ``smith_exponents``, the column elimination of
 ``lattice_canonical`` (``lattice_canonical_oracle``), the Fraction
@@ -217,6 +221,33 @@ def primitive_vector(v):
     if next(e for e in reversed(ints) if e) < 0:
         g = -g
     return tuple(e // g for e in ints)
+
+
+def mul_strip(m, n, seed):
+    """The integer product m n divided by the gcd of its entries; (m n / g, g).
+
+    seed is a multiple of that gcd, or 0 for the plain gcd.  With m of
+    content 1, |det n| is such a multiple: m n adj(n) = det(n) m, so the gcd
+    divides det(n) times the content of m.  A small seed makes the gcd of
+    large entries cheap.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m
+    (r, s, t), (u, v, w), (x, y, z) = n
+    p00, p01, p02 = a * r + b * u + c * x, a * s + b * v + c * y, a * t + b * w + c * z
+    p10, p11, p12 = d * r + e * u + f * x, d * s + e * v + f * y, d * t + e * w + f * z
+    p20, p21, p22 = g * r + h * u + i * x, g * s + h * v + i * y, g * t + h * w + i * z
+    k = gcd(seed, p00, p01, p02, p10, p11, p12, p20, p21, p22)
+    if k != 1:
+        p00, p01, p02 = p00 // k, p01 // k, p02 // k
+        p10, p11, p12 = p10 // k, p11 // k, p12 // k
+        p20, p21, p22 = p20 // k, p21 // k, p22 // k
+    return ((p00, p01, p02), (p10, p11, p12), (p20, p21, p22)), k
+
+
+def in_basis(m, g):
+    """g in the basis of the columns of m: adj(m) g m, content stripped,
+    which is proportional to m^-1 g m since m adj(m) = det(m) I."""
+    return mul_strip(mat_mul(adjugate3(m), g), m, 0)[0]
 
 
 def integerize(m):

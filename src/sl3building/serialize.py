@@ -122,8 +122,7 @@ def from_obj(obj):
             return SrhCertificate(
                 obj["p"], from_obj(obj["element"]),
                 tuple(_obj_to_int_vec(v, "lines") for v in obj["lines"]),
-                tuple(obj["lam"]), from_obj(obj["attracting"]),
-                from_obj(obj["repelling"]))
+                tuple(obj["lam"]))
         if kind == "walk_config":
             return WalkConfig(
                 obj["p"], tuple(from_obj(g) for g in obj["generators"]),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import ceil, isqrt, lcm
 
 
 @lru_cache(maxsize=None)
@@ -34,8 +34,9 @@ def _squarefree_split(n):
 
 
 def _root_sum_at_scale(terms, digits):
-    """(mid, slack) for integer (s, c_s) terms: 10^digits times their sum, bracketed.
+    """(mid, slack) for (s, c_s) terms: 10^digits times their sum, bracketed.
 
+    Each s is an integer >= 0 and each c_s an int or a ``Fraction``.
     mid = sum of c_s * isqrt(s * 10^(2 digits)) and slack = sum of |c_s|.
     Each integer square root is below the true root by less than 1, so
     10^digits * sum c_s * sqrt(s) lies within slack of mid, and in
@@ -47,7 +48,7 @@ def _root_sum_at_scale(terms, digits):
 
 
 def _sign_at_scale(terms, digits):
-    """Sign of sum c_s * sqrt(s) over integer (s, c_s) terms, or 0 if unresolved.
+    """Sign of sum c_s * sqrt(s) over (s, c_s) terms, or 0 if unresolved.
 
     |mid| > slack of ``_root_sum_at_scale`` decides the sign; otherwise the
     scale is too coarse and 0 is returned.
@@ -58,6 +59,22 @@ def _sign_at_scale(terms, digits):
     if mid < -slack:
         return -1
     return 0
+
+
+def _separation_digits(terms):
+    """A scale at which ``_sign_at_scale`` decides a nonzero sum of the terms.
+
+    For alpha = sum c_s sqrt(s) != 0 over k terms (distinct squarefree s),
+    D a common denominator of the c_s and M = sum |D c_s| (isqrt(s) + 1),
+    the product of the 2^k sign conjugates sum +-D c_s sqrt(s) is a nonzero
+    integer (sign-symmetric, and no factor vanishes by linear independence)
+    whose factors are at most M, so |alpha| >= 1 / (D M^(2^k - 1)).  Past
+    10^digits > 2 slack D M^(2^k - 1) the bracket puts |mid| above slack.
+    """
+    den = lcm(*(Fraction(c).denominator for _, c in terms))
+    m = sum(int(abs(c * den)) * (isqrt(s) + 1) for s, c in terms)
+    slack = sum(abs(c) for _, c in terms)
+    return len(str(ceil(2 * slack * den))) + (2 ** len(terms) - 1) * len(str(m))
 
 
 # the first scale of ``SqrtSum.compare``; ``triples`` brackets at it too
@@ -132,7 +149,8 @@ class SqrtSum:
 
         Equal term lists are equal values.  Otherwise the difference
         sum of c_s * sqrt(s) is nonzero, and ``_sign_at_scale`` is tried on
-        it at FIRST_DIGITS = 12, then 24, 48, ... digits.
+        it at FIRST_DIGITS = 12, then 24, 48, ... digits, up to the scale
+        of ``_separation_digits``, which always decides it.
         """
         if self.terms == other.terms:
             return 0
@@ -140,14 +158,14 @@ class SqrtSum:
         for s, c in other.terms:
             diff[s] = diff.get(s, 0) - c
         terms = [(s, c) for s, c in diff.items() if c]
-        digits = FIRST_DIGITS
-        while True:
-            sign = _sign_at_scale(terms, digits)
-            if sign:
-                return sign
-            digits *= 2
-            if digits > 8000:  # unreachable: equality was excluded symbolically
-                raise RuntimeError("integer refinement failed to separate")
+        digits, bound = FIRST_DIGITS, None
+        while not (sign := _sign_at_scale(terms, digits)):
+            bound = bound or _separation_digits(terms)
+            if digits >= bound:
+                raise AssertionError(f"sign unresolved at {digits} digits, "
+                                     "the root-separation bound")
+            digits = min(2 * digits, bound)
+        return sign
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -31,7 +31,9 @@ from .padic_linalg import (
     adjugate3,
     det3,
     identity,
+    in_basis,
     mat_mul,
+    mul_strip,
     residue_germ_parts,
     smith_left_transform,
     valuation_int,
@@ -258,27 +260,6 @@ class WalkTrace:
         return self.steps[-1].theta
 
 
-def _mul_strip(m, n, seed):
-    """The integer product m n divided by the gcd of its entries; (m n / g, g).
-
-    seed is a multiple of that gcd, or 0 for the plain gcd.  With m of
-    content 1, |det n| is such a multiple: m n adj(n) = det(n) m, so the gcd
-    divides det(n) times the content of m.  A small seed makes the gcd of
-    large entries cheap.
-    """
-    (a, b, c), (d, e, f), (g, h, i) = m
-    (r, s, t), (u, v, w), (x, y, z) = n
-    p00, p01, p02 = a * r + b * u + c * x, a * s + b * v + c * y, a * t + b * w + c * z
-    p10, p11, p12 = d * r + e * u + f * x, d * s + e * v + f * y, d * t + e * w + f * z
-    p20, p21, p22 = g * r + h * u + i * x, g * s + h * v + i * y, g * t + h * w + i * z
-    k = math.gcd(seed, p00, p01, p02, p10, p11, p12, p20, p21, p22)
-    if k != 1:
-        p00, p01, p02 = p00 // k, p01 // k, p02 // k
-        p10, p11, p12 = p10 // k, p11 // k, p12 // k
-        p20, p21, p22 = p20 // k, p21 // k, p22 // k
-    return ((p00, p01, p02), (p10, p11, p12), (p20, p21, p22)), k
-
-
 def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
     """The walk step at position rel, of content 1, with d = v_p(det rel).
 
@@ -308,28 +289,27 @@ def run_walk(config):
 
     The position is held in the coordinates of the base matrix B: after the
     letters g_1, ..., g_n it is rel, the content-stripped integer product of
-    the matrices G_i, G the content-stripped adj(B) num B of a generator.
+    the matrices G_i, G = ``in_basis(B, num)`` for a generator's numerator.
     Since B adj(B) = det(B) I and scalars leave lattice classes alone, rel
     is proportional to adj(B) z B for the product z of the letters'
     numerators, and B rel spans the vertex reached.  v_p(det rel) is kept as
     a running sum: a letter adds v_p(det G), and stripping a content g
     subtracts 3 v_p(g); g divides |det G|, which seeds its gcd
-    (``_mul_strip``).  Each step is read off rel mod p^(floor(D/2) + 1),
+    (``mul_strip``).  Each step is read off rel mod p^(floor(D/2) + 1),
     D that determinant valuation (see _position_record).
     """
     p = config.p
     rng = make_rng(config.seed)
     den, cum = config.thresholds()
     b = config.base_vertex.matrix
-    adj_b = adjugate3(b)
-    gens = [_mul_strip(mat_mul(adj_b, g.num), b, 0)[0] for g in config.generators]
+    gens = [in_basis(b, g.num) for g in config.generators]
     gens_det = [abs(det3(g)) for g in gens]
     gens_dv = [valuation_int(d, p) for d in gens_det]
     rel, d = identity(), 0
     steps = [_position_record(0, -1, rel, d, None, 0, p)]
     for n in range(1, config.steps + 1):
         idx = bisect_right(cum, rng.randrange(den))
-        rel, g = _mul_strip(rel, gens[idx], gens_det[idx])
+        rel, g = mul_strip(rel, gens[idx], gens_det[idx])
         d += gens_dv[idx] - 3 * valuation_int(g, p)
         prev = steps[-1]
         steps.append(_position_record(n, idx, rel, d, prev.germ, prev.germ_run,

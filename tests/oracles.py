@@ -52,11 +52,11 @@ and mapping each image to the base vertex, whose adapted bases the
 detector compares by ``ray_depth`` against the six chambers' bases
 (``north_south_limit_flag_oracle``, ``universal_contraction_flag_oracle``),
 instead of stepping a pair in frame coordinates by a diagonal matrix, or by
-G2^n G1^n, and reading the chamber depths off coordinates.  The apartment chambers
-are the flags of the six permuted frame matrices
-(``apartment_chambers_oracle``), and a chamber's order in the frame, the
-boundary retraction and opposition to a whole apartment come from
-searching them (``chamber_order_in_frame_oracle``,
+G2^n G1^n, and taking each chamber depth by ``adapted_depth`` against a
+coordinate flag.  The apartment chambers are the flags of the six permuted
+frame matrices (``apartment_chambers_oracle``), and a chamber's order in
+the frame, the boundary retraction and opposition to a whole apartment
+come from searching them (``chamber_order_in_frame_oracle``,
 ``boundary_retraction_search_oracle``, ``is_opposite_to_apartment_oracle``)
 instead of incidence tests of the flag against the frame lines.  Genericity
 comes from intersecting the ideal simplices of the three pair apartments
@@ -64,11 +64,14 @@ comes from intersecting the ideal simplices of the three pair apartments
 equicontinuity membership from a search over the residue alcoves that hold
 the germ (``equicontinuity_set_member_oracle``, over ``residue_lines`` and
 ``residue_chambers``) instead of one incidence test mod p per part of the
-germ.
+germ.  The success probability of a rejection sampler of matrices comes
+from counting the matrices of a box by their first two rows
+(``det_count_in_box``).
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, isqrt
 
 from sl3building.padic_linalg import (
@@ -532,7 +535,7 @@ def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
     for e in apartment_chambers_oracle(cert.frame):
         if e == c:
             return c
-    base = cert.base_vertex()
+    base = frame_vertex(cert.frame, cert.p)
     g = cert.element.num
 
     def images():
@@ -563,8 +566,8 @@ def universal_contraction_flag_oracle(cert1, cert2, c, nmax=40, threshold=4):
             yield c.apply(g.num)
             n += 1
 
-    return _stable_apartment_direction_flag_oracle(cert2, images(), threshold,
-                                                   nmax, cert2.base_vertex())
+    return _stable_apartment_direction_flag_oracle(
+        cert2, images(), threshold, nmax, frame_vertex(cert2.frame, cert2.p))
 
 
 def apartment_chambers_oracle(frame):
@@ -1262,3 +1265,30 @@ def upper_borel_intersection_count_field(q):
                         if _field_flag_stab(q, m, v, plane_points):
                             count += 1
     return count
+
+
+def det_count_in_box(values, target):
+    """How many 3x3 matrices with entries in values have determinant target.
+
+    values must be closed under negation.  det = r3 . (r1 x r2), and a
+    signed permutation P of the coordinates moves r1 x r2 to +-P(r1 x r2),
+    which leaves the number of r3 in the box with r3 . c = target alone
+    (r3 -> -P^T r3 is a bijection of the box).  So the first row runs over
+    one representative (sorted absolute values) per orbit, weighted by the
+    orbit's size, and each cross product is kept up to the same symmetry.
+    """
+    box = list(product(values, repeat=3))
+    reps = Counter(tuple(sorted(map(abs, r))) for r in box)
+    crosses = Counter()
+    for r1, weight in reps.items():
+        for r2 in box:
+            crosses[tuple(sorted(map(abs, cross(r1, r2))))] += weight
+    total = 0
+    for (c0, c1, c2), weight in crosses.items():
+        for x, y in product(values, repeat=2):
+            rest = target - x * c0 - y * c1
+            if c2 == 0:
+                total += weight * len(values) * (rest == 0)
+            elif rest % c2 == 0 and rest // c2 in values:
+                total += weight
+    return total

@@ -35,6 +35,7 @@ from sl3building.rng import make_rng
 from sl3building.sqrtsum import SqrtSum
 from sl3building.triples import pairwise_frames
 from oracles import (
+    det_count_in_box,
     eisenstein_ball_oracle,
     distance_to_apartment_bruteforce,
     harmonic_generic_triples,
@@ -83,6 +84,16 @@ def test_theta_symmetry_through_the_involution():
         x = random_vertex(p, rng)
         y = random_vertex(p, rng)
         assert vector_distance(y, x) == opposition_involution(vector_distance(x, y))
+
+
+def test_random_vertex_draws_are_singular_with_probability_at_most_a_third():
+    # Schwartz-Zippel bounds a singular draw by 3 / (2p^2 + 1), as its
+    # docstring states; at p = 2 the exact count is far below 3/9.  The
+    # counter itself reproduces the 7875 singular matrices over {-1, 0, 1}
+    # (OEIS A046747).
+    assert det_count_in_box(range(-1, 2), 0) == 7875
+    singular = det_count_in_box(range(-4, 5), 0)
+    assert Fraction(singular, 9 ** 9) <= Fraction(3, 2 * 2 ** 2 + 1)
 
 
 def test_distance_symmetry_and_triangle_inequality():

@@ -200,11 +200,19 @@ def test_horizon_error_reports_its_trajectory(tmp_path, capsys, monkeypatch):
     ("equicont", {"depth": 1}),
     ("equicont", {"depth": 2}),
     ("barycenter", {"p": 2, "depth": 1}),
+    ("walk", {"p": 2, "depth": 1}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)
     assert rc == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"
+
+
+def test_walk_at_p_two_and_depth_one_runs_with_explicit_generators(tmp_path):
+    # the depth only draws the default Schottky pair
+    cfg = {"p": 2, "depth": 1, "trials": 1, "steps": 5,
+           "generators": [[[2, 0, 0], [0, 1, 0], [0, 0, "1/2"]]], "weights": ["1"]}
+    assert _run(tmp_path, "walk", config=cfg) == 0
 
 
 def test_equicont_with_zero_samples_checks_none(tmp_path):
@@ -331,12 +339,59 @@ _FUZZ_CONFIGS = {
         "depth": (1, 2, 4),
         "triples": (0, 1, 2),
     },
+    "walk": {
+        "p": (2, 3, 5),
+        "steps": (0, 1, 5, 30),
+        "trials": (1, 2),
+        "depth": (1, 2, 4),
+        "window": (0, 1, 3),
+        "generators": ([[[2, 0, 0], [0, 1, 0], [0, 0, "1/2"]]],
+                       [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                        [[2, 0, 0], [0, "1/3", 0], [0, 0, "3/2"]]]),
+        "weights": (["1"], ["1/2", "1/2"], ["1/3", "2/3"]),
+    },
+    "measure": {
+        "p_values": ([2], [3], [2, 5]),
+        "lams": ([[1, 0, 0]], [[1, 1, 0], [2, 1, 0]], [[0, 0, 0]], [[0, 1, 2]],
+                 [[-1, 0, 0]]),
+        "trials": (1, 5, 40),
+    },
+    "equicont": {
+        "p": (2, 3, 5),
+        "samples": (0, 1, 5),
+        "word_length": (0, 1, 2),
+        "partition_length": (0, 1, 2),
+        "depth": (3, 4, 5),
+    },
+    "strip": {
+        "p": (2, 3, 5),
+        "pairs": (0, 1, 2),
+        "r_max": (2, 3, 8),
+        "depth": (1, 2, 4),
+    },
+    "appendix": {
+        "t_values": ([], [1], [0, -1], ["1/2", 2], ["-3/4", 5, "7"]),
+        "samples": (0, 1, 5),
+    },
+    "selftest": {
+        "p": (2, 3, 5),
+        "budget": (0, 1, 4),
+    },
+}
+# Keys drawn in every config, so that no count runs at its CLI default.
+_FUZZ_CAPPED = {
+    "walk": ("steps", "trials"),
+    "measure": ("trials",),
+    "equicont": ("samples", "word_length", "partition_length"),
+    "strip": ("pairs", "r_max"),
+    "appendix": ("samples",),
+    "selftest": ("budget",),
 }
 _BAD_VALUES = st.sampled_from((-1, 0, None, "x", True, 2.5, [], 4, [1, 2, 0],
                                [2, 2, 0], [-1, -2, 0], [2, 1, 3], [2, 1]))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=st.data(), sub=st.sampled_from(sorted(_FUZZ_CONFIGS)),
        seed=st.integers(-1, 2 ** 64))
 def test_main_exits_zero_two_or_three_on_any_small_config(data, sub, seed):
@@ -345,8 +400,11 @@ def test_main_exits_zero_two_or_three_on_any_small_config(data, sub, seed):
     # wrong kind or range.  An exception escaping main would fail the test;
     # every outcome prints one JSON line.
     keys = _FUZZ_CONFIGS[sub]
-    cfg = data.draw(st.fixed_dictionaries({}, optional={
-        key: st.sampled_from(values) for key, values in keys.items()}))
+    capped = _FUZZ_CAPPED.get(sub, ())
+    cfg = data.draw(st.fixed_dictionaries(
+        {key: st.sampled_from(keys[key]) for key in capped},
+        optional={key: st.sampled_from(values) for key, values in keys.items()
+                  if key not in capped}))
     if data.draw(st.integers(0, 2)) == 2:
         cfg[data.draw(st.sampled_from(sorted(keys)))] = data.draw(_BAD_VALUES)
     out = io.StringIO()

@@ -83,3 +83,29 @@ def test_no_unused_imports():
     unused = {f"{p.parent.name}/{p.name}": sorted(_unused_imports(p))
               for p in paths}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # A module-level ``def _name`` counts as called when its name is read,
+    # as a name, an attribute or an import, anywhere in the package outside
+    # its own definition; a helper left behind by a refactor fails here.
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, ast.FunctionDef):
+                own = top.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names}
+                else:
+                    continue
+                used |= names - {own}
+    assert defined
+    assert sorted(defined - used) == []

@@ -24,6 +24,7 @@ from sl3building.boundary import (
     Flag,
     HorizonExceededError,
     LONGEST_PERM,
+    adapted_depth,
     boundary_retraction,
     common_depth,
     growth_ray_vertex,
@@ -32,7 +33,6 @@ from sl3building.boundary import (
 from sl3building.dynamics import (
     GroupElement,
     _apartment_candidate,
-    _chamber_depths,
     certify_srh,
     enumerate_reduced_words,
     equicontinuity_check,
@@ -64,6 +64,7 @@ from sl3building.rng import make_rng
 from oracles import (
     apartment_chambers_oracle,
     common_depth_ray_oracle,
+    det_count_in_box,
     equicontinuity_set_member_oracle,
     is_opposite_to_apartment_oracle,
     mat_inv3,
@@ -177,6 +178,12 @@ def test_certified_eigenlines_against_fraction_arithmetic():
         assert checked >= 20
 
 
+def test_random_sl3z_draws_succeed_with_probability_640824_over_7_to_the_9():
+    # the success probability its docstring states, counted exactly
+    assert det_count_in_box(range(-3, 4), 1) == 640_824
+    assert 62 < 7 ** 9 / 640_824 < 63
+
+
 def test_make_srh_standard():
     p = 5
     cert = make_srh(STD_LINES, (2, 1, 0), p)
@@ -185,7 +192,7 @@ def test_make_srh_standard():
     assert cert.repelling == Flag.reversed_standard()
     assert det3(cert.element.matrix) == 1
     # the element translates the base vertex by lam
-    o = cert.base_vertex()
+    o = frame_vertex(cert.frame, cert.p)
     assert vector_distance(o, o.apply(cert.element.matrix)) == (2, 1, 0)
 
 
@@ -345,8 +352,8 @@ def test_north_south_horizon_trajectory_recomputed_from_the_images():
         flags = [c]  # flags[n] = g^n c
         for _ in range(nmax):
             flags.append(flags[-1].apply(cert.element.num))
-        _assert_trajectory_of_images(info.value, flags, cert.base_vertex(),
-                                     threshold)
+        _assert_trajectory_of_images(info.value, flags,
+                                     frame_vertex(cert.frame, cert.p), threshold)
 
 
 def test_universal_contraction_horizon_trajectory_recomputed_from_the_images():
@@ -357,8 +364,8 @@ def test_universal_contraction_horizon_trajectory_recomputed_from_the_images():
         universal_contraction(cert1, cert2, c, nmax=nmax, threshold=threshold)
     flags = [c] + [c.apply((cert2.element.power(n) * cert1.element.power(n)).num)
                    for n in range(1, nmax + 1)]
-    _assert_trajectory_of_images(info.value, flags, cert2.base_vertex(),
-                                 threshold)
+    _assert_trajectory_of_images(info.value, flags,
+                                 frame_vertex(cert2.frame, cert2.p), threshold)
 
 
 def _limit_or_trajectory(limit_fn, cert, c, nmax, threshold):
@@ -398,7 +405,7 @@ def test_north_south_limit_matches_the_flag_oracle():
             certs = [std, make_srh(lines, lam, p)] + [
                 std.conjugate(random_sl3z(random.Random(7 * p + i)))
                 for i in range(2)]
-            assert certs[1].base_vertex() != x
+            assert frame_vertex(certs[1].frame, certs[1].p) != x
             for cert, threshold in zip(certs * 3, (1, 2, 3, 4) * 3):
                 for depth in (2, 5, 8):
                     c = harmonic_sample(x, depth, rng)
@@ -462,9 +469,9 @@ def _chamber_moved_near(frame, e, p, k, rng):
        depth=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
 def test_chamber_depths_are_read_off_the_frame_coordinates(p, rmax, frame_seed,
                                                           near, depth, seed):
-    # min(rmax, v(l[j]), v(f2[k]), floor(v(l[k]) / 2)) for the chamber
-    # (i, j, k), against the ray walk from the frame's base vertex toward
-    # each of the six apartment chambers.  The flag is a harmonic draw at
+    # adapted_depth against the coordinate chamber (i, j, k), with line e_i
+    # and plane normal e_k, against the ray walk from the frame's base
+    # vertex toward each of the six apartment chambers.  The flag is a harmonic draw at
     # the base vertex, or the apartment chamber of an index moved by an
     # element 1 mod p^k there, so that deep agreements occur.
     lines = STD_LINES if frame_seed is None else \
@@ -483,7 +490,9 @@ def test_chamber_depths_are_read_off_the_frame_coordinates(p, rmax, frame_seed,
         primitive_vector(mat_vec(adjugate3(f), c.line)),
         primitive_vector(mat_vec(transpose(f), c.plane_normal)), p)
     expected = [common_depth_ray_oracle(c, e, base, rmax) for e in chambers]
-    assert _chamber_depths(columns, p, rmax) == expected
+    e = identity()
+    assert [adapted_depth(columns, flag_adapted_columns(e[i], e[k], p), p, rmax)
+            for i, _, k in ALL_PERMS] == expected
     top = max(expected)
     want = (ALL_PERMS[expected.index(top)], top) if top >= rmax - 1 else None
     assert _apartment_candidate(columns, p, rmax - 1) == want

@@ -12,11 +12,13 @@ from sl3building.padic_linalg import (
     MR_EXACT_BOUND,
     SingularMatrixError,
     ZeroValuationError,
+    adjugate3,
     columns,
     cross,
     det3,
     flag_adapted_basis,
     from_columns,
+    in_basis,
     is_prime,
     lattice_canonical,
     mat_mul,
@@ -300,6 +302,29 @@ def test_flag_adapted_basis_is_triangular_and_unimodular():
         hc = columns(h)
         assert _in_span(hc[0], (gc[0],))
         assert _in_span(hc[1], (gc[0], gc[1]))
+
+
+def test_in_basis_is_the_conjugate_by_the_adjugate_with_its_content_stripped():
+    # adj(m) g m divided by the plain gcd of its entries.  One m in two has
+    # a column scaled by p, so det(m) is divisible by p and the product
+    # often has a content p^k; g is a scalar multiple now and then.
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        m, g = rand_invertible(rng), rand_invertible(rng)
+        if rng.random() < 0.5:
+            k = rng.randrange(3)
+            m = tuple(tuple(e * p if j == k else e for j, e in enumerate(row))
+                      for row in m)
+        if rng.random() < 0.2:
+            g = tuple(tuple(e * p for e in row) for row in g)
+        full = mat_mul(mat_mul(adjugate3(m), g), m)
+        content = math.gcd(*(e for row in full for e in row))
+        assert in_basis(m, g) == tuple(tuple(e // content for e in row)
+                                       for row in full)
+        seen.add((det3(m) % p == 0, content % p == 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _in_span(v, gens):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from sl3building.boundary import Flag
 from sl3building.building import LatticeVertex
 from sl3building.rng import make_rng
-from sl3building.sqrtsum import SqrtSum, _sign_at_scale
+from sl3building import sqrtsum
+from sl3building.sqrtsum import SqrtSum, _separation_digits, _sign_at_scale
 from sl3building.triples import (
     ChamberTriple,
     _bracket,
@@ -62,6 +63,51 @@ def test_compare_near_ties_against_a_decimal_root(n, k, delta, extra):
     a = SqrtSum.sqrt_int(n) + extra
     b = SqrtSum(((1, r),)) + extra
     check_against_oracle(a, b)
+
+
+def _difference_terms(a, b):
+    """The (s, c_s) terms of a - b, as ``SqrtSum.compare`` forms them."""
+    diff = dict(a.terms)
+    for s, c in b.terms:
+        diff[s] = diff.get(s, 0) - c
+    return [(s, c) for s, c in diff.items() if c]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-1, max_value=1),
+       SUMS)
+def test_near_ties_resolve_within_the_separation_bound(n, k, delta, extra):
+    # the near ties of the decimal-root test: the scale that the root
+    # separation bound computes decides the sign, so the doubling stops
+    # there at the latest
+    r = Fraction(isqrt(n * 10 ** (2 * k)) + delta, 10 ** k)
+    a = SqrtSum.sqrt_int(n) + extra
+    b = SqrtSum(((1, r),)) + extra
+    terms = _difference_terms(a, b)
+    if terms:
+        assert _sign_at_scale(terms, _separation_digits(terms)) == a.compare(b)
+
+
+def test_separation_bound_decides_the_hardest_examples():
+    sqrt2 = SqrtSum.sqrt_int(2)
+    big = SqrtSum.sqrt_int(10 ** 12 + 1)
+    pairs = [(sqrt2, SqrtSum(((1, Fraction(665857, 470832)),))),
+             (sqrt2, SqrtSum(((1, Fraction(1393, 985)),))),
+             (big, SqrtSum(((1, 10 ** 6 + Fraction(1, 2 * 10 ** 6)),))),
+             (SqrtSum.of_squares((2, 3)), SqrtSum.of_squares((10,))),
+             (SqrtSum.of_squares((5, 6, 18)), SqrtSum.of_squares((3, 7, 8)))]
+    for a, b in pairs:
+        terms = _difference_terms(a, b)
+        assert _sign_at_scale(terms, _separation_digits(terms)) == a.compare(b) != 0
+
+
+def test_compare_past_the_separation_bound_is_an_assertion_error(monkeypatch):
+    # an unresolved sign at the bound would contradict the bound itself
+    monkeypatch.setattr(sqrtsum, "_sign_at_scale", lambda terms, digits: 0)
+    with pytest.raises(AssertionError, match="root-separation bound"):
+        SqrtSum.sqrt_int(2).compare(SqrtSum.sqrt_int(3))
 
 
 def test_compare_examples():

@@ -38,6 +38,7 @@ from sl3building.padic_linalg import (
     det3,
     identity,
     mat_mul,
+    mul_strip,
     residue_germ_parts,
     strip_p_content,
     valuation_int,
@@ -541,8 +542,8 @@ def test_mul_strip_seeded_with_the_determinant_equals_the_plain_gcd():
         if not k:
             continue
         m = tuple(tuple(e // k for e in row) for row in m)
-        plain = stochastics._mul_strip(m, g, 0)
-        assert stochastics._mul_strip(m, g, abs(det3(g))) == plain
+        plain = mul_strip(m, g, 0)
+        assert mul_strip(m, g, abs(det3(g))) == plain
         contents.add(plain[1] > 1)
     assert contents == {False, True}
 

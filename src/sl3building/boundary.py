@@ -2,10 +2,11 @@
 
 A chamber at infinity is a complete flag <f1> < <f1, f2> in Q^3, stored as
 its pair (line, plane normal) of canonical primitive integer vectors, so
-equality of flags is tuple equality.  The action of SL3(Q) moves the line by
-g and the normal by the transposed adjugate of g.  Relative position of two
-flags is an element of S3 read off four incidence tests (equal lines, equal
-planes, and whether the line of each lies on the plane of the other);
+equality of flags is tuple equality; its column-echelon representative is
+read off those integers by ``flag_echelon``.  The action of SL3(Q) moves the
+line by g and the normal by the transposed adjugate of g.  Relative position
+of two flags is an element of S3 read off four incidence tests (equal lines,
+equal planes, and whether the line of each lies on the plane of the other);
 opposite means the order-reversing permutation.  Sector membership, the basis
 sets of the cone topology, and the retraction onto an apartment centered at
 one of its ideal chambers are decided by ``minor_valuations`` of a relative
@@ -71,10 +72,26 @@ class HorizonExceededError(RuntimeError):
 # flags
 # ---------------------------------------------------------------------------
 
-def _echelon_column(v):
-    """v scaled so its last nonzero entry is 1, with the row of that entry."""
-    r = max(i for i in range(3) if v[i] != 0)
-    return tuple(Fraction(e, v[r]) for e in v), r
+def _last_nonzero(v):
+    return 2 if v[2] else (1 if v[1] else 0)
+
+
+def flag_echelon(line, normal):
+    """The column-echelon coset representative of a flag, in integers.
+
+    Returns (l, a, u, b, r): the first echelon column is l / a and the
+    second u / b, where a and b are their pivot entries (the last nonzero
+    ones), and the third column is the unit vector e_r.  l is the line
+    itself; u = normal x e_r1, with r1 the pivot row of the line, lies on
+    the plane and vanishes in row r1, so its pivot row is another one, and
+    r is the row left over.  Scaling line or normal scales l and a, or u
+    and b, together, so the representative does not depend on their signs.
+    """
+    r1 = _last_nonzero(line)
+    n0, n1, n2 = normal
+    u = ((0, n2, -n1), (-n2, 0, n0), (n1, -n0, 0))[r1]
+    r2 = _last_nonzero(u)
+    return line, line[r1], u, u[r2], 3 - r1 - r2
 
 
 @dataclass(frozen=True)
@@ -120,14 +137,12 @@ class Flag:
 
         Each column has last nonzero entry 1 in its pivot row, the second
         column vanishes in the pivot row of the first, and the third is the
-        unit vector of the remaining row.
+        unit vector of the remaining row.  The entries are those of the
+        integer kernel ``flag_echelon``, which records are written from.
         """
-        c1, r1 = _echelon_column(self.line)
-        unit = tuple(1 if i == r1 else 0 for i in range(3))
-        c2, r2 = _echelon_column(cross(self.plane_normal, unit))
-        r3 = 3 - r1 - r2
-        c3 = tuple(Fraction(1 if i == r3 else 0) for i in range(3))
-        return from_columns((c1, c2, c3))
+        l, a, u, b, r = flag_echelon(self.line, self.plane_normal)
+        return tuple((Fraction(l[i], a), Fraction(u[i], b), Fraction(int(i == r)))
+                     for i in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,29 @@ def _eisenstein_ball(bound2):
                 yield (i, j, n)
 
 
+def _eisenstein_shell(radius):
+    """(i, j) with (radius - 1)^2 < i^2 - i*j + j^2 <= radius^2, for radius >= 1.
+
+    The points of ``_eisenstein_ball(radius^2)`` in the outer norm band, in
+    its raster order.  For fixed i the norm is at most N exactly when
+    (2j - i)^2 <= 4N - 3i^2, so the ball of norm radius^2 is one j-interval
+    and the band is that interval less the one for (radius - 1)^2: two
+    intervals, or one where the inner one is empty.
+    """
+    outer, inner = 4 * radius * radius, 4 * (radius - 1) ** 2
+    r = isqrt(outer // 3)
+    for i in range(-r, r + 1):
+        s = isqrt(outer - 3 * i * i)
+        lo, hi = -((s - i) // 2), (i + s) // 2
+        d = inner - 3 * i * i
+        if d < 0:
+            yield from ((i, j) for j in range(lo, hi + 1))
+            continue
+        t = isqrt(d)
+        yield from ((i, j) for j in range(lo, -((t - i) // 2)))
+        yield from ((i, j) for j in range((i + t) // 2 + 1, hi + 1))
+
+
 _MOVES = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 _ROW_PAIRS = ((0, 1), (0, 2), (1, 2))
 

@@ -350,6 +350,14 @@ def make_srh(lines, lam, p):
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
+# The ``flag_adapted_columns`` of the coordinate flags, line e_i and normal
+# e_k for each order (i, j, k) in ``ALL_PERMS``.  Their entries are 0 and
+# +-1, so every ``% p`` test in the kernel reads the same for each prime p
+# and one build at p = 2 serves them all.
+_COORDINATE_CHAMBERS = tuple(
+    flag_adapted_columns(identity()[i], identity()[k], 2) for i, _, k in ALL_PERMS)
+
+
 def _apartment_candidate(flag, p, threshold):
     """The apartment chamber of greatest common depth with the flag, as its
     order (i, j, k) in ``ALL_PERMS``, and that depth, when it reaches
@@ -357,10 +365,9 @@ def _apartment_candidate(flag, p, threshold):
     first depth at the cap.  In frame coordinates the chamber (i, j, k) is
     the coordinate flag with line e_i and normal e_k.
     """
-    e, cap = identity(), threshold + 1
+    cap = threshold + 1
     best = None
-    for order in ALL_PERMS:
-        chamber = flag_adapted_columns(e[order[0]], e[order[2]], p)
+    for order, chamber in zip(ALL_PERMS, _COORDINATE_CHAMBERS):
         de = adapted_depth(flag, chamber, p, cap)
         if de >= threshold and (best is None or de > best[1]):
             best = (order, de)

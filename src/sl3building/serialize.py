@@ -4,14 +4,21 @@ Rationals travel as "num/den" strings (plain integers stay bare), matrices as
 row-major nested lists, and every composite value as a kind-tagged mapping.
 Vertices and flags are serialized in canonical form only, so
 from_obj(to_obj(v)) == v holds exactly.
+
+Every rational in a record is written by one integer formatter,
+``_ratio_str(n, d)``, which prints n/d in lowest terms with the sign on the
+numerator, as ``str(Fraction(n, d))`` would.  Values held in integers are
+written from them with no ``Fraction`` built: a group element from num and
+den, a flag from ``boundary.flag_echelon`` of its line and normal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .building import Frame, LatticeVertex, ResidueChamber
-from .boundary import Flag
+from .boundary import Flag, flag_echelon
 from .dynamics import GroupElement, SrhCertificate
 from .stochastics import WalkConfig, WalkStep, WalkTrace
 
@@ -22,9 +29,22 @@ class ParseError(ValueError):
         self.where = where
 
 
+def _ratio_str(n, d):
+    """The text of n/d for integers n and d != 0, in lowest terms."""
+    if d == 1:
+        return str(n)
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def frac_to_str(x):
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return _ratio_str(f.numerator, f.denominator)
 
 
 def str_to_frac(s, where=None):
@@ -63,14 +83,19 @@ def to_obj(value):
     if isinstance(value, LatticeVertex):
         return {"kind": "vertex", "p": value.p, "matrix": matrix_to_obj(value.matrix)}
     if isinstance(value, Flag):
-        return {"kind": "flag", "matrix": matrix_to_obj(value.matrix)}
+        l, a, u, b, r = flag_echelon(value.line, value.plane_normal)
+        return {"kind": "flag", "matrix": [
+            [_ratio_str(l[i], a), _ratio_str(u[i], b), "1" if i == r else "0"]
+            for i in range(3)]}
     if isinstance(value, Frame):
         return {"kind": "frame", "lines": [_vec_to_obj(v) for v in value.lines]}
     if isinstance(value, ResidueChamber):
         return {"kind": "residue_chamber", "p": value.p,
                 "line": list(value.line), "plane_normal": list(value.plane_normal)}
     if isinstance(value, GroupElement):
-        return {"kind": "group_element", "matrix": matrix_to_obj(value.matrix),
+        den = value.den
+        return {"kind": "group_element",
+                "matrix": [[_ratio_str(e, den) for e in row] for row in value.num],
                 "word": list(value.word) if value.word is not None else None}
     if isinstance(value, SrhCertificate):
         return {"kind": "srh_certificate", "p": value.p,

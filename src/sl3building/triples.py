@@ -31,7 +31,7 @@ from .padic_linalg import (
 from .building import (
     ApartmentPairDistance,
     LatticeVertex,
-    _eisenstein_ball,
+    _eisenstein_shell,
     distance_to_apartment,
     frame_vertex,
 )
@@ -302,10 +302,8 @@ def _certified_apartment_min(value_at, radius_cap):
     certified = False
     while radius < radius_cap:
         radius += 1
-        shell = [(i, j) for i, j, n in _eisenstein_ball(radius * radius)
-                 if (radius - 1) ** 2 < n]
         all_above = True
-        for (i, j) in shell:
+        for (i, j) in _eisenstein_shell(radius):
             ka = kb = 0
             for di, dj in moves:
                 nb = bounds.get((i + di, j + dj))

@@ -51,7 +51,7 @@ from sl3building.padic_linalg import (
 )
 from sl3building.parabolics import family_flag
 from sl3building.rng import make_rng
-from sl3building.serialize import from_obj, to_obj
+from sl3building.serialize import from_obj, matrix_to_obj, to_obj
 from sl3building.sqrtsum import SqrtSum
 from sl3building.stochastics import harmonic_sample
 from oracles import (
@@ -115,6 +115,10 @@ def test_flag_echelon_matrix_action_and_round_trip_against_oracle():
         assert moved.matrix == flag_echelon_oracle(mat_mul(g, f.matrix))
         assert all(type(e) is Fraction for row in moved.matrix for e in row)
         assert from_obj(to_obj(f)) == f
+        # records are written from the integer kernel, not from f.matrix
+        assert to_obj(f)["matrix"] == matrix_to_obj(flag_echelon_oracle(m))
+        assert to_obj(moved)["matrix"] == matrix_to_obj(
+            flag_echelon_oracle(mat_mul(g, f.matrix)))
 
 
 def test_weyl_distance_examples():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sl3building.building import (
     ApartmentPairDistance,
     _eisenstein_ball,
+    _eisenstein_shell,
     Frame,
     IrregularSegmentError,
     LatticeVertex,
@@ -291,6 +292,13 @@ def test_eisenstein_ball_points_and_order():
         ball = tuple(_eisenstein_ball(bound2))
         assert [(i, j) for i, j, _ in ball] == list(eisenstein_ball_oracle(bound2))
         assert all(n == i * i - i * j + j * j for i, j, n in ball)
+
+
+def test_eisenstein_shell_is_the_outer_band_of_the_ball_in_order():
+    for radius in range(1, 13):
+        band = [(i, j) for i, j, n in _eisenstein_ball(radius * radius)
+                if (radius - 1) ** 2 < n]
+        assert list(_eisenstein_shell(radius)) == band
 
 
 def test_residue_counts():

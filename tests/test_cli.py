@@ -391,6 +391,30 @@ _BAD_VALUES = st.sampled_from((-1, 0, None, "x", True, 2.5, [], 4, [1, 2, 0],
                                [2, 2, 0], [-1, -2, 0], [2, 1, 3], [2, 1]))
 
 
+@pytest.mark.parametrize("sub", ["dynamics", "barycenter", "walk", "equicont",
+                                 "strip"])
+def test_main_exits_zero_two_or_three_on_every_prime_and_depth(tmp_path, sub):
+    # Failures that need two keys at once, like p and depth, are easy for
+    # the random fuzz below to miss, so every (p, depth) pair runs here.
+    # The capped counts are held at their smallest values, and again at
+    # their smallest positive ones, so that the subcommand does some work.
+    keys = _FUZZ_CONFIGS[sub]
+    capped = _FUZZ_CAPPED.get(sub, ())
+    levels = ({key: min(keys[key]) for key in capped},
+              {key: min(v for v in keys[key] if v > 0) for key in capped})
+    for (p, depth), counts in product(product(keys["p"], keys["depth"]), levels):
+        cfg = dict(counts, p=p, depth=depth)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main([sub, "--seed", "1", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc in (0, 2, 3), cfg
+        last = json.loads(out.getvalue().splitlines()[-1])
+        assert ("error" in last) == (rc == 2 or (rc == 3 and "status" not in last))
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=st.data(), sub=st.sampled_from(sorted(_FUZZ_CONFIGS)),
        seed=st.integers(-1, 2 ** 64))

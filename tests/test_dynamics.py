@@ -32,6 +32,7 @@ from sl3building.boundary import (
 )
 from sl3building.dynamics import (
     GroupElement,
+    _COORDINATE_CHAMBERS,
     _apartment_candidate,
     certify_srh,
     enumerate_reduced_words,
@@ -496,6 +497,13 @@ def test_chamber_depths_are_read_off_the_frame_coordinates(p, rmax, frame_seed,
     top = max(expected)
     want = (ALL_PERMS[expected.index(top)], top) if top >= rmax - 1 else None
     assert _apartment_candidate(columns, p, rmax - 1) == want
+
+
+def test_coordinate_chambers_do_not_depend_on_the_prime():
+    e = identity()
+    for p in (2, 3, 5, 7, 11):
+        assert _COORDINATE_CHAMBERS == tuple(
+            flag_adapted_columns(e[o[0]], e[o[2]], p) for o in ALL_PERMS)
 
 
 def _diagonal(p, a, b):

@@ -4,20 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl3building.building import Frame, LatticeVertex, standard_vertex
 from sl3building.boundary import Flag
 from sl3building.dynamics import certify_srh, make_srh, random_sl3z
+from sl3building.padic_linalg import det3
 from sl3building.serialize import (
     ParseError,
+    _ratio_str,
     frac_to_str,
     from_obj,
+    matrix_to_obj,
     str_to_frac,
     to_obj,
 )
 from sl3building.stochastics import WalkConfig, run_walk
+from oracles import flag_echelon_oracle
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -34,6 +38,58 @@ def test_fraction_string_formats():
         str_to_frac("1/0")
     with pytest.raises(ParseError):
         str_to_frac("x")
+
+
+def _fraction_route(x):
+    # the text of a rational as str(Fraction) prints it
+    return str(Fraction(x))
+
+
+def test_frac_to_str_matches_the_fraction_route():
+    # bools are ints that the int fast path must not print as "True"
+    values = [0, 1, -1, 7, -12, 10 ** 30, -(10 ** 30) - 1, True, False,
+              Fraction(3), Fraction(-5, 7), Fraction(6, -4), Fraction(0, 9),
+              Fraction(10 ** 20, 3 ** 40), "-4/6", "-0"]
+    for x in values:
+        assert frac_to_str(x) == _fraction_route(x)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(-10 ** 12, 10 ** 12),
+       st.integers(-10 ** 12, 10 ** 12).filter(lambda d: d != 0))
+def test_ratio_str_is_the_fraction_text(n, d):
+    assert _ratio_str(n, d) == _fraction_route(Fraction(n, d))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+       signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+def test_flag_records_are_the_echelon_oracle(m, signs):
+    # Small entries give flags with zero coordinates; the signs flip the
+    # stored line and normal, so both pivots of the kernel can be negative.
+    m = (tuple(m[0:3]), tuple(m[3:6]), tuple(m[6:9]))
+    assume(det3(m) != 0)
+    f = Flag.from_matrix(m)
+    g = Flag(tuple(signs[0] * e for e in f.line),
+             tuple(signs[1] * e for e in f.plane_normal))
+    want = flag_echelon_oracle(m)
+    assert g.matrix == want
+    assert to_obj(g)["matrix"] == matrix_to_obj(want)
+    assert to_obj(g)["matrix"] == [[_fraction_route(e) for e in row]
+                                   for row in want]
+
+
+def test_group_element_records_match_the_fraction_matrix():
+    rng = random.Random(5)
+    dens = set()
+    for p in (2, 3, 5):
+        cert = make_srh(STD_LINES, (2, 1, 0), p)
+        for _ in range(20):
+            g = cert.conjugate(random_sl3z(rng)).element
+            for h in (g, g.inverse(), g.power(3), g.inverse().power(2)):
+                assert to_obj(h)["matrix"] == matrix_to_obj(h.matrix)
+                dens.add(h.den)
+    assert len(dens) > 1
 
 
 def test_vertex_round_trip_preserves_canonical_form():

@@ -14,8 +14,8 @@ One subcommand per experiment family:
 Configs are YAML mappings with exact rationals as "num/den" strings; outputs
 are a newline-delimited JSON record log plus a CSV aggregate table, both
 carrying the config hash and master seed.  Identical (config, seed) runs are
-bit-identical.  Exit codes: 0 success, 2 config error, 3 horizon or
-certification failure.
+bit-identical.  Exit codes: 0 success, 2 config error, 3 horizon, draw
+bound or certification failure.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .triples import (
     is_generic,
 )
 from .stochastics import (
+    DrawBoundExceededError,
     WalkConfig,
     a2_ball_count,
     basis_set_mass_estimate,
@@ -554,6 +555,9 @@ def main(argv=None):
     except HorizonExceededError as exc:
         print(json.dumps({"error": "horizon", "detail": str(exc),
                           "trajectory": exc.trajectory}))
+        return 3
+    except DrawBoundExceededError as exc:
+        print(json.dumps({"error": "draw bound", "detail": str(exc)}))
         return 3
     rec_path, agg_path = _write_outputs(args.out, args.subcommand, cfg,
                                         args.seed, records, rows)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .padic_linalg import (
@@ -62,14 +63,13 @@ from .boundary import (
     apartment_chambers,
     apartment_from_opposite,
     chamber_order_in_frame,
-    frame_chamber,
     growth_ray_vertex,
     is_opposite,
     is_opposite_to_apartment,
     sector_membership,
     weyl_distance,
 )
-from .stochastics import harmonic_sample
+from .stochastics import DrawBoundExceededError, harmonic_sample
 from .triples import construct_generic
 
 
@@ -165,7 +165,9 @@ class SrhCertificate:
     ``lines`` are the eigenlines ordered by increasing eigenvalue valuation,
     so the first line is the attracting direction.  ``lam`` is the dominant
     translation vector.  The attracting and repelling chambers (the lines
-    in order and reversed) and the frame are built here, once.
+    in order and reversed) and the frame are built here, once; what the
+    north-south limits read of the certificate alone is built on first use,
+    once.
     """
 
     p: int
@@ -185,6 +187,22 @@ class SrhCertificate:
 
     def __bool__(self):
         return True
+
+    @cached_property
+    def frame_matrix(self):
+        """The matrix F whose columns are the frame lines, in frame order."""
+        return self.frame.matrix()
+
+    @cached_property
+    def eigenvalues(self):
+        """The eigenvalues of num on the frame lines, in frame order."""
+        return tuple(_eigenvalue(self.element.num, v) for v in self.frame.lines)
+
+    @cached_property
+    def frame_chambers(self):
+        """The chambers of the frame apartment, keyed by their order (i, j, k)
+        of the frame lines."""
+        return dict(zip(ALL_PERMS, apartment_chambers(self.frame)))
 
     def conjugate(self, k):
         """Certificate of k g k^-1, with the lines moved by k."""
@@ -465,11 +483,10 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     chambers are the coordinate flags there, so c is one of them exactly
     when its line and its normal each have two zero coordinates.
     """
-    frame = cert.frame
-    line, normal = flag_in_basis(frame.matrix(), c)
+    line, normal = flag_in_basis(cert.frame_matrix, c)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
-    a, b, k = (_eigenvalue(cert.element.num, v) for v in frame.lines)
+    a, b, k = cert.eigenvalues
     bk, ak, ab = b * k, a * k, a * b
 
     def pairs(line, normal):
@@ -480,7 +497,7 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
 
     order = _stable_apartment_direction(cert.p, pairs(line, normal),
                                         threshold, nmax)
-    return frame_chamber(frame, order)
+    return cert.frame_chambers[order]
 
 
 def proximal_pair_check(cert1, cert2):
@@ -489,15 +506,36 @@ def proximal_pair_check(cert1, cert2):
     return is_opposite_to_apartment(cert2.repelling, cert1.frame)
 
 
+# Candidate draws of schottky_pair before it gives up; see its docstring.
+_SCHOTTKY_DRAWS = 200
+
+
 def schottky_pair(p, rng, depth=4):
     """Two SRH certificates of translation (2, 1, 0) passing
     proximal_pair_check, the first standard and the second drawn from rng
-    around a generic completion of the first."""
+    around a generic completion c3 of the first.
+
+    Each candidate draw succeeds with probability at least 8/21.  A
+    candidate c opposite c3 spans a frame v with c of order (i, j, k), so
+    v_i is the line of c, v_j = P_c meet P_c3 and v_k the line of c3; the
+    second certificate's repelling chamber, the lines reversed, is
+    <v_k> < <v_k, v_j> = c3.  ``construct_generic`` makes c3 opposite every
+    chamber of the first certificate's apartment, so proximal_pair_check
+    passes for every c opposite c3.  At the standard vertex c is
+    Flag.from_matrix(k), k uniform on GL3(Z/p^depth); k mod p is uniform on
+    GL3(F_p), so the residue flag of c is uniform on the (p^2+p+1)(p+1)
+    flags of F_p^3, and the p^3 of them opposite the residue flag of c3
+    give dot products with c3 that are nonzero mod p, hence nonzero:
+    probability p^3 / ((p^2+p+1)(p+1)) >= 8/21.  So the loop meets its
+    bound of _SCHOTTKY_DRAWS draws, where it raises
+    DrawBoundExceededError, with probability at most (13/21)^200 < 10^-41,
+    and the bound changes no stream that ends.
+    """
     cert1 = make_srh(identity(), (2, 1, 0), p)
     c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng,
                            depth=depth)
     x = LatticeVertex.standard(p)
-    while True:
+    for _ in range(_SCHOTTKY_DRAWS):
         cand = harmonic_sample(x, depth, rng)
         if is_opposite(cand, c3):
             frame = apartment_from_opposite(cand, c3)
@@ -505,6 +543,8 @@ def schottky_pair(p, rng, depth=4):
             cert2 = make_srh(tuple(frame.lines[i] for i in order), (2, 1, 0), p)
             if proximal_pair_check(cert1, cert2):
                 return cert1, cert2
+    raise DrawBoundExceededError(
+        f"no proximal partner found within {_SCHOTTKY_DRAWS} draws")
 
 
 def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
@@ -520,8 +560,7 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
-    frame = cert2.frame
-    f = frame.matrix()
+    f = cert2.frame_matrix
     line, normal = flag_in_basis(f, c)
     g1, g2 = in_basis(f, cert1.element.num), in_basis(f, cert2.element.num)
 
@@ -532,8 +571,8 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
                    _primitive(*mat_vec(transpose(adjugate3(w)), normal)))
             w = mul_strip(mat_mul(g2, w), g1, 0)[0]
 
-    return frame_chamber(frame, _stable_apartment_direction(
-        cert2.p, pairs(), threshold, nmax))
+    return cert2.frame_chambers[_stable_apartment_direction(
+        cert2.p, pairs(), threshold, nmax)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,16 @@ derivation of (seed, index...) so that independent trials get independent,
 reproducible streams: derive(seed, k) feeds each trial k its own generator
 and results are bit-identical across runs and platforms.
 
-On the harmonic sampler's path a stream is defined by its getrandbits words:
+On the harmonic sampler's path a stream is defined by its 32-bit words:
 ``stochastics._random_stabilizer_matrix`` draws each entry below q as
-getrandbits(q.bit_length()), drawn again while at least q, which is the
-algorithm of CPython's ``randrange(q)``, so it consumes the same words.
+getrandbits(k), k = q.bit_length(), drawn again while at least q, which is
+the algorithm of CPython's ``randrange(q)``, so it consumes the same words.
+For k <= 32 an entry draw is the top k bits of one word, and
+getrandbits(32 n) is the next n words, the first drawn in the lowest 32
+bits.  ``stochastics._random_stabilizer_matrices`` relies on both: for
+q < 256 it reads the top byte of each word of a block, deletes the bytes
+of rejected draws and shifts the others, and never draws a word past the
+last entry the per-draw loop would take.
 """
 
 from __future__ import annotations

@@ -59,6 +59,10 @@ class InsufficientConvergenceError(RuntimeError):
     """Raised when too few walk paths converge to estimate anything."""
 
 
+class DrawBoundExceededError(RuntimeError):
+    """Raised when a rejection loop meets its draw bound without a success."""
+
+
 # ---------------------------------------------------------------------------
 # harmonic sampling
 # ---------------------------------------------------------------------------
@@ -69,7 +73,9 @@ def _random_stabilizer_matrix(p, depth, rng):
     Entries are drawn in row order the way ``rng.randrange(q)`` draws them:
     r = rng.getrandbits(k) with k = q.bit_length(), drawn again while
     r >= q, so the Mersenne Twister stream is consumed word for word as by
-    randrange.  A matrix is kept when its determinant is nonzero mod p.
+    randrange.  For k <= 32 CPython's getrandbits(k) is the top k bits of
+    one 32-bit word, so each draw takes exactly one word.  A matrix is kept
+    when its determinant is nonzero mod p.
 
     Both loops end with probability one.  An entry draw is accepted with
     probability q / 2^k > 1/2, since 2^(k-1) <= q.  A matrix is accepted
@@ -92,6 +98,65 @@ def _random_stabilizer_matrix(p, depth, rng):
         a, b, c, d, f, g, h, i, j = e
         if (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p:
             return ((a, b, c), (d, f, g), (h, i, j))
+
+
+# Words drawn by one getrandbits call of _random_stabilizer_matrices: 16 KiB
+# of stream at a time, whatever the count.
+_WORD_BLOCK = 4096
+
+
+def _random_stabilizer_matrices(p, depth, rng, count):
+    """The count matrices of count calls of _random_stabilizer_matrix, in order.
+
+    The generator leaves rng in the state those calls leave it in, provided
+    nothing else draws from rng until it is exhausted: it draws ahead of
+    the matrix it yields, but never past the last one.
+
+    For q = p^depth < 256 it draws the words in blocks.  Each entry draw of
+    the per-draw loop takes one 32-bit word w and reads w >> (32 - k),
+    k = q.bit_length() <= 8, the top k bits of its top byte t = w >> 24.
+    getrandbits(32 n) returns the next n words as one integer, the i-th
+    word drawn in bits 32 i to 32 i + 31, so its ``to_bytes(4 n, "little")``
+    holds the top byte of the i-th word at offset 4 i + 3, and ``[3::4]``
+    is the top bytes in draw order.  ``translate`` then deletes each t with
+    t >> (8 - k) >= q, a rejected draw, and maps the others to
+    t >> (8 - k): what is left is the per-draw loop's stream of accepted
+    entries.  Taken by nines, it gives that loop's candidate matrices, each
+    kept or dropped by the same determinant test.
+
+    No word is drawn past the last matrix's last entry.  With m matrices
+    still to come and e < 9 accepted entries pending, each of the m needs
+    at least 9 more accepted entries, and an entry takes at least one word,
+    so the per-draw loop would take at least 9 m - e more words.  A round
+    draws n = min(9 m - e, _WORD_BLOCK) of them, all of which that loop
+    would consume; and when the last matrix comes out of a round, the
+    round's entries were exactly 9 m, so none is left over.
+
+    For q >= 256 it calls _random_stabilizer_matrix once per matrix.
+    """
+    if depth < 1:
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
+    q = p ** depth
+    if q >= 256:
+        for _ in range(count):
+            yield _random_stabilizer_matrix(p, depth, rng)
+        return
+    shift = 8 - q.bit_length()
+    keep = bytes(t >> shift for t in range(256))
+    drop = bytes(t for t in range(256) if t >> shift >= q)
+    getrandbits = rng.getrandbits
+    pending = b""
+    left = count
+    while left > 0:
+        n = min(9 * left - len(pending), _WORD_BLOCK)
+        words = getrandbits(32 * n).to_bytes(4 * n, "little")
+        entries = pending + words[3::4].translate(keep, drop)
+        it = iter(entries)
+        for a, b, c, d, f, g, h, i, j in zip(it, it, it, it, it, it, it, it, it):
+            if (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p:
+                yield ((a, b, c), (d, f, g), (h, i, j))
+                left -= 1
+        pending = entries[len(entries) - len(entries) % 9:]
 
 
 def harmonic_sample(x, depth, rng):
@@ -167,6 +232,11 @@ def basis_set_mass_estimate(x, lam, trials, rng):
     subgroup _sector_shape_matrix samples.  The event is measurable at depth
     a1 + a2 + 1, where the discretized sampler reproduces the harmonic
     measure exactly, so deviations are purely binomial.
+
+    The trials draws come from _random_stabilizer_matrices, which reads
+    the Mersenne Twister words in blocks when p^depth < 256 and gives the
+    matrices, and the final state of rng, of trials calls of
+    _random_stabilizer_matrix.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -175,8 +245,7 @@ def basis_set_mass_estimate(x, lam, trials, rng):
     depth = a1 + a2 + 1
     m10, m20, m21 = p ** a2, p ** a1, p ** (a1 - a2)
     hits = 0
-    for _ in range(trials):
-        k = _random_stabilizer_matrix(p, depth, rng)
+    for k in _random_stabilizer_matrices(p, depth, rng, trials):
         if k[1][0] % m10 == 0 and k[2][0] % m20 == 0 and k[2][1] % m21 == 0:
             hits += 1
     return Fraction(hits, trials)

@@ -43,7 +43,11 @@ from .boundary import (
     is_opposite_to_apartment,
 )
 from .sqrtsum import FIRST_DIGITS, SqrtSum, _root_sum_at_scale
-from .stochastics import harmonic_sample, harmonic_sample_in_basis_set
+from .stochastics import (
+    DrawBoundExceededError,
+    harmonic_sample,
+    harmonic_sample_in_basis_set,
+)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,8 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
     for c3 in islice(candidates, max_draws):
         if is_opposite_to_apartment(c3, frame):
             return c3
-    raise RuntimeError(f"no generic completion found within {max_draws} draws")
+    raise DrawBoundExceededError(
+        f"no generic completion found within {max_draws} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,12 @@ from sl3building.cli import (
     load_config,
     main,
 )
-from sl3building.padic_linalg import det3
+from sl3building import dynamics, triples
+from sl3building.dynamics import make_srh
+from sl3building.padic_linalg import det3, identity
 from sl3building.rng import make_rng
 from sl3building.stochastics import harmonic_sample
+from sl3building.triples import construct_generic
 
 
 def _run(tmp_path, sub, seed=1, config=None, extra=()):
@@ -261,6 +264,54 @@ def test_seeds_outside_64_bits_are_config_errors(tmp_path, capsys, seed):
     assert rc == 2
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == "config"
     assert not (tmp_path / "strip_records.ndjson").exists()
+
+
+# The measure cells fall on both sides of q = p^depth = 256, where the mass
+# estimate's block sampler hands over to single draws: q = 4, 16, 64 at
+# p = 2, q = 9, 81 and 729 at p = 3, q = 25, 625 and 15625 at p = 5.  The
+# digests were taken with the per-draw sampler alone.
+BOTH_PATHS_MEASURE = {"p_values": [2, 3, 5],
+                      "lams": [[1, 0, 0], [2, 1, 0], [3, 2, 0]], "trials": 300}
+BOTH_PATHS_DIGESTS = {
+    1: ("05aedf505330d9a9b16a9d2c77dc7ba27a303e8be8d383bc6d84b1b1324d2f0f",
+        "1172ae22ee6653ff5887d4fd26f57cf06797ab4703df68c83aa5c38a6bca7482"),
+    7: ("87a56186e6e5af1e77d71b9dba6f26d556afd7128a8c9a3b9657c94dde2bd67f",
+        "745209ba3a0fc1920d5579196fc20d491d96a5004fcdfdad77904e2b6ad2ed67"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BOTH_PATHS_DIGESTS))
+def test_measure_records_on_both_sampler_paths_match_their_digests(tmp_path,
+                                                                   seed):
+    assert _run(tmp_path, "measure", seed=seed, config=BOTH_PATHS_MEASURE) == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("measure_records.ndjson", "measure_aggregate.csv"))
+    assert got == BOTH_PATHS_DIGESTS[seed]
+
+
+def test_walk_exits_three_when_no_schottky_candidate_passes(tmp_path, capsys,
+                                                            monkeypatch):
+    # every scripted candidate is the completion c3, never opposite itself
+    seed, cfg = 1, load_config("walk", None)
+    cert1 = make_srh(identity(), (2, 1, 0), cfg["p"])
+    c3 = construct_generic(cert1.attracting, cert1.repelling, cfg["p"],
+                           rng=make_rng(seed, 0xC0), depth=cfg["depth"])
+    monkeypatch.setattr(dynamics, "harmonic_sample", lambda *_: c3)
+    assert _run(tmp_path, "walk", seed=seed, config=SMALL["walk"]) == 3
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert out["error"] == "draw bound"
+    assert not (tmp_path / "walk_records.ndjson").exists()
+
+
+def test_barycenter_exits_three_when_no_generic_completion_is_drawn(
+        tmp_path, capsys, monkeypatch):
+    # the standard flag is one of the pair, so never opposite the apartment
+    monkeypatch.setattr(triples, "harmonic_sample", lambda *_: Flag.standard())
+    config = dict(SMALL["barycenter"], triples=2)
+    assert _run(tmp_path, "barycenter", config=config) == 3
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert out["error"] == "draw bound"
+    assert not (tmp_path / "barycenter_records.ndjson").exists()
 
 
 def test_measure_counts_far_vertices_in_closed_form(tmp_path):

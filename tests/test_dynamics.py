@@ -4,6 +4,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from sl3building.boundary import (
     growth_ray_vertex,
     is_opposite,
 )
+from sl3building import dynamics
 from sl3building.dynamics import (
     GroupElement,
     _COORDINATE_CHAMBERS,
@@ -53,6 +55,7 @@ from sl3building.padic_linalg import (
     adjugate3,
     cross,
     det3,
+    dot,
     flag_adapted_columns,
     identity,
     mat_mul,
@@ -60,8 +63,9 @@ from sl3building.padic_linalg import (
     primitive_vector,
     transpose,
 )
-from sl3building.stochastics import harmonic_sample
+from sl3building.stochastics import DrawBoundExceededError, harmonic_sample
 from sl3building.rng import make_rng
+from sl3building.triples import construct_generic
 from oracles import (
     apartment_chambers_oracle,
     common_depth_ray_oracle,
@@ -183,6 +187,80 @@ def test_random_sl3z_draws_succeed_with_probability_640824_over_7_to_the_9():
     # the success probability its docstring states, counted exactly
     assert det_count_in_box(range(-3, 4), 1) == 640_824
     assert 62 < 7 ** 9 / 640_824 < 63
+
+
+def _schottky_completion(p, rng, depth=4):
+    """The generic completion c3 that schottky_pair draws first from rng."""
+    cert1 = make_srh(identity(), (2, 1, 0), p)
+    return construct_generic(cert1.attracting, cert1.repelling, p, rng=rng,
+                             depth=depth)
+
+
+def _residue_opposite(line, normal, c, p):
+    """Whether the residue flag (line, normal) mod p is opposite that of c."""
+    return bool(dot(line, c.plane_normal) % p and dot(c.line, normal) % p)
+
+
+def test_schottky_candidates_opposite_c3_mod_2_always_succeed(monkeypatch):
+    # Each k in GL3(F_2) is offered as the first candidate, then c3 itself,
+    # which is never opposite c3.  The draw succeeds iff the candidate is
+    # opposite c3; the second repelling chamber is then c3, and every
+    # candidate opposite c3 mod 2 succeeds: 8 of the 21 residue flags.
+    p, seed = 2, 31
+    c3 = _schottky_completion(p, make_rng(seed))
+    good = total = 0
+    for e in product(range(p), repeat=9):
+        k = (e[0:3], e[3:6], e[6:9])
+        if det3(k) % p == 0:
+            continue
+        total += 1
+        cand = Flag.from_matrix(k)
+        calls = []
+
+        def sample(x, depth, rng):
+            calls.append(depth)
+            return cand if len(calls) == 1 else c3
+
+        monkeypatch.setattr(dynamics, "harmonic_sample", sample)
+        if is_opposite(cand, c3):
+            cert1, cert2 = schottky_pair(p, make_rng(seed))
+            assert len(calls) == 1
+            assert cert2.attracting == cand and cert2.repelling == c3
+            assert proximal_pair_check(cert1, cert2)
+        else:
+            with pytest.raises(DrawBoundExceededError):
+                schottky_pair(p, make_rng(seed))
+            assert len(calls) == dynamics._SCHOTTKY_DRAWS
+        if _residue_opposite(cand.line, cand.plane_normal, c3, p):
+            good += 1
+            assert len(calls) == 1
+    assert Fraction(good, total) == Fraction(8, 21)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_schottky_candidates_are_opposite_c3_mod_p_often(p):
+    # A uniform residue flag is opposite a fixed one with probability
+    # p^3 / ((p^2+p+1)(p+1)), which grows with p from 8/21 at p = 2.
+    c3 = _schottky_completion(p, make_rng(32))
+    good = total = 0
+    for line in product(range(p), repeat=3):
+        for normal in product(range(p), repeat=3):
+            if not any(line) or not any(normal) or dot(line, normal) % p:
+                continue
+            if line[next(i for i, e in enumerate(line) if e)] != 1 or \
+                    normal[next(i for i, e in enumerate(normal) if e)] != 1:
+                continue  # one representative per point of P^2(F_p)
+            total += 1
+            good += _residue_opposite(line, normal, c3, p)
+    assert total == (p * p + p + 1) * (p + 1)
+    assert Fraction(good, total) == Fraction(p ** 3, total) > Fraction(8, 21)
+
+
+def test_schottky_pair_repels_from_its_completion():
+    for p, seed in ((2, 8), (3, 31), (5, 21)):
+        c3 = _schottky_completion(p, make_rng(seed))
+        cert1, cert2 = schottky_pair(p, make_rng(seed))
+        assert cert2.repelling == c3 and proximal_pair_check(cert1, cert2)
 
 
 def test_make_srh_standard():

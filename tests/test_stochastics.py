@@ -161,8 +161,8 @@ def test_basis_set_event_matches_the_lattice_oracle(monkeypatch):
             ks += [stochastics._random_stabilizer_matrix(p, depth, rng)
                    for _ in range(1000)]
             for k in ks:
-                monkeypatch.setattr(stochastics, "_random_stabilizer_matrix",
-                                    lambda *_: k)
+                monkeypatch.setattr(stochastics, "_random_stabilizer_matrices",
+                                    lambda *_: [k])
                 got = stochastics.basis_set_mass_estimate(x, lam, 1, None)
                 want = basis_set_event_oracle(k, lam, p)
                 assert got == want, (p, lam, k)
@@ -187,6 +187,71 @@ def test_stabilizer_draws_match_the_randrange_oracle(seed):
                 assert stochastics._random_stabilizer_matrix(p, depth, fast) == \
                     random_stabilizer_matrix_oracle(p, depth, slow), (p, depth)
             assert fast.getstate() == slow.getstate(), (p, depth)
+
+
+class _CountingRandom(random.Random):
+    """A Mersenne Twister that records the bit widths asked of getrandbits."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+# q = p^depth on both sides of 256, where the batch path hands over to
+# single draws: 2^1..2^9, 3^1..3^6, 5^1..5^4, 7^1..7^3, 251 and 257
+BATCH_CELLS = tuple((p, depth) for p, top in ((2, 9), (3, 6), (5, 4), (7, 3),
+                                              (251, 1), (257, 1))
+                    for depth in range(1, top + 1))
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_stabilizer_batches_match_the_randrange_oracle(seed):
+    for p, depth in BATCH_CELLS:
+        for count in (1, 2, 9, 1000):
+            fast, slow = _CountingRandom(seed), random.Random(seed)
+            got = list(stochastics._random_stabilizer_matrices(
+                p, depth, fast, count))
+            assert got == [random_stabilizer_matrix_oracle(p, depth, slow)
+                           for _ in range(count)], (p, depth, count)
+            assert fast.getstate() == slow.getstate(), (p, depth, count)
+            if p ** depth < 256:
+                assert all(k % 32 == 0 for k in fast.widths)
+                # 1000 matrices need at least 9,000 words: several full rounds
+                full = fast.widths.count(32 * stochastics._WORD_BLOCK)
+                assert full >= 2 or count < 1000, (p, depth)
+
+
+def test_stabilizer_batches_of_none_draw_nothing():
+    for p, depth in ((2, 3), (257, 1)):
+        rng = make_rng(5)
+        state = rng.getstate()
+        assert list(stochastics._random_stabilizer_matrices(p, depth, rng, 0)) == []
+        assert rng.getstate() == state
+
+
+def test_stabilizer_batches_reject_depth_below_one_before_drawing():
+    rng = make_rng(3)
+    state = rng.getstate()
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            next(stochastics._random_stabilizer_matrices(2, depth, rng, 5))
+    assert rng.getstate() == state
+
+
+def test_mass_estimate_leaves_the_stream_where_the_draws_do():
+    # the batch path must not draw past the last matrix of the estimate
+    for p, lam in ((2, (1, 0, 0)), (2, (2, 1, 0)), (3, (1, 1, 0)), (3, (3, 2, 0))):
+        depth = lam[0] + lam[1] + 1
+        fast, slow = make_rng(11, p), make_rng(11, p)
+        stochastics.basis_set_mass_estimate(standard_vertex(p), lam, 777, fast)
+        for _ in range(777):
+            random_stabilizer_matrix_oracle(p, depth, slow)
+        assert fast.getstate() == slow.getstate(), (p, lam)
 
 
 def test_stabilizer_draw_rejects_depth_below_one_before_drawing():

@@ -42,7 +42,7 @@ from sl3building.triples import (
 )
 from sl3building.rng import make_rng
 from sl3building import triples
-from sl3building.stochastics import harmonic_sample
+from sl3building.stochastics import DrawBoundExceededError, harmonic_sample
 from oracles import (
     certified_apartment_min_oracle,
     harmonic_generic_triples,
@@ -238,7 +238,7 @@ def test_construct_generic_takes_the_first_candidate_opposite_the_apartment(
     expected = next((c for c in cands
                      if is_opposite_to_apartment_oracle(c, frame)), None)
     if expected is None:
-        with pytest.raises(RuntimeError):
+        with pytest.raises(DrawBoundExceededError):
             construct_generic(c1, c2, p, candidates=cands)
         return
     c3 = construct_generic(c1, c2, p, candidates=cands)

@@ -10,7 +10,9 @@ exactly on events of depth at most k.
 
 Random walks multiply seeded generator choices and record, at every step, the
 vector distance from the base vertex and the residue germ of the current
-position; directional convergence is germ stabilization along the tail.
+position; directional convergence is germ stabilization along the tail.  A
+step whose letter undoes the last letter of the walk's reduced word returns
+to a position already read, and reuses its record.
 
 Strip growth counts the vertices of an opposite pair's own apartment by exact
 squared distance from its base vertex; the counts are checked against the
@@ -42,6 +44,7 @@ from .building import (
     LatticeVertex,
     ResidueChamber,
     _eisenstein_ball,
+    canonical_modp_vector,
     dist2,
     dominant,
     frame_vertex,
@@ -338,7 +341,7 @@ def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
     are read off rel mod p^(floor(d/2) + 1) (``residue_germ_parts``): e2 is at
     most floor(d/2), and the 2x2 minors mod that modulus are the true ones,
     so e2 stays e2 and so do the mod-p images of rel and of its adjugate
-    divided by p^e2.
+    divided by p^e2.  A germ equal to prev_germ is prev_germ itself.
     """
     q = p ** (d // 2 + 1)
     (a, b, c), (e, f, g), (h, i, j) = rel
@@ -348,9 +351,19 @@ def _position_record(n, letter, rel, d, prev_germ, prev_run, p):
     germ = None
     run = 0
     if is_regular(theta) and line is not None and normal is not None:
-        germ = ResidueChamber.from_parts(p, line, normal)
-        run = prev_run + 1 if germ == prev_germ else 1
+        line = canonical_modp_vector(line, p)
+        normal = canonical_modp_vector(normal, p)
+        if prev_germ is not None and prev_germ.line == line \
+                and prev_germ.plane_normal == normal:
+            germ, run = prev_germ, prev_run + 1
+        else:
+            germ, run = ResidueChamber.from_parts(p, line, normal), 1
     return WalkStep(n, letter, theta, germ, run)
+
+
+def _is_scalar(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return not (b or c or d or f or g or h) and a == e == i
 
 
 def run_walk(config):
@@ -366,6 +379,29 @@ def run_walk(config):
     subtracts 3 v_p(g); g divides |det G|, which seeds its gcd
     (``mul_strip``).  Each step is read off rel mod p^(floor(D/2) + 1),
     D that determinant valuation (see _position_record).
+
+    The walk follows the reduced word of its letters.  Letter j undoes
+    letter i when G_i G_j is a scalar matrix; the pairs are found once per
+    walk, from integer products.  A letter that undoes the last letter of
+    the reduced word removes it (a pop), any other letter is appended (a
+    push).  The lemma: a pop's record is that of the prefix it returns to.
+    If the prefix's position is rel, the pop's is rel G_i G_j = c rel for
+    an integer c, content stripped; rel has content 1, so that is +-rel.
+    The lattice class of B rel, theta, D and the germ are all unchanged by
+    a sign, so they are the prefix's.  Only this scalar identity is used,
+    whatever other relations the generators satisfy; an involution
+    (G_i G_i scalar) undoes itself, and duplicate inverse letters each
+    undo the letter they invert.  By induction every entry of the word is
+    the record of its prefix, so a pop reads theta and the germ from the
+    entry below the removed one and calls no germ kernel; germ_run is still
+    counted against the previous step's germ.
+
+    ``word`` holds one (letter, WalkStep) pair per prefix of the reduced
+    word, records only, so memory is O(steps).  rel is not kept per prefix:
+    its entries grow by a few bits a step, so a stack of them would take
+    memory quadratic in steps.  One undo slot keeps the (rel, D) from
+    before the last step when that step was a push, and a pop right after
+    it restores them; a deeper pop multiplies by its letter as a push does.
     """
     p = config.p
     rng = make_rng(config.seed)
@@ -374,15 +410,36 @@ def run_walk(config):
     gens = [in_basis(b, g.num) for g in config.generators]
     gens_det = [abs(det3(g)) for g in gens]
     gens_dv = [valuation_int(d, p) for d in gens_det]
+    undoes = [[_is_scalar(mat_mul(gi, gj)) for gj in gens] for gi in gens]
     rel, d = identity(), 0
-    steps = [_position_record(0, -1, rel, d, None, 0, p)]
+    step = _position_record(0, -1, rel, d, None, 0, p)
+    steps = [step]
+    word = [(-1, step)]
+    undo = None
     for n in range(1, config.steps + 1):
         idx = bisect_right(cum, rng.randrange(den))
-        rel, g = mul_strip(rel, gens[idx], gens_det[idx])
-        d += gens_dv[idx] - 3 * valuation_int(g, p)
-        prev = steps[-1]
-        steps.append(_position_record(n, idx, rel, d, prev.germ, prev.germ_run,
-                                      p))
+        last = word[-1][0]
+        if last >= 0 and undoes[last][idx]:
+            word.pop()
+            if undo is None:
+                rel, g = mul_strip(rel, gens[idx], gens_det[idx])
+                d += gens_dv[idx] - 3 * valuation_int(g, p)
+            else:
+                rel, d = undo
+                undo = None
+            back = word[-1][1]
+            germ = back.germ
+            run = 0
+            if germ is not None:
+                run = step.germ_run + 1 if germ == step.germ else 1
+            step = WalkStep(n, idx, back.theta, germ, run)
+        else:
+            undo = rel, d
+            rel, g = mul_strip(rel, gens[idx], gens_det[idx])
+            d += gens_dv[idx] - 3 * valuation_int(g, p)
+            step = _position_record(n, idx, rel, d, step.germ, step.germ_run, p)
+            word.append((idx, step))
+        steps.append(step)
     final = LatticeVertex.from_matrix(p, mat_mul(b, rel))
     return WalkTrace(config, tuple(steps), final)
 

@@ -279,6 +279,10 @@ def _certified_apartment_min(value_at, radius_cap):
     tie set, nor whether its shell lies above.  A tie goes to the exact
     comparison and is never skipped.
 
+    value_at is asked again for a vertex the descent has evaluated: the
+    center's six neighbours are the first shell.  ``barycenter`` keeps the
+    squares of each vertex it evaluates, so each is computed once.
+
     Values are compared by ``_compare_squares`` against integer enclosures
     of the best value and of the best value plus sqrt(3), taken once each
     time the best value changes; a ``SqrtSum`` is built only for a new best
@@ -365,14 +369,19 @@ def barycenter(triple, p, radius_cap=12):
            for k in range(3) for i in range(3) if i != k}
     overall_best = None
     overall_vertices = {}
+    squares = [{}, {}, {}]  # per apartment, the squares of each evaluated vertex
     radius = 0
     all_certified = True
     for k, frame in enumerate(frames):
         ev_a, ev_b = (evs[k, i] for i in range(3) if i != k)
 
-        def value_at(m, _ea=ev_a, _eb=ev_b):
-            mm = (m[0], m[1], 0)
-            return _ea.dist2_to_apartment(mm), _eb.dist2_to_apartment(mm)
+        def value_at(m, _ea=ev_a, _eb=ev_b, _seen=squares[k]):
+            sq = _seen.get(m)
+            if sq is None:
+                mm = (m[0], m[1], 0)
+                sq = _seen[m] = (_ea.dist2_to_apartment(mm),
+                                 _eb.dist2_to_apartment(mm))
+            return sq
 
         best, best_set, rad, cert = _certified_apartment_min(value_at, radius_cap)
         radius = max(radius, rad)
@@ -387,9 +396,9 @@ def barycenter(triple, p, radius_cap=12):
                 overall_vertices.setdefault(v, (k, m))
     certified = all_certified and overall_best.compare(_TWO) <= 0
     k, m = next(iter(overall_vertices.values()))
-    squares = tuple(0 if i == k else evs[k, i].dist2_to_apartment((m[0], m[1], 0))
-                    for i in range(3))
-    return BarycenterResult(overall_best, squares,
+    min_squares = list(squares[k][m])
+    min_squares.insert(k, 0)
+    return BarycenterResult(overall_best, tuple(min_squares),
                             frozenset(overall_vertices), radius, certified)
 
 

@@ -23,11 +23,12 @@ minima and the six-move descent alone, strip vertex counts from the
 Eisenstein norm instead of distances between apartment vertices, square-root
 sums are compared by Fraction enclosures instead of an integer sign test,
 primality by trial division instead of Miller-Rabin, the walk in the
-coordinates of the letters' product with its minors' valuations taken one
-by one instead of in base-vertex coordinates with one gcd of the minors,
-primitive vectors with a Fraction pass over every entry, the harmonic
-sampler's stabilizer matrices from randrange and ``det3`` instead of raw
-getrandbits words and an inline determinant, and the adapted basis of
+coordinates of the letters' product (``run_walk_product_oracle``) with its
+minors' valuations taken one by one instead of in base-vertex coordinates
+with one gcd of the minors, primitive vectors with a Fraction pass over
+every entry, the harmonic sampler's stabilizer matrices from randrange and
+``det3`` instead of raw getrandbits words and an inline determinant, and
+the adapted basis of
 ``smith_left_transform`` from Fraction elimination with unit pivots
 instead of its closed form in one pivot, one 2x2 minor and the
 determinant, and the germ parts from a transposed adjugate and a rank-1
@@ -66,9 +67,13 @@ the germ (``equicontinuity_set_member_oracle``, over ``residue_lines`` and
 ``residue_chambers``) instead of one incidence test mod p per part of the
 germ.  The success probability of a rejection sampler of matrices comes
 from counting the matrices of a box by their first two rows
-(``det_count_in_box``).
+(``det_count_in_box``).  The walk also has its per-step form
+(``run_walk_oracle``), which reads every step's germ off the position
+instead of following the reduced word and reusing the records of its
+prefixes.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -85,11 +90,14 @@ from sl3building.padic_linalg import (
     from_columns,
     adjugate3,
     identity,
+    in_basis,
     integerize,
     mat_mul,
     mat_vec,
     minor_valuations,
+    mul_strip,
     require_prime,
+    residue_germ_parts,
     smith_exponents,
     strip_p_content,
     transpose,
@@ -1095,7 +1103,7 @@ def _walk_record_oracle(n, letter, z, adj_b, b, d, prev_germ, prev_run, p):
     return WalkStep(n, letter, theta, germ, run)
 
 
-def run_walk_oracle(config):
+def run_walk_product_oracle(config):
     """``run_walk`` in the coordinates of the letters' product.
 
     The position is z, the content-stripped product of the letters'
@@ -1126,6 +1134,44 @@ def run_walk_oracle(config):
                                          prev.germ, prev.germ_run, p))
     return WalkTrace(config, tuple(steps),
                      LatticeVertex.from_matrix(p, mat_mul(z, b)))
+
+
+def _walk_position_record_oracle(n, letter, rel, d, prev_germ, prev_run, p):
+    q = p ** (d // 2 + 1)
+    (a, b, c), (e, f, g), (h, i, j) = rel
+    e2, line, normal = residue_germ_parts(
+        ((a % q, b % q, c % q), (e % q, f % q, g % q), (h % q, i % q, j % q)), p)
+    theta = (d - e2, e2, 0)
+    germ = None
+    run = 0
+    if is_regular(theta) and line is not None and normal is not None:
+        germ = ResidueChamber.from_parts(p, line, normal)
+        run = prev_run + 1 if germ == prev_germ else 1
+    return WalkStep(n, letter, theta, germ, run)
+
+
+def run_walk_oracle(config):
+    """``run_walk`` step by step: every step multiplies its letter into the
+    position and reads theta and the germ off it, with no reduced word and
+    no reuse of earlier records."""
+    p = config.p
+    rng = make_rng(config.seed)
+    den, cum = config.thresholds()
+    b = config.base_vertex.matrix
+    gens = [in_basis(b, g.num) for g in config.generators]
+    gens_det = [abs(det3(g)) for g in gens]
+    gens_dv = [valuation_int(d, p) for d in gens_det]
+    rel, d = identity(), 0
+    steps = [_walk_position_record_oracle(0, -1, rel, d, None, 0, p)]
+    for n in range(1, config.steps + 1):
+        idx = bisect_right(cum, rng.randrange(den))
+        rel, g = mul_strip(rel, gens[idx], gens_det[idx])
+        d += gens_dv[idx] - 3 * valuation_int(g, p)
+        prev = steps[-1]
+        steps.append(_walk_position_record_oracle(n, idx, rel, d, prev.germ,
+                                                  prev.germ_run, p))
+    final = LatticeVertex.from_matrix(p, mat_mul(b, rel))
+    return WalkTrace(config, tuple(steps), final)
 
 
 def primitive_vector_oracle(v):

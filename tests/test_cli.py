@@ -289,6 +289,51 @@ def test_measure_records_on_both_sampler_paths_match_their_digests(tmp_path,
     assert got == BOTH_PATHS_DIGESTS[seed]
 
 
+# Walks with custom generators at p = 3, from the standard vertex.  g =
+# diag(1/3, 1, 3) and h = w g w^-1 for the lower unipotent w with ones below
+# the diagonal; no two of (g, h) undo each other.  The second set adds two
+# copies of g^-1 and s = v t v^-1, t the coordinate swap with -1 in the
+# corner (an involution of SL3(Z)) and v the unipotent with 1/3 at (0, 1).
+# The digests were taken with the per-step walk, before it followed the
+# reduced word.
+_WALK_G = [["1/3", "0", "0"], ["0", "1", "0"], ["0", "0", "3"]]
+_WALK_G_INV = [["3", "0", "0"], ["0", "1", "0"], ["0", "0", "1/3"]]
+_WALK_H = [["1/3", "0", "0"], ["-2/3", "1", "0"], ["-2/3", "-2", "3"]]
+_WALK_S = [["1/3", "8/9", "0"], ["1", "-1/3", "0"], ["0", "0", "-1"]]
+CUSTOM_WALKS = {
+    "no undoing pair": {"trials": 6, "steps": 40,
+                        "generators": [_WALK_G, _WALK_H],
+                        "weights": ["1/3", "2/3"]},
+    "duplicate inverses and an involution": {
+        "trials": 6, "steps": 40,
+        "generators": [_WALK_G, _WALK_G_INV, _WALK_G_INV, _WALK_H, _WALK_S],
+        "weights": ["1/4", "1/8", "1/8", "1/4", "1/4"]},
+}
+CUSTOM_WALK_DIGESTS = {
+    ("no undoing pair", 1): (
+        "821349ef63b6662167d9f47fd09cebfca8e884bec8769fe001041af5d5738706",
+        "175b079ce108316dc5011cdb486d0b1619077aaaef6efce9ae41c7c0b57d7b1c"),
+    ("no undoing pair", 7): (
+        "019370c1a9b9dbd970c216d9ba828b6e5c0456794573dcf4dcfa81e9b9c1a4e7",
+        "ea83f1c3c8b4f1d50c81e588339d3094e3c585c41d01946ccf7210cd51c05c3a"),
+    ("duplicate inverses and an involution", 1): (
+        "ffa53808d410ac1adbbe5408ed9468129de15cc0ed0f26f79a2c32a3aecbc9cb",
+        "f90e6d465424ad436db66ac940e95135394b85408be52017564c36acd5973dee"),
+    ("duplicate inverses and an involution", 7): (
+        "d4c3ac091c2e957ffc01681d910a15739aeb190eae7c2130911e3deced03209f",
+        "dcc2a0084212489280eb41a776b41bc3d823a59c7009e4b3497a8b1a31f04c1a"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(CUSTOM_WALK_DIGESTS))
+def test_walk_records_with_custom_generators_match_their_digests(tmp_path,
+                                                                 name, seed):
+    assert _run(tmp_path, "walk", seed=seed, config=CUSTOM_WALKS[name]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("walk_records.ndjson", "walk_aggregate.csv"))
+    assert got == CUSTOM_WALK_DIGESTS[name, seed]
+
+
 def test_walk_exits_three_when_no_schottky_candidate_passes(tmp_path, capsys,
                                                             monkeypatch):
     # every scripted candidate is the completion c3, never opposite itself

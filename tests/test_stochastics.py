@@ -67,6 +67,7 @@ from oracles import (
     count_enumeration_oracle,
     random_stabilizer_matrix_oracle,
     run_walk_oracle,
+    run_walk_product_oracle,
     strip_counts_oracle,
 )
 
@@ -529,12 +530,15 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
     # it reduced mod p^(floor(D/2)+1), with D its running determinant
     # valuation.  Replay each word exactly, from base vertices of every type
     # with det B divisible by p, and check every step against the exact,
-    # unreduced matrix; also check that the matrix handed to
-    # residue_germ_parts is u times that exact matrix mod p^(floor(D/2)+1),
-    # entry by entry in [0, p^(floor(D/2)+1)), with u a p-adic unit and D
-    # the exact matrix's own determinant valuation.  A running valuation
-    # that is off in either direction fails the theta check, and the
-    # modulus check too unless it keeps floor(D/2).
+    # unreduced matrix.  A step whose letter inverts the last letter of the
+    # reduced word (the generators are two inverse pairs) reuses a record
+    # and calls no germ kernel; step 0 and every other step call it once.
+    # Check that the matrix each of those handed to residue_germ_parts is
+    # u times the exact matrix mod p^(floor(D/2)+1), entry by entry in
+    # [0, p^(floor(D/2)+1)), with u a p-adic unit and D the exact matrix's
+    # own determinant valuation.  A running valuation that is off in either
+    # direction fails the theta check, and the modulus check too unless it
+    # keeps floor(D/2).
     reduced = []
 
     def spy(m, p):
@@ -545,6 +549,7 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
     monkeypatch.setattr(stochastics, "residue_germ_parts", spy)
     p = 3
     gens, weights = schottky_generators(p, 42)
+    inverse_letter = {0: 1, 1: 0, 2: 3, 3: 2}
     assert any(g.den % p == 0 for g in gens)
     bases = [LatticeVertex.from_matrix(p, m) for m in (
         ((3, 1, 0), (0, 3, 1), (0, 0, 3)),  # criterion 9's x2, type 0
@@ -553,15 +558,26 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
     )]
     assert sorted(x.vertex_type for x in bases) == [0, 1, 2]
     p_content_grew = 0
+    pops = 0
     for bi, x in enumerate(bases):
         b = x.matrix
         for seed in range(3):
             reduced.clear()
             trace = run_walk(WalkConfig(p, gens, weights, 40, 100 * bi + seed, x))
-            assert len(reduced) == len(trace.steps)
+            word = []
+            kernel_steps = [trace.steps[0]]
+            for step in trace.steps[1:]:
+                if word and inverse_letter[word[-1]] == step.letter:
+                    word.pop()
+                    pops += 1
+                else:
+                    word.append(step.letter)
+                    kernel_steps.append(step)
+            assert len(reduced) == len(kernel_steps)
+            seen_at = {step.n: seen for step, seen in zip(kernel_steps, reduced)}
             prod = identity()
             prev_content = 0
-            for step, seen in zip(trace.steps, reduced):
+            for step in trace.steps:
                 if step.letter >= 0:
                     prod = mat_mul(prod, gens[step.letter].num)
                 g = reduce(math.gcd, (e for row in prod for e in row))
@@ -572,6 +588,15 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
                     x, LatticeVertex.from_matrix(p, mat_mul(z, b)))
                 rel_int, _ = strip_p_content(
                     mat_mul(mat_mul(adjugate3(b), z), b), p)
+                germ = None
+                if is_regular(step.theta):
+                    _, line, normal = residue_germ_parts(rel_int, p)
+                    if line is not None and normal is not None:
+                        germ = ResidueChamber.from_parts(p, line, normal)
+                assert step.germ == germ
+                if step.n not in seen_at:
+                    continue
+                seen = seen_at[step.n]
                 q = p ** (valuation_int(det3(rel_int), p) // 2 + 1)
                 i, j = next((i, j) for i in range(3) for j in range(3)
                             if rel_int[i][j] % p)
@@ -579,13 +604,8 @@ def test_walk_steps_match_the_exact_relative_position(monkeypatch):
                 assert u % p
                 assert seen == tuple(tuple(u * e % q for e in row)
                                      for row in rel_int)
-                germ = None
-                if is_regular(step.theta):
-                    _, line, normal = residue_germ_parts(rel_int, p)
-                    if line is not None and normal is not None:
-                        germ = ResidueChamber.from_parts(p, line, normal)
-                assert step.germ == germ
     assert p_content_grew > 0  # some step strips a gcd divisible by p
+    assert pops > 0
 
 
 def test_mul_strip_seeded_with_the_determinant_equals_the_plain_gcd():
@@ -631,9 +651,66 @@ def test_walk_matches_the_product_coordinate_oracle(p):
         for seed in range(2):
             cfg = WalkConfig(p, gens, weights, 40, 10 * bi + seed, x)
             trace = run_walk(cfg)
-            assert trace == run_walk_oracle(cfg)
+            assert trace == run_walk_product_oracle(cfg)
             regular += sum(s.germ is not None for s in trace.steps)
     assert regular > 0
+
+
+def _walk_generator_set(p, kind):
+    """A generator set of one of the shapes the reduced word must handle."""
+    (g, g_inv, h, h_inv), _ = schottky_generators(p, 42)
+    if kind == "inverse pairs":
+        return g, g_inv, h, h_inv
+    if kind == "one-sided":
+        return g, h
+    if kind == "duplicate inverses":
+        return g, g_inv, g_inv
+    if kind == "involution":
+        # the coordinate swap, an involution of SL3(Z), conjugated by
+        # diag(p, 1, 1/p) so that it moves the standard vertex
+        s = GroupElement(((0, p * p, 0), (1, 0, 0), (0, 0, -p)), p)
+        assert s * s == GroupElement(identity())
+        assert standard_vertex(p).apply(s.num) != standard_vertex(p)
+        return g, s, h, g_inv
+    # "rational inverse": k = diag(p, p, 1/p^2) times a unipotent, and k^-1
+    # from the Fraction inverse of k's matrix, with another denominator
+    k = GroupElement(((p ** 3, p ** 3, 0), (0, p ** 3, p ** 3), (0, 0, 1)), p * p)
+    inv = GroupElement.from_matrix(tuple(
+        tuple(Fraction(e, k.den ** 2) for e in row) for row in adjugate3(k.num)))
+    assert inv == k.inverse() and inv.den == p
+    return h, k, inv
+
+
+WALK_GENERATOR_SETS = ("inverse pairs", "one-sided", "duplicate inverses",
+                       "involution", "rational inverse")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", WALK_GENERATOR_SETS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(base=st.sampled_from(range(4)),
+       steps=st.sampled_from((0, 1, 2, 60)),
+       raw_weights=st.lists(st.integers(1, 9), min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32))
+def test_walk_matches_the_per_step_oracle(kind, p, base, steps, raw_weights,
+                                          seed):
+    # Whole traces, steps and final vertex, against the walk that reads
+    # every step off its position, for generator sets with and without
+    # letters that undo each other, from the standard vertex (where the
+    # letters of the first Schottky element are diagonal) and from base
+    # vertices of types 0, 1 and 2.
+    gens = _walk_generator_set(p, kind)
+    ws = raw_weights[:len(gens)]
+    weights = tuple(Fraction(w, sum(ws)) for w in ws)
+    x = LatticeVertex.from_matrix(p, (
+        identity(),
+        ((p, 1, 0), (0, p, 1), (0, 0, p)),
+        ((p, 1, 1), (0, 1, 0), (0, 0, 1)),
+        ((p, 1, 0), (0, p, 1), (0, 0, 1)),
+    )[base])
+    assert x.vertex_type == max(base - 1, 0)
+    cfg = WalkConfig(p, gens, weights, steps, seed, x)
+    assert run_walk(cfg) == run_walk_oracle(cfg)
 
 
 _CONJ_LETTER = st.one_of(

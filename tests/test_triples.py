@@ -448,21 +448,25 @@ def test_shell_search_skip_rule_matches_the_sqrtsum_oracle_on_vertex_distances()
     assert skipped > 0
 
 
+# A harmonic generic triple (``harmonic_generic_triples(2, 5, 25,
+# make_rng(4242, 2, 5))``, the 19th) on whose apartments six-move descent
+# stops above the minimum.
+LOCAL_MIN_TRIPLE = ChamberTriple.of(
+    Flag((231, 19, 4), (-237, 1153, 8210)),
+    Flag((1454, 12, 29), (-33, -395, 1818)),
+    Flag((1500, 26, 17), (-161, 5317, 6074)))
+
+
 def test_a_six_move_local_minimum_of_the_distance_sum_need_not_be_global():
     """Why the barycenter searches shells and not just six-move descent.
 
-    A harmonic generic triple (``harmonic_generic_triples(2, 5, 25,
-    make_rng(4242, 2, 5))``, the 19th).  On the apartment of its first and
-    third chambers, the vertex at exponents 0, where descent from the
-    origin stops, is no larger than its six neighbours, at sqrt(3) +
-    sqrt(19), yet the minimum is sqrt(37) (descent stops above it on the
-    other two apartments too).
+    On the apartment of the first and third chambers of LOCAL_MIN_TRIPLE,
+    the vertex at exponents 0, where descent from the origin stops, is no
+    larger than its six neighbours, at sqrt(3) + sqrt(19), yet the minimum
+    is sqrt(37) (descent stops above it on the other two apartments too).
     """
     p = 2
-    T = ChamberTriple.of(
-        Flag((231, 19, 4), (-237, 1153, 8210)),
-        Flag((1454, 12, 29), (-33, -395, 1818)),
-        Flag((1500, 26, 17), (-161, 5317, 6074)))
+    T = LOCAL_MIN_TRIPLE
     frame = pairwise_frames(T)[1]
 
     def value(i, j):
@@ -475,6 +479,28 @@ def test_a_six_move_local_minimum_of_the_distance_sum_need_not_be_global():
     res = barycenter(T, p)
     assert res.min_value == SqrtSum.of_squares((37,))
     assert local_min > res.min_value
+
+
+def test_barycenter_evaluates_each_vertex_once(monkeypatch):
+    """Descent and shells share one evaluation per apartment vertex.
+
+    On LOCAL_MIN_TRIPLE the descent stops above the minimum, so it
+    evaluates the center's six neighbours before the first shell asks for
+    them again, and the minimizer's squares are asked for after the
+    search.  Each apartment's two distances are computed once per vertex.
+    """
+    calls = []
+    original = ApartmentPairDistance.dist2_to_apartment
+
+    def counted(self, m):
+        calls.append((id(self), m))
+        return original(self, m)
+
+    monkeypatch.setattr(ApartmentPairDistance, "dist2_to_apartment", counted)
+    res = barycenter(LOCAL_MIN_TRIPLE, 2)
+    assert res.min_value == SqrtSum.of_squares((37,))
+    assert res.min_squares == (0, 0, 37)
+    assert len(calls) == len(set(calls)) == 642
 
 
 def test_barycenter_skips_shell_vertices_a_neighbour_puts_above(monkeypatch):

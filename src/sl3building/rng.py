@@ -11,10 +11,11 @@ getrandbits(k), k = q.bit_length(), drawn again while at least q, which is
 the algorithm of CPython's ``randrange(q)``, so it consumes the same words.
 For k <= 32 an entry draw is the top k bits of one word, and
 getrandbits(32 n) is the next n words, the first drawn in the lowest 32
-bits.  ``stochastics._random_stabilizer_matrices`` relies on both: for
-q < 256 it reads the top byte of each word of a block, deletes the bytes
-of rejected draws and shifts the others, and never draws a word past the
-last entry the per-draw loop would take.
+bits.  ``stochastics._stabilizer_hit_count`` relies on both: for q < 256
+and p <= 13 it reads the top byte of each word of a block, deletes the
+bytes of rejected draws and shifts the others, decides the candidates of a
+round together on byte lanes, and never draws a word past the last entry
+the per-draw loop would take.
 """
 
 from __future__ import annotations

@@ -27,15 +27,18 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .padic_linalg import (
     adjugate3,
+    cross,
     det3,
     identity,
     in_basis,
     mat_mul,
     mul_strip,
+    primitive_vector,
     residue_germ_parts,
     smith_left_transform,
     valuation_int,
@@ -103,63 +106,144 @@ def _random_stabilizer_matrix(p, depth, rng):
             return ((a, b, c), (d, f, g), (h, i, j))
 
 
-# Words drawn by one getrandbits call of _random_stabilizer_matrices: 16 KiB
-# of stream at a time, whatever the count.
+# Words drawn by one getrandbits call of _stabilizer_hit_count: 16 KiB of
+# stream at a time, whatever the count.
 _WORD_BLOCK = 4096
 
 
-def _random_stabilizer_matrices(p, depth, rng, count):
-    """The count matrices of count calls of _random_stabilizer_matrix, in order.
+@lru_cache(maxsize=None)
+def _draw_tables(q):
+    """translate() tables (keep, drop) of the entry draws below q < 256.
 
-    The generator leaves rng in the state those calls leave it in, provided
-    nothing else draws from rng until it is exhausted: it draws ahead of
-    the matrix it yields, but never past the last one.
+    A draw is the top k = q.bit_length() bits t >> (8 - k) of a word's top
+    byte t; drop lists the bytes whose draw is at least q, a rejection, and
+    keep maps every byte to its draw.
+    """
+    shift = 8 - q.bit_length()
+    return (bytes(t >> shift for t in range(256)),
+            bytes(t for t in range(256) if t >> shift >= q))
 
-    For q = p^depth < 256 it draws the words in blocks.  Each entry draw of
-    the per-draw loop takes one 32-bit word w and reads w >> (32 - k),
-    k = q.bit_length() <= 8, the top k bits of its top byte t = w >> 24.
-    getrandbits(32 n) returns the next n words as one integer, the i-th
-    word drawn in bits 32 i to 32 i + 31, so its ``to_bytes(4 n, "little")``
-    holds the top byte of the i-th word at offset 4 i + 3, and ``[3::4]``
-    is the top bytes in draw order.  ``translate`` then deletes each t with
-    t >> (8 - k) >= q, a rejected draw, and maps the others to
-    t >> (8 - k): what is left is the per-draw loop's stream of accepted
-    entries.  Taken by nines, it gives that loop's candidate matrices, each
-    kept or dropped by the same determinant test.
 
-    No word is drawn past the last matrix's last entry.  With m matrices
-    still to come and e < 9 accepted entries pending, each of the m needs
+@lru_cache(maxsize=None)
+def _lane_tables(p):
+    """translate() tables (residue, product, difference, nonzero) mod p.
+
+    residue maps a byte t to t mod p, and nonzero to 1 or 0 as t is nonzero
+    mod p or not.  product and difference are indexed by x p + y for
+    residues x, y < p, p <= 13, so by a byte below p^2 <= 169: they give
+    x y mod p and x - y mod p.
+    """
+    pairs = [(x, y) for x in range(p) for y in range(p)]
+    return (bytes(t % p for t in range(256)),
+            bytes(x * y % p for x, y in pairs).ljust(256, b"\0"),
+            bytes((x - y) % p for x, y in pairs).ljust(256, b"\0"),
+            bytes(t % p != 0 for t in range(256)))
+
+
+@lru_cache(maxsize=None)
+def _divisible_table(m):
+    """translate() table mapping a byte t to 1 if m divides t, else to 0."""
+    return bytes(t % m == 0 for t in range(256))
+
+
+def _stabilizer_hit_count(p, depth, divisors, rng, count):
+    """Hits among count calls of _random_stabilizer_matrix(p, depth, rng).
+
+    A matrix k is a hit when divisors = (m10, m20, m21) divide k[1][0],
+    k[2][0] and k[2][1].  rng is left in the state those count calls leave
+    it in.
+
+    For q = p^depth < 256 and p <= 13 no matrix is built: the candidates of
+    a round are taken together, one byte lane per candidate.  Each entry
+    draw of the per-draw loop takes one 32-bit word w and reads
+    w >> (32 - k), k = q.bit_length() <= 8, the top k bits of its top byte
+    t = w >> 24.  getrandbits(32 n) returns the next n words as one
+    integer, the i-th word drawn in bits 32 i to 32 i + 31, so its
+    ``to_bytes(4 n, "little")`` holds the top byte of the i-th word at
+    offset 4 i + 3, and ``[3::4]`` is the top bytes in draw order.
+    ``translate(keep, drop)`` deletes the rejected draws and maps the
+    others to their values: what is left is the per-draw loop's stream of
+    accepted entries, pending entries of the last round first.  Taken by
+    nines, it gives that loop's candidate matrices, each kept or dropped by
+    the same determinant test.
+
+    Each round covers exactly the candidates of the per-draw loop.  With m
+    matrices still to come and e < 9 entries pending, each of the m needs
     at least 9 more accepted entries, and an entry takes at least one word,
     so the per-draw loop would take at least 9 m - e more words.  A round
     draws n = min(9 m - e, _WORD_BLOCK) of them, all of which that loop
-    would consume; and when the last matrix comes out of a round, the
-    round's entries were exactly 9 m, so none is left over.
+    consumes, and holds len(entries) <= e + n <= 9 m entries: its
+    N = len(entries) // 9 candidates are at most m, so the loop examines
+    every one of them, and the accepted ones and their hits are counted in
+    bulk.  When the last matrix is accepted in a round, all N = m
+    candidates were, the entries were exactly 9 m, and no word is left
+    over.  Otherwise the entries past 9 N stay pending.
 
-    For q >= 256 it calls _random_stabilizer_matrix once per matrix.
+    No carry crosses a lane.  The entries' residues mod p are split into
+    the nine slices ``r[s::9]``, slice s holding entry s of every
+    candidate; slices are concatenated as bytes and read as one integer,
+    lane i in byte i.  For lane integers X and Y with every lane below p,
+    X p + Y is lane by lane x p + y <= p^2 - 1 <= 168 < 256, and
+    ``to_bytes(len).translate(T)`` applies the table T of _lane_tables to
+    every lane at once, leaving lanes below p again.  With entries
+    a b c / d f g / h i j in row order, one product step on six slices
+    gives (f j, g h, d i | g i, d j, f h), one difference step on its two
+    halves the cofactors (C0, -C1, C2) = (f j - g i, g h - d j, d i - f h),
+    and one product step with (a | b | c) the terms (a C0, -b C1, c C2).
+    Their lane sum is below 3 p <= 39, again with no carry, and congruent
+    to det k mod p, so the nonzero table maps it to a 0/1 accept lane.
+    Three _divisible_table translations of the entries d, h and i give 0/1
+    hit lanes; their AND with the accept lanes has the round's hits as its
+    bit count.
+
+    Everything else, q >= 256 or p >= 17 (where q < 256 means depth 1),
+    calls _random_stabilizer_matrix once per draw and tests the matrix.
     """
     if depth < 1:
         raise ValueError(f"sampling depth must be at least 1, got {depth}")
     q = p ** depth
-    if q >= 256:
+    m10, m20, m21 = divisors
+    if q >= 256 or p > 13:
+        hits = 0
         for _ in range(count):
-            yield _random_stabilizer_matrix(p, depth, rng)
-        return
-    shift = 8 - q.bit_length()
-    keep = bytes(t >> shift for t in range(256))
-    drop = bytes(t for t in range(256) if t >> shift >= q)
+            k = _random_stabilizer_matrix(p, depth, rng)
+            if k[1][0] % m10 == 0 and k[2][0] % m20 == 0 and k[2][1] % m21 == 0:
+                hits += 1
+        return hits
+    keep, drop = _draw_tables(q)
+    residue, mul, sub, nonzero = _lane_tables(p)
+    d10, d20, d21 = (_divisible_table(m) for m in divisors)
     getrandbits = rng.getrandbits
+    lanes = int.from_bytes
     pending = b""
     left = count
+    hits = 0
     while left > 0:
         n = min(9 * left - len(pending), _WORD_BLOCK)
         words = getrandbits(32 * n).to_bytes(4 * n, "little")
         entries = pending + words[3::4].translate(keep, drop)
-        it = iter(entries)
-        for a, b, c, d, f, g, h, i, j in zip(it, it, it, it, it, it, it, it, it):
-            if (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p:
-                yield ((a, b, c), (d, f, g), (h, i, j))
-                left -= 1
-        pending = entries[len(entries) - len(entries) % 9:]
+        size = len(entries) // 9
+        cut = 9 * size
+        r = entries[:cut].translate(residue)
+        a, b, c, d, f, g, h, i, j = (r[0::9], r[1::9], r[2::9], r[3::9], r[4::9],
+                                     r[5::9], r[6::9], r[7::9], r[8::9])
+        x = lanes(f + g + d + g + d + f, "little") * p + \
+            lanes(j + h + i + i + j + h, "little")
+        prods = x.to_bytes(6 * size, "little").translate(mul)
+        x = lanes(prods[:3 * size], "little") * p + lanes(prods[3 * size:], "little")
+        cofactors = x.to_bytes(3 * size, "little").translate(sub)
+        x = lanes(a + b + c, "little") * p + lanes(cofactors, "little")
+        terms = x.to_bytes(3 * size, "little").translate(mul)
+        x = lanes(terms[:size], "little") + lanes(terms[size:2 * size], "little") + \
+            lanes(terms[2 * size:], "little")
+        accept = lanes(x.to_bytes(size, "little").translate(nonzero), "little")
+        hit = (lanes(entries[3:cut:9].translate(d10), "little")
+               & lanes(entries[6:cut:9].translate(d20), "little")
+               & lanes(entries[7:cut:9].translate(d21), "little"))
+        left -= accept.bit_count()
+        hits += (accept & hit).bit_count()
+        pending = entries[cut:]
+    return hits
 
 
 def harmonic_sample(x, depth, rng):
@@ -167,9 +251,15 @@ def harmonic_sample(x, depth, rng):
 
     Exact on events measurable at depth k; deeper events carry a truncation
     bias on the p^-k scale.
+
+    The flag of x.matrix k is read off the two columns it needs: its line
+    is column 0 and its plane normal the cross product of columns 0 and 1.
+    x.matrix and k are invertible, so neither vector is zero.
     """
-    k = _random_stabilizer_matrix(x.p, depth, rng)
-    return Flag.from_matrix(mat_mul(x.matrix, k))
+    (a, b, _), (d, e, _), (g, h, _) = _random_stabilizer_matrix(x.p, depth, rng)
+    col0 = tuple(r0 * a + r1 * d + r2 * g for r0, r1, r2 in x.matrix)
+    col1 = tuple(r0 * b + r1 * e + r2 * h for r0, r1, r2 in x.matrix)
+    return Flag(primitive_vector(col0), primitive_vector(cross(col0, col1)))
 
 
 def _sector_shape_matrix(p, depth, exps, rng):
@@ -236,21 +326,22 @@ def basis_set_mass_estimate(x, lam, trials, rng):
     a1 + a2 + 1, where the discretized sampler reproduces the harmonic
     measure exactly, so deviations are purely binomial.
 
-    The trials draws come from _random_stabilizer_matrices, which reads
-    the Mersenne Twister words in blocks when p^depth < 256 and gives the
-    matrices, and the final state of rng, of trials calls of
-    _random_stabilizer_matrix.
+    The hits are counted by _stabilizer_hit_count, with the results and the
+    final state of rng of trials calls of _random_stabilizer_matrix.  For
+    p^depth < 256 and p <= 13 it reads the Mersenne Twister words in rounds
+    of blocks, each holding only candidates the per-draw loop would
+    examine, and decides a round's candidates together, one byte lane per
+    candidate: translate() steps through product and difference tables
+    mod p take the cofactors and the terms of det k, a nonzero table on
+    their lane sum gives the accept lanes, three divisibility tables the
+    hit lanes, and bit counts the round's totals.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     a1, a2, _ = dominant(lam)
     p = x.p
-    depth = a1 + a2 + 1
-    m10, m20, m21 = p ** a2, p ** a1, p ** (a1 - a2)
-    hits = 0
-    for k in _random_stabilizer_matrices(p, depth, rng, trials):
-        if k[1][0] % m10 == 0 and k[2][0] % m20 == 0 and k[2][1] % m21 == 0:
-            hits += 1
+    hits = _stabilizer_hit_count(p, a1 + a2 + 1, (p ** a2, p ** a1, p ** (a1 - a2)),
+                                 rng, trials)
     return Fraction(hits, trials)
 
 

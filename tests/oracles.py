@@ -27,8 +27,12 @@ coordinates of the letters' product (``run_walk_product_oracle``) with its
 minors' valuations taken one by one instead of in base-vertex coordinates
 with one gcd of the minors, primitive vectors with a Fraction pass over
 every entry, the harmonic sampler's stabilizer matrices from randrange and
-``det3`` instead of raw getrandbits words and an inline determinant, and
-the adapted basis of
+``det3`` instead of raw getrandbits words and an inline determinant, the
+mass estimate's matrices one candidate at a time from blocks of words
+(``random_stabilizer_matrices_oracle``) instead of a round's candidates
+on byte lanes, the harmonic sample's flag from the full product and
+``Flag.from_matrix`` (``harmonic_sample_oracle``) instead of two columns,
+and the adapted basis of
 ``smith_left_transform`` from Fraction elimination with unit pivots
 instead of its closed form in one pivot, one 2x2 minor and the
 determinant, and the germ parts from a transposed adjugate and a rank-1
@@ -130,7 +134,13 @@ from sl3building.boundary import (
 from sl3building.parabolics import stabilizes_line, stabilizes_plane
 from sl3building.rng import make_rng
 from sl3building.sqrtsum import SqrtSum
-from sl3building.stochastics import WalkStep, WalkTrace, harmonic_sample
+from sl3building.stochastics import (
+    _WORD_BLOCK,
+    WalkStep,
+    WalkTrace,
+    _random_stabilizer_matrix,
+    harmonic_sample,
+)
 from sl3building.triples import ChamberTriple, is_generic
 
 
@@ -870,6 +880,45 @@ def random_stabilizer_matrix_oracle(p, depth, rng):
         m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
         if det3(m) % p != 0:
             return m
+
+
+def random_stabilizer_matrices_oracle(p, depth, rng, count):
+    """The count matrices of count calls of _random_stabilizer_matrix, in order.
+
+    The word-block sampler the mass estimate used before its byte lanes:
+    the same rounds, but each candidate matrix built, tested and yielded
+    one at a time.  It leaves rng in the state those calls leave it in,
+    provided nothing else draws from rng until it is exhausted.
+    """
+    if depth < 1:
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
+    q = p ** depth
+    if q >= 256:
+        for _ in range(count):
+            yield _random_stabilizer_matrix(p, depth, rng)
+        return
+    shift = 8 - q.bit_length()
+    keep = bytes(t >> shift for t in range(256))
+    drop = bytes(t for t in range(256) if t >> shift >= q)
+    getrandbits = rng.getrandbits
+    pending = b""
+    left = count
+    while left > 0:
+        n = min(9 * left - len(pending), _WORD_BLOCK)
+        words = getrandbits(32 * n).to_bytes(4 * n, "little")
+        entries = pending + words[3::4].translate(keep, drop)
+        it = iter(entries)
+        for a, b, c, d, f, g, h, i, j in zip(it, it, it, it, it, it, it, it, it):
+            if (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p:
+                yield ((a, b, c), (d, f, g), (h, i, j))
+                left -= 1
+        pending = entries[len(entries) - len(entries) % 9:]
+
+
+def harmonic_sample_oracle(x, depth, rng):
+    """The harmonic sample's flag from the full product x.matrix k."""
+    k = random_stabilizer_matrix_oracle(x.p, depth, rng)
+    return Flag.from_matrix(mat_mul(x.matrix, k))
 
 
 def basis_set_mass_lattice_oracle(x, lam, trials, rng):

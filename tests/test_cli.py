@@ -267,7 +267,7 @@ def test_seeds_outside_64_bits_are_config_errors(tmp_path, capsys, seed):
 
 
 # The measure cells fall on both sides of q = p^depth = 256, where the mass
-# estimate's block sampler hands over to single draws: q = 4, 16, 64 at
+# estimate's byte lanes hand over to single draws: q = 4, 16, 64 at
 # p = 2, q = 9, 81 and 729 at p = 3, q = 25, 625 and 15625 at p = 5.  The
 # digests were taken with the per-draw sampler alone.
 BOTH_PATHS_MEASURE = {"p_values": [2, 3, 5],
@@ -287,6 +287,27 @@ def test_measure_records_on_both_sampler_paths_match_their_digests(tmp_path,
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("measure_records.ndjson", "measure_aggregate.csv"))
     assert got == BOTH_PATHS_DIGESTS[seed]
+
+
+# Primes the mass bench does not reach: q = 7, 49, 11, 121, 13 and 169 go
+# through the byte lanes, p = 17 through single draws at every depth,
+# q = 17 included.  The digests were taken with the per-candidate loop.
+LANE_PRIMES_MEASURE = {"p_values": [7, 11, 13, 17],
+                       "lams": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], "trials": 200}
+LANE_PRIMES_DIGESTS = {
+    1: ("0b1b028803ca339fe1e76b153b1094894721164b2aa5b7edf12148936d5fc647",
+        "6ef25c2a4820fc8e632715d416d3c85395394a2be4857fedbbd5fd5e5fb987ea"),
+    7: ("946f7d3986bfacff43fe2e8787a55787844d3da7ae295a31c649e0a79ce468c9",
+        "536c224c386c4fa143c7c0b085eef6fc688c8cb0040d217af9cb9dfc68978dbc"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LANE_PRIMES_DIGESTS))
+def test_measure_records_at_primes_up_to_17_match_their_digests(tmp_path, seed):
+    assert _run(tmp_path, "measure", seed=seed, config=LANE_PRIMES_MEASURE) == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("measure_records.ndjson", "measure_aggregate.csv"))
+    assert got == LANE_PRIMES_DIGESTS[seed]
 
 
 # Walks with custom generators at p = 3, from the standard vertex.  g =

@@ -65,6 +65,8 @@ from oracles import (
     basis_set_event_oracle,
     basis_set_mass_lattice_oracle,
     count_enumeration_oracle,
+    harmonic_sample_oracle,
+    random_stabilizer_matrices_oracle,
     random_stabilizer_matrix_oracle,
     run_walk_oracle,
     run_walk_product_oracle,
@@ -90,6 +92,27 @@ def test_harmonic_sample_produces_canonical_flags():
         f = harmonic_sample(x, 3, rng)
         assert isinstance(f, Flag)
         assert Flag.from_matrix(f.matrix) == f
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), depth=st.integers(1, 5))
+def test_harmonic_sample_matches_the_full_product_oracle(seed, depth):
+    # the flag from two columns of x.matrix k is the flag of the whole
+    # product, on one shared stream, at vertices of all three types
+    for p in (2, 3, 5):
+        base = random_vertex(p, make_rng(seed, p))
+        vertices = [standard_vertex(p)] + [
+            LatticeVertex.from_matrix(p, mat_mul(base.matrix, ((p ** t, 0, 0),
+                                                               (0, 1, 0),
+                                                               (0, 0, 1))))
+            for t in range(3)]
+        assert {x.vertex_type for x in vertices[1:]} == {0, 1, 2}
+        fast, slow = make_rng(seed, p, depth), make_rng(seed, p, depth)
+        for x in vertices:
+            for _ in range(4):
+                assert harmonic_sample(x, depth, fast) == \
+                    harmonic_sample_oracle(x, depth, slow), (p, x)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_count_at_vector_distance_examples():
@@ -144,17 +167,53 @@ def _boundary_stabilizer_matrices(p, lam):
     return out
 
 
-def test_basis_set_event_matches_the_lattice_oracle(monkeypatch):
+class _ScriptedBits:
+    """An rng whose getrandbits returns the scripted values in order and
+    records the bit widths asked for."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return next(self._values)
+
+
+def _word_block(entries, q):
+    """getrandbits(32 n) of the n words whose draws below q < 256 are the
+    entries: each entry in the top k = q.bit_length() bits of its word."""
+    shift = 8 - q.bit_length()
+    return int.from_bytes(b"".join(bytes((0, 0, 0, e << shift)) for e in entries),
+                          "little")
+
+
+def _scripted_draws(k, p, depth):
+    """An rng whose getrandbits draws the entries of k, reduced mod p^depth,
+    as the mass estimate of one trial asks for them: one block of nine
+    words whose top bytes hold the entries on the byte path, nine single
+    draws otherwise."""
+    q = p ** depth
+    entries = [e % q for row in k for e in row]
+    if q >= 256 or p > 13:
+        return _ScriptedBits(entries), [q.bit_length()] * 9
+    return _ScriptedBits([_word_block(entries, q)]), [32 * 9]
+
+
+def test_basis_set_event_matches_the_lattice_oracle():
     # The estimate decides each draw k by three divisibility tests; the
     # oracle by whether adj(k) d_y has an ascending diagonal canonical form.
-    # Feed the estimate one k at a time: boundary matrices, draws from the
-    # subgroup that keeps the sector (all hits) and plain stabilizer draws.
+    # Feed the estimate one k at a time, as the words of one trial, through
+    # its byte lanes or its per-draw test: boundary matrices, draws from
+    # the subgroup that keeps the sector (all hits) and plain stabilizer
+    # draws.  The event is measurable mod p^depth, so k is reduced there.
     draws = 0
     hits = 0
     for p in (2, 3, 5):
         x = standard_vertex(p)
         for lam in MASS_SHAPES:
             depth = lam[0] + lam[1] + 1
+            q = p ** depth
             rng = make_rng(31, p, lam[0], lam[1])
             ks = _boundary_stabilizer_matrices(p, lam)
             ks += [stochastics._sector_shape_matrix(p, depth, lam[::-1], rng)
@@ -162,14 +221,14 @@ def test_basis_set_event_matches_the_lattice_oracle(monkeypatch):
             ks += [stochastics._random_stabilizer_matrix(p, depth, rng)
                    for _ in range(1000)]
             for k in ks:
-                monkeypatch.setattr(stochastics, "_random_stabilizer_matrices",
-                                    lambda *_: [k])
-                got = stochastics.basis_set_mass_estimate(x, lam, 1, None)
-                want = basis_set_event_oracle(k, lam, p)
+                scripted, widths = _scripted_draws(k, p, depth)
+                got = stochastics.basis_set_mass_estimate(x, lam, 1, scripted)
+                assert scripted.widths == widths, (p, lam, k)
+                want = basis_set_event_oracle(
+                    tuple(tuple(e % q for e in row) for row in k), lam, p)
                 assert got == want, (p, lam, k)
                 hits += want
             draws += len(ks)
-            monkeypatch.undo()
             # and on one shared stream the two estimates agree exactly
             assert stochastics.basis_set_mass_estimate(
                 x, lam, 500, make_rng(32, p, lam[0])) == \
@@ -202,11 +261,24 @@ class _CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-# q = p^depth on both sides of 256, where the batch path hands over to
-# single draws: 2^1..2^9, 3^1..3^6, 5^1..5^4, 7^1..7^3, 251 and 257
+# q = p^depth on both sides of 256, where the byte lanes hand over to
+# single draws: 2^1..2^9, 3^1..3^6, 5^1..5^4, 7^1..7^3, 11^1..11^2 and
+# 13^1..13^2; and p = 17, 251 and 257 at depth 1, where p > 13 takes the
+# single draws whatever q is
 BATCH_CELLS = tuple((p, depth) for p, top in ((2, 9), (3, 6), (5, 4), (7, 3),
+                                              (11, 2), (13, 2), (17, 1),
                                               (251, 1), (257, 1))
                     for depth in range(1, top + 1))
+
+
+def _event_divisors(p):
+    """(p^a2, p^a1, p^(a1 - a2)) of every shape of MASS_SHAPES."""
+    return sorted({(p ** a2, p ** a1, p ** (a1 - a2)) for a1, a2, _ in MASS_SHAPES})
+
+
+def _is_hit(k, divisors):
+    m10, m20, m21 = divisors
+    return k[1][0] % m10 == 0 and k[2][0] % m20 == 0 and k[2][1] % m21 == 0
 
 
 @settings(derandomize=True, max_examples=3, deadline=None)
@@ -214,13 +286,22 @@ BATCH_CELLS = tuple((p, depth) for p, top in ((2, 9), (3, 6), (5, 4), (7, 3),
 def test_stabilizer_batches_match_the_randrange_oracle(seed):
     for p, depth in BATCH_CELLS:
         for count in (1, 2, 9, 1000):
-            fast, slow = _CountingRandom(seed), random.Random(seed)
-            got = list(stochastics._random_stabilizer_matrices(
-                p, depth, fast, count))
-            assert got == [random_stabilizer_matrix_oracle(p, depth, slow)
-                           for _ in range(count)], (p, depth, count)
-            assert fast.getstate() == slow.getstate(), (p, depth, count)
-            if p ** depth < 256:
+            slow = random.Random(seed)
+            ks = [random_stabilizer_matrix_oracle(p, depth, slow)
+                  for _ in range(count)]
+            blocks = _CountingRandom(seed)
+            assert list(random_stabilizer_matrices_oracle(
+                p, depth, blocks, count)) == ks
+            for divisors in _event_divisors(p):
+                fast = _CountingRandom(seed)
+                got = stochastics._stabilizer_hit_count(
+                    p, depth, divisors, fast, count)
+                assert got == sum(_is_hit(k, divisors) for k in ks), \
+                    (p, depth, count, divisors)
+                assert fast.getstate() == slow.getstate(), (p, depth, count)
+            if p ** depth < 256 and p <= 13:
+                # the lanes take the rounds of the per-candidate loop
+                assert fast.widths == blocks.widths, (p, depth, count)
                 assert all(k % 32 == 0 for k in fast.widths)
                 # 1000 matrices need at least 9,000 words: several full rounds
                 full = fast.widths.count(32 * stochastics._WORD_BLOCK)
@@ -231,7 +312,7 @@ def test_stabilizer_batches_of_none_draw_nothing():
     for p, depth in ((2, 3), (257, 1)):
         rng = make_rng(5)
         state = rng.getstate()
-        assert list(stochastics._random_stabilizer_matrices(p, depth, rng, 0)) == []
+        assert stochastics._stabilizer_hit_count(p, depth, (1, 1, 1), rng, 0) == 0
         assert rng.getstate() == state
 
 
@@ -240,8 +321,33 @@ def test_stabilizer_batches_reject_depth_below_one_before_drawing():
     state = rng.getstate()
     for depth in (0, -1):
         with pytest.raises(ValueError):
-            next(stochastics._random_stabilizer_matrices(2, depth, rng, 5))
+            stochastics._stabilizer_hit_count(2, depth, (1, 1, 1), rng, 5)
     assert rng.getstate() == state
+
+
+def test_stabilizer_lanes_accept_exactly_gl3(monkeypatch):
+    # Every matrix over F_p, in one round of 9 p^9 words whose top bytes
+    # hold the entries: the lanes accept |GL3(F_p)| of them and leave
+    # p^9 - |GL3(F_p)| trials for a second round, which is fed identity
+    # matrices, all hits.  The first round's hits are those of the
+    # per-matrix predicate on the matrices with a unit determinant.
+    ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    for p, units in ((2, 168), (3, 11_232)):
+        matrices = list(itertools.product(range(p), repeat=9))
+        total = len(matrices)
+        monkeypatch.setattr(stochastics, "_WORD_BLOCK", 9 * total)
+        first = _word_block([e for m in matrices for e in m], p)
+        rest = total - units
+        again = _word_block(ident * rest, p)
+        for divisors in itertools.product((1, p), repeat=3):
+            rng = _ScriptedBits([first, again])
+            got = stochastics._stabilizer_hit_count(p, 1, divisors, rng, total)
+            assert rng.widths == [32 * 9 * total, 32 * 9 * rest], p
+            want = sum(_is_hit((m[0:3], m[3:6], m[6:9]), divisors)
+                       for m in matrices
+                       if det3((m[0:3], m[3:6], m[6:9])) % p)
+            assert got == want + rest, (p, divisors)
+        assert units == (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
 
 
 def test_mass_estimate_leaves_the_stream_where_the_draws_do():
@@ -262,19 +368,6 @@ def test_stabilizer_draw_rejects_depth_below_one_before_drawing():
         with pytest.raises(ValueError):
             stochastics._random_stabilizer_matrix(2, depth, rng)
     assert rng.getstate() == state
-
-
-class _ScriptedBits:
-    """An rng whose getrandbits returns the scripted values in order and
-    records the bit widths asked for."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-        self.widths = []
-
-    def getrandbits(self, k):
-        self.widths.append(k)
-        return next(self._values)
 
 
 def test_stabilizer_unit_test_accepts_exactly_gl3():

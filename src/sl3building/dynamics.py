@@ -8,8 +8,9 @@ certified when the characteristic polynomial of num has three integer roots
 den*lambda of pairwise distinct p-adic valuations, found by Newton-polygon
 slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
 North-south limits run in frame coordinates on the shared kernels
-``flag_in_basis``, ``in_basis`` and ``mul_strip``, and every depth is
-``boundary.adapted_depth``.
+``flag_in_basis``, ``in_basis`` and ``mul_strip``; every depth between two
+images is ``boundary.adapted_depth``, and the depths to the apartment
+chambers are read off an image's valuations in the same way.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .padic_linalg import (
@@ -368,84 +369,97 @@ def make_srh(lines, lam, p):
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
-# The ``flag_adapted_columns`` of the coordinate flags, line e_i and normal
-# e_k for each order (i, j, k) in ``ALL_PERMS``.  Their entries are 0 and
-# +-1, so every ``% p`` test in the kernel reads the same for each prime p
-# and one build at p = 2 serves them all.
-_COORDINATE_CHAMBERS = tuple(
-    flag_adapted_columns(identity()[i], identity()[k], 2) for i, _, k in ALL_PERMS)
-
-
 def _apartment_candidate(flag, p, threshold):
     """The apartment chamber of greatest common depth with the flag, as its
     order (i, j, k) in ``ALL_PERMS``, and that depth, when it reaches
-    threshold; the first such chamber on ties, so the search stops at the
-    first depth at the cap.  In frame coordinates the chamber (i, j, k) is
-    the coordinate flag with line e_i and normal e_k.
+    threshold; the first such chamber on ties, which is also the first to
+    reach the cap.
+
+    In frame coordinates the chamber (i, j, k) is the coordinate flag with
+    line e_i and normal e_k, whose ``flag_adapted_columns`` are e_i, +-e_j,
+    +-e_k and row k.  So the three entries ``adapted_depth`` reads are
+    +-l[j], +-f2[k] and +-l[k], with l and f2 the flag's line and second
+    column, and the depth is min(cap, v(l[j]), v(f2[k]), floor(v(l[k]) / 2))
+    with cap = threshold + 1.  The six valuations are taken once, each on
+    the entry mod p^(2 cap) as the kernel takes it: a residue 0 counts as
+    2 cap, which the cap absorbs in every term.
     """
     cap = threshold + 1
-    best = None
-    for order, chamber in zip(ALL_PERMS, _COORDINATE_CHAMBERS):
-        de = adapted_depth(flag, chamber, p, cap)
-        if de >= threshold and (best is None or de > best[1]):
-            best = (order, de)
-            if de == cap:
-                break
-    return best
+    q = p ** (2 * cap)
+    line, f2, _, _ = flag
+    v = []
+    for x in (*line, *f2):
+        r = x % q
+        v.append(valuation_int(r, p) if r else 2 * cap)
+    depths = [min(cap, v[j], v[3 + k], v[k] // 2) for _, j, k in ALL_PERMS]
+    top = max(depths)
+    if top < threshold:
+        return None
+    return ALL_PERMS[depths.index(top)], top
 
 
-def _stable_apartment_direction(p, pairs, threshold, nmax):
+def _stable_apartment_direction(p, image, threshold, nmax):
     """Common stabilization detector for power iterations.
 
-    pairs yields the successive images (line, normal) of a flag as primitive
-    vectors in frame coordinates, those of the matrix F whose columns are
-    the frame lines: a flag of Q^3 is ``flag_in_basis(F, flag)`` there, up
-    to sign.  F spans the base vertex (the frame vertex at 0), which is
-    Z_(p)^3 in these coordinates, and the apartment chambers are the
-    coordinate flags.  Convergence is declared when the agreement depth of
-    successive images is nondecreasing and at least threshold for three
-    consecutive steps, and the chamber read off at that point is confirmed
-    at roughly twice the step count (iteration paths are piecewise
-    straight, so a transient leg that fooled the run rule fails the doubled
-    confirmation); it is returned as its order (i, j, k) of the frame
-    lines.  Each depth is ``common_depth`` of two flags at the base vertex:
-    ``adapted_depth`` of their ``flag_adapted_columns``, taken once per
-    image, and against the chambers ``_apartment_candidate``.
+    image(n) is the n-th image (line, normal) of a flag, n >= 1, as
+    primitive vectors in frame coordinates, those of the matrix F whose
+    columns are the frame lines: a flag of Q^3 is ``flag_in_basis(F, flag)``
+    there, up to sign.  F spans the base vertex (the frame vertex at 0),
+    which is Z_(p)^3 in these coordinates, and the apartment chambers are
+    the coordinate flags.  The depth at step n >= 2 is the agreement depth
+    of images n - 1 and n: ``common_depth`` of two flags at the base vertex,
+    which is ``adapted_depth`` of their ``flag_adapted_columns``, taken once
+    per image.  Convergence is declared when the depth is nondecreasing and
+    at least threshold for three consecutive steps, and the chamber
+    ``_apartment_candidate`` reads off image n at that point is confirmed by
+    the one read off image 2n + 2 (iteration paths are piecewise straight,
+    so a transient leg that fooled the run rule fails the doubled
+    confirmation); it is returned as its order (i, j, k) of the frame lines.
+
+    The confirmation leg is skipped.  Once a candidate is read at step n,
+    the steps n + 1 to 2n + 1 decide nothing: the run count and the last
+    depth they update are read again only after the depth at 2n + 2 has
+    replaced the last depth, and a failed confirmation resets the run.  So
+    the detector reads image 2n + 2 next; when the confirmation fails it
+    takes the depth at 2n + 2 and goes on from there.  A candidate read at
+    a step n with 2n + 2 > nmax could not be confirmed, so the run stops
+    before such a step.  Only the trajectory of a ``HorizonExceededError``,
+    every depth from step 2 to nmax, needs the skipped steps; it is rebuilt
+    from the images, and each depth is taken once.
     """
     rmax = threshold + 1
-    prev = None
+    depths = {}
+
+    # Every depth reads the last two images asked for, so two are kept.
+    @lru_cache(maxsize=2)
+    def flag(n):
+        return flag_adapted_columns(*image(n), p)
+
+    def depth(n):
+        if n not in depths:
+            depths[n] = adapted_depth(flag(n - 1), flag(n), p, rmax)
+        return depths[n]
+
     prev_depth = -1
     run = 0
-    candidate = None
-    confirm_at = None
-    trajectory = []
-    for n, (line, normal) in enumerate(pairs, start=1):
-        flag = flag_adapted_columns(line, normal, p)
-        if prev is not None:
-            d = adapted_depth(prev, flag, p, rmax)
-            trajectory.append((n, d))
-            if d >= threshold and d >= prev_depth:
-                run += 1
-            else:
-                run = 0
-            prev_depth = d
-            if candidate is None and run >= 3:
-                best = _apartment_candidate(flag, p, threshold)
-                if best is not None:
-                    candidate = best[0]
-                    confirm_at = 2 * n + 2
-                else:
-                    run = 0
-            elif candidate is not None and n >= confirm_at:
-                best = _apartment_candidate(flag, p, threshold)
-                if best is not None and best[0] == candidate:
-                    return candidate
-                candidate, confirm_at, run = None, None, 0
-        prev = flag
-        if n >= nmax:
-            break
-    raise HorizonExceededError("iteration did not stabilize before the horizon",
-                               trajectory=trajectory)
+    n = 2
+    while 2 * n + 2 <= nmax:
+        d = depth(n)
+        run = run + 1 if d >= threshold and d >= prev_depth else 0
+        prev_depth = d
+        if run >= 3:
+            best = _apartment_candidate(flag(n), p, threshold)
+            if best is not None:
+                n = 2 * n + 2
+                confirmed = _apartment_candidate(flag(n), p, threshold)
+                if confirmed is not None and confirmed[0] == best[0]:
+                    return best[0]
+                prev_depth = depth(n)
+            run = 0
+        n += 1
+    raise HorizonExceededError(
+        "iteration did not stabilize before the horizon",
+        trajectory=[(m, depth(m)) for m in range(2, nmax + 1)])
 
 
 def _primitive(x, y, z):
@@ -475,28 +489,33 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     eigenlines of g, so G = adj(F) g F is diagonal, det(F) diag(a, b, k)
     with a, b, k the eigenvalues of num(g) on them: the line steps by
     diag(a, b, k) and the plane normal by its transposed adjugate
-    diag(b k, a k, a b), each made primitive once per step.  Projectively
-    adj(F) g^n line is G^n adj(F) line and F^T adj(g^n)^T normal is
-    (adj(G)^T)^n F^T normal.  The depths read off these pairs are those of
-    the flags g^n c at the base vertex, since a depth does not depend on the
-    basis of the lattice it is read in (``adapted_depth``).  The apartment
-    chambers are the coordinate flags there, so c is one of them exactly
-    when its line and its normal each have two zero coordinates.
+    diag(b k, a k, a b).  Projectively adj(F) g^n line is G^n adj(F) line
+    and F^T adj(g^n)^T normal is (adj(G)^T)^n F^T normal.  Image n is read
+    off directly, as the primitive vectors of (a^n l0, b^n l1, k^n l2) and
+    ((b k)^n n0, (a k)^n n1, (a b)^n n2): dividing by a positive gcd
+    commutes with a diagonal step, so these equal the pair stepped n times
+    and made primitive at each step, sign included.  Direct reads let the
+    detector skip the steps of its confirmation leg, which decide nothing
+    (``_stable_apartment_direction``): a certified call forms about half of
+    the images up to its last step.  The depths read off these pairs are
+    those of the flags g^n c at the base vertex, since a depth does not
+    depend on the basis of the lattice it is read in (``adapted_depth``).
+    The apartment chambers are the coordinate flags there, so c is one of
+    them exactly when its line and its normal each have two zero
+    coordinates.
     """
     line, normal = flag_in_basis(cert.frame_matrix, c)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
     a, b, k = cert.eigenvalues
     bk, ak, ab = b * k, a * k, a * b
+    (l0, l1, l2), (n0, n1, n2) = line, normal
 
-    def pairs(line, normal):
-        while True:
-            line = _primitive(a * line[0], b * line[1], k * line[2])
-            normal = _primitive(bk * normal[0], ak * normal[1], ab * normal[2])
-            yield line, normal
+    def image(n):
+        return (_primitive(a ** n * l0, b ** n * l1, k ** n * l2),
+                _primitive(bk ** n * n0, ak ** n * n1, ab ** n * n2))
 
-    order = _stable_apartment_direction(cert.p, pairs(line, normal),
-                                        threshold, nmax)
+    order = _stable_apartment_direction(cert.p, image, threshold, nmax)
     return cert.frame_chambers[order]
 
 
@@ -556,7 +575,10 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     flag is ``flag_in_basis(F, c)`` and G1, G2 are ``in_basis(F, num)`` of
     the two elements.  W = G2^n G1^n is held content stripped; G2 is
     diagonal and G1 is not.  Projectively W adj(F) v is adj(F) g2^n g1^n v,
-    and adj(W)^T F^T n is F^T adj(g2^n g1^n)^T n.
+    and adj(W)^T F^T n is F^T adj(g2^n g1^n)^T n.  W steps forward to the
+    image the detector asks for, past the confirmation leg it skips, and
+    starts again from the identity only when an earlier image is asked
+    for, after a failed confirmation or for a horizon trajectory.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
@@ -564,15 +586,19 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     line, normal = flag_in_basis(f, c)
     g1, g2 = in_basis(f, cert1.element.num), in_basis(f, cert2.element.num)
 
-    def pairs():
-        w = mul_strip(g2, g1, 0)[0]  # G2^n G1^n at step n
-        while True:
-            yield (_primitive(*mat_vec(w, line)),
-                   _primitive(*mat_vec(transpose(adjugate3(w)), normal)))
-            w = mul_strip(mat_mul(g2, w), g1, 0)[0]
+    at, w = 0, identity()  # W = G2^n G1^n at n = at, content stripped
+
+    def image(n):
+        nonlocal at, w
+        if n < at:
+            at, w = 0, identity()
+        while at < n:
+            at, w = at + 1, mul_strip(mat_mul(g2, w), g1, 0)[0]
+        return (_primitive(*mat_vec(w, line)),
+                _primitive(*mat_vec(transpose(adjugate3(w)), normal)))
 
     return cert2.frame_chambers[_stable_apartment_direction(
-        cert2.p, pairs(), threshold, nmax)]
+        cert2.p, image, threshold, nmax)]
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,13 @@ universal contraction come from moving the flag itself by ``Flag.apply``
 and mapping each image to the base vertex, whose adapted bases the
 detector compares by ``ray_depth`` against the six chambers' bases
 (``north_south_limit_flag_oracle``, ``universal_contraction_flag_oracle``),
-instead of stepping a pair in frame coordinates by a diagonal matrix, or by
-G2^n G1^n, and taking each chamber depth by ``adapted_depth`` against a
-coordinate flag.  The apartment chambers are the flags of the six permuted
-frame matrices (``apartment_chambers_oracle``), and a chamber's order in
+step by step, instead of reading a pair in frame coordinates off a
+diagonal matrix's powers, or off G2^n G1^n, only at the steps that decide,
+and each chamber depth off the image's valuations.  The candidate chamber
+also has its loop of six ``adapted_depth`` calls against the coordinate
+flags (``apartment_candidate_kernel_oracle``).  The apartment chambers are
+the flags of the six permuted frame matrices
+(``apartment_chambers_oracle``), and a chamber's order in
 the frame, the boundary retraction and opposition to a whole apartment
 come from searching them (``chamber_order_in_frame_oracle``,
 ``boundary_retraction_search_oracle``, ``is_opposite_to_apartment_oracle``)
@@ -91,6 +94,7 @@ from sl3building.padic_linalg import (
     det3,
     dot,
     flag_adapted_basis,
+    flag_adapted_columns,
     from_columns,
     adjugate3,
     identity,
@@ -123,8 +127,10 @@ from sl3building.building import (
     weyl_dist2,
 )
 from sl3building.boundary import (
+    ALL_PERMS,
     Flag,
     HorizonExceededError,
+    adapted_depth,
     apartment_from_opposite,
     growth_ray_vertex,
     is_opposite,
@@ -495,6 +501,30 @@ def _apartment_candidate_oracle(chambers, h_flag, p, threshold):
         de = ray_depth(h_flag, adj_h_e, p, threshold + 1)
         if de >= threshold and (best is None or de > best[1]):
             best = (e, de)
+    return best
+
+
+# The ``flag_adapted_columns`` of the coordinate flags, line e_i and normal
+# e_k for each order (i, j, k) in ``ALL_PERMS``.  Their entries are 0 and
+# +-1, so every ``% p`` test in the kernel reads the same for each prime p
+# and one build at p = 2 serves them all.
+COORDINATE_CHAMBERS = tuple(
+    flag_adapted_columns(identity()[i], identity()[k], 2) for i, _, k in ALL_PERMS)
+
+
+def apartment_candidate_kernel_oracle(flag, p, threshold):
+    """``dynamics._apartment_candidate`` by ``adapted_depth`` of the flag's
+    columns against each coordinate chamber's, in ``ALL_PERMS`` order,
+    stopping at the first depth at the cap, instead of six valuations of
+    the flag's entries taken once."""
+    cap = threshold + 1
+    best = None
+    for order, chamber in zip(ALL_PERMS, COORDINATE_CHAMBERS):
+        de = adapted_depth(flag, chamber, p, cap)
+        if de >= threshold and (best is None or de > best[1]):
+            best = (order, de)
+            if de == cap:
+                break
     return best
 
 

@@ -34,7 +34,6 @@ from sl3building.boundary import (
 from sl3building import dynamics
 from sl3building.dynamics import (
     GroupElement,
-    _COORDINATE_CHAMBERS,
     _apartment_candidate,
     certify_srh,
     enumerate_reduced_words,
@@ -56,6 +55,7 @@ from sl3building.padic_linalg import (
     cross,
     det3,
     dot,
+    flag_adapted_basis,
     flag_adapted_columns,
     identity,
     mat_mul,
@@ -67,6 +67,9 @@ from sl3building.stochastics import DrawBoundExceededError, harmonic_sample
 from sl3building.rng import make_rng
 from sl3building.triples import construct_generic
 from oracles import (
+    COORDINATE_CHAMBERS,
+    _apartment_candidate_oracle,
+    apartment_candidate_kernel_oracle,
     apartment_chambers_oracle,
     common_depth_ray_oracle,
     det_count_in_box,
@@ -529,6 +532,163 @@ def test_universal_contraction_matches_the_flag_oracle():
     assert outcomes == {("limit", True), ("horizon", False)}
 
 
+def _failed_confirmations(reads):
+    """How many candidates a confirmation rejected, from the results of
+    ``_apartment_candidate`` in call order: a read that finds no candidate
+    resets the run, and one that finds a candidate is followed by the read
+    at step 2n + 2 that confirms it, when the horizon reaches that step."""
+    failed, i = 0, 0
+    while i < len(reads):
+        if reads[i] is None:
+            i += 1
+            continue
+        if i + 1 < len(reads) and (reads[i + 1] is None
+                                   or reads[i + 1][0] != reads[i][0]):
+            failed += 1
+        i += 2
+    return failed
+
+
+def _rejected_candidate_case():
+    """A flag whose first candidate fails its confirmation at thresholds 1
+    to 3, for an SL3(Z) conjugate of the standard element at p = 2."""
+    p = 2
+    cert = make_srh(STD_LINES, (2, 1, 0), p).conjugate(
+        random_sl3z(make_rng(2, 2, 2)))
+    return cert, harmonic_sample(standard_vertex(p), 7, make_rng(2, 2, 2, 12))
+
+
+def test_failed_confirmation_matches_the_flag_oracle_at_every_horizon(
+        monkeypatch):
+    # After a rejected candidate the detector resumes from the depth at step
+    # 2n + 2, having skipped the steps before it; the oracle walks every
+    # step.  Every horizon from 0 to 40 gives the same limit or the same
+    # trajectory, so the resumed run and the rebuilt trajectory are pinned
+    # on both sides of the rejection.
+    reads = []
+
+    def spy(flag, p, threshold):
+        reads.append(real_candidate(flag, p, threshold))
+        return reads[-1]
+
+    real_candidate = dynamics._apartment_candidate
+    monkeypatch.setattr(dynamics, "_apartment_candidate", spy)
+    cert, c = _rejected_candidate_case()
+    for threshold in (1, 2, 3):
+        for nmax in range(41):
+            reads.clear()
+            got = _limit_or_trajectory(north_south_limit, cert, c, nmax,
+                                       threshold)
+            assert got == _limit_or_trajectory(
+                north_south_limit_flag_oracle, cert, c, nmax, threshold), \
+                (threshold, nmax)
+        assert got[0] == "limit"
+        assert _failed_confirmations(reads) >= 1, threshold
+
+
+def test_certified_calls_take_no_depth_on_the_confirmation_leg(monkeypatch):
+    # A call that returns reads its candidate at step n and confirms it at
+    # step 2n + 2; the steps strictly between decide nothing, so no image
+    # of them is formed and no depth of them is taken.  Each image is
+    # tagged with its step through the detector's image function, and each
+    # depth and candidate read with the step of the flag it reads last.
+    images, depths, candidates, step_of = [], [], [], {}
+
+    def detector(p, image, threshold, nmax):
+        def tagged(n):
+            images.append(n)
+            return image(n)
+        return real_detector(p, tagged, threshold, nmax)
+
+    def columns(line, normal, p):
+        flag = real_columns(line, normal, p)
+        step_of[id(flag)] = images[-1], flag
+        return flag
+
+    def depth(c, d, p, rmax):
+        depths.append(step_of[id(d)][0])
+        return real_depth(c, d, p, rmax)
+
+    def candidate(flag, p, threshold):
+        candidates.append(step_of[id(flag)][0])
+        return real_candidate(flag, p, threshold)
+
+    real_detector = dynamics._stable_apartment_direction
+    real_columns = dynamics.flag_adapted_columns
+    real_depth = dynamics.adapted_depth
+    real_candidate = dynamics._apartment_candidate
+    monkeypatch.setattr(dynamics, "_stable_apartment_direction", detector)
+    monkeypatch.setattr(dynamics, "flag_adapted_columns", columns)
+    monkeypatch.setattr(dynamics, "adapted_depth", depth)
+    monkeypatch.setattr(dynamics, "_apartment_candidate", candidate)
+    # the bench's inputs, and a call that returns after a rejection
+    p = 3
+    std = make_srh(STD_LINES, (2, 1, 0), p)
+    rng = make_rng(30)
+    cases = [(cert, harmonic_sample(standard_vertex(p), 4, rng), 4)
+             for cert in (std, std.conjugate(random_sl3z(random.Random(1))))
+             for _ in range(10)]
+    cases.append(_rejected_candidate_case() + (1,))
+    for cert, c, threshold in cases:
+        for log in (images, depths, candidates):
+            log.clear()
+        north_south_limit(cert, c, threshold=threshold)
+        n, confirm = candidates[-2:]
+        assert confirm == images[-1] == 2 * n + 2
+        assert not [m for m in images + depths if n < m < 2 * n + 2]
+        assert max(depths) == n  # and none at 2n + 2
+        assert len(depths) == len(set(depths))  # each taken once
+        if len(candidates) == 2:
+            assert depths == list(range(2, n + 1))
+    assert len(candidates) > 2  # the last case resumed after a rejection
+
+
+def test_rejection_restarts_the_run_after_the_depth_at_2n_plus_2(monkeypatch):
+    # Scripted flags, depths and candidate reads (threshold 4): the run
+    # reaches 3 at step 4 and the read at step 10 rejects its candidate.
+    # The depth at 10 is 6 and the next ones are 5, so the run starts again
+    # at step 12, not 11, and reaches 3 at step 14, which step 30 confirms.
+    # A run counted from step 11 would read (0, 1, 2) at 13 and 28.
+    depths = {n: 6 if n == 10 else 5 for n in range(2, 41)}
+    reads = {4: ((0, 1, 2), 5), 10: ((1, 0, 2), 5), 13: ((0, 1, 2), 5),
+             14: ((2, 1, 0), 5), 28: ((0, 1, 2), 5), 30: ((2, 1, 0), 5)}
+    monkeypatch.setattr(dynamics, "flag_adapted_columns", lambda n, _, p: n)
+    monkeypatch.setattr(dynamics, "adapted_depth", lambda c, d, p, r: depths[d])
+    monkeypatch.setattr(dynamics, "_apartment_candidate",
+                        lambda flag, p, threshold: reads.get(flag))
+    detect = functools.partial(dynamics._stable_apartment_direction, 3,
+                               lambda n: (n, None), 4)
+    assert detect(40) == (2, 1, 0)
+    with pytest.raises(HorizonExceededError) as info:
+        detect(29)
+    assert info.value.trajectory == [(n, depths[n]) for n in range(2, 30)]
+
+
+def test_universal_contraction_images_do_not_depend_on_the_order_asked(
+        monkeypatch):
+    # A rejected confirmation asks for image 2n + 1 after image 2n + 2, and
+    # a horizon trajectory for the skipped images; W = G2^n G1^n then
+    # starts again from the identity.  Capture the image function the
+    # detector is given and ask for its images out of order.
+    images = []
+
+    def detector(p, image, threshold, nmax):
+        images.append(image)
+        return ALL_PERMS[0]
+
+    monkeypatch.setattr(dynamics, "_stable_apartment_direction", detector)
+    p = 5
+    cert1, cert2 = schottky_pair(p, make_rng(21))
+    c = harmonic_sample(standard_vertex(p), 4, make_rng(22))
+    for _ in range(2):
+        universal_contraction(cert1, cert2, c)
+    forward, shuffled = images
+    steps = list(range(1, 13))
+    expected = {n: forward(n) for n in steps}
+    random.Random(p).shuffle(steps)
+    assert {n: shuffled(n) for n in steps} == expected
+
+
 def _chamber_moved_near(frame, e, p, k, rng):
     """The chamber e moved by F (I + p^k E) adj(F), F the frame matrix: an
     element of the stabilizer of the base vertex that is 1 mod p^k in frame
@@ -580,8 +740,53 @@ def test_chamber_depths_are_read_off_the_frame_coordinates(p, rmax, frame_seed,
 def test_coordinate_chambers_do_not_depend_on_the_prime():
     e = identity()
     for p in (2, 3, 5, 7, 11):
-        assert _COORDINATE_CHAMBERS == tuple(
+        assert COORDINATE_CHAMBERS == tuple(
             flag_adapted_columns(e[o[0]], e[o[2]], p) for o in ALL_PERMS)
+
+
+def _moved_coordinate_flag(u, order):
+    """The coordinate chamber of order (i, j, k) moved by the integer matrix
+    u, in frame coordinates: line u e_i and normal adj(u)^T e_k, both made
+    primitive."""
+    i, _, k = order
+    return (primitive_vector(tuple(row[i] for row in u)),
+            primitive_vector(adjugate3(u)[k]))
+
+
+def test_apartment_candidate_closed_form_matches_the_depth_loops():
+    # The six valuations read once against the six adapted_depth calls and
+    # against the adapted bases' ray_depth, on flags in frame coordinates:
+    # random flags, coordinate chambers, and coordinate chambers moved by
+    # I + p^t E for t up to 7, whose depths reach and pass the cap of every
+    # threshold.  Depths at least 1 fix the residue chamber, so ties between
+    # chambers are ties at depth 0, which threshold 0 accepts.
+    e = identity()
+    at_cap = ties = 0
+    for p in (2, 3, 5, 7):
+        rng = random.Random(p)
+        flags = [_moved_coordinate_flag(e, order) for order in ALL_PERMS]
+        while len(flags) < 60:
+            t = rng.randint(0, 8)
+            u = tuple(tuple((p ** t if t < 8 else 1) * rng.randint(-3, 3)
+                            + (t < 8 and i == j) for j in range(3))
+                      for i in range(3))
+            if det3(u):
+                flags.append(_moved_coordinate_flag(u, rng.choice(ALL_PERMS)))
+        chambers = [(o, adjugate3(flag_adapted_basis(e[o[0]], e[o[2]], p)))
+                    for o in ALL_PERMS]
+        for line, normal in flags:
+            columns = flag_adapted_columns(line, normal, p)
+            basis = flag_adapted_basis(line, normal, p)
+            for threshold in range(7):
+                got = _apartment_candidate(columns, p, threshold)
+                assert got == apartment_candidate_kernel_oracle(
+                    columns, p, threshold) == _apartment_candidate_oracle(
+                    chambers, basis, p, threshold), (p, line, normal, threshold)
+                if got is not None:
+                    at_cap += got[1] == threshold + 1
+                    ties += [adapted_depth(columns, chamber, p, threshold + 1)
+                             for chamber in COORDINATE_CHAMBERS].count(got[1]) > 1
+    assert at_cap and ties
 
 
 def _diagonal(p, a, b):

@@ -40,11 +40,9 @@ from .boundary import (
     NotOppositeError,
     apartment_chambers,
     apartment_from_opposite,
-    basis_set_contains,
     boundary_retraction,
     common_depth,
     is_opposite,
-    opposite_in_apartment,
     retraction,
     sector_membership,
     weyl_distance,
@@ -73,7 +71,6 @@ from .triples import (
     barycenter,
     construct_generic,
     distance_sum,
-    genericity_rate,
     is_antipodal,
     is_generic,
 )

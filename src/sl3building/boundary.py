@@ -222,15 +222,6 @@ def is_opposite_to_apartment(c, frame):
             and det3((line, v, w)) != 0)
 
 
-def opposite_in_apartment(d, frame):
-    """Some chamber of the frame apartment opposite d; one always exists."""
-    for e in apartment_chambers(frame):
-        if is_opposite(d, e):
-            return e
-    raise AssertionError("no apartment chamber opposite the given flag; "
-                         "this contradicts opposition in spherical buildings")
-
-
 # ---------------------------------------------------------------------------
 # sectors and basis sets
 # ---------------------------------------------------------------------------
@@ -263,19 +254,6 @@ def sector_membership(x, c, y):
     e01 = min(v for v, *_ in minors)
     e = (e0, e01 - e0, det_v - e01)
     return all(v >= e[i] for v, i, _ in entries)
-
-
-def basis_set_contains(x, y, c):
-    """Membership of c in the cone-topology basis set U_x(y).
-
-    U_x(y) is the set of chambers whose sector at x passes through y; x and y
-    must be vertices of the same type.
-    """
-    if x.p != y.p:
-        raise ValueError("vertices live over different primes")
-    if x.vertex_type != y.vertex_type:
-        raise ValueError("basis sets require same-type vertices")
-    return sector_membership(x, c, y)
 
 
 def growth_ray_vertex(x, c, t):

@@ -613,9 +613,6 @@ class LimitSetSample:
     word_bound: int
     witnesses: tuple  # pairs (flag, certificate)
 
-    def __contains__(self, flag):
-        return flag in set(self.flags)
-
 
 def enumerate_reduced_words(generators, max_len):
     """Group elements of reduced words in the generators and their inverses.

@@ -6,9 +6,10 @@ reproducible streams: derive(seed, k) feeds each trial k its own generator
 and results are bit-identical across runs and platforms.
 
 On the harmonic sampler's path a stream is defined by its 32-bit words:
-``stochastics._random_stabilizer_matrix`` draws each entry below q as
-getrandbits(k), k = q.bit_length(), drawn again while at least q, which is
-the algorithm of CPython's ``randrange(q)``, so it consumes the same words.
+``stochastics._random_stabilizer_matrix`` draws each entry below its bound
+n as getrandbits(k), k = n.bit_length(), drawn again while at least n, which
+is the algorithm of CPython's ``randrange(n)``, so it consumes the same
+words.
 For k <= 32 an entry draw is the top k bits of one word, and
 getrandbits(32 n) is the next n words, the first drawn in the lowest 32
 bits.  ``stochastics._stabilizer_hit_count`` relies on both: for q < 256

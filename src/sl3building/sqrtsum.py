@@ -104,10 +104,6 @@ class SqrtSum:
         self.terms = tuple(sorted((s, c) for s, c in collected.items() if c))
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def sqrt_int(cls, n):
         return cls.of_squares((n,))
 

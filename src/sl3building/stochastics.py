@@ -73,37 +73,63 @@ class DrawBoundExceededError(RuntimeError):
 # harmonic sampling
 # ---------------------------------------------------------------------------
 
-def _random_stabilizer_matrix(p, depth, rng):
-    """A uniformly random matrix mod q = p^depth whose determinant is a unit.
+@lru_cache(maxsize=None)
+def _entry_bounds(p, depth, exps):
+    """(n, n.bit_length(), s) per entry in row order: entry (i, j) is s r,
+    s = p^max(0, exps[i] - exps[j]), with r drawn below n = p^depth / s."""
+    out = []
+    for ei in exps:
+        for ej in exps:
+            s = p ** max(0, ei - ej)
+            n = p ** depth // s
+            out.append((n, n.bit_length(), s))
+    return tuple(out)
 
-    Entries are drawn in row order the way ``rng.randrange(q)`` draws them:
-    r = rng.getrandbits(k) with k = q.bit_length(), drawn again while
-    r >= q, so the Mersenne Twister stream is consumed word for word as by
-    randrange.  For k <= 32 CPython's getrandbits(k) is the top k bits of
-    one 32-bit word, so each draw takes exactly one word.  A matrix is kept
-    when its determinant is nonzero mod p.
+
+def _random_stabilizer_matrix(p, depth, exps, rng):
+    """A uniform matrix mod p^depth with a unit determinant keeping diag(p^exps).
+
+    exps is ascending from exps[0] = 0; at (0, 0, 0) any such matrix comes.
+    Entry (i, j) is s r (_entry_bounds), r drawn below n the way
+    ``rng.randrange(n)`` draws it: r = rng.getrandbits(k) with
+    k = n.bit_length(), drawn again while r >= n, so the Mersenne Twister
+    stream is consumed word for word as by randrange; for k <= 32 a draw is
+    the top k bits of one 32-bit word.  A matrix is kept when its
+    determinant is nonzero mod p.
 
     Both loops end with probability one.  An entry draw is accepted with
-    probability q / 2^k > 1/2, since 2^(k-1) <= q.  A matrix is accepted
-    with probability |GL3(F_p)| / p^9 = (1 - 1/p)(1 - 1/p^2)(1 - 1/p^3),
-    at least 168/512, since its determinant mod p depends only on the
-    residues mod p, which are uniform on F_p^9.
+    probability n / 2^k > 1/2.  Entries with a positive gap are multiples
+    of p, so the matrix mod p is block upper triangular over the blocks of
+    equal exponents, its other entries uniform mod p, and it is accepted
+    with probability prod |GL_b(F_p)| / p^(b^2) over the blocks, at least
+    (1 - 1/p)^3 >= 1/8; at exps = (0, 0, 0) it is |GL3(F_p)| / p^9 >= 168/512.
     """
-    if depth < 1:  # modulo p^0 = 1 every draw is 0, so no unit would come
-        raise ValueError(f"sampling depth must be at least 1, got {depth}")
-    q = p ** depth
+    if depth <= exps[2]:  # mod p^0 no unit exists, and below n = 0 no draw
+        raise ValueError(f"sampling depth must exceed {exps[2]}, got {depth}")
+    bounds = _entry_bounds(p, depth, exps)
     getrandbits = rng.getrandbits
-    k = q.bit_length()
     while True:
         e = []
-        for _ in range(9):
+        for n, k, s in bounds:
             r = getrandbits(k)
-            while r >= q:
+            while r >= n:
                 r = getrandbits(k)
-            e.append(r)
+            e.append(s * r)
         a, b, c, d, f, g, h, i, j = e
         if (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p:
             return ((a, b, c), (d, f, g), (h, i, j))
+
+
+def _flag_of_product(m, k):
+    """The flag of m k, read off the two columns it needs.
+
+    Its line is column 0 of m k and its plane normal the cross product of
+    columns 0 and 1.  m and k are invertible, so neither vector is zero.
+    """
+    (a, b, _), (d, e, _), (g, h, _) = k
+    col0 = tuple(r0 * a + r1 * d + r2 * g for r0, r1, r2 in m)
+    col1 = tuple(r0 * b + r1 * e + r2 * h for r0, r1, r2 in m)
+    return Flag(primitive_vector(col0), primitive_vector(cross(col0, col1)))
 
 
 # Words drawn by one getrandbits call of _stabilizer_hit_count: 16 KiB of
@@ -147,7 +173,7 @@ def _divisible_table(m):
 
 
 def _stabilizer_hit_count(p, depth, divisors, rng, count):
-    """Hits among count calls of _random_stabilizer_matrix(p, depth, rng).
+    """Hits among count calls of _random_stabilizer_matrix at exponents (0, 0, 0).
 
     A matrix k is a hit when divisors = (m10, m20, m21) divide k[1][0],
     k[2][0] and k[2][1].  rng is left in the state those count calls leave
@@ -206,7 +232,7 @@ def _stabilizer_hit_count(p, depth, divisors, rng, count):
     if q >= 256 or p > 13:
         hits = 0
         for _ in range(count):
-            k = _random_stabilizer_matrix(p, depth, rng)
+            k = _random_stabilizer_matrix(p, depth, (0, 0, 0), rng)
             if k[1][0] % m10 == 0 and k[2][0] % m20 == 0 and k[2][1] % m21 == 0:
                 hits += 1
         return hits
@@ -251,46 +277,9 @@ def harmonic_sample(x, depth, rng):
 
     Exact on events measurable at depth k; deeper events carry a truncation
     bias on the p^-k scale.
-
-    The flag of x.matrix k is read off the two columns it needs: its line
-    is column 0 and its plane normal the cross product of columns 0 and 1.
-    x.matrix and k are invertible, so neither vector is zero.
     """
-    (a, b, _), (d, e, _), (g, h, _) = _random_stabilizer_matrix(x.p, depth, rng)
-    col0 = tuple(r0 * a + r1 * d + r2 * g for r0, r1, r2 in x.matrix)
-    col1 = tuple(r0 * b + r1 * e + r2 * h for r0, r1, r2 in x.matrix)
-    return Flag(primitive_vector(col0), primitive_vector(cross(col0, col1)))
-
-
-def _sector_shape_matrix(p, depth, exps, rng):
-    """Uniform stabilizer element preserving the ascending-exponent diagonal lattice.
-
-    exps is ascending with exps[0] = 0; entry (i, j) below the diagonal must
-    be divisible by p^(exps[i] - exps[j]).
-
-    The loop ends with probability one.  Entries with a positive gap are
-    multiples of p, so the matrix mod p is block upper triangular over the
-    blocks of equal exponents; the other entries are uniform mod p.  So a
-    matrix is accepted with probability prod |GL_k(F_p)| / p^(k^2) over
-    the blocks, at least (1 - 1/p)^3 >= 1/8.
-    """
-    if depth < 1:
-        raise ValueError(f"sampling depth must be at least 1, got {depth}")
-    q = p ** depth
-    while True:
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                gap = exps[i] - exps[j]
-                if gap > 0:
-                    row.append(p ** gap * rng.randrange(q // p ** gap))
-                else:
-                    row.append(rng.randrange(q))
-            rows.append(tuple(row))
-        m = tuple(rows)
-        if det3(m) % p != 0:
-            return m
+    return _flag_of_product(
+        x.matrix, _random_stabilizer_matrix(x.p, depth, (0, 0, 0), rng))
 
 
 def harmonic_sample_in_basis_set(x, y, depth, rng):
@@ -298,20 +287,17 @@ def harmonic_sample_in_basis_set(x, y, depth, rng):
 
     In an adapted basis the lattice of y is diagonal with ascending
     exponents; the stabilizer elements keeping the sampled flag's sector
-    through y form the subgroup sampled by _sector_shape_matrix, and pushing
-    the adapted base flag through it realizes the conditioned measure exactly
-    at the sampling depth.
+    through y form the subgroup _random_stabilizer_matrix samples at those
+    exponents, and pushing the adapted base flag through it realizes the
+    conditioned measure exactly at the sampling depth.  Raises ValueError
+    unless depth exceeds the exponent range of y.
     """
     p = x.p
     n = mat_mul(adjugate3(x.matrix), y.matrix)
     left, exps = smith_left_transform(n, p)
-    if depth <= exps[2] - exps[0]:
-        raise ValueError("depth must exceed the exponent range of y")
     norm = tuple(e - exps[0] for e in exps)
-    k = _sector_shape_matrix(p, depth, norm, rng)
-    h = mat_mul(x.matrix, left)
-    flag = Flag.from_matrix(mat_mul(h, k))
-    return flag
+    k = _random_stabilizer_matrix(p, depth, norm, rng)
+    return _flag_of_product(mat_mul(x.matrix, left), k)
 
 
 def basis_set_mass_estimate(x, lam, trials, rng):
@@ -322,19 +308,21 @@ def basis_set_mass_estimate(x, lam, trials, rng):
     directly.  The sampled chamber's sector passes through y exactly when k
     fixes the lattice of y, that is when d_y^-1 k d_y is integral (det k is
     a unit): p^a2 | k[1][0], p^a1 | k[2][0] and p^(a1 - a2) | k[2][1], the
-    subgroup _sector_shape_matrix samples.  The event is measurable at depth
-    a1 + a2 + 1, where the discretized sampler reproduces the harmonic
-    measure exactly, so deviations are purely binomial.
+    subgroup _random_stabilizer_matrix samples at exponents (0, a2, a1).
+    The event is measurable at depth a1 + a2 + 1, where the discretized
+    sampler reproduces the harmonic measure exactly, so deviations are
+    purely binomial.
 
     The hits are counted by _stabilizer_hit_count, with the results and the
-    final state of rng of trials calls of _random_stabilizer_matrix.  For
-    p^depth < 256 and p <= 13 it reads the Mersenne Twister words in rounds
-    of blocks, each holding only candidates the per-draw loop would
-    examine, and decides a round's candidates together, one byte lane per
-    candidate: translate() steps through product and difference tables
-    mod p take the cofactors and the terms of det k, a nonzero table on
-    their lane sum gives the accept lanes, three divisibility tables the
-    hit lanes, and bit counts the round's totals.
+    final state of rng of trials calls of _random_stabilizer_matrix at
+    exponents (0, 0, 0).  For p^depth < 256 and p <= 13 it reads the
+    Mersenne Twister words in rounds of blocks, each holding only
+    candidates the per-draw loop would examine, and decides a round's
+    candidates together, one byte lane per candidate: translate() steps
+    through product and difference tables mod p take the cofactors and the
+    terms of det k, a nonzero table on their lane sum gives the accept
+    lanes, three divisibility tables the hit lanes, and bit counts the
+    round's totals.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -567,7 +555,7 @@ def direction_estimate(base, z_vertex):
     left, exps = smith_left_transform(n, p)
     if not (exps[0] < exps[1] < exps[2]):
         return None
-    return Flag.from_matrix(mat_mul(base.matrix, left))
+    return _flag_of_product(base.matrix, left)
 
 
 @dataclass(frozen=True)

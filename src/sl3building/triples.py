@@ -17,7 +17,6 @@ simplices (three line vertices, three plane vertices and six chambers) by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import isqrt
 
@@ -87,10 +86,6 @@ class ApartmentIdealSimplices:
     planes: frozenset
     chambers: frozenset
 
-    @property
-    def simplex_count(self):
-        return len(self.lines) + len(self.planes) + len(self.chambers)
-
     def intersection(self, other):
         return ApartmentIdealSimplices(
             self.lines & other.lines,
@@ -146,8 +141,11 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
     harmonic-sampled at the given depth.  The first one opposite all six
     ideal chambers of the apartment of (c1, c2) is returned, and it is
     generic: it is opposite c1 and c2, its line is off the apartment plane
-    <l1, l2> and its plane misses the apartment line P1 meet P2.
+    <l1, l2> and its plane misses the apartment line P1 meet P2.  Raises
+    ValueError when neither candidates nor rng is given.
     """
+    if candidates is None and rng is None:
+        raise ValueError("construct_generic needs candidates or an rng to draw them")
     if not is_opposite(c1, c2):
         raise NotOppositeError("construct_generic requires opposite chambers")
     frame = apartment_from_opposite(c1, c2)
@@ -195,9 +193,6 @@ class BarycenterResult:
     min_vertices: frozenset
     search_radius: int
     certified: bool
-
-    def enclosure(self, digits=20):
-        return self.min_value.enclosure(digits)
 
 
 _LIPSCHITZ_MARGIN = SqrtSum.sqrt_int(3)  # the shell certificate's margin
@@ -403,21 +398,8 @@ def barycenter(triple, p, radius_cap=12):
 
 
 # ---------------------------------------------------------------------------
-# genericity density
+# generic triples in a basis set
 # ---------------------------------------------------------------------------
-
-def genericity_rate(c1, c2, trials, depth, rng, p):
-    """Fraction of harmonic-sampled completions that land in generic position."""
-    if not is_opposite(c1, c2):
-        raise NotOppositeError("genericity_rate requires opposite chambers")
-    x = LatticeVertex.standard(p)
-    hits = 0
-    for _ in range(trials):
-        c3 = harmonic_sample(x, depth, rng)
-        if c3 != c1 and c3 != c2 and is_generic(ChamberTriple.of(c1, c2, c3)):
-            hits += 1
-    return Fraction(hits, trials)
-
 
 def generic_triple_in_basis_set(x, y, rng, depth=6, max_draws=100):
     """A generic triple drawn entirely inside the basis set U_x(y).

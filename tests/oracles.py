@@ -26,13 +26,16 @@ primality by trial division instead of Miller-Rabin, the walk in the
 coordinates of the letters' product (``run_walk_product_oracle``) with its
 minors' valuations taken one by one instead of in base-vertex coordinates
 with one gcd of the minors, primitive vectors with a Fraction pass over
-every entry, the harmonic sampler's stabilizer matrices from randrange and
-``det3`` instead of raw getrandbits words and an inline determinant, the
-mass estimate's matrices one candidate at a time from blocks of words
-(``random_stabilizer_matrices_oracle``) instead of a round's candidates
-on byte lanes, the harmonic sample's flag from the full product and
-``Flag.from_matrix`` (``harmonic_sample_oracle``) instead of two columns,
-and the adapted basis of
+every entry, the harmonic sampler's stabilizer matrices, gapped or not,
+from randrange and ``det3`` (``random_stabilizer_matrix_oracle``,
+``sector_shape_matrix_oracle``) instead of raw getrandbits words and an
+inline determinant, the mass estimate's matrices one candidate at a time
+from blocks of words (``random_stabilizer_matrices_oracle``) instead of a
+round's candidates on byte lanes, the flags of the harmonic sample, the
+conditioned sample and the walk's direction estimate from the full product
+and ``Flag.from_matrix`` (``harmonic_sample_oracle``,
+``harmonic_sample_in_basis_set_oracle``, ``direction_estimate_oracle``)
+instead of two columns, and the adapted basis of
 ``smith_left_transform`` from Fraction elimination with unit pivots
 instead of its closed form in one pivot, one 2x2 minor and the
 determinant, and the germ parts from a transposed adjugate and a rank-1
@@ -107,6 +110,7 @@ from sl3building.padic_linalg import (
     require_prime,
     residue_germ_parts,
     smith_exponents,
+    smith_left_transform,
     strip_p_content,
     transpose,
     valuation_int,
@@ -912,6 +916,29 @@ def random_stabilizer_matrix_oracle(p, depth, rng):
             return m
 
 
+def sector_shape_matrix_oracle(p, depth, exps, rng):
+    """A random matrix mod p^depth with unit determinant keeping diag(p^exps),
+    drawn by randrange: entry (i, j) below the diagonal is p^(exps[i] -
+    exps[j]) times a draw below p^depth / p^(exps[i] - exps[j])."""
+    if depth < 1:
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
+    q = p ** depth
+    while True:
+        rows = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                gap = exps[i] - exps[j]
+                if gap > 0:
+                    row.append(p ** gap * rng.randrange(q // p ** gap))
+                else:
+                    row.append(rng.randrange(q))
+            rows.append(tuple(row))
+        m = tuple(rows)
+        if det3(m) % p != 0:
+            return m
+
+
 def random_stabilizer_matrices_oracle(p, depth, rng, count):
     """The count matrices of count calls of _random_stabilizer_matrix, in order.
 
@@ -925,7 +952,7 @@ def random_stabilizer_matrices_oracle(p, depth, rng, count):
     q = p ** depth
     if q >= 256:
         for _ in range(count):
-            yield _random_stabilizer_matrix(p, depth, rng)
+            yield _random_stabilizer_matrix(p, depth, (0, 0, 0), rng)
         return
     shift = 8 - q.bit_length()
     keep = bytes(t >> shift for t in range(256))
@@ -949,6 +976,24 @@ def harmonic_sample_oracle(x, depth, rng):
     """The harmonic sample's flag from the full product x.matrix k."""
     k = random_stabilizer_matrix_oracle(x.p, depth, rng)
     return Flag.from_matrix(mat_mul(x.matrix, k))
+
+
+def harmonic_sample_in_basis_set_oracle(x, y, depth, rng):
+    """The conditioned harmonic sample's flag from the full product x.matrix P k,
+    P the adapted basis of y and k a gapped randrange draw."""
+    left, exps = smith_left_transform(mat_mul(adjugate3(x.matrix), y.matrix), x.p)
+    k = sector_shape_matrix_oracle(x.p, depth, tuple(e - exps[0] for e in exps), rng)
+    return Flag.from_matrix(mat_mul(mat_mul(x.matrix, left), k))
+
+
+def direction_estimate_oracle(base, z):
+    """The direction estimate's flag from the full product base.matrix P, P the
+    adapted basis of z; None unless the exponents are strictly ascending."""
+    left, exps = smith_left_transform(
+        mat_mul(adjugate3(base.matrix), z.matrix), base.p)
+    if not exps[0] < exps[1] < exps[2]:
+        return None
+    return Flag.from_matrix(mat_mul(base.matrix, left))
 
 
 def basis_set_mass_lattice_oracle(x, lam, trials, rng):

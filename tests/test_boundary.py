@@ -25,14 +25,12 @@ from sl3building.boundary import (
     adapted_depth,
     apartment_chambers,
     apartment_from_opposite,
-    basis_set_contains,
     boundary_retraction,
     chamber_order_in_frame,
     common_depth,
     growth_ray_vertex,
     is_opposite,
     is_opposite_to_apartment,
-    opposite_in_apartment,
     retraction,
     sector_membership,
     weyl_distance,
@@ -366,16 +364,6 @@ def test_adapted_depth_matches_the_ray_oracle_in_any_basis(p, depth, rmax, seed,
     assert adapted_depth(columns_in_b(c), columns_in_b(d), p, rmax) == expected
 
 
-def test_basis_set_type_guard():
-    p = 3
-    x = standard_vertex(p)
-    y_bad = LatticeVertex.from_matrix(p, ((3, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(ValueError):
-        basis_set_contains(x, y_bad, Flag.standard())
-    y_ok = LatticeVertex.from_matrix(p, ((9, 0, 0), (0, 3, 0), (0, 0, 1)))
-    assert basis_set_contains(x, y_ok, Flag.reversed_standard())
-
-
 def test_basis_set_base_point_cofinality():
     """Chains of basis sets from different base points are cofinal."""
     rng = random.Random(71)
@@ -647,16 +635,17 @@ def test_boundary_retraction_is_equivariant(p, depth, seed, ab):
 
 
 def test_opposite_in_apartment():
+    # every flag is opposite some chamber of every apartment (opposition in
+    # spherical buildings), the apartment's own chambers included
+    def has_opposite(d, frame):
+        return any(is_opposite(d, e) for e in apartment_chambers(frame))
+
     rng = random.Random(89)
     frame = apartment_from_opposite(Flag.standard(), Flag.reversed_standard())
     for d in apartment_chambers(frame):
-        e = opposite_in_apartment(d, frame)
-        assert is_opposite(d, e)
+        assert has_opposite(d, frame)
     for _ in range(200):
         d = rand_flag(rng)
-        e = opposite_in_apartment(d, frame)
-        assert e in apartment_chambers(frame)
-        assert is_opposite(d, e)
+        assert has_opposite(d, frame)
         g = random_sl3z(rng).num
-        e2 = opposite_in_apartment(d.apply(g), frame.apply(g))
-        assert is_opposite(d.apply(g), e2)
+        assert has_opposite(d.apply(g), frame.apply(g))

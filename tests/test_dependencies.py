@@ -109,3 +109,69 @@ def test_every_private_function_has_a_caller_in_the_package():
                 used |= names - {own}
     assert defined
     assert sorted(defined - used) == []
+
+
+# Public functions and methods read only by the tests, each kept for a reason.
+KEPT_FOR_THE_TESTS = {
+    "stationary_estimate": "criterion 9's walk-limit masses at two base points",
+    "estimates_agree": "criterion 9's two-sample test of those masses",
+    "generic_triple_in_basis_set": "criterion 6's generic triple in a basis set",
+    "distance_sum": "the exact value the barycenter minimizes, its reference",
+    "distance_sum_squares": "the squared distances of that reference value",
+    "fixed_flag_fraction": "the topological-freeness experiment",
+    "schubert_avoidance_report": "the Schubert cells a limit-set sample meets, "
+                                 "the start of certified Schubert coverage",
+    "GroupElement.power": "group powers with their words, for the oracles",
+    "LatticeVertex.vertex_type": "a vertex's type, which the samplers' tests "
+                                 "cover all three of",
+    "SqrtSum.enclosure": "a span target of bench/spans.py, and the "
+                         "enclosures of the comparison oracle",
+}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # A public module-level function, or a non-dunder method, of the
+    # package counts as called when its name is read, as a name, an
+    # attribute or an import, outside its own definition in the package
+    # (but its __init__), the demos or the benchmark; the tests alone do
+    # not keep a name alive unless KEPT_FOR_THE_TESTS lists it.
+    root = TESTS.parent
+    package = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers = package + [*(root / "demos").glob("*.py"),
+                         *(root / "bench").glob("*.py")]
+
+    def reads(node):
+        out = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.append(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out += [a.name for a in n.names]
+        return out
+
+    defined = {}  # qualified name -> its definition node
+    total = {}  # name -> times read anywhere in the readers
+    for path in readers:
+        tree = ast.parse(path.read_text())
+        for name in reads(tree):
+            total[name] = total.get(name, 0) + 1
+        if path not in package:
+            continue
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                defined[top.name] = top
+            elif isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef) and \
+                            not item.name.startswith("__"):
+                        defined[f"{top.name}.{item.name}"] = item
+    unread = set()
+    for qualname, node in defined.items():
+        name = node.name
+        if total.get(name, 0) == reads(node).count(name):
+            unread.add(qualname)
+    assert len(defined) > 100
+    assert sorted(set(KEPT_FOR_THE_TESTS) - set(defined)) == []
+    assert sorted(unread - set(KEPT_FOR_THE_TESTS)) == []

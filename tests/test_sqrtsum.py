@@ -27,7 +27,7 @@ from oracles import sqrtsum_enclosure_compare
 
 def combination(pairs):
     """The SqrtSum of c * sqrt(n) over the (n, c) pairs."""
-    out = SqrtSum.zero()
+    out = SqrtSum()
     for n, c in pairs:
         out = out + SqrtSum((s, c * a) for s, a in SqrtSum.sqrt_int(n).terms)
     return out
@@ -132,7 +132,7 @@ def test_compare_examples():
     half = SqrtSum(((3, Fraction(1, 2)),))
     assert half.compare(SqrtSum(((1, Fraction(6, 7)),))) == 1  # 0.866 > 0.857
     assert half.compare(SqrtSum(((1, Fraction(13, 15)),))) == -1  # 0.866 < 0.8667
-    assert SqrtSum.zero().compare(SqrtSum.zero()) == 0
+    assert SqrtSum().compare(SqrtSum()) == 0
 
 
 SQUARES = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
@@ -142,7 +142,7 @@ SQUARES = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
 @settings(max_examples=300, deadline=None)
 @given(st.lists(SQUARES, max_size=4))
 def test_of_squares_is_the_sum_of_its_roots(qs):
-    folded = SqrtSum.zero()
+    folded = SqrtSum()
     for q in qs:
         folded = folded + SqrtSum.sqrt_int(q)
     assert SqrtSum.of_squares(qs) == folded

@@ -65,11 +65,14 @@ from oracles import (
     basis_set_event_oracle,
     basis_set_mass_lattice_oracle,
     count_enumeration_oracle,
+    direction_estimate_oracle,
+    harmonic_sample_in_basis_set_oracle,
     harmonic_sample_oracle,
     random_stabilizer_matrices_oracle,
     random_stabilizer_matrix_oracle,
     run_walk_oracle,
     run_walk_product_oracle,
+    sector_shape_matrix_oracle,
     strip_counts_oracle,
 )
 
@@ -113,6 +116,23 @@ def test_harmonic_sample_matches_the_full_product_oracle(seed, depth):
                 assert harmonic_sample(x, depth, fast) == \
                     harmonic_sample_oracle(x, depth, slow), (p, x)
         assert fast.getstate() == slow.getstate()
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_conditioned_sample_matches_the_full_product_oracle(seed):
+    # the flag from two columns of x.matrix P k is the flag of the whole
+    # product, on one shared stream, for basis sets of every exponent shape
+    rng = make_rng(seed)
+    for p in (2, 3, 5):
+        x = random_vertex(p, rng)
+        for y in [random_vertex(p, rng) for _ in range(3)] + [x]:
+            depth = vector_distance(x, y)[0] + 1 + rng.randrange(3)
+            fast, slow = make_rng(seed, p, depth), make_rng(seed, p, depth)
+            for _ in range(4):
+                assert harmonic_sample_in_basis_set(x, y, depth, fast) == \
+                    harmonic_sample_in_basis_set_oracle(x, y, depth, slow), (p, x, y)
+            assert fast.getstate() == slow.getstate()
 
 
 def test_count_at_vector_distance_examples():
@@ -216,9 +236,9 @@ def test_basis_set_event_matches_the_lattice_oracle():
             q = p ** depth
             rng = make_rng(31, p, lam[0], lam[1])
             ks = _boundary_stabilizer_matrices(p, lam)
-            ks += [stochastics._sector_shape_matrix(p, depth, lam[::-1], rng)
+            ks += [stochastics._random_stabilizer_matrix(p, depth, lam[::-1], rng)
                    for _ in range(150)]
-            ks += [stochastics._random_stabilizer_matrix(p, depth, rng)
+            ks += [stochastics._random_stabilizer_matrix(p, depth, (0, 0, 0), rng)
                    for _ in range(1000)]
             for k in ks:
                 scripted, widths = _scripted_draws(k, p, depth)
@@ -244,9 +264,27 @@ def test_stabilizer_draws_match_the_randrange_oracle(seed):
         for depth in range(1, 6):
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(50):
-                assert stochastics._random_stabilizer_matrix(p, depth, fast) == \
+                assert stochastics._random_stabilizer_matrix(
+                    p, depth, (0, 0, 0), fast) == \
                     random_stabilizer_matrix_oracle(p, depth, slow), (p, depth)
             assert fast.getstate() == slow.getstate(), (p, depth)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_gapped_stabilizer_draws_match_the_randrange_oracle(seed):
+    # an entry with a positive gap is drawn below a smaller power of p, so
+    # its k bits differ from the other entries'
+    for exps in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 3)):
+        for p in (2, 3, 5, 7):
+            for depth in range(exps[2] + 1, exps[2] + 4):
+                fast, slow = random.Random(seed), random.Random(seed)
+                for _ in range(20):
+                    assert stochastics._random_stabilizer_matrix(
+                        p, depth, exps, fast) == \
+                        sector_shape_matrix_oracle(p, depth, exps, slow), \
+                        (p, depth, exps)
+                assert fast.getstate() == slow.getstate(), (p, depth, exps)
 
 
 class _CountingRandom(random.Random):
@@ -367,9 +405,13 @@ def test_mass_estimate_leaves_the_stream_where_the_draws_do():
 def test_stabilizer_draw_rejects_depth_below_one_before_drawing():
     rng = make_rng(3)
     state = rng.getstate()
-    for depth in (0, -1):
+    # a gapped draw needs depth above the exponent range
+    for depth in (1, 2):
         with pytest.raises(ValueError):
-            stochastics._random_stabilizer_matrix(2, depth, rng)
+            stochastics._random_stabilizer_matrix(2, depth, (0, 1, 2), rng)
+    for depth in (-1, 0):
+        with pytest.raises(ValueError):
+            stochastics._random_stabilizer_matrix(2, depth, (0, 0, 0), rng)
     assert rng.getstate() == state
 
 
@@ -383,7 +425,7 @@ def test_stabilizer_unit_test_accepts_exactly_gl3():
         accepted = 0
         for m in itertools.product(range(p), repeat=9):
             rng = _ScriptedBits(m + ident_entries)
-            got = stochastics._random_stabilizer_matrix(p, 1, rng)
+            got = stochastics._random_stabilizer_matrix(p, 1, (0, 0, 0), rng)
             assert set(rng.widths) == {p.bit_length()}
             if len(rng.widths) == 9:
                 assert got == (m[0:3], m[3:6], m[6:9])
@@ -391,19 +433,6 @@ def test_stabilizer_unit_test_accepts_exactly_gl3():
             else:
                 assert got == ident
         assert accepted == units == (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
-
-
-class _ScriptedRange:
-    """An rng whose randrange returns the scripted values in order and
-    records the bounds asked for."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-        self.bounds = []
-
-    def randrange(self, n):
-        self.bounds.append(n)
-        return next(self._values)
 
 
 @pytest.mark.parametrize("exps", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)])
@@ -424,10 +453,10 @@ def test_sector_shape_unit_test_accepts_exactly_the_block_units(exps):
             first = [1] * 9  # a forced entry is p^gap whatever is drawn
             for k, r in zip(free, pattern):
                 first[k] = r
-            rng = _ScriptedRange(first + list(ident))
-            got = stochastics._sector_shape_matrix(p, depth, exps, rng)
-            assert rng.bounds[:9] == [p ** (depth - g) for g in gaps]
-            if len(rng.bounds) == 9:
+            rng = _ScriptedBits(first + list(ident))
+            got = stochastics._random_stabilizer_matrix(p, depth, exps, rng)
+            assert rng.widths[:9] == [(p ** (depth - g)).bit_length() for g in gaps]
+            if len(rng.widths) == 9:
                 entries = [e * p ** g for e, g in zip(first, gaps)]
                 assert got == tuple(tuple(entries[3 * i:3 * i + 3])
                                     for i in range(3))
@@ -880,6 +909,7 @@ def test_direction_estimate_is_the_sector_chamber_exactly_when_regular(p, seed):
     for _ in range(6):
         x, z = random_vertex(p, rng), random_vertex(p, rng)
         c = direction_estimate(x, z)
+        assert c == direction_estimate_oracle(x, z)
         assert (c is not None) == is_regular(vector_distance(x, z))
         if c is not None:
             assert sector_membership(x, c, z)

@@ -24,7 +24,6 @@ basis of the lattice the flags are written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .padic_linalg import (
@@ -107,20 +106,27 @@ class Flag:
     plane_normal: tuple
 
     @classmethod
+    def spanned(cls, u, v):
+        """The flag <u> < <u, v>, for independent vectors u and v."""
+        return cls(primitive_vector(u), primitive_vector(cross(u, v)))
+
+    @classmethod
     def from_matrix(cls, m):
         """The flag of the first column and the first two columns of m."""
         if det3(m) == 0:
             raise ValueError("flag matrix must be invertible")
         c = columns(m)
-        return cls(primitive_vector(c[0]), primitive_vector(cross(c[0], c[1])))
+        return cls.spanned(c[0], c[1])
 
     @classmethod
     def standard(cls):
-        return cls.from_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        """<e1> < <e1, e2>."""
+        return cls((1, 0, 0), (0, 0, 1))
 
     @classmethod
     def reversed_standard(cls):
-        return cls.from_matrix(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        """<e3> < <e3, e2>."""
+        return cls((0, 0, 1), (1, 0, 0))
 
     def apply(self, g):
         """Image under g: the line moves by g, the normal by g's cofactors."""
@@ -130,19 +136,6 @@ class Flag:
         return Flag(primitive_vector(mat_vec(g, self.line)),
                     primitive_vector(mat_vec(transpose(adjugate3(g)),
                                              self.plane_normal)))
-
-    @property
-    def matrix(self):
-        """The column-echelon coset representative, every entry a Fraction.
-
-        Each column has last nonzero entry 1 in its pivot row, the second
-        column vanishes in the pivot row of the first, and the third is the
-        unit vector of the remaining row.  The entries are those of the
-        integer kernel ``flag_echelon``, which records are written from.
-        """
-        l, a, u, b, r = flag_echelon(self.line, self.plane_normal)
-        return tuple((Fraction(l[i], a), Fraction(u[i], b), Fraction(int(i == r)))
-                     for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +178,7 @@ def frame_chamber(frame, order):
     """The ideal chamber <v_i> < <v_i, v_j> of the frame apartment, where
     order = (i, j, k) orders the frame lines v."""
     v, (i, j, _) = frame.lines, order
-    return Flag(v[i], primitive_vector(cross(v[i], v[j])))
+    return Flag.spanned(v[i], v[j])
 
 
 def apartment_chambers(frame):

@@ -181,10 +181,10 @@ class SrhCertificate:
 
     def __post_init__(self):
         set_field = object.__setattr__
-        set_field(self, "attracting", Flag.from_matrix(from_columns(self.lines)))
-        set_field(self, "repelling",
-                  Flag.from_matrix(from_columns(self.lines[::-1])))
         set_field(self, "frame", Frame.from_lines(self.lines))
+        l0, l1, l2 = self.lines
+        set_field(self, "attracting", Flag.spanned(l0, l1))
+        set_field(self, "repelling", Flag.spanned(l2, l1))
 
     def __bool__(self):
         return True

@@ -272,18 +272,15 @@ def strip_p_content(m_int, p):
     """Divide an integer matrix by the largest possible power of p.
 
     Returns (matrix, k) with m_int = p^k * matrix and matrix not divisible
-    by p entrywise.
+    by p entrywise.  k is the valuation of the gcd of the entries.
     """
-    v = None
-    for row in m_int:
-        for e in row:
-            if e != 0:
-                w = valuation_int(e, p)
-                v = w if v is None else min(v, w)
-                if v == 0:
-                    return m_int, 0
-    if v is None:
+    r0, r1, r2 = m_int
+    g = gcd(*r0, *r1, *r2)
+    if g == 0:
         raise ValueError("zero matrix")
+    v = valuation_int(g, p)
+    if v == 0:
+        return m_int, 0
     q = p ** v
     return tuple(tuple(e // q for e in row) for row in m_int), v
 

@@ -24,8 +24,8 @@ from .padic_linalg import (
     adjugate3,
     det3,
     dot,
-    from_columns,
     mat_vec,
+    primitive_vector,
     transpose,
 )
 from .boundary import Flag, apartment_from_opposite, is_opposite
@@ -56,21 +56,10 @@ def lower_flag():
 
 
 def family_flag(t):
-    """The flag <v> < V_t of the parameter-t Borel; degenerate t still gives a flag."""
-    n = family_plane_normal(t)
-    v = SPAN_VECTOR
-    if dot(n, v) != 0:
-        raise AssertionError("v must lie on V_t for every t")
-    # complete v to a basis of the plane (any kernel vector not on <v> works,
-    # and v has no zero coordinate while the kernel vector below has one)
-    k = next(i for i, e in enumerate(n) if e != 0)
-    j = (k + 1) % 3
-    second = tuple(n[k] if i == j else (-n[j] if i == k else 0) for i in range(3))
-    for third in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        m = from_columns((v, second, third))
-        if det3(m) != 0:
-            return Flag.from_matrix(m)
-    raise AssertionError("flag completion failed")
+    """The flag <v> < V_t of the parameter-t Borel; degenerate t still gives
+    a flag, since v lies on V_t and the normal of V_t is never zero."""
+    return Flag(primitive_vector(SPAN_VECTOR),
+                primitive_vector(family_plane_normal(t)))
 
 
 def torus_family_member(a, e):

@@ -75,7 +75,10 @@ def _vec_to_obj(v):
 
 
 def _obj_to_int_vec(obj, where):
-    return tuple(int(str_to_frac(e, where)) for e in obj)
+    vec = tuple(str_to_frac(e, where) for e in obj) if type(obj) is list else ()
+    if len(vec) != 3 or any(e.denominator != 1 for e in vec):
+        raise ParseError(f"bad integer vector {obj!r}", where)
+    return tuple(e.numerator for e in vec)
 
 
 def to_obj(value):

@@ -32,13 +32,11 @@ from itertools import accumulate
 
 from .padic_linalg import (
     adjugate3,
-    cross,
     det3,
     identity,
     in_basis,
     mat_mul,
     mul_strip,
-    primitive_vector,
     residue_germ_parts,
     smith_left_transform,
     valuation_int,
@@ -129,7 +127,7 @@ def _flag_of_product(m, k):
     (a, b, _), (d, e, _), (g, h, _) = k
     col0 = tuple(r0 * a + r1 * d + r2 * g for r0, r1, r2 in m)
     col1 = tuple(r0 * b + r1 * e + r2 * h for r0, r1, r2 in m)
-    return Flag(primitive_vector(col0), primitive_vector(cross(col0, col1)))
+    return Flag.spanned(col0, col1)
 
 
 # Words drawn by one getrandbits call of _stabilizer_hit_count: 16 KiB of

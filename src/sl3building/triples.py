@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 
-from .padic_linalg import (
-    adjugate3,
-    cross,
-    det3,
-    mat_mul,
-    primitive_vector,
-)
+from .padic_linalg import adjugate3, det3, mat_mul
 from .building import (
     ApartmentPairDistance,
     LatticeVertex,
@@ -47,6 +41,11 @@ from .stochastics import (
     harmonic_sample,
     harmonic_sample_in_basis_set,
 )
+
+# Draws before construct_generic (candidates) and generic_triple_in_basis_set
+# (triples) give up.
+_GENERIC_COMPLETION_DRAWS = 200
+_BASIS_SET_TRIPLE_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -94,12 +93,10 @@ class ApartmentIdealSimplices:
 
 
 def apartment_ideal_simplices(frame):
-    v = frame.lines
-    lines = frozenset(v)
-    planes = frozenset(primitive_vector(cross(v[i], v[j]))
-                       for i in range(3) for j in range(i + 1, 3))
     chambers = frozenset(apartment_chambers(frame))
-    return ApartmentIdealSimplices(lines, planes, chambers)
+    return ApartmentIdealSimplices(frozenset(frame.lines),
+                                   frozenset(c.plane_normal for c in chambers),
+                                   chambers)
 
 
 def apartment_infinity_intersection(frame1, frame2):
@@ -133,8 +130,7 @@ def is_generic(triple):
             and det3((c1.plane_normal, c2.plane_normal, c3.plane_normal)) != 0)
 
 
-def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
-                      max_draws=200):
+def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None):
     """A chamber completing an opposite pair to a generic triple.
 
     Candidates are taken from an explicit iterable when provided, otherwise
@@ -152,11 +148,11 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None,
     if candidates is None:
         x = LatticeVertex.standard(p)
         candidates = iter(lambda: harmonic_sample(x, depth, rng), None)
-    for c3 in islice(candidates, max_draws):
+    for c3 in islice(candidates, _GENERIC_COMPLETION_DRAWS):
         if is_opposite_to_apartment(c3, frame):
             return c3
     raise DrawBoundExceededError(
-        f"no generic completion found within {max_draws} draws")
+        f"no generic completion found within {_GENERIC_COMPLETION_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +397,13 @@ def barycenter(triple, p, radius_cap=12):
 # generic triples in a basis set
 # ---------------------------------------------------------------------------
 
-def generic_triple_in_basis_set(x, y, rng, depth=6, max_draws=100):
+def generic_triple_in_basis_set(x, y, rng, depth=6):
     """A generic triple drawn entirely inside the basis set U_x(y).
 
     Draws conditioned harmonic samples; returns (triple, draws) on success
-    and None after max_draws failures.
+    and None after _BASIS_SET_TRIPLE_DRAWS failures.
     """
-    for attempt in range(1, max_draws + 1):
+    for attempt in range(1, _BASIS_SET_TRIPLE_DRAWS + 1):
         c1 = harmonic_sample_in_basis_set(x, y, depth, rng)
         c2 = harmonic_sample_in_basis_set(x, y, depth, rng)
         c3 = harmonic_sample_in_basis_set(x, y, depth, rng)

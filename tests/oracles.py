@@ -136,6 +136,7 @@ from sl3building.boundary import (
     HorizonExceededError,
     adapted_depth,
     apartment_from_opposite,
+    flag_echelon,
     growth_ray_vertex,
     is_opposite,
     sector_membership,
@@ -387,10 +388,21 @@ def flag_echelon_oracle(m):
     return from_columns(tuple(tuple(c) for c in cols))
 
 
+def flag_matrix(f):
+    """The column-echelon representative of a flag, every entry a Fraction.
+
+    Its entries are read off the integer kernel ``flag_echelon``, which
+    records are written from; ``flag_echelon_oracle`` derives them anew.
+    """
+    l, a, u, b, r = flag_echelon(f.line, f.plane_normal)
+    return tuple((Fraction(l[i], a), Fraction(u[i], b), Fraction(int(i == r)))
+                 for i in range(3))
+
+
 def weyl_distance_oracle(c, d):
     """The unique permutation matching the full intersection-dimension table."""
-    ccols = columns(c.matrix)
-    dcols = columns(d.matrix)
+    ccols = columns(flag_matrix(c))
+    dcols = columns(flag_matrix(d))
     dims = {}
     for i in range(1, 4):
         for j in range(1, 4):
@@ -420,7 +432,7 @@ def sector_vertices_bfs(x, c, radius):
     triples of bounded length; returns their canonical matrices as a set.
     """
     p = x.p
-    g = columns(mat_mul(mat_inv3(x.matrix), c.matrix))
+    g = columns(mat_mul(mat_inv3(x.matrix), flag_matrix(c)))
     h = flag_adapted_basis(primitive_vector_oracle(g[0]),
                            primitive_vector_oracle(cross(g[0], g[1])), p)
     base = mat_mul(x.matrix, h)

@@ -225,8 +225,7 @@ def test_criterion_06_genericity_density():
     frac = generic / trials
     ok = frac >= 0.99
     y = growth_ray_vertex(x, Flag.standard(), 1)
-    got = generic_triple_in_basis_set(x, y, make_rng(6001), depth=6,
-                                      max_draws=100)
+    got = generic_triple_in_basis_set(x, y, make_rng(6001), depth=6)
     ok &= got is not None
     report(6, ok, f"{time.time()-t0:.0f}s, fraction={frac:.4f}, "
                   f"draws={got[1] if got else 'none'}")

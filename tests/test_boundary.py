@@ -38,6 +38,7 @@ from sl3building.boundary import (
 from sl3building.dynamics import GroupElement, random_sl3z
 from sl3building.padic_linalg import (
     adjugate3,
+    columns,
     det3,
     flag_adapted_columns,
     from_columns,
@@ -59,6 +60,7 @@ from oracles import (
     chamber_order_in_frame_oracle,
     common_depth_ray_oracle,
     flag_echelon_oracle,
+    flag_matrix,
     is_opposite_to_apartment_oracle,
     perm_length,
     ray_depth,
@@ -85,7 +87,7 @@ def test_flag_canonical_form_is_a_coset_invariant():
         upper = ((rng.randint(1, 5), rng.randint(-4, 4), rng.randint(-4, 4)),
                  (0, rng.randint(1, 5), rng.randint(-4, 4)),
                  (0, 0, rng.randint(1, 5)))
-        assert Flag.from_matrix(mat_mul(f.matrix, upper)) == f
+        assert Flag.from_matrix(mat_mul(flag_matrix(f), upper)) == f
 
 
 def rand_matrix(rng, rational):
@@ -106,17 +108,31 @@ def test_flag_echelon_matrix_action_and_round_trip_against_oracle():
     for i in range(600):
         m = rand_matrix(rng, rational=i % 2 == 1)
         f = Flag.from_matrix(m)
-        assert f.matrix == flag_echelon_oracle(m)
-        assert all(type(e) is Fraction for row in f.matrix for e in row)
+        assert flag_matrix(f) == flag_echelon_oracle(m)
         g = rand_matrix(rng, rational=i % 3 == 0)
         moved = f.apply(g)
-        assert moved.matrix == flag_echelon_oracle(mat_mul(g, f.matrix))
-        assert all(type(e) is Fraction for row in moved.matrix for e in row)
+        assert flag_matrix(moved) == flag_echelon_oracle(mat_mul(g, m))
         assert from_obj(to_obj(f)) == f
-        # records are written from the integer kernel, not from f.matrix
         assert to_obj(f)["matrix"] == matrix_to_obj(flag_echelon_oracle(m))
         assert to_obj(moved)["matrix"] == matrix_to_obj(
-            flag_echelon_oracle(mat_mul(g, f.matrix)))
+            flag_echelon_oracle(mat_mul(g, m)))
+
+
+def test_spanned_flag_depends_only_on_its_line_and_plane():
+    # <s u> < <s u, r v + t u> is <u> < <u, v> for s, r != 0
+    rng = random.Random(11)
+    for i in range(300):
+        m = rand_matrix(rng, rational=i % 2 == 1)
+        u, v, _ = columns(m)
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+        t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        f = Flag.spanned(tuple(s * e for e in u),
+                         tuple(r * b + t * a for a, b in zip(u, v)))
+        assert flag_matrix(f) == flag_echelon_oracle(m)
+    assert Flag.standard() == Flag.from_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert Flag.reversed_standard() == Flag.from_matrix(
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
 
 
 def test_weyl_distance_examples():

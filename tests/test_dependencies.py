@@ -52,13 +52,16 @@ def test_third_party_imports_match_declared_dependencies():
 
 
 def test_padic_linalg_imports_nothing_from_fractions():
-    # its normal forms and adapted bases are integer arithmetic throughout
-    tree = ast.parse((PACKAGE / "padic_linalg.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert all(a.name.split(".")[0] != "fractions" for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            assert node.module != "fractions"
+    # the normal forms, adapted bases, vertices, flags and triples are
+    # integer arithmetic throughout
+    for name in ("padic_linalg", "building", "boundary", "triples"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "fractions"
+                           for a in node.names), name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "fractions", name
 
 
 def _unused_imports(path):

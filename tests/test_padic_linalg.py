@@ -304,6 +304,19 @@ def test_flag_adapted_basis_is_triangular_and_unimodular():
         assert _in_span(hc[1], (gc[0], gc[1]))
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), k=st.integers(0, 40),
+       entries=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=9, max_size=9))
+def test_strip_p_content_divides_off_the_least_entry_valuation(p, k, entries):
+    with pytest.raises(ValueError):
+        strip_p_content(((0, 0, 0),) * 3, p)
+    assume(any(entries))
+    m = tuple(tuple(e * p ** k for e in entries[i:i + 3]) for i in (0, 3, 6))
+    out, v = strip_p_content(m, p)
+    assert v == min(valuation_loop_oracle(e, p) for row in m for e in row if e)
+    assert tuple(tuple(e * p ** v for e in row) for row in out) == m
+
+
 def test_in_basis_is_the_conjugate_by_the_adjugate_with_its_content_stripped():
     # adj(m) g m divided by the plain gcd of its entries.  One m in two has
     # a column scaled by p, so det(m) is divisible by p and the product

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sl3building.building import Frame, LatticeVertex, standard_vertex
 from sl3building.boundary import Flag
 from sl3building.dynamics import certify_srh, make_srh, random_sl3z
-from sl3building.padic_linalg import det3
+from sl3building.padic_linalg import SingularMatrixError, det3
 from sl3building.serialize import (
     ParseError,
     _ratio_str,
@@ -21,7 +21,7 @@ from sl3building.serialize import (
     to_obj,
 )
 from sl3building.stochastics import WalkConfig, run_walk
-from oracles import flag_echelon_oracle
+from oracles import flag_echelon_oracle, flag_matrix
 
 STD_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -73,7 +73,7 @@ def test_flag_records_are_the_echelon_oracle(m, signs):
     g = Flag(tuple(signs[0] * e for e in f.line),
              tuple(signs[1] * e for e in f.plane_normal))
     want = flag_echelon_oracle(m)
-    assert g.matrix == want
+    assert flag_matrix(g) == want
     assert to_obj(g)["matrix"] == matrix_to_obj(want)
     assert to_obj(g)["matrix"] == [[_fraction_route(e) for e in row]
                                    for row in want]
@@ -122,6 +122,19 @@ def test_random_certificate_round_trip():
         # the round-tripped certificate still certifies
         back = from_obj(to_obj(moved))
         assert certify_srh(back.element, p)
+
+
+def test_certificate_lines_must_be_independent_integer_vectors():
+    obj = to_obj(make_srh(STD_LINES, (2, 1, 0), 5))
+    for bad in (["3/2", "0", "0"], ["1/2", "0", "0"], ["1", "0", "x"], "100",
+                ["1", "0"], ["1", "0", "0", "0"]):
+        obj["lines"][0] = bad
+        with pytest.raises(ParseError):
+            from_obj(obj)
+    obj["lines"][0] = ["2", "0", "0"]
+    obj["lines"][1] = ["-1", "0", "0"]
+    with pytest.raises(SingularMatrixError):
+        from_obj(obj)
 
 
 def test_walk_trace_round_trip():

@@ -363,7 +363,7 @@ def test_generic_triple_found_inside_a_basis_set():
     p = 3
     x = standard_vertex(p)
     y = growth_ray_vertex(x, Flag.standard(), 1)
-    got = generic_triple_in_basis_set(x, y, make_rng(37), depth=5, max_draws=100)
+    got = generic_triple_in_basis_set(x, y, make_rng(37), depth=5)
     assert got is not None
     triple, draws = got
     assert is_generic(triple)

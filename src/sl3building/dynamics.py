@@ -7,10 +7,12 @@ one.  An element is an integer matrix num over a denominator den; it is
 certified when the characteristic polynomial of num has three integer roots
 den*lambda of pairwise distinct p-adic valuations, found by Newton-polygon
 slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
-North-south limits run in frame coordinates on the shared kernels
-``flag_in_basis``, ``in_basis`` and ``mul_strip``; every depth between two
-images is ``boundary.adapted_depth``, and the depths to the apartment
-chambers are read off an image's valuations in the same way.
+North-south limits run in frame coordinates, entered by ``flag_in_basis``:
+there g is diagonal, so every depth between two images g^n c and every
+depth to an apartment chamber is read off twelve valuations fixed per call,
+in closed form, and no image is formed.  The universal contraction, whose
+G1 is not diagonal, forms its images with ``in_basis`` and ``mul_strip``
+and runs the same detector on ``boundary.adapted_depth`` of them.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -200,6 +202,15 @@ class SrhCertificate:
         return tuple(_eigenvalue(self.element.num, v) for v in self.frame.lines)
 
     @cached_property
+    def eigenvalue_valuations(self):
+        """The p-adic valuations of ``eigenvalues``, pairwise distinct."""
+        vals = tuple(valuation_int(y, self.p) for y in self.eigenvalues)
+        if len(set(vals)) < 3:
+            raise ValueError("the eigenvalues on the frame lines must have "
+                             "pairwise distinct valuations")
+        return vals
+
+    @cached_property
     def frame_chambers(self):
         """The chambers of the frame apartment, keyed by their order (i, j, k)
         of the frame lines."""
@@ -369,28 +380,22 @@ def make_srh(lines, lam, p):
 # north-south dynamics
 # ---------------------------------------------------------------------------
 
-def _apartment_candidate(flag, p, threshold):
-    """The apartment chamber of greatest common depth with the flag, as its
+def _chamber_of_valuations(v, threshold):
+    """The apartment chamber of greatest common depth with a flag, as its
     order (i, j, k) in ``ALL_PERMS``, and that depth, when it reaches
     threshold; the first such chamber on ties, which is also the first to
     reach the cap.
 
-    In frame coordinates the chamber (i, j, k) is the coordinate flag with
+    v holds the valuations of the flag's line l and second adapted column
+    f2 in frame coordinates, l first, with a zero entry at 2 cap or more,
+    cap = threshold + 1.  The chamber (i, j, k) is the coordinate flag with
     line e_i and normal e_k, whose ``flag_adapted_columns`` are e_i, +-e_j,
     +-e_k and row k.  So the three entries ``adapted_depth`` reads are
-    +-l[j], +-f2[k] and +-l[k], with l and f2 the flag's line and second
-    column, and the depth is min(cap, v(l[j]), v(f2[k]), floor(v(l[k]) / 2))
-    with cap = threshold + 1.  The six valuations are taken once, each on
-    the entry mod p^(2 cap) as the kernel takes it: a residue 0 counts as
-    2 cap, which the cap absorbs in every term.
+    +-l[j], +-f2[k] and +-l[k], and the depth is min(cap, v(l[j]),
+    v(f2[k]), floor(v(l[k]) / 2)); a zero entry counts as 2 cap, which the
+    cap absorbs in every term.
     """
     cap = threshold + 1
-    q = p ** (2 * cap)
-    line, f2, _, _ = flag
-    v = []
-    for x in (*line, *f2):
-        r = x % q
-        v.append(valuation_int(r, p) if r else 2 * cap)
     depths = [min(cap, v[j], v[3 + k], v[k] // 2) for _, j, k in ALL_PERMS]
     top = max(depths)
     if top < threshold:
@@ -398,68 +403,220 @@ def _apartment_candidate(flag, p, threshold):
     return ALL_PERMS[depths.index(top)], top
 
 
-def _stable_apartment_direction(p, image, threshold, nmax):
+def _apartment_candidate(flag, p, threshold):
+    """``_chamber_of_valuations`` of a flag's ``flag_adapted_columns``, its
+    six valuations taken once, each up to the cap 2 (threshold + 1)."""
+    line, f2, _, _ = flag
+    absent = 2 * (threshold + 1)
+    return _chamber_of_valuations(
+        [valuation_int(x, p, absent) if x else absent for x in (*line, *f2)],
+        threshold)
+
+
+def _stable_apartment_direction(depth, candidate, threshold, nmax):
     """Common stabilization detector for power iterations.
 
-    image(n) is the n-th image (line, normal) of a flag, n >= 1, as
-    primitive vectors in frame coordinates, those of the matrix F whose
-    columns are the frame lines: a flag of Q^3 is ``flag_in_basis(F, flag)``
-    there, up to sign.  F spans the base vertex (the frame vertex at 0),
-    which is Z_(p)^3 in these coordinates, and the apartment chambers are
-    the coordinate flags.  The depth at step n >= 2 is the agreement depth
-    of images n - 1 and n: ``common_depth`` of two flags at the base vertex,
-    which is ``adapted_depth`` of their ``flag_adapted_columns``, taken once
-    per image.  Convergence is declared when the depth is nondecreasing and
-    at least threshold for three consecutive steps, and the chamber
-    ``_apartment_candidate`` reads off image n at that point is confirmed by
-    the one read off image 2n + 2 (iteration paths are piecewise straight,
-    so a transient leg that fooled the run rule fails the doubled
-    confirmation); it is returned as its order (i, j, k) of the frame lines.
+    The detector reads the n-th image of a flag in frame coordinates,
+    those of the matrix F whose columns are the frame lines: a flag of Q^3
+    is ``flag_in_basis(F, flag)`` there, up to sign.  F spans the base
+    vertex (the frame vertex at 0), which is Z_(p)^3 in these coordinates,
+    and the apartment chambers are the coordinate flags.  depth(n), for
+    n >= 2, is the agreement depth of images n - 1 and n, capped at
+    threshold + 1: ``common_depth`` of two flags at the base vertex, which
+    is ``adapted_depth`` of their ``flag_adapted_columns``.  candidate(n)
+    is ``_chamber_of_valuations`` of image n: the apartment chamber, as
+    its order, and its depth, or None.  Convergence is declared when the
+    depth is nondecreasing and at least threshold for three consecutive
+    steps, and the chamber candidate(n) reads at that point is confirmed
+    by the one read at step 2n + 2 (iteration paths are piecewise
+    straight, so a transient leg that fooled the run rule fails the
+    doubled confirmation); it is returned as its order (i, j, k) of the
+    frame lines.
 
     The confirmation leg is skipped.  Once a candidate is read at step n,
     the steps n + 1 to 2n + 1 decide nothing: the run count and the last
     depth they update are read again only after the depth at 2n + 2 has
     replaced the last depth, and a failed confirmation resets the run.  So
-    the detector reads image 2n + 2 next; when the confirmation fails it
+    the detector reads step 2n + 2 next; when the confirmation fails it
     takes the depth at 2n + 2 and goes on from there.  A candidate read at
     a step n with 2n + 2 > nmax could not be confirmed, so the run stops
     before such a step.  Only the trajectory of a ``HorizonExceededError``,
-    every depth from step 2 to nmax, needs the skipped steps; it is rebuilt
-    from the images, and each depth is taken once.
+    every depth from step 2 to nmax, needs the skipped steps; each depth
+    is taken once.
     """
-    rmax = threshold + 1
     depths = {}
 
-    # Every depth reads the last two images asked for, so two are kept.
-    @lru_cache(maxsize=2)
-    def flag(n):
-        return flag_adapted_columns(*image(n), p)
-
-    def depth(n):
+    def depth_once(n):
         if n not in depths:
-            depths[n] = adapted_depth(flag(n - 1), flag(n), p, rmax)
+            depths[n] = depth(n)
         return depths[n]
 
     prev_depth = -1
     run = 0
     n = 2
     while 2 * n + 2 <= nmax:
-        d = depth(n)
+        d = depth_once(n)
         run = run + 1 if d >= threshold and d >= prev_depth else 0
         prev_depth = d
         if run >= 3:
-            best = _apartment_candidate(flag(n), p, threshold)
+            best = candidate(n)
             if best is not None:
                 n = 2 * n + 2
-                confirmed = _apartment_candidate(flag(n), p, threshold)
+                confirmed = candidate(n)
                 if confirmed is not None and confirmed[0] == best[0]:
                     return best[0]
-                prev_depth = depth(n)
+                prev_depth = depth_once(n)
             run = 0
         n += 1
     raise HorizonExceededError(
         "iteration did not stabilize before the horizon",
-        trajectory=[(m, depth(m)) for m in range(2, nmax + 1)])
+        trajectory=[(m, depth_once(m)) for m in range(2, nmax + 1)])
+
+
+def _image_readers(image, p, threshold):
+    """The detector's depth and candidate readers of image(n), the n-th
+    image (line, normal) as primitive vectors in frame coordinates: each
+    image's ``flag_adapted_columns`` is taken once, and every depth reads
+    the last two images asked for, so two are kept."""
+    @lru_cache(maxsize=2)
+    def flag(n):
+        return flag_adapted_columns(*image(n), p)
+
+    def depth(n):
+        return adapted_depth(flag(n - 1), flag(n), p, threshold + 1)
+
+    def candidate(n):
+        return _apartment_candidate(flag(n), p, threshold)
+
+    return depth, candidate
+
+
+# The two indices other than j, for each j.
+_OTHERS = ((1, 2), (2, 0), (0, 1))
+
+
+def _f2_pair(x, m, y, big_m):
+    """The indices (u, w), u < w, of the entries of the second column f2
+    that ``flag_adapted_columns`` builds for a line and normal whose
+    entries have valuations x and y, least m and big_m: f2 has +-normal[w]
+    at u, -+normal[u] at w and 0 elsewhere, and the kernel's pivots test
+    only which entries are units, those of least valuation."""
+    if y[0] == big_m:
+        return (0, 2) if x[1] == m else (0, 1)
+    if y[1] == big_m:
+        return (1, 2) if x[0] == m else (0, 1)
+    return (1, 2) if x[0] == m else (0, 2)
+
+
+def _valuation_readers(cert, line, normal, threshold):
+    """The detector's depth and candidate readers of the images g^n c, read
+    off twelve valuations fixed per call; no image is formed.
+
+    In frame coordinates g steps the line (l0, l1, l2) by diag(a, b, k),
+    the eigenvalues of num on the frame lines, and the normal
+    (r0, r1, r2) by diag(mu) with mu = (b k, a k, a b).  With
+    alpha_i = v(lambda_i), pairwise distinct, A = sum alpha_i,
+    nu_i = v(mu_i) = A - alpha_i (also distinct), beta_i = v(l_i) and
+    gamma_i = v(r_i), image n is the primitive pair of
+    (lambda_i^n l_i) and (mu_i^n r_i).  The p-part of a gcd is p^min, so
+    the entries of its line have valuations x_i(n) - m_n, with
+    x_i(n) = n alpha_i + beta_i and m_n = min_i x_i(n), and those of its
+    normal y_i(n) - M_n, with y_i(n) = n nu_i + gamma_i and M_n the least
+    of those; a zero entry stays zero.  These reduced valuations are all
+    that is read below, and all that ``flag_adapted_columns`` tests.
+
+    The depth at n is ``adapted_depth`` of the columns (l', f2', w', j') of
+    image n - 1 and (l, f2, w, j) of image n: min(rmax, v(K10), v(K21),
+    floor(v(K20) / 2)) with K10 = (l x l')[j], K21 = w . f2' and
+    K20 = w . l', a zero entry absent, rmax = threshold + 1.
+
+    * w = l x f2 = s N, N the normal of image n and s a unit.  Both l and
+      f2 lie in the plane, so l x f2 is an integer multiple s N of the
+      primitive N.  In each of the kernel's six cases one index t has
+      exactly one of l[t], f2[t] a unit and the other 0 mod p (t = 1 when
+      normal[0] is a unit, else t = 0), and both vectors are nonzero mod p
+      (l has content 1, f2 holds the unit entry of N), so l and f2 are
+      independent mod p and s is a unit.  Hence j, the first unit entry of
+      w, is the first index with y_j(n) = M_n.
+    * K10 = +-(l_a l'_b - l_b l'_a), {a, b} the indices other than j.  The
+      two products have valuations x_a(n) - m_n + x_b(n-1) - m_(n-1) and
+      the same with a, b swapped; they differ by alpha_a - alpha_b != 0, so
+      v(K10) is the lesser, which is (n-1)(alpha_a + alpha_b) +
+      min(alpha_a, alpha_b) + beta_a + beta_b - m_n - m_(n-1), and K10 is
+      zero exactly when l_a l_b is.
+    * K21 = s N . f2' = +-s (N_u N'_w - N_w N'_u), with (u, w) the pair of
+      ``_f2_pair`` on image n - 1; in the same way v(K21) is the lesser of
+      the two products' valuations, since nu_u != nu_w, and K21 is zero
+      exactly when r_u r_w is.
+    * K20 = s N . l' = s sum mu_i^n r_i lambda_i^(n-1) l_i over the two
+      gcds, and mu_i lambda_i = a b k for every i, so K20 is
+      s (a b k)^(n-1) S over the gcds with S = sum mu_i r_i l_i, one
+      integer per call: v(K20) = (n-1) A + v(S) - M_n - m_(n-1), absent
+      when S = 0.
+
+    These are the valuations ``adapted_depth`` takes before its cap, so
+    the depths are its depths exactly.  The candidate at n is
+    ``_chamber_of_valuations`` of the reduced valuations of image n's line
+    and f2, the second read off N as ``_f2_pair`` places it.
+
+    A zero entry of the line is read as an entry of slope max alpha + 1
+    and offset 2 rmax plus the greatest beta of the nonzero entries, and a
+    zero entry of the normal likewise with nu and gamma.  Its reduced
+    valuation is then at least 2 rmax at every step n >= 0: it is never
+    least, so no pivot and no j reads it, and every depth term and
+    candidate valuation it enters reaches the cap, as the zero entry would
+    leave that term absent.
+    """
+    p = cert.p
+    rmax = threshold + 1
+    alpha = cert.eigenvalue_valuations
+    total = sum(alpha)
+    nu = tuple(total - e for e in alpha)
+    a, b, k = cert.eigenvalues
+    s = b * k * normal[0] * line[0] + a * k * normal[1] * line[1] + \
+        a * b * normal[2] * line[2]
+    vs = valuation_int(s, p) if s else None
+
+    def terms(slopes, v):
+        """(slope, offset) of each entry of the vector v, a zero entry
+        read far above the others."""
+        offsets = [valuation_int(e, p) if e else None for e in v]
+        far = 2 * rmax + max(o for o in offsets if o is not None)
+        steep = max(slopes) + 1
+        return [(steep, far) if o is None else (e, o)
+                for e, o in zip(slopes, offsets)]
+
+    (a0, b0), (a1, b1), (a2, b2) = terms(alpha, line)
+    (c0, d0), (c1, d1), (c2, d2) = terms(nu, normal)
+    images = {}
+
+    def image(n):
+        """x(n), m_n, y(n) and M_n; each step once."""
+        if n not in images:
+            x = (n * a0 + b0, n * a1 + b1, n * a2 + b2)
+            y = (n * c0 + d0, n * c1 + d1, n * c2 + d2)
+            images[n] = x, min(x), y, min(y)
+        return images[n]
+
+    def depth(n):
+        x1, m1, y1, big_m1 = image(n - 1)
+        x, m, y, big_m = image(n)
+        ia, ib = _OTHERS[y.index(big_m)]
+        u, w = _f2_pair(x1, m1, y1, big_m1)
+        d = min(rmax, min(x[ia] + x1[ib], x[ib] + x1[ia]) - m - m1,
+                min(y[u] + y1[w], y[w] + y1[u]) - big_m - big_m1)
+        if vs is not None:
+            d = min(d, ((n - 1) * total + vs - big_m - m1) // 2)
+        return d
+
+    def candidate(n):
+        x, m, y, big_m = image(n)
+        u, w = _f2_pair(x, m, y, big_m)
+        v = [x[0] - m, x[1] - m, x[2] - m, 2 * rmax, 2 * rmax, 2 * rmax]
+        v[3 + u], v[3 + w] = y[w] - big_m, y[u] - big_m
+        return _chamber_of_valuations(v, threshold)
+
+    return depth, candidate
 
 
 def _primitive(x, y, z):
@@ -490,32 +647,22 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     with a, b, k the eigenvalues of num(g) on them: the line steps by
     diag(a, b, k) and the plane normal by its transposed adjugate
     diag(b k, a k, a b).  Projectively adj(F) g^n line is G^n adj(F) line
-    and F^T adj(g^n)^T normal is (adj(G)^T)^n F^T normal.  Image n is read
-    off directly, as the primitive vectors of (a^n l0, b^n l1, k^n l2) and
-    ((b k)^n n0, (a k)^n n1, (a b)^n n2): dividing by a positive gcd
-    commutes with a diagonal step, so these equal the pair stepped n times
-    and made primitive at each step, sign included.  Direct reads let the
-    detector skip the steps of its confirmation leg, which decide nothing
-    (``_stable_apartment_direction``): a certified call forms about half of
-    the images up to its last step.  The depths read off these pairs are
-    those of the flags g^n c at the base vertex, since a depth does not
-    depend on the basis of the lattice it is read in (``adapted_depth``).
-    The apartment chambers are the coordinate flags there, so c is one of
-    them exactly when its line and its normal each have two zero
-    coordinates.
+    and F^T adj(g^n)^T normal is (adj(G)^T)^n F^T normal.  So image n is
+    the primitive pair of (a^n l0, b^n l1, k^n l2) and
+    ((b k)^n n0, (a k)^n n1, (a b)^n n2), and every depth and candidate
+    the detector takes is read off the valuations of these entries in
+    closed form (``_valuation_readers``), with no image formed.  The
+    depths are those of the flags g^n c at the base vertex, since a depth
+    does not depend on the basis of the lattice it is read in
+    (``adapted_depth``).  The apartment chambers are the coordinate flags
+    there, so c is one of them exactly when its line and its normal each
+    have two zero coordinates.
     """
     line, normal = flag_in_basis(cert.frame_matrix, c)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
-    a, b, k = cert.eigenvalues
-    bk, ak, ab = b * k, a * k, a * b
-    (l0, l1, l2), (n0, n1, n2) = line, normal
-
-    def image(n):
-        return (_primitive(a ** n * l0, b ** n * l1, k ** n * l2),
-                _primitive(bk ** n * n0, ak ** n * n1, ab ** n * n2))
-
-    order = _stable_apartment_direction(cert.p, image, threshold, nmax)
+    order = _stable_apartment_direction(
+        *_valuation_readers(cert, line, normal, threshold), threshold, nmax)
     return cert.frame_chambers[order]
 
 
@@ -598,7 +745,7 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
                 _primitive(*mat_vec(transpose(adjugate3(w)), normal)))
 
     return cert2.frame_chambers[_stable_apartment_direction(
-        cert2.p, image, threshold, nmax)]
+        *_image_readers(image, cert2.p, threshold), threshold, nmax)]
 
 
 # ---------------------------------------------------------------------------

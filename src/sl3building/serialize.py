@@ -74,11 +74,33 @@ def _vec_to_obj(v):
     return [frac_to_str(e) for e in v]
 
 
+def _obj_to_matrix3(obj, where):
+    """A 3x3 matrix of rationals, or ParseError."""
+    if not (type(obj) is list and len(obj) == 3
+            and all(type(row) is list and len(row) == 3 for row in obj)):
+        raise ParseError("expected a list of three rows of three entries", where)
+    return obj_to_matrix(obj, where)
+
+
+def _obj_to_vec(obj, where):
+    """A vector of three rationals, or ParseError."""
+    if type(obj) is not list or len(obj) != 3:
+        raise ParseError(f"bad vector {obj!r}: expected three entries", where)
+    return tuple(str_to_frac(e, where) for e in obj)
+
+
 def _obj_to_int_vec(obj, where):
-    vec = tuple(str_to_frac(e, where) for e in obj) if type(obj) is list else ()
-    if len(vec) != 3 or any(e.denominator != 1 for e in vec):
+    vec = _obj_to_vec(obj, where)
+    if any(e.denominator != 1 for e in vec):
         raise ParseError(f"bad integer vector {obj!r}", where)
     return tuple(e.numerator for e in vec)
+
+
+def _obj_to_vecs3(obj, parse, where):
+    """Three vectors, each read by parse, or ParseError."""
+    if type(obj) is not list or len(obj) != 3:
+        raise ParseError("expected a list of three vectors", where)
+    return tuple(parse(v, where) for v in obj)
 
 
 def to_obj(value):
@@ -134,22 +156,24 @@ def from_obj(obj):
     kind = obj["kind"]
     try:
         if kind == "vertex":
-            return LatticeVertex.from_matrix(obj["p"], obj_to_matrix(obj["matrix"]))
+            return LatticeVertex.from_matrix(
+                obj["p"], _obj_to_matrix3(obj["matrix"], "vertex.matrix"))
         if kind == "flag":
-            return Flag.from_matrix(obj_to_matrix(obj["matrix"]))
+            return Flag.from_matrix(_obj_to_matrix3(obj["matrix"], "flag.matrix"))
         if kind == "frame":
-            return Frame.from_lines(tuple(
-                tuple(str_to_frac(e, "frame.lines") for e in v) for v in obj["lines"]))
+            return Frame.from_lines(
+                _obj_to_vecs3(obj["lines"], _obj_to_vec, "frame.lines"))
         if kind == "residue_chamber":
             return ResidueChamber.from_parts(obj["p"], tuple(obj["line"]),
                                              tuple(obj["plane_normal"]))
         if kind == "group_element":
             word = tuple(obj["word"]) if obj.get("word") is not None else None
-            return GroupElement.from_matrix(obj_to_matrix(obj["matrix"]), word=word)
+            return GroupElement.from_matrix(
+                _obj_to_matrix3(obj["matrix"], "group_element.matrix"), word=word)
         if kind == "srh_certificate":
             return SrhCertificate(
                 obj["p"], from_obj(obj["element"]),
-                tuple(_obj_to_int_vec(v, "lines") for v in obj["lines"]),
+                _obj_to_vecs3(obj["lines"], _obj_to_int_vec, "lines"),
                 tuple(obj["lam"]))
         if kind == "walk_config":
             return WalkConfig(
@@ -158,7 +182,12 @@ def from_obj(obj):
                 obj["steps"], obj["seed"], from_obj(obj["base_vertex"]))
         if kind == "walk_step":
             germ = from_obj(obj["germ"]) if obj.get("germ") else None
-            return WalkStep(obj["n"], obj["letter"], tuple(obj["theta"]),
+            theta = obj["theta"]
+            if type(theta) is not list or len(theta) != 3 or \
+                    any(type(e) is not int for e in theta):
+                raise ParseError(f"bad theta {theta!r}: expected three "
+                                 "integers", "walk_step.theta")
+            return WalkStep(obj["n"], obj["letter"], tuple(theta),
                             germ, obj["germ_run"])
         if kind == "walk_trace":
             return WalkTrace(from_obj(obj["config"]),

@@ -10,8 +10,8 @@ vertices or from the Hermite form of the relative matrix (and retractions
 from its pivots) instead of its minor valuations, common depth from walking
 the growth ray vertex by vertex (``common_depth_ray_oracle``), or from the
 full relative matrix of the two adapted bases of the base vertex
-(``ray_depth``), instead of three products of the flags' adapted columns
-reduced mod p^(2 rmax), residue alcoves from a first-step neighbor search, vertex
+(``ray_depth``), instead of three products of the flags' adapted columns,
+residue alcoves from a first-step neighbor search, vertex
 counts at a vector distance from enumerating canonical lattice
 representatives instead of Macdonald's formula, and the basis-set event of the harmonic mass law from the
 canonical form of adj(k) d_y instead of three divisibility tests.
@@ -61,7 +61,13 @@ detector compares by ``ray_depth`` against the six chambers' bases
 (``north_south_limit_flag_oracle``, ``universal_contraction_flag_oracle``),
 step by step, instead of reading a pair in frame coordinates off a
 diagonal matrix's powers, or off G2^n G1^n, only at the steps that decide,
-and each chamber depth off the image's valuations.  The candidate chamber
+and each chamber depth off the image's valuations.  The north-south limit
+also has its image route (``north_south_limit_image_oracle``, and
+``north_south_outcomes_image_oracle`` at many horizons at once): the
+images formed as primitive pairs in frame coordinates and read by
+``flag_adapted_columns``, ``adapted_depth`` and ``_apartment_candidate``,
+instead of every depth and candidate read off twelve valuations fixed per
+call.  The candidate chamber
 also has its loop of six ``adapted_depth`` calls against the coordinate
 flags (``apartment_candidate_kernel_oracle``).  The apartment chambers are
 the flags of the six permuted frame matrices
@@ -86,6 +92,7 @@ prefixes.
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, isqrt
 
@@ -123,6 +130,7 @@ from sl3building.building import (
     canonical_modp_vector,
     dist2,
     dominant,
+    flag_in_basis,
     frame_vertex,
     germ_face,
     is_regular,
@@ -141,6 +149,11 @@ from sl3building.boundary import (
     is_opposite,
     sector_membership,
     weyl_distance,
+)
+from sl3building.dynamics import (
+    _image_readers,
+    _primitive,
+    _stable_apartment_direction,
 )
 from sl3building.parabolics import stabilizes_line, stabilizes_plane
 from sl3building.rng import make_rng
@@ -498,7 +511,7 @@ def ray_depth(h_c, adj_h_d, p, rmax):
     With K = adj(H_d) H_c and v(0) infinite it is min(rmax, v(K[1][0]),
     v(K[2][1]), floor(v(K[2][0]) / 2)), each entry summed in full and its
     valuation taken on the whole entry, instead of three products of the
-    flags' (l, f2, w, j) reduced mod p^(2 rmax).
+    flags' (l, f2, w, j).
     """
     depth = rmax
     for i, j, scale in ((1, 0, 1), (2, 1, 1), (2, 0, 2)):
@@ -610,6 +623,57 @@ def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
 
     return _stable_apartment_direction_flag_oracle(cert, images(), threshold,
                                                    nmax, base)
+
+
+def _image_route_readers(cert, line, normal, threshold):
+    """The detector's readers of the images formed in frame coordinates:
+    image n is the primitive pair of (a^n l0, b^n l1, k^n l2) and
+    ((b k)^n n0, (a k)^n n1, (a b)^n n2), read by ``flag_adapted_columns``,
+    ``adapted_depth`` and ``_apartment_candidate``."""
+    a, b, k = cert.eigenvalues
+    bk, ak, ab = b * k, a * k, a * b
+    (l0, l1, l2), (n0, n1, n2) = line, normal
+
+    def image(n):
+        return (_primitive(a ** n * l0, b ** n * l1, k ** n * l2),
+                _primitive(bk ** n * n0, ak ** n * n1, ab ** n * n2))
+
+    return _image_readers(image, cert.p, threshold)
+
+
+def north_south_limit_image_oracle(cert, c, nmax=40, threshold=4):
+    """``north_south_limit`` on the images themselves, in frame coordinates.
+
+    The detector reads its depths and candidates off the formed images'
+    ``flag_adapted_columns`` (``_image_route_readers``), as
+    ``universal_contraction`` does, instead of off twelve valuations fixed
+    per call.
+    """
+    line, normal = flag_in_basis(cert.frame_matrix, c)
+    if line.count(0) == 2 and normal.count(0) == 2:
+        return c
+    order = _stable_apartment_direction(
+        *_image_route_readers(cert, line, normal, threshold), threshold, nmax)
+    return cert.frame_chambers[order]
+
+
+def north_south_outcomes_image_oracle(cert, c, threshold, horizons):
+    """("limit", chamber) or ("horizon", trajectory) of
+    ``north_south_limit_image_oracle`` at each horizon in horizons, with
+    each depth and candidate read once for all of them."""
+    line, normal = flag_in_basis(cert.frame_matrix, c)
+    if line.count(0) == 2 and normal.count(0) == 2:
+        return [("limit", c)] * len(horizons)
+    depth, candidate = (lru_cache(maxsize=None)(reader) for reader in
+                        _image_route_readers(cert, line, normal, threshold))
+    outcomes = []
+    for nmax in horizons:
+        try:
+            outcomes.append(("limit", cert.frame_chambers[
+                _stable_apartment_direction(depth, candidate, threshold, nmax)]))
+        except HorizonExceededError as exc:
+            outcomes.append(("horizon", exc.trajectory))
+    return outcomes
 
 
 def universal_contraction_flag_oracle(cert1, cert2, c, nmax=40, threshold=4):

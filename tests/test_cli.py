@@ -146,6 +146,18 @@ def test_uncertified_barycenter_exits_with_code_three(tmp_path):
     assert rc == 3
 
 
+def test_dynamics_at_a_huge_threshold_exits_three_at_the_horizon(tmp_path):
+    # No depth reaches a threshold of 10^6 by step 40, and no depth builds
+    # a power of p that grows with the threshold, so the default config
+    # ends at once with every flag at the horizon.
+    rc = _run(tmp_path, "dynamics", config={"threshold": 1_000_000})
+    assert rc == 3
+    lines = (tmp_path / "dynamics_records.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == 60
+    assert all(r["status"] == "horizon" for r in records)
+
+
 def test_horizon_error_reports_its_trajectory(tmp_path, capsys, monkeypatch):
     def runner(cfg, seed):
         raise HorizonExceededError("no limit", trajectory=[(2, 0), (3, 1)])

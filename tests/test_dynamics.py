@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from sl3building.building import (
     Frame,
     LatticeVertex,
     dominant,
+    flag_in_basis,
     frame_vertex,
     germ_face,
     random_vertex,
@@ -68,6 +70,7 @@ from sl3building.rng import make_rng
 from sl3building.triples import construct_generic
 from oracles import (
     COORDINATE_CHAMBERS,
+    _image_route_readers,
     _apartment_candidate_oracle,
     apartment_candidate_kernel_oracle,
     apartment_chambers_oracle,
@@ -77,6 +80,8 @@ from oracles import (
     is_opposite_to_apartment_oracle,
     mat_inv3,
     north_south_limit_flag_oracle,
+    north_south_limit_image_oracle,
+    north_south_outcomes_image_oracle,
     residue_chambers,
     universal_contraction_flag_oracle,
     valuation,
@@ -380,6 +385,16 @@ def test_north_south_fixed_points():
     assert north_south_limit(cert, cert.repelling) == cert.repelling
 
 
+def test_north_south_limit_refuses_eigenvalues_of_equal_valuation():
+    # A certificate record loads without certification; the closed form
+    # needs the eigenvalues on the frame lines to have distinct valuations.
+    cert = dynamics.SrhCertificate(5, GroupElement(identity()), STD_LINES,
+                                   (2, 1, 0))
+    c = Flag.from_matrix(((1, 1, 2), (1, 2, 1), (3, 1, 1)))
+    with pytest.raises(ValueError):
+        north_south_limit(cert, c)
+
+
 def test_north_south_big_cell_contracts_to_attracting():
     p = 5
     cert = make_srh(STD_LINES, (2, 1, 0), p)
@@ -533,10 +548,11 @@ def test_universal_contraction_matches_the_flag_oracle():
 
 
 def _failed_confirmations(reads):
-    """How many candidates a confirmation rejected, from the results of
-    ``_apartment_candidate`` in call order: a read that finds no candidate
-    resets the run, and one that finds a candidate is followed by the read
-    at step 2n + 2 that confirms it, when the horizon reaches that step."""
+    """How many candidates a confirmation rejected, from the results of the
+    detector's candidate reads in call order: a read that finds no
+    candidate resets the run, and one that finds a candidate is followed by
+    the read at step 2n + 2 that confirms it, when the horizon reaches that
+    step."""
     failed, i = 0, 0
     while i < len(reads):
         if reads[i] is None:
@@ -558,6 +574,26 @@ def _rejected_candidate_case():
     return cert, harmonic_sample(standard_vertex(p), 7, make_rng(2, 2, 2, 12))
 
 
+def _spy_on_the_readers(monkeypatch, depth_log, candidate_log):
+    """Wrap the readers the detector is given: each depth read appends its
+    step to depth_log, and each candidate read appends (step, result) to
+    candidate_log."""
+    real_detector = dynamics._stable_apartment_direction
+
+    def detector(depth, candidate, threshold, nmax):
+        def logged_depth(n):
+            depth_log.append(n)
+            return depth(n)
+
+        def logged_candidate(n):
+            candidate_log.append((n, candidate(n)))
+            return candidate_log[-1][1]
+
+        return real_detector(logged_depth, logged_candidate, threshold, nmax)
+
+    monkeypatch.setattr(dynamics, "_stable_apartment_direction", detector)
+
+
 def test_failed_confirmation_matches_the_flag_oracle_at_every_horizon(
         monkeypatch):
     # After a rejected candidate the detector resumes from the depth at step
@@ -566,13 +602,7 @@ def test_failed_confirmation_matches_the_flag_oracle_at_every_horizon(
     # trajectory, so the resumed run and the rebuilt trajectory are pinned
     # on both sides of the rejection.
     reads = []
-
-    def spy(flag, p, threshold):
-        reads.append(real_candidate(flag, p, threshold))
-        return reads[-1]
-
-    real_candidate = dynamics._apartment_candidate
-    monkeypatch.setattr(dynamics, "_apartment_candidate", spy)
+    _spy_on_the_readers(monkeypatch, [], reads)
     cert, c = _rejected_candidate_case()
     for threshold in (1, 2, 3):
         for nmax in range(41):
@@ -583,59 +613,37 @@ def test_failed_confirmation_matches_the_flag_oracle_at_every_horizon(
                 north_south_limit_flag_oracle, cert, c, nmax, threshold), \
                 (threshold, nmax)
         assert got[0] == "limit"
-        assert _failed_confirmations(reads) >= 1, threshold
+        assert _failed_confirmations([r for _, r in reads]) >= 1, threshold
+
+
+def _bench_cases():
+    """The bench's inputs: depth-4 harmonic draws at p = 3 for the standard
+    element and an SL3(Z) conjugate, at threshold 4."""
+    p = 3
+    std = make_srh(STD_LINES, (2, 1, 0), p)
+    rng = make_rng(30)
+    return [(cert, harmonic_sample(standard_vertex(p), 4, rng), 4)
+            for cert in (std, std.conjugate(random_sl3z(random.Random(1))))
+            for _ in range(10)]
 
 
 def test_certified_calls_take_no_depth_on_the_confirmation_leg(monkeypatch):
     # A call that returns reads its candidate at step n and confirms it at
-    # step 2n + 2; the steps strictly between decide nothing, so no image
-    # of them is formed and no depth of them is taken.  Each image is
-    # tagged with its step through the detector's image function, and each
-    # depth and candidate read with the step of the flag it reads last.
-    images, depths, candidates, step_of = [], [], [], {}
-
-    def detector(p, image, threshold, nmax):
-        def tagged(n):
-            images.append(n)
-            return image(n)
-        return real_detector(p, tagged, threshold, nmax)
-
-    def columns(line, normal, p):
-        flag = real_columns(line, normal, p)
-        step_of[id(flag)] = images[-1], flag
-        return flag
-
-    def depth(c, d, p, rmax):
-        depths.append(step_of[id(d)][0])
-        return real_depth(c, d, p, rmax)
-
-    def candidate(flag, p, threshold):
-        candidates.append(step_of[id(flag)][0])
-        return real_candidate(flag, p, threshold)
-
-    real_detector = dynamics._stable_apartment_direction
-    real_columns = dynamics.flag_adapted_columns
-    real_depth = dynamics.adapted_depth
-    real_candidate = dynamics._apartment_candidate
-    monkeypatch.setattr(dynamics, "_stable_apartment_direction", detector)
-    monkeypatch.setattr(dynamics, "flag_adapted_columns", columns)
-    monkeypatch.setattr(dynamics, "adapted_depth", depth)
-    monkeypatch.setattr(dynamics, "_apartment_candidate", candidate)
+    # step 2n + 2; the steps strictly between decide nothing, so no depth
+    # of them is taken and no candidate of them is read.  The readers the
+    # detector is given log the step of each read.
+    depths, reads = [], []
+    _spy_on_the_readers(monkeypatch, depths, reads)
     # the bench's inputs, and a call that returns after a rejection
-    p = 3
-    std = make_srh(STD_LINES, (2, 1, 0), p)
-    rng = make_rng(30)
-    cases = [(cert, harmonic_sample(standard_vertex(p), 4, rng), 4)
-             for cert in (std, std.conjugate(random_sl3z(random.Random(1))))
-             for _ in range(10)]
-    cases.append(_rejected_candidate_case() + (1,))
+    cases = _bench_cases() + [_rejected_candidate_case() + (1,)]
     for cert, c, threshold in cases:
-        for log in (images, depths, candidates):
-            log.clear()
+        depths.clear()
+        reads.clear()
         north_south_limit(cert, c, threshold=threshold)
+        candidates = [m for m, _ in reads]
         n, confirm = candidates[-2:]
-        assert confirm == images[-1] == 2 * n + 2
-        assert not [m for m in images + depths if n < m < 2 * n + 2]
+        assert confirm == 2 * n + 2
+        assert not [m for m in candidates + depths if n < m < 2 * n + 2]
         assert max(depths) == n  # and none at 2n + 2
         assert len(depths) == len(set(depths))  # each taken once
         if len(candidates) == 2:
@@ -643,21 +651,35 @@ def test_certified_calls_take_no_depth_on_the_confirmation_leg(monkeypatch):
     assert len(candidates) > 2  # the last case resumed after a rejection
 
 
-def test_rejection_restarts_the_run_after_the_depth_at_2n_plus_2(monkeypatch):
-    # Scripted flags, depths and candidate reads (threshold 4): the run
-    # reaches 3 at step 4 and the read at step 10 rejects its candidate.
-    # The depth at 10 is 6 and the next ones are 5, so the run starts again
-    # at step 12, not 11, and reaches 3 at step 14, which step 30 confirms.
-    # A run counted from step 11 would read (0, 1, 2) at 13 and 28.
+def test_north_south_limit_forms_no_image(monkeypatch):
+    # The depths and candidates are read off valuations: with the image
+    # kernels and the image primitive made to raise, the bench's inputs
+    # still certify, to the limits the image oracle finds.
+    cases = _bench_cases()
+    expected = [north_south_limit_image_oracle(cert, c, threshold=threshold)
+                for cert, c, threshold in cases]
+
+    def forbidden(*args):
+        raise AssertionError("north_south_limit formed an image")
+
+    for name in ("flag_adapted_columns", "adapted_depth",
+                 "_apartment_candidate", "_primitive"):
+        monkeypatch.setattr(dynamics, name, forbidden)
+    assert [north_south_limit(cert, c, threshold=threshold)
+            for cert, c, threshold in cases] == expected
+
+
+def test_rejection_restarts_the_run_after_the_depth_at_2n_plus_2():
+    # Scripted depths and candidate reads (threshold 4): the run reaches 3
+    # at step 4 and the read at step 10 rejects its candidate.  The depth
+    # at 10 is 6 and the next ones are 5, so the run starts again at step
+    # 12, not 11, and reaches 3 at step 14, which step 30 confirms.  A run
+    # counted from step 11 would read (0, 1, 2) at 13 and 28.
     depths = {n: 6 if n == 10 else 5 for n in range(2, 41)}
     reads = {4: ((0, 1, 2), 5), 10: ((1, 0, 2), 5), 13: ((0, 1, 2), 5),
              14: ((2, 1, 0), 5), 28: ((0, 1, 2), 5), 30: ((2, 1, 0), 5)}
-    monkeypatch.setattr(dynamics, "flag_adapted_columns", lambda n, _, p: n)
-    monkeypatch.setattr(dynamics, "adapted_depth", lambda c, d, p, r: depths[d])
-    monkeypatch.setattr(dynamics, "_apartment_candidate",
-                        lambda flag, p, threshold: reads.get(flag))
-    detect = functools.partial(dynamics._stable_apartment_direction, 3,
-                               lambda n: (n, None), 4)
+    detect = functools.partial(dynamics._stable_apartment_direction,
+                               depths.__getitem__, reads.get, 4)
     assert detect(40) == (2, 1, 0)
     with pytest.raises(HorizonExceededError) as info:
         detect(29)
@@ -669,14 +691,16 @@ def test_universal_contraction_images_do_not_depend_on_the_order_asked(
     # A rejected confirmation asks for image 2n + 1 after image 2n + 2, and
     # a horizon trajectory for the skipped images; W = G2^n G1^n then
     # starts again from the identity.  Capture the image function the
-    # detector is given and ask for its images out of order.
+    # readers are built from and ask for its images out of order.
     images = []
 
-    def detector(p, image, threshold, nmax):
+    def readers(image, p, threshold):
         images.append(image)
-        return ALL_PERMS[0]
+        return None, None
 
-    monkeypatch.setattr(dynamics, "_stable_apartment_direction", detector)
+    monkeypatch.setattr(dynamics, "_image_readers", readers)
+    monkeypatch.setattr(dynamics, "_stable_apartment_direction",
+                        lambda depth, candidate, threshold, nmax: ALL_PERMS[0])
     p = 5
     cert1, cert2 = schottky_pair(p, make_rng(21))
     c = harmonic_sample(standard_vertex(p), 4, make_rng(22))
@@ -687,6 +711,75 @@ def test_universal_contraction_images_do_not_depend_on_the_order_asked(
     expected = {n: forward(n) for n in steps}
     random.Random(p).shuffle(steps)
     assert {n: shuffled(n) for n in steps} == expected
+
+
+def _grid_certificates(p, lam):
+    """The standard element of translation lam, two SL3(Z) conjugates, the
+    element translating a Schottky partner's frame, and one translating a
+    frame off the standard lattice."""
+    std = make_srh(STD_LINES, lam, p)
+    partner = schottky_pair(p, make_rng(77, p))[1]
+    return [std, std.conjugate(random_sl3z(random.Random(31))),
+            std.conjugate(random_sl3z(random.Random(32))),
+            make_srh(partner.lines, lam, p),
+            make_srh(_lines_off_the_standard_lattice(p, random.Random(p)),
+                     lam, p)]
+
+
+def test_valuation_readers_match_the_image_readers():
+    # Every depth and every candidate the detector could ask for, read off
+    # valuations against the same read off the formed images by
+    # flag_adapted_columns, adapted_depth and _apartment_candidate: five
+    # certificates per (p, lam), two flags each, one drawn at depth 1 so
+    # that zero entries occur, and steps up to 40; up to 10 for the
+    # translation (2001, 3, 0), whose images have tens of thousands of
+    # digits and whose depths all reach the cap.
+    zero_entries = set()
+    for p in (2, 3, 5, 7):
+        rng = make_rng(91, p)
+        x = standard_vertex(p)
+        for lam in ((2, 1, 0), (4, 2, 0), (5, 1, 0), (20, 1, 0), (2001, 3, 0)):
+            steps = 10 if lam[0] > 100 else 40
+            for cert in _grid_certificates(p, lam):
+                for depth in (1, 4):
+                    c = harmonic_sample(x, depth, rng)
+                    line, normal = flag_in_basis(cert.frame_matrix, c)
+                    zero_entries.add((line.count(0), normal.count(0)))
+                    for threshold in (0, 2, 60):
+                        got = dynamics._valuation_readers(cert, line, normal,
+                                                          threshold)
+                        want = _image_route_readers(cert, line, normal,
+                                                    threshold)
+                        for n in range(2, steps + 1):
+                            assert got[0](n) == want[0](n), (p, lam, n)
+                        for n in range(1, steps + 1):
+                            assert got[1](n) == want[1](n), (p, lam, n)
+    assert {(0, 0), (1, 0), (0, 1), (1, 1)} <= zero_entries
+
+
+def test_north_south_limit_matches_the_image_oracle_at_every_horizon():
+    # The limit or the horizon trajectory at every horizon from 0 to 80,
+    # against the image route: p in {2, 3, 5, 7}, five translations, five
+    # certificates each, thresholds from 0 to 60 and one flag per
+    # certificate, 56,700 outcomes.
+    horizons = range(81)
+    outcomes = Counter()
+    for p in (2, 3, 5, 7):
+        rng = make_rng(92, p)
+        x = standard_vertex(p)
+        for lam in ((2, 1, 0), (4, 2, 0), (5, 1, 0), (7, 2, 0), (20, 1, 0)):
+            for ci, cert in enumerate(_grid_certificates(p, lam)):
+                c = harmonic_sample(x, (2, 4, 7)[ci % 3], rng)
+                for threshold in (0, 1, 2, 3, 4, 6, 60):
+                    want = north_south_outcomes_image_oracle(cert, c, threshold,
+                                                             horizons)
+                    for nmax in horizons:
+                        got = _limit_or_trajectory(north_south_limit, cert, c,
+                                                   nmax, threshold)
+                        assert got == want[nmax], (p, lam, ci, threshold, nmax)
+                        outcomes[got[0]] += 1
+    assert sum(outcomes.values()) == 56_700
+    assert outcomes["limit"] > 10_000 and outcomes["horizon"] > 10_000
 
 
 def _chamber_moved_near(frame, e, p, k, rng):

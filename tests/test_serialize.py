@@ -137,6 +137,27 @@ def test_certificate_lines_must_be_independent_integer_vectors():
         from_obj(obj)
 
 
+def test_records_of_the_wrong_shape_raise_parse_errors():
+    p = 5
+    cert = to_obj(make_srh(STD_LINES, (2, 1, 0), p))
+    trace = run_walk(WalkConfig(p, (make_srh(STD_LINES, (2, 1, 0), p).element,),
+                                (Fraction(1),), 2, 11, standard_vertex(p)))
+    square2 = [["1", "0"], ["0", "1"]]
+    bad = [dict(cert, lines=cert["lines"][:2]),
+           dict(cert, lines=cert["lines"] + [["1", "1", "1"]]),
+           dict(cert, lines=5),
+           dict(to_obj(Frame.from_lines(STD_LINES)), lines=[["1", "0", "0"],
+                                                            ["0", "1", "0"]]),
+           dict(to_obj(standard_vertex(p)), matrix=square2),
+           dict(to_obj(Flag.standard()), matrix=square2),
+           dict(cert["element"], matrix=square2),
+           dict(to_obj(trace.steps[1]), theta=5),
+           dict(to_obj(trace.steps[1]), theta=[1, 0])]
+    for obj in bad:
+        with pytest.raises(ParseError):
+            from_obj(obj)
+
+
 def test_walk_trace_round_trip():
     p = 3
     cert = make_srh(STD_LINES, (2, 1, 0), p)

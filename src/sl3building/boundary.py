@@ -275,10 +275,9 @@ def adapted_depth(c, d, p, rmax):
     is also the first t at which the ray leaves the sector, less one.  The
     rows of adj(H_d) are f2 x e_j, e_j x l and l x f2 = w (those of d), so
     K[1][0] = (l_d x l_c)[j_d], K[2][1] = w_d . f2_c and K[2][0] = w_d . l_c.
-    Each nonzero one has its valuation taken up to the cap 2 rmax
-    (``valuation_int``), which the cap rmax absorbs in every term; no
-    entry is reduced mod a power of p, so a deep entry costs about
-    2 log2(rmax) remainders and a large rmax builds no large power of p.
+    Each is reduced mod p^(2 rmax) before its valuation: a residue 0 means a
+    valuation of at least 2 rmax, which the cap absorbs, and otherwise the
+    valuation is that of the entry.
 
     The test is unchanged by K -> B1 K B2 for upper-triangular B1, B2 in
     GL3(Z_(p)), since diag(1, p^-t, p^-2t) B diag(1, p^t, p^2t) is again
@@ -291,16 +290,17 @@ def adapted_depth(c, d, p, rmax):
     lc, f2c, _, _ = c
     ld, _, (w0, w1, w2), j = d
     a, b = (j + 1) % 3, (j + 2) % 3
-    depth, cap = rmax, 2 * rmax
-    r = ld[a] * lc[b] - ld[b] * lc[a]
+    q = p ** (2 * rmax)
+    depth = rmax
+    r = (ld[a] * lc[b] - ld[b] * lc[a]) % q
     if r:
-        depth = min(depth, valuation_int(r, p, cap))
-    r = w0 * f2c[0] + w1 * f2c[1] + w2 * f2c[2]
+        depth = min(depth, valuation_int(r, p))
+    r = (w0 * f2c[0] + w1 * f2c[1] + w2 * f2c[2]) % q
     if r:
-        depth = min(depth, valuation_int(r, p, cap))
-    r = w0 * lc[0] + w1 * lc[1] + w2 * lc[2]
+        depth = min(depth, valuation_int(r, p))
+    r = (w0 * lc[0] + w1 * lc[1] + w2 * lc[2]) % q
     if r:
-        depth = min(depth, valuation_int(r, p, cap) // 2)
+        depth = min(depth, valuation_int(r, p) // 2)
     return depth
 
 

@@ -404,13 +404,17 @@ def _chamber_of_valuations(v, threshold):
 
 
 def _apartment_candidate(flag, p, threshold):
-    """``_chamber_of_valuations`` of a flag's ``flag_adapted_columns``, its
-    six valuations taken once, each up to the cap 2 (threshold + 1)."""
-    line, f2, _, _ = flag
+    """``_chamber_of_valuations`` of a flag's ``flag_adapted_columns``.  The
+    six valuations are taken once, each on the entry mod p^(2 cap) as
+    ``adapted_depth`` takes it: a residue 0 counts as 2 cap."""
     absent = 2 * (threshold + 1)
-    return _chamber_of_valuations(
-        [valuation_int(x, p, absent) if x else absent for x in (*line, *f2)],
-        threshold)
+    q = p ** absent
+    line, f2, _, _ = flag
+    v = []
+    for x in (*line, *f2):
+        r = x % q
+        v.append(valuation_int(r, p) if r else absent)
+    return _chamber_of_valuations(v, threshold)
 
 
 def _stable_apartment_direction(depth, candidate, threshold, nmax):
@@ -554,8 +558,9 @@ def _valuation_readers(cert, line, normal, threshold):
       integer per call: v(K20) = (n-1) A + v(S) - M_n - m_(n-1), absent
       when S = 0.
 
-    These are the valuations ``adapted_depth`` takes before its cap, so
-    the depths are its depths exactly.  The candidate at n is
+    ``adapted_depth`` takes each entry mod p^(2 rmax), and a residue is 0
+    exactly when the valuation is at least 2 rmax, which the cap absorbs;
+    so the depths are its depths exactly.  The candidate at n is
     ``_chamber_of_valuations`` of the reduced valuations of image n's line
     and f2, the second read off N as ``_f2_pair`` places it.
 
@@ -588,15 +593,12 @@ def _valuation_readers(cert, line, normal, threshold):
 
     (a0, b0), (a1, b1), (a2, b2) = terms(alpha, line)
     (c0, d0), (c1, d1), (c2, d2) = terms(nu, normal)
-    images = {}
 
     def image(n):
-        """x(n), m_n, y(n) and M_n; each step once."""
-        if n not in images:
-            x = (n * a0 + b0, n * a1 + b1, n * a2 + b2)
-            y = (n * c0 + d0, n * c1 + d1, n * c2 + d2)
-            images[n] = x, min(x), y, min(y)
-        return images[n]
+        """x(n), m_n, y(n) and M_n."""
+        x = (n * a0 + b0, n * a1 + b1, n * a2 + b2)
+        y = (n * c0 + d0, n * c1 + d1, n * c2 + d2)
+        return x, min(x), y, min(y)
 
     def depth(n):
         x1, m1, y1, big_m1 = image(n - 1)

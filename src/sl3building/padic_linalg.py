@@ -9,9 +9,8 @@ No floating point enters any predicate.
 The workhorses are
 
 * ``valuation_int``: the p-adic valuation of an integer by binary splitting
-  (dividing off p^(2^k) rather than p, one unit at a time), or min(v, cap)
-  with no power of p beyond the cap.  It is the single valuation loop of
-  the package; every other valuation calls it, and the
+  (dividing off p^(2^k) rather than p, one unit at a time).  It is the single
+  valuation loop of the package; every other valuation calls it, and the
   one-division-per-unit loop survives only as its oracle in the test suite.
 * ``lattice_canonical``: the unique upper-triangular basis matrix of a
   Z_(p)-lattice, with p-power pivots and reduced off-diagonal entries,
@@ -39,10 +38,9 @@ The workhorses are
 * ``mul_strip`` and ``in_basis``: the one content-stripped product, and
   the one change of basis of a group element, adj(m) g m stripped; the
   walk and the universal contraction.  Flags change basis by
-  ``building.flag_in_basis``, and their depth is ``boundary.adapted_depth``,
-  whose valuations are capped (``valuation_int`` with a cap); along a
-  north-south iteration the depths are read off valuations in closed form
-  (``dynamics._valuation_readers``).
+  ``building.flag_in_basis``, and their depth is ``boundary.adapted_depth``;
+  along a north-south iteration the depths are read off valuations in
+  closed form (``dynamics._valuation_readers``).
 
 The elimination form of ``smith_exponents``, the column elimination of
 ``lattice_canonical`` (``lattice_canonical_oracle``), the Fraction
@@ -120,7 +118,7 @@ def require_prime(p):
         raise ValueError(f"p must be a prime >= 2, got {p}")
 
 
-def valuation_int(n, p, cap=None):
+def valuation_int(n, p):
     """p-adic valuation of a nonzero integer, by binary splitting.
 
     Units return after one remainder and v = 1 after two, which keeps the
@@ -129,12 +127,6 @@ def valuation_int(n, p, cap=None):
     fails, so 2^(K-1) <= v < 2^K; the powers p^(2^(K-1)), ..., p are then
     divided off from the largest down wherever they divide.  A valuation v
     costs about 2 log2(v) big-integer remainders instead of v divisions.
-
-    With a cap >= 1 the result is min(v, cap), and no power p^(2^k) with
-    2^k > cap is tested: once p^(2^K) with 2^K <= cap < 2^(K+1) divides,
-    the descent finds min(v, 2^(K+1) - 1), which is at least the cap.  So a
-    capped valuation of a deep entry costs about 2 log2(cap) remainders,
-    and no power of p larger than p^cap is built.
     """
     if n == 0:
         raise ZeroValuationError("valuation of 0 is undefined")
@@ -144,9 +136,10 @@ def valuation_int(n, p, cap=None):
     if n % q:
         return 1
     powers = [p, q]
-    bound = (n if cap is None else cap).bit_length()
-    while len(powers) < bound and not n % (q := q * q):
+    q *= q
+    while not n % q:
         powers.append(q)
+        q *= q
     k = len(powers) - 1
     n //= powers[k]
     v = 1 << k
@@ -154,7 +147,7 @@ def valuation_int(n, p, cap=None):
         if not n % powers[k]:
             n //= powers[k]
             v += 1 << k
-    return v if cap is None else min(v, cap)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,10 @@ def matrix_to_obj(m):
 
 
 def obj_to_matrix(obj, where="matrix"):
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("matrix must be a nonempty list of rows", where)
+    if not (isinstance(obj, list) and len(obj) == 3
+            and all(isinstance(row, list) and len(row) == 3 for row in obj)):
+        raise ParseError("matrix must be a list of three rows of three entries",
+                         where)
     rows = []
     for i, row in enumerate(obj):
         rows.append(tuple(str_to_frac(e, f"{where}[{i}][{j}]")
@@ -72,14 +74,6 @@ def obj_to_matrix(obj, where="matrix"):
 
 def _vec_to_obj(v):
     return [frac_to_str(e) for e in v]
-
-
-def _obj_to_matrix3(obj, where):
-    """A 3x3 matrix of rationals, or ParseError."""
-    if not (type(obj) is list and len(obj) == 3
-            and all(type(row) is list and len(row) == 3 for row in obj)):
-        raise ParseError("expected a list of three rows of three entries", where)
-    return obj_to_matrix(obj, where)
 
 
 def _obj_to_vec(obj, where):
@@ -156,10 +150,9 @@ def from_obj(obj):
     kind = obj["kind"]
     try:
         if kind == "vertex":
-            return LatticeVertex.from_matrix(
-                obj["p"], _obj_to_matrix3(obj["matrix"], "vertex.matrix"))
+            return LatticeVertex.from_matrix(obj["p"], obj_to_matrix(obj["matrix"]))
         if kind == "flag":
-            return Flag.from_matrix(_obj_to_matrix3(obj["matrix"], "flag.matrix"))
+            return Flag.from_matrix(obj_to_matrix(obj["matrix"]))
         if kind == "frame":
             return Frame.from_lines(
                 _obj_to_vecs3(obj["lines"], _obj_to_vec, "frame.lines"))
@@ -168,8 +161,7 @@ def from_obj(obj):
                                              tuple(obj["plane_normal"]))
         if kind == "group_element":
             word = tuple(obj["word"]) if obj.get("word") is not None else None
-            return GroupElement.from_matrix(
-                _obj_to_matrix3(obj["matrix"], "group_element.matrix"), word=word)
+            return GroupElement.from_matrix(obj_to_matrix(obj["matrix"]), word=word)
         if kind == "srh_certificate":
             return SrhCertificate(
                 obj["p"], from_obj(obj["element"]),

@@ -90,18 +90,6 @@ def test_valuation_int_matches_the_division_loop_oracle():
             valuation_loop_oracle(0, p)
 
 
-def test_capped_valuation_is_the_least_of_the_valuation_and_the_cap():
-    # caps around the powers of two the splitting stops at, and caps far
-    # above the valuation, which change nothing
-    rng = random.Random(20261021)
-    for _ in range(5000):
-        p = rng.choice((2, 3, 5, 7))
-        k = rng.randrange(300) if rng.random() < 0.5 else rng.randrange(20)
-        n = rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.randint(1, 50)) * p ** k
-        cap = rng.choice((1, 2, 3, 4, 7, 8, 9, rng.randrange(1, 400), 10 ** 9))
-        assert valuation_int(n, p, cap) == min(valuation_loop_oracle(n, p), cap)
-
-
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0),
        st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0),
        st.sampled_from([2, 3, 5, 7]))

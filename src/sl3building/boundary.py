@@ -62,10 +62,6 @@ class NotOppositeError(ValueError):
 class HorizonExceededError(RuntimeError):
     """Raised when an iterative limit fails to stabilize within its horizon."""
 
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory or []
-
 
 # ---------------------------------------------------------------------------
 # flags

@@ -83,6 +83,7 @@ from .parabolics import (
     family_flag,
     lower_flag,
     pairwise_position_report,
+    stabilizes_flag,
     torus_family_member,
     upper_flag,
 )
@@ -193,6 +194,11 @@ def _validate(name, cfg):
         if not is_regular(lam) or lam[2] != 0 or (lam[0] + lam[1]) % 3 != 0:
             raise ConfigError("lam must be regular with lam[2] = 0 and "
                               f"lam[0] + lam[1] divisible by 3, got {lam}")
+        # a horizon costs O(nmax) steps, and the element's entries grow
+        # like p^lam[0]; as for measure's lams, keep a run to seconds
+        if cfg["nmax"] > 10_000 or lam[0] > 100_000:
+            raise ConfigError("nmax must be at most 10000 and lam[0] at "
+                              "most 100000")
     if name == "walk":
         gens, weights = cfg.get("generators"), cfg.get("weights")
         if (gens is None) != (weights is None):
@@ -432,9 +438,11 @@ def run_appendix(cfg, seed):
         e = Fraction(rng.randrange(1, 50), rng.randrange(1, 20))
         a2 = Fraction(rng.randrange(1, 50), rng.randrange(1, 20))
         e2 = Fraction(rng.randrange(1, 50), rng.randrange(1, 20))
-        hom_ok += (mat_mul(torus_family_member(a, e), torus_family_member(a2, e2))
-                   == torus_family_member(a * a2, e * e2))
-        stab_ok += bool(torus_family_member(a, e))  # constructor verifies both flags
+        m = torus_family_member(a, e)
+        hom_ok += mat_mul(m, torus_family_member(a2, e2)) == \
+            torus_family_member(a * a2, e * e2)
+        stab_ok += det3(m) == 1 and stabilizes_flag(m, upper_flag()) and \
+            stabilizes_flag(m, family_flag(1))
     records.append({"homomorphism_samples": cfg["samples"], "homomorphism_ok": hom_ok,
                     "double_stabilization_ok": stab_ok})
     bad += (hom_ok != cfg["samples"]) + (stab_ok != cfg["samples"])
@@ -552,10 +560,6 @@ def main(argv=None):
         return 2
     try:
         records, rows, status = _RUNNERS[args.subcommand](cfg, args.seed)
-    except HorizonExceededError as exc:
-        print(json.dumps({"error": "horizon", "detail": str(exc),
-                          "trajectory": exc.trajectory}))
-        return 3
     except DrawBoundExceededError as exc:
         print(json.dumps({"error": "draw bound", "detail": str(exc)}))
         return 3

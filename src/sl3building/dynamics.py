@@ -10,9 +10,9 @@ slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
 North-south limits run in frame coordinates, entered by ``flag_in_basis``:
 there g is diagonal, so every depth between two images g^n c and every
 depth to an apartment chamber is read off twelve valuations fixed per call,
-in closed form, and no image is formed.  The universal contraction, whose
-G1 is not diagonal, forms its images with ``in_basis`` and ``mul_strip``
-and runs the same detector on ``boundary.adapted_depth`` of them.
+in closed form, and no image is formed.  The universal contraction forms
+image n in closed form too, each g_i diagonal in its own frame, and runs
+the same detector on ``boundary.adapted_depth`` of the images.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -36,11 +36,9 @@ from .padic_linalg import (
     flag_adapted_columns,
     from_columns,
     identity,
-    in_basis,
     integerize,
     mat_mul,
     mat_vec,
-    mul_strip,
     primitive_vector,
     require_prime,
     transpose,
@@ -444,22 +442,14 @@ def _stable_apartment_direction(depth, candidate, threshold, nmax):
     the detector reads step 2n + 2 next; when the confirmation fails it
     takes the depth at 2n + 2 and goes on from there.  A candidate read at
     a step n with 2n + 2 > nmax could not be confirmed, so the run stops
-    before such a step.  Only the trajectory of a ``HorizonExceededError``,
-    every depth from step 2 to nmax, needs the skipped steps; each depth
-    is taken once.
+    before such a step.  The steps only move forward, so each depth is
+    taken at most once, and the detector keeps no state per step.
     """
-    depths = {}
-
-    def depth_once(n):
-        if n not in depths:
-            depths[n] = depth(n)
-        return depths[n]
-
     prev_depth = -1
     run = 0
     n = 2
     while 2 * n + 2 <= nmax:
-        d = depth_once(n)
+        d = depth(n)
         run = run + 1 if d >= threshold and d >= prev_depth else 0
         prev_depth = d
         if run >= 3:
@@ -469,12 +459,10 @@ def _stable_apartment_direction(depth, candidate, threshold, nmax):
                 confirmed = candidate(n)
                 if confirmed is not None and confirmed[0] == best[0]:
                     return best[0]
-                prev_depth = depth_once(n)
+                prev_depth = depth(n)
             run = 0
         n += 1
-    raise HorizonExceededError(
-        "iteration did not stabilize before the horizon",
-        trajectory=[(m, depth_once(m)) for m in range(2, nmax + 1)])
+    raise HorizonExceededError("iteration did not stabilize before the horizon")
 
 
 def _image_readers(image, p, threshold):
@@ -720,31 +708,34 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
 
     The iteration contracts every ideal chamber to the attracting chamber of
     cert2.  It runs in the frame coordinates of cert2, as
-    ``north_south_limit`` does: with F the matrix of its frame lines, the
-    flag is ``flag_in_basis(F, c)`` and G1, G2 are ``in_basis(F, num)`` of
-    the two elements.  W = G2^n G1^n is held content stripped; G2 is
-    diagonal and G1 is not.  Projectively W adj(F) v is adj(F) g2^n g1^n v,
-    and adj(W)^T F^T n is F^T adj(g2^n g1^n)^T n.  W steps forward to the
-    image the detector asks for, past the confirmation leg it skips, and
-    starts again from the identity only when an earlier image is asked
-    for, after a failed confirmation or for a horizon trajectory.
+    ``north_south_limit`` does, and forms image n in closed form.  With F_i
+    the frame matrix of cert_i, num_i F_i = F_i diag(lambda_i), lambda_i its
+    ``eigenvalues``, so projectively g_i^n = F_i diag(lambda_i^n) adj(F_i)
+    and its cofactor matrix, which moves plane normals, is
+    adj(F_i)^T diag(mu_i^n) F_i^T with mu = (b k, a k, a b) for
+    lambda = (a, b, k), the adjugate of diag(lambda).  Set
+    M = adj(F2) F1 and N = adj(F1) F2, so M N = det(F1) det(F2) I.  Then
+    adj(F2) g2^n g1^n l is diag(lambda2^n) M diag(lambda1^n) u and
+    F2^T adj(g2^n g1^n)^T r is diag(mu2^n) N^T diag(mu1^n) w, up to
+    scalars, where (u, w) = ``flag_in_basis(F1, c)``: image n is the
+    primitive pair of these two vectors, a function of n alone.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
-    f = cert2.frame_matrix
-    line, normal = flag_in_basis(f, c)
-    g1, g2 = in_basis(f, cert1.element.num), in_basis(f, cert2.element.num)
+    f1, f2 = cert1.frame_matrix, cert2.frame_matrix
+    m = mat_mul(adjugate3(f2), f1)
+    nt = transpose(mat_mul(adjugate3(f1), f2))
+    u, w = flag_in_basis(f1, c)
+    lam1, lam2 = cert1.eigenvalues, cert2.eigenvalues
+    mu1, mu2 = ((b * k, a * k, a * b) for a, b, k in (lam1, lam2))
 
-    at, w = 0, identity()  # W = G2^n G1^n at n = at, content stripped
+    def scaled(d, n, v):
+        """d^n times v, entry by entry."""
+        return tuple(x ** n * e for x, e in zip(d, v))
 
     def image(n):
-        nonlocal at, w
-        if n < at:
-            at, w = 0, identity()
-        while at < n:
-            at, w = at + 1, mul_strip(mat_mul(g2, w), g1, 0)[0]
-        return (_primitive(*mat_vec(w, line)),
-                _primitive(*mat_vec(transpose(adjugate3(w)), normal)))
+        return (_primitive(*scaled(lam2, n, mat_vec(m, scaled(lam1, n, u)))),
+                _primitive(*scaled(mu2, n, mat_vec(nt, scaled(mu1, n, w)))))
 
     return cert2.frame_chambers[_stable_apartment_direction(
         *_image_readers(image, cert2.p, threshold), threshold, nmax)]

@@ -36,8 +36,8 @@ The workhorses are
   integers, off one pivot, one 2x2 minor through it and the determinant;
   the conditioned harmonic sampler and the walk's direction estimate.
 * ``mul_strip`` and ``in_basis``: the one content-stripped product, and
-  the one change of basis of a group element, adj(m) g m stripped; the
-  walk and the universal contraction.  Flags change basis by
+  the one change of basis of a group element, adj(m) g m stripped; only
+  the walk uses them.  Flags change basis by
   ``building.flag_in_basis``, and their depth is ``boundary.adapted_depth``;
   along a north-south iteration the depths are read off valuations in
   closed form (``dynamics._valuation_readers``).

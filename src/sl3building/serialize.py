@@ -19,7 +19,8 @@ from math import gcd
 
 from .building import Frame, LatticeVertex, ResidueChamber
 from .boundary import Flag, flag_echelon
-from .dynamics import GroupElement, SrhCertificate
+from .padic_linalg import is_prime
+from .dynamics import GroupElement, SrhCertificate, certify_srh
 from .stochastics import WalkConfig, WalkStep, WalkTrace
 
 
@@ -163,10 +164,17 @@ def from_obj(obj):
             word = tuple(obj["word"]) if obj.get("word") is not None else None
             return GroupElement.from_matrix(obj_to_matrix(obj["matrix"]), word=word)
         if kind == "srh_certificate":
-            return SrhCertificate(
-                obj["p"], from_obj(obj["element"]),
-                _obj_to_vecs3(obj["lines"], _obj_to_int_vec, "lines"),
+            p, element = obj["p"], from_obj(obj["element"])
+            if not (type(p) is int and is_prime(p)
+                    and isinstance(element, GroupElement)):
+                raise ParseError("expected a prime p and a group element", kind)
+            cert = SrhCertificate(
+                p, element, _obj_to_vecs3(obj["lines"], _obj_to_int_vec, "lines"),
                 tuple(obj["lam"]))
+            # the record's lines and lam must be those certify_srh finds
+            if certify_srh(element, p) != cert:
+                raise ParseError("not the certificate of its element", kind)
+            return cert
         if kind == "walk_config":
             return WalkConfig(
                 obj["p"], tuple(from_obj(g) for g in obj["generators"]),

@@ -92,7 +92,7 @@ prefixes.
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from math import gcd, isqrt
 
@@ -557,49 +557,63 @@ def apartment_candidate_kernel_oracle(flag, p, threshold):
     return best
 
 
-def _stable_apartment_direction_flag_oracle(cert, flags_sequence, threshold,
-                                            nmax, base):
-    """The stabilization detector on flags of Q^3, each mapped to base.
+def flag_route_readers(cert, image, threshold, base):
+    """The flag oracle's depth and candidate readers of the flags image(n)
+    of Q^3, each mapped to base.
 
     Each image's adapted basis is ``adapted_basis_at(base, flag)``, instead
-    of ``flag_adapted_basis`` of a pair already in base coordinates.
+    of ``flag_adapted_basis`` of a pair already in base coordinates; the
+    depth at n is ``ray_depth`` of images n - 1 and n, and the candidate at
+    n is ``_apartment_candidate_oracle`` of image n, a chamber of Q^3 and
+    its depth.
     """
     p = base.p
     chambers = [(e, adjugate3(adapted_basis_at(base, e)))
                 for e in apartment_chambers_oracle(cert.frame)]
-    h_prev = None
+
+    @lru_cache(maxsize=None)
+    def basis(n):
+        return adapted_basis_at(base, image(n))
+
+    def depth(n):
+        return ray_depth(basis(n - 1), adjugate3(basis(n)), p, threshold + 1)
+
+    def candidate(n):
+        return _apartment_candidate_oracle(chambers, basis(n), p, threshold)
+
+    return depth, candidate
+
+
+def _stable_apartment_direction_flag_oracle(cert, image, threshold, nmax,
+                                            base):
+    """The stabilization detector on the flags image(n) of Q^3, read by
+    ``flag_route_readers``, walking every step from 2 to nmax: the
+    confirmation leg is stepped through, not skipped."""
+    depth, read_candidate = flag_route_readers(cert, image, threshold, base)
     prev_depth = -1
     run = 0
     candidate = None
     confirm_at = None
-    trajectory = []
-    for n, flag in enumerate(flags_sequence, start=1):
-        h_flag = adapted_basis_at(base, flag)
-        if h_prev is not None:
-            d = ray_depth(h_prev, adjugate3(h_flag), p, threshold + 1)
-            trajectory.append((n, d))
-            if d >= threshold and d >= prev_depth:
-                run += 1
+    for n in range(2, nmax + 1):
+        d = depth(n)
+        if d >= threshold and d >= prev_depth:
+            run += 1
+        else:
+            run = 0
+        prev_depth = d
+        if candidate is None and run >= 3:
+            best = read_candidate(n)
+            if best is not None:
+                candidate = best[0]
+                confirm_at = 2 * n + 2
             else:
                 run = 0
-            prev_depth = d
-            if candidate is None and run >= 3:
-                best = _apartment_candidate_oracle(chambers, h_flag, p, threshold)
-                if best is not None:
-                    candidate = best[0]
-                    confirm_at = 2 * n + 2
-                else:
-                    run = 0
-            elif candidate is not None and n >= confirm_at:
-                best = _apartment_candidate_oracle(chambers, h_flag, p, threshold)
-                if best is not None and best[0] == candidate:
-                    return candidate
-                candidate, confirm_at, run = None, None, 0
-        h_prev = h_flag
-        if n >= nmax:
-            break
-    raise HorizonExceededError("iteration did not stabilize before the horizon",
-                               trajectory=trajectory)
+        elif candidate is not None and n >= confirm_at:
+            best = read_candidate(n)
+            if best is not None and best[0] == candidate:
+                return candidate
+            candidate, confirm_at, run = None, None, 0
+    raise HorizonExceededError("iteration did not stabilize before the horizon")
 
 
 def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
@@ -612,17 +626,16 @@ def north_south_limit_flag_oracle(cert, c, nmax=40, threshold=4):
     for e in apartment_chambers_oracle(cert.frame):
         if e == c:
             return c
-    base = frame_vertex(cert.frame, cert.p)
     g = cert.element.num
+    flags = [c]  # flags[n] = g^n c
 
-    def images():
-        cur = c
-        while True:
-            cur = cur.apply(g)
-            yield cur
+    def image(n):
+        while len(flags) <= n:
+            flags.append(flags[-1].apply(g))
+        return flags[n]
 
-    return _stable_apartment_direction_flag_oracle(cert, images(), threshold,
-                                                   nmax, base)
+    return _stable_apartment_direction_flag_oracle(
+        cert, image, threshold, nmax, frame_vertex(cert.frame, cert.p))
 
 
 def _image_route_readers(cert, line, normal, threshold):
@@ -658,7 +671,7 @@ def north_south_limit_image_oracle(cert, c, nmax=40, threshold=4):
 
 
 def north_south_outcomes_image_oracle(cert, c, threshold, horizons):
-    """("limit", chamber) or ("horizon", trajectory) of
+    """("limit", chamber) or ("horizon", None) of
     ``north_south_limit_image_oracle`` at each horizon in horizons, with
     each depth and candidate read once for all of them."""
     line, normal = flag_in_basis(cert.frame_matrix, c)
@@ -671,8 +684,8 @@ def north_south_outcomes_image_oracle(cert, c, threshold, horizons):
         try:
             outcomes.append(("limit", cert.frame_chambers[
                 _stable_apartment_direction(depth, candidate, threshold, nmax)]))
-        except HorizonExceededError as exc:
-            outcomes.append(("horizon", exc.trajectory))
+        except HorizonExceededError:
+            outcomes.append(("horizon", None))
     return outcomes
 
 
@@ -681,21 +694,19 @@ def universal_contraction_flag_oracle(cert1, cert2, c, nmax=40, threshold=4):
 
     Each image is c moved by ``Flag.apply`` of the group element
     g2^n g1^n, taken by ``GroupElement.power``, and mapped to the base
-    vertex of cert2, instead of stepping a (line, normal) pair in frame
-    coordinates by W = G2^n G1^n.
+    vertex of cert2, instead of formed in frame coordinates from the
+    eigenvalues of the two elements.
     """
     if not is_opposite_to_apartment_oracle(cert2.repelling, cert1.frame):
         raise ValueError("pair does not satisfy the contraction hypothesis")
-
-    def images():
-        n = 1
-        while True:
-            g = cert2.element.power(n) * cert1.element.power(n)
-            yield c.apply(g.num)
-            n += 1
-
     return _stable_apartment_direction_flag_oracle(
-        cert2, images(), threshold, nmax, frame_vertex(cert2.frame, cert2.p))
+        cert2, partial(contraction_image_oracle, cert1, cert2, c),
+        threshold, nmax, frame_vertex(cert2.frame, cert2.p))
+
+
+def contraction_image_oracle(cert1, cert2, c, n):
+    """The flag g2^n g1^n c of Q^3, by ``GroupElement.power``."""
+    return c.apply((cert2.element.power(n) * cert1.element.power(n)).num)
 
 
 def apartment_chambers_oracle(frame):

@@ -44,6 +44,7 @@ from sl3building.parabolics import (
     family_flag,
     lower_flag,
     pairwise_position_report,
+    stabilizes_flag,
     torus_family_member,
     upper_flag,
 )
@@ -104,9 +105,11 @@ def test_criterion_01_family_reproduction():
         e = Fraction(rng.randint(1, 60), rng.randint(1, 20))
         a2 = Fraction(rng.randint(1, 60), rng.randint(1, 20))
         e2 = Fraction(rng.randint(1, 60), rng.randint(1, 20))
-        # the constructor verifies stabilization of both flags exactly
-        ok &= mat_mul(torus_family_member(a, e), torus_family_member(a2, e2)) \
+        m = torus_family_member(a, e)
+        ok &= mat_mul(m, torus_family_member(a2, e2)) \
             == torus_family_member(a * a2, e * e2)
+        ok &= det3(m) == 1 and stabilizes_flag(m, upper_flag()) \
+            and stabilizes_flag(m, family_flag(1))
     # apartment intersection at infinity: the upper chamber and its faces
     base = apartment_from_opposite(upper_flag(), lower_flag())
     fam = apartment_from_opposite(upper_flag(), family_flag(1))

@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 
 from sl3building.boundary import (
     Flag,
-    HorizonExceededError,
     apartment_from_opposite,
     is_opposite,
     is_opposite_to_apartment,
 )
 from sl3building.building import standard_vertex
 from sl3building.cli import (
-    _RUNNERS,
     _SCHEMAS,
     SUBCOMMANDS,
     ConfigError,
@@ -158,16 +156,17 @@ def test_dynamics_at_a_huge_threshold_exits_three_at_the_horizon(tmp_path):
     assert all(r["status"] == "horizon" for r in records)
 
 
-def test_horizon_error_reports_its_trajectory(tmp_path, capsys, monkeypatch):
-    def runner(cfg, seed):
-        raise HorizonExceededError("no limit", trajectory=[(2, 0), (3, 1)])
-
-    monkeypatch.setitem(_RUNNERS, "dynamics", runner)
-    rc = _run(tmp_path, "dynamics")
-    assert rc == 3
-    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
-        "error": "horizon", "detail": "no limit", "trajectory": [[2, 0], [3, 1]]}
-    assert not (tmp_path / "dynamics_records.ndjson").exists()
+def test_dynamics_accepts_nmax_and_lam_up_to_their_bounds(tmp_path):
+    # A horizon costs O(nmax) steps and the element's entries grow like
+    # p^lam[0], so both are bounded; the bounds themselves are accepted,
+    # and a translation of (2001, 3, 0) still runs.
+    for config in ({"nmax": 10_000}, {"lam": [100_000, 2, 0]}):
+        path = tmp_path / "dynamics.yaml"
+        path.write_text(yaml.safe_dump(config))
+        cfg = load_config("dynamics", str(path))
+        assert {key: cfg[key] for key in config} == config
+    assert _run(tmp_path, "dynamics", config=dict(
+        SMALL["dynamics"], lam=[2001, 3, 0])) == 0
 
 
 @pytest.mark.parametrize("sub, config", [
@@ -216,6 +215,8 @@ def test_horizon_error_reports_its_trajectory(tmp_path, capsys, monkeypatch):
     ("equicont", {"depth": 2}),
     ("barycenter", {"p": 2, "depth": 1}),
     ("walk", {"p": 2, "depth": 1}),
+    ("dynamics", {"nmax": 10_001}),
+    ("dynamics", {"lam": [100_001, 1, 0]}),
 ])
 def test_invalid_configs_exit_two_with_a_config_error(tmp_path, capsys, sub, config):
     rc = _run(tmp_path, sub, config=config)

@@ -1,5 +1,6 @@
 """SRH certification, north-south limits, limit sets, equicontinuity."""
 
+import contextlib
 import functools
 import math
 import random
@@ -75,8 +76,10 @@ from oracles import (
     apartment_candidate_kernel_oracle,
     apartment_chambers_oracle,
     common_depth_ray_oracle,
+    contraction_image_oracle,
     det_count_in_box,
     equicontinuity_set_member_oracle,
+    flag_route_readers,
     is_opposite_to_apartment_oracle,
     mat_inv3,
     north_south_limit_flag_oracle,
@@ -428,49 +431,87 @@ def test_north_south_inverse_uses_swapped_chambers():
             boundary_retraction(cert.frame, cert.attracting, c, p)
 
 
-def _assert_trajectory_of_images(exc, flags, base, threshold):
-    """The trajectory is the common depth of each image f_n with f_(n-1)."""
-    expected = [(n, common_depth(flags[n - 1], flags[n], base, threshold + 1))
-                for n in range(2, len(flags))]
-    assert exc.trajectory == expected
-    assert len({d for _, d in expected}) > 1  # a stale basis would show
+def _capture_the_readers(monkeypatch):
+    """The (depth, candidate) readers each detector call is given, in call
+    order, captured as the detector runs."""
+    captured = []
+    real_detector = dynamics._stable_apartment_direction
+
+    def detector(depth, candidate, threshold, nmax):
+        captured.append((depth, candidate))
+        return real_detector(depth, candidate, threshold, nmax)
+
+    monkeypatch.setattr(dynamics, "_stable_apartment_direction", detector)
+    return captured
 
 
-def test_north_south_horizon_trajectory_recomputed_from_the_images():
+def _assert_depths_of_images(depth, flags, base, threshold):
+    """The depth reader at every step n from 2 to the last image is the
+    common depth of the images f_(n-1) and f_n."""
+    got = [depth(n) for n in range(2, len(flags))]
+    assert got == [common_depth(flags[n - 1], flags[n], base, threshold + 1)
+                   for n in range(2, len(flags))]
+    assert len(set(got)) > 1  # a stale basis would show
+
+
+def test_north_south_horizon_depths_recomputed_from_the_images(monkeypatch):
     # the earliest candidate is read at n = 4 and confirmed at n >= 10, so
     # a horizon of 8 always runs out
+    readers = _capture_the_readers(monkeypatch)
     p, threshold, nmax = 3, 4, 8
     cert = make_srh(STD_LINES, (2, 1, 0), p)
     rng = make_rng(4321)
     for _ in range(3):
         c = harmonic_sample(standard_vertex(p), 4, rng)
-        with pytest.raises(HorizonExceededError) as info:
+        with pytest.raises(HorizonExceededError):
             north_south_limit(cert, c, nmax=nmax, threshold=threshold)
         flags = [c]  # flags[n] = g^n c
         for _ in range(nmax):
             flags.append(flags[-1].apply(cert.element.num))
-        _assert_trajectory_of_images(info.value, flags,
-                                     frame_vertex(cert.frame, cert.p), threshold)
+        _assert_depths_of_images(readers[-1][0], flags,
+                                 frame_vertex(cert.frame, cert.p), threshold)
 
 
-def test_universal_contraction_horizon_trajectory_recomputed_from_the_images():
+def test_universal_contraction_horizon_depths_recomputed_from_the_images(
+        monkeypatch):
+    readers = _capture_the_readers(monkeypatch)
     p, threshold, nmax = 5, 4, 8
     cert1, cert2 = schottky_pair(p, make_rng(21))
     c = cert1.repelling
-    with pytest.raises(HorizonExceededError) as info:
+    with pytest.raises(HorizonExceededError):
         universal_contraction(cert1, cert2, c, nmax=nmax, threshold=threshold)
-    flags = [c] + [c.apply((cert2.element.power(n) * cert1.element.power(n)).num)
+    flags = [c] + [contraction_image_oracle(cert1, cert2, c, n)
                    for n in range(1, nmax + 1)]
-    _assert_trajectory_of_images(info.value, flags,
-                                 frame_vertex(cert2.frame, cert2.p), threshold)
+    _assert_depths_of_images(readers[-1][0], flags,
+                             frame_vertex(cert2.frame, cert2.p), threshold)
 
 
-def _limit_or_trajectory(limit_fn, cert, c, nmax, threshold):
-    """("limit", the limit) or ("horizon", the depth trajectory)."""
+def _limit_or_horizon(limit_fn, cert, c, nmax, threshold):
+    """("limit", the limit) or ("horizon", None)."""
     try:
         return "limit", limit_fn(cert, c, nmax=nmax, threshold=threshold)
-    except HorizonExceededError as exc:
-        return "horizon", exc.trajectory
+    except HorizonExceededError:
+        return "horizon", None
+
+
+def _outcomes_at_every_horizon(limit_fn, oracle_fn, cert, c, threshold,
+                               last=40):
+    """The outcomes of limit_fn at every horizon from 0 to last, checked
+    against oracle_fn.  Neither detector reads a step past the one that
+    confirms its candidate, so the outcome is a horizon below that
+    stopping step s and one limit from s on.  limit_fn is asked at every
+    horizon; the oracle, which walks every step, at s - 1 and s, or at
+    last when nothing stops by then.  That pins s."""
+    got = [_limit_or_horizon(limit_fn, cert, c, nmax, threshold)
+           for nmax in range(last + 1)]
+    stops = [nmax for nmax, (kind, _) in enumerate(got) if kind == "limit"]
+    s = stops[0] if stops else last + 1
+    assert got[:s] == [("horizon", None)] * s
+    assert got[s:] == got[s:s + 1] * (last + 1 - s)
+    for nmax in {s - 1, s} & set(range(last + 1)):
+        assert got[nmax] == _limit_or_horizon(oracle_fn, cert, c, nmax,
+                                              threshold), nmax
+    return got
 
 
 def _lines_off_the_standard_lattice(p, rng):
@@ -487,11 +528,10 @@ def _lines_off_the_standard_lattice(p, rng):
 
 def test_north_south_limit_matches_the_flag_oracle():
     # The iteration in base-vertex coordinates against the loop that moves
-    # the flag itself by Flag.apply: the same limit at the default horizon,
-    # and the same depth trajectory at horizons too short to confirm.  An
-    # SL3(Z) conjugate of the standard element keeps the standard base
-    # vertex, so one element translates a frame with a base vertex of its
-    # own.
+    # the flag itself by Flag.apply: the same limit or horizon at every
+    # horizon up to 40, which pins the stopping step.  An SL3(Z) conjugate
+    # of the standard element keeps the standard base vertex, so one
+    # element translates a frame with a base vertex of its own.
     outcomes = set()
     for p in (2, 3, 5):
         rng = make_rng(2021, p)
@@ -506,22 +546,20 @@ def test_north_south_limit_matches_the_flag_oracle():
             for cert, threshold in zip(certs * 3, (1, 2, 3, 4) * 3):
                 for depth in (2, 5, 8):
                     c = harmonic_sample(x, depth, rng)
+                    got = _outcomes_at_every_horizon(
+                        north_south_limit, north_south_limit_flag_oracle,
+                        cert, c, threshold)
                     for nmax in (40, threshold + 3):
-                        got = _limit_or_trajectory(north_south_limit, cert, c,
-                                                   nmax, threshold)
-                        assert got == _limit_or_trajectory(
-                            north_south_limit_flag_oracle, cert, c, nmax,
-                            threshold), (p, lam, threshold, depth, nmax)
-                        outcomes.add((got[0], nmax == 40))
+                        outcomes.add((got[nmax][0], nmax == 40))
     # (a flag on the apartment is its own limit at any horizon)
     assert {("limit", True), ("horizon", False)} <= outcomes
 
 
 def test_universal_contraction_matches_the_flag_oracle():
-    # W = G2^n G1^n in frame coordinates against moving the flag itself by
-    # the group element g2^n g1^n: the same limit at the default horizon,
-    # and the same depth trajectory at horizons too short to confirm.  Each
-    # Schottky pair is also used conjugated by an SL3(Z) element.
+    # The images formed in frame coordinates against moving the flag itself
+    # by the group element g2^n g1^n: the same limit or horizon at every
+    # horizon up to 40, which pins the stopping step.  Each Schottky pair
+    # is also used conjugated by an SL3(Z) element.
     outcomes = set()
     for p in (2, 3, 5):
         pair = schottky_pair(p, make_rng(2022, p))
@@ -535,15 +573,11 @@ def test_universal_contraction_matches_the_flag_oracle():
                 harmonic_sample(x, depth, rng) for depth in (2, 5, 8)]
             for threshold in (1, 2, 3, 4):
                 for c in flags:
+                    got = _outcomes_at_every_horizon(contract, oracle, cert2,
+                                                     c, threshold)
                     for nmax in (40, threshold + 3):
-                        got = _limit_or_trajectory(contract, cert2, c, nmax,
-                                                   threshold)
-                        assert got == _limit_or_trajectory(
-                            oracle, cert2, c, nmax, threshold), \
-                            (p, threshold, c, nmax)
-                        outcomes.add((got[0], nmax == 40))
-                        if nmax == 40:
-                            assert got == ("limit", cert2.attracting)
+                        outcomes.add((got[nmax][0], nmax == 40))
+                    assert got[40] == ("limit", cert2.attracting)
     assert outcomes == {("limit", True), ("horizon", False)}
 
 
@@ -598,18 +632,18 @@ def test_failed_confirmation_matches_the_flag_oracle_at_every_horizon(
         monkeypatch):
     # After a rejected candidate the detector resumes from the depth at step
     # 2n + 2, having skipped the steps before it; the oracle walks every
-    # step.  Every horizon from 0 to 40 gives the same limit or the same
-    # trajectory, so the resumed run and the rebuilt trajectory are pinned
-    # on both sides of the rejection.
+    # step.  Every horizon from 0 to 40 gives the same limit or horizon, so
+    # the resumed run and its stopping step are pinned on both sides of the
+    # rejection.
     reads = []
     _spy_on_the_readers(monkeypatch, [], reads)
     cert, c = _rejected_candidate_case()
     for threshold in (1, 2, 3):
         for nmax in range(41):
             reads.clear()
-            got = _limit_or_trajectory(north_south_limit, cert, c, nmax,
-                                       threshold)
-            assert got == _limit_or_trajectory(
+            got = _limit_or_horizon(north_south_limit, cert, c, nmax,
+                                    threshold)
+            assert got == _limit_or_horizon(
                 north_south_limit_flag_oracle, cert, c, nmax, threshold), \
                 (threshold, nmax)
         assert got[0] == "limit"
@@ -674,33 +708,41 @@ def test_rejection_restarts_the_run_after_the_depth_at_2n_plus_2():
     # at step 4 and the read at step 10 rejects its candidate.  The depth
     # at 10 is 6 and the next ones are 5, so the run starts again at step
     # 12, not 11, and reaches 3 at step 14, which step 30 confirms.  A run
-    # counted from step 11 would read (0, 1, 2) at 13 and 28.
+    # counted from step 11 would read (0, 1, 2) at 13 and 28.  At a
+    # horizon of 29 the run stops before step 14, whose confirmation it
+    # could not read.
     depths = {n: 6 if n == 10 else 5 for n in range(2, 41)}
     reads = {4: ((0, 1, 2), 5), 10: ((1, 0, 2), 5), 13: ((0, 1, 2), 5),
              14: ((2, 1, 0), 5), 28: ((0, 1, 2), 5), 30: ((2, 1, 0), 5)}
+    depth_log, candidate_log = [], []
+
+    def depth(n):
+        depth_log.append(n)
+        return depths[n]
+
+    def candidate(n):
+        candidate_log.append(n)
+        return reads.get(n)
+
     detect = functools.partial(dynamics._stable_apartment_direction,
-                               depths.__getitem__, reads.get, 4)
+                               depth, candidate, 4)
     assert detect(40) == (2, 1, 0)
-    with pytest.raises(HorizonExceededError) as info:
+    assert depth_log == [2, 3, 4, 10, 11, 12, 13, 14]
+    assert candidate_log == [4, 10, 14, 30]
+    depth_log.clear()
+    candidate_log.clear()
+    with pytest.raises(HorizonExceededError):
         detect(29)
-    assert info.value.trajectory == [(n, depths[n]) for n in range(2, 30)]
+    assert depth_log == [2, 3, 4, 10, 11, 12, 13]
+    assert candidate_log == [4, 10]
 
 
 def test_universal_contraction_images_do_not_depend_on_the_order_asked(
         monkeypatch):
-    # A rejected confirmation asks for image 2n + 1 after image 2n + 2, and
-    # a horizon trajectory for the skipped images; W = G2^n G1^n then
-    # starts again from the identity.  Capture the image function the
-    # readers are built from and ask for its images out of order.
-    images = []
-
-    def readers(image, p, threshold):
-        images.append(image)
-        return None, None
-
-    monkeypatch.setattr(dynamics, "_image_readers", readers)
-    monkeypatch.setattr(dynamics, "_stable_apartment_direction",
-                        lambda depth, candidate, threshold, nmax: ALL_PERMS[0])
+    # The detector asks for the images forward only, but the images are a
+    # function of n alone.  Capture the image function the readers are
+    # built from and ask for its images out of order.
+    images = _capture_the_images(monkeypatch)
     p = 5
     cert1, cert2 = schottky_pair(p, make_rng(21))
     c = harmonic_sample(standard_vertex(p), 4, make_rng(22))
@@ -711,6 +753,80 @@ def test_universal_contraction_images_do_not_depend_on_the_order_asked(
     expected = {n: forward(n) for n in steps}
     random.Random(p).shuffle(steps)
     assert {n: shuffled(n) for n in steps} == expected
+
+
+def _capture_the_images(monkeypatch):
+    """The image function each ``universal_contraction`` call builds its
+    readers from, in call order; the detector is stubbed out."""
+    images = []
+
+    def readers(image, p, threshold):
+        images.append(image)
+        return None, None
+
+    monkeypatch.setattr(dynamics, "_image_readers", readers)
+    monkeypatch.setattr(dynamics, "_stable_apartment_direction",
+                        lambda depth, candidate, threshold, nmax: ALL_PERMS[0])
+    return images
+
+
+def _contraction_pairs(p):
+    """The Schottky pair of acceptance criterion 4 at p, and the same pair
+    conjugated by an SL3(Z) element, so that neither frame is standard."""
+    pair = schottky_pair(p, make_rng(404))
+    k = random_sl3z(random.Random(p))
+    return [pair, tuple(cert.conjugate(k) for cert in pair)]
+
+
+def test_universal_contraction_images_are_the_moved_flags(monkeypatch):
+    # The closed form diag(lambda2^n) M diag(lambda1^n) u and
+    # diag(mu2^n) N^T diag(mu1^n) w against the flag moved by the group
+    # element g2^n g1^n and written in cert2's frame coordinates, up to
+    # sign, for n up to 20.
+    images = _capture_the_images(monkeypatch)
+    for p in (2, 3, 5):
+        rng = make_rng(405, p)
+        for cert1, cert2 in _contraction_pairs(p):
+            for c in [cert1.repelling] + [harmonic_sample(standard_vertex(p),
+                                                          4, rng)
+                                          for _ in range(3)]:
+                universal_contraction(cert1, cert2, c)
+                for n in range(21):
+                    moved = contraction_image_oracle(cert1, cert2, c, n)
+                    assert tuple(map(primitive_vector, images[-1](n))) == \
+                        flag_in_basis(cert2.frame_matrix, moved)
+
+
+def test_universal_contraction_readers_match_the_flag_oracle_readers(
+        monkeypatch):
+    # Every depth and candidate the detector could ask of the contraction,
+    # read off the closed-form images, against the flag oracle's, read off
+    # the adapted bases of the flags g2^n g1^n c of Q^3 at cert2's base
+    # vertex, for steps up to 30.
+    readers = _capture_the_readers(monkeypatch)
+    for p in (2, 3, 5):
+        rng = make_rng(406, p)
+        for cert1, cert2 in _contraction_pairs(p):
+            base = frame_vertex(cert2.frame, p)
+            for c in [cert1.repelling, cert2.attracting] + [
+                    harmonic_sample(standard_vertex(p), 4, rng)
+                    for _ in range(2)]:
+                image = functools.lru_cache(maxsize=None)(functools.partial(
+                    contraction_image_oracle, cert1, cert2, c))
+                for threshold in (1, 4, 60):
+                    with contextlib.suppress(HorizonExceededError):
+                        universal_contraction(cert1, cert2, c,
+                                              threshold=threshold)
+                    depth, candidate = readers[-1]
+                    want_depth, want_candidate = flag_route_readers(
+                        cert2, image, threshold, base)
+                    for n in range(2, 31):
+                        assert depth(n) == want_depth(n), (p, threshold, n)
+                    for n in range(1, 31):
+                        got = candidate(n)
+                        if got is not None:
+                            got = (cert2.frame_chambers[got[0]], got[1])
+                        assert got == want_candidate(n), (p, threshold, n)
 
 
 def _grid_certificates(p, lam):
@@ -758,7 +874,7 @@ def test_valuation_readers_match_the_image_readers():
 
 
 def test_north_south_limit_matches_the_image_oracle_at_every_horizon():
-    # The limit or the horizon trajectory at every horizon from 0 to 80,
+    # The limit or the horizon at every horizon from 0 to 80,
     # against the image route: p in {2, 3, 5, 7}, five translations, five
     # certificates each, thresholds from 0 to 60 and one flag per
     # certificate, 56,700 outcomes.
@@ -774,8 +890,8 @@ def test_north_south_limit_matches_the_image_oracle_at_every_horizon():
                     want = north_south_outcomes_image_oracle(cert, c, threshold,
                                                              horizons)
                     for nmax in horizons:
-                        got = _limit_or_trajectory(north_south_limit, cert, c,
-                                                   nmax, threshold)
+                        got = _limit_or_horizon(north_south_limit, cert, c,
+                                                nmax, threshold)
                         assert got == want[nmax], (p, lam, ci, threshold, nmax)
                         outcomes[got[0]] += 1
     assert sum(outcomes.values()) == 56_700

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from sl3building.boundary import is_opposite
-from sl3building.padic_linalg import mat_mul, mat_vec
+from sl3building.padic_linalg import det3, mat_mul, mat_vec
 from sl3building.parabolics import (
     family_flag,
     family_plane_normal,
     generic_family_scan,
     lower_flag,
     pairwise_position_report,
+    stabilizes_flag,
     torus_family_member,
     upper_flag,
 )
@@ -83,12 +84,15 @@ def test_torus_family_homomorphism_on_samples():
 
 
 def test_torus_family_double_stabilization_on_samples():
-    # the constructor itself asserts both stabilizations; exercise 50 samples
+    # each member has determinant 1 and stabilizes both defining flags
     rng = random.Random(5)
     for _ in range(50):
         a = Fraction(rng.randint(1, 60), rng.randint(1, 20))
         e = Fraction(rng.randint(1, 60), rng.randint(1, 20))
         m = torus_family_member(a, e)
+        assert det3(m) == 1
+        assert stabilizes_flag(m, upper_flag())
+        assert stabilizes_flag(m, family_flag(1))
         assert mat_vec(m, (1, 1, 1))[0] == mat_vec(m, (1, 1, 1))[1]  # fixes <v>
 
 

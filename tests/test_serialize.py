@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sl3building.building import Frame, LatticeVertex, standard_vertex
 from sl3building.boundary import Flag
-from sl3building.dynamics import certify_srh, make_srh, random_sl3z
+from sl3building.dynamics import GroupElement, certify_srh, make_srh, random_sl3z
 from sl3building.padic_linalg import SingularMatrixError, det3
 from sl3building.serialize import (
     ParseError,
@@ -135,6 +135,29 @@ def test_certificate_lines_must_be_independent_integer_vectors():
     obj["lines"][1] = ["-1", "0", "0"]
     with pytest.raises(SingularMatrixError):
         from_obj(obj)
+
+
+def test_certificate_records_are_certified_on_load():
+    # A record whose element does not act on its lines as the certificate
+    # says is refused: a diagonal element whose valuations are read off a
+    # non-eigenline, a unipotent element, a lam the element does not
+    # translate by, and a p that is not prime.  Certificates made by
+    # make_srh, conjugate and certify_srh load as they are.
+    obj = to_obj(make_srh(STD_LINES, (2, 1, 0), 5))
+    for element in (((25, 1, 0), (0, 1, 0), (0, 0, Fraction(1, 25))),
+                    ((1, 1, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(ParseError):
+            from_obj(dict(obj, element=to_obj(GroupElement.from_matrix(element))))
+    for bad in (dict(obj, lam=[4, 2, 0]), dict(obj, p=4), dict(obj, p="5"),
+                dict(obj, element=to_obj(Flag.standard()))):
+        with pytest.raises(ParseError):
+            from_obj(bad)
+    rng = random.Random(8)
+    for p, lam in ((5, (2, 1, 0)), (7, (2001, 3, 0)), (2, (4, 2, 0))):
+        made = make_srh(STD_LINES, lam, p)
+        for cert in (made, made.conjugate(random_sl3z(rng)),
+                     certify_srh(made.element, p)):
+            assert from_obj(to_obj(cert)) == cert
 
 
 def test_records_of_the_wrong_shape_raise_parse_errors():

@@ -172,9 +172,11 @@ def apartment_from_opposite(c, d):
 
 def frame_chamber(frame, order):
     """The ideal chamber <v_i> < <v_i, v_j> of the frame apartment, where
-    order = (i, j, k) orders the frame lines v."""
-    v, (i, j, _) = frame.lines, order
-    return Flag.spanned(v[i], v[j])
+    order = (i, j, k) orders the frame lines v: Flag.spanned(v_i, v_j), as
+    ``Frame.from_lines`` stores each line as its ``primitive_vector`` and
+    ``plane_normals[k]`` is ``primitive_vector(v_i x v_j)``, its sign fixed."""
+    i, _, k = order
+    return Flag(frame.lines[i], frame.plane_normals[k])
 
 
 def apartment_chambers(frame):
@@ -204,11 +206,8 @@ def is_opposite_to_apartment(c, frame):
     c and the line of c is off <v_i, v_j>.  Each frame line and each plane
     of two of them is in some chamber, so the test runs over those.
     """
-    u, v, w = frame.lines
-    line = c.line
     return (all(dot(x, c.plane_normal) != 0 for x in frame.lines)
-            and det3((line, u, v)) != 0 and det3((line, u, w)) != 0
-            and det3((line, v, w)) != 0)
+            and all(dot(c.line, n) != 0 for n in frame.plane_normals))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ distance is a1^2 - a1*a2 + a2^2, the Eisenstein norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .padic_linalg import (
     SingularMatrixError,
     adjugate3,
+    cross,
     det3,
     dot,
     flag_adapted_basis,
@@ -156,6 +158,12 @@ class Frame:
 
     def matrix(self, order=(0, 1, 2)):
         return from_columns(tuple(self.lines[i] for i in order))
+
+    @cached_property
+    def plane_normals(self):
+        """Normal k is the canonical normal of the other two lines' plane."""
+        u, v, w = self.lines
+        return tuple(primitive_vector(cross(a, b)) for a, b in ((v, w), (w, u), (u, v)))
 
     def apply(self, g):
         return Frame.from_lines(tuple(mat_vec(g, v) for v in self.lines))

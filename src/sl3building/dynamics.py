@@ -7,12 +7,12 @@ one.  An element is an integer matrix num over a denominator den; it is
 certified when the characteristic polynomial of num has three integer roots
 den*lambda of pairwise distinct p-adic valuations, found by Newton-polygon
 slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
-North-south limits run in frame coordinates, entered by ``flag_in_basis``:
-there g is diagonal, so every depth between two images g^n c and every
-depth to an apartment chamber is read off twelve valuations fixed per call,
-in closed form, and no image is formed.  The universal contraction forms
-image n in closed form too, each g_i diagonal in its own frame, and runs
-the same detector on ``boundary.adapted_depth`` of the images.
+North-south limits run in frame coordinates, entered by the certificate's
+``frame_maps``: there g is diagonal, so every depth between two images g^n c
+and every depth to an apartment chamber is read off twelve valuations fixed
+per call, in closed form, and no image is formed.  The universal contraction
+forms image n in closed form too, each g_i diagonal in its own frame, and
+runs the same detector on ``boundary.adapted_depth`` of the images.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -49,7 +49,6 @@ from .building import (
     Frame,
     dist2,
     dominant,
-    flag_in_basis,
     germ_face,
     is_colinear_growth,
     is_regular,
@@ -193,6 +192,11 @@ class SrhCertificate:
     def frame_matrix(self):
         """The matrix F whose columns are the frame lines, in frame order."""
         return self.frame.matrix()
+
+    @cached_property
+    def frame_maps(self):
+        """(adj(F), F^T), which move a line and a normal into frame coordinates."""
+        return adjugate3(self.frame_matrix), transpose(self.frame_matrix)
 
     @cached_property
     def eigenvalues(self):
@@ -552,6 +556,13 @@ def _valuation_readers(cert, line, normal, threshold):
     ``_chamber_of_valuations`` of the reduced valuations of image n's line
     and f2, the second read off N as ``_f2_pair`` places it.
 
+    line and normal may carry any nonzero scalars: each read is a difference
+    of valuations within one vector (x_i - m_n, y_i - M_n, the ties
+    ``_f2_pair`` tests, the offset of a zero entry below) or
+    v(S) - M_n - m_(n-1), and scaling the line by lambda and the normal by mu
+    shifts every beta, every gamma and v(S) by v(lambda), v(mu) and
+    v(lambda) + v(mu); a zero entry stays zero and no read sees a sign.
+
     A zero entry of the line is read as an entry of slope max alpha + 1
     and offset 2 rmax plus the greatest beta of the nonzero entries, and a
     zero entry of the normal likewise with nu and gamma.  Its reduced
@@ -583,16 +594,17 @@ def _valuation_readers(cert, line, normal, threshold):
     (c0, d0), (c1, d1), (c2, d2) = terms(nu, normal)
 
     def image(n):
-        """x(n), m_n, y(n) and M_n."""
-        x = (n * a0 + b0, n * a1 + b1, n * a2 + b2)
-        y = (n * c0 + d0, n * c1 + d1, n * c2 + d2)
-        return x, min(x), y, min(y)
+        """x(n), m_n, y(n), M_n and the ``_f2_pair`` of image n."""
+        x0, x1, x2 = x = (n * a0 + b0, n * a1 + b1, n * a2 + b2)
+        y0, y1, y2 = y = (n * c0 + d0, n * c1 + d1, n * c2 + d2)
+        m = x0 if x0 <= x1 and x0 <= x2 else x1 if x1 <= x2 else x2
+        big_m = y0 if y0 <= y1 and y0 <= y2 else y1 if y1 <= y2 else y2
+        return x, m, y, big_m, _f2_pair(x, m, y, big_m)
 
     def depth(n):
-        x1, m1, y1, big_m1 = image(n - 1)
-        x, m, y, big_m = image(n)
+        x1, m1, y1, big_m1, (u, w) = image(n - 1)
+        x, m, y, big_m, _ = image(n)
         ia, ib = _OTHERS[y.index(big_m)]
-        u, w = _f2_pair(x1, m1, y1, big_m1)
         d = min(rmax, min(x[ia] + x1[ib], x[ib] + x1[ia]) - m - m1,
                 min(y[u] + y1[w], y[w] + y1[u]) - big_m - big_m1)
         if vs is not None:
@@ -600,8 +612,7 @@ def _valuation_readers(cert, line, normal, threshold):
         return d
 
     def candidate(n):
-        x, m, y, big_m = image(n)
-        u, w = _f2_pair(x, m, y, big_m)
+        x, m, y, big_m, (u, w) = image(n)
         v = [x[0] - m, x[1] - m, x[2] - m, 2 * rmax, 2 * rmax, 2 * rmax]
         v[3 + u], v[3 + w] = y[w] - big_m, y[u] - big_m
         return _chamber_of_valuations(v, threshold)
@@ -646,9 +657,12 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     does not depend on the basis of the lattice it is read in
     (``adapted_depth``).  The apartment chambers are the coordinate flags
     there, so c is one of them exactly when its line and its normal each
-    have two zero coordinates.
+    have two zero coordinates.  c enters by ``frame_maps``: that is
+    ``flag_in_basis(F, c)`` up to a scalar on each vector, which changes no
+    zero entry and no read (``_valuation_readers``).
     """
-    line, normal = flag_in_basis(cert.frame_matrix, c)
+    adj_f, f_t = cert.frame_maps
+    line, normal = mat_vec(adj_f, c.line), mat_vec(f_t, c.plane_normal)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
     order = _stable_apartment_direction(
@@ -717,15 +731,16 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     M = adj(F2) F1 and N = adj(F1) F2, so M N = det(F1) det(F2) I.  Then
     adj(F2) g2^n g1^n l is diag(lambda2^n) M diag(lambda1^n) u and
     F2^T adj(g2^n g1^n)^T r is diag(mu2^n) N^T diag(mu1^n) w, up to
-    scalars, where (u, w) = ``flag_in_basis(F1, c)``: image n is the
-    primitive pair of these two vectors, a function of n alone.
+    scalars, where (u, w) is c moved by cert1's ``frame_maps``: image n is
+    the primitive pair of these two vectors, a function of n alone, so u and
+    w need not be primitive.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
-    f1, f2 = cert1.frame_matrix, cert2.frame_matrix
-    m = mat_mul(adjugate3(f2), f1)
-    nt = transpose(mat_mul(adjugate3(f1), f2))
-    u, w = flag_in_basis(f1, c)
+    (adj1, f1t), (adj2, _) = cert1.frame_maps, cert2.frame_maps
+    m = mat_mul(adj2, cert1.frame_matrix)
+    nt = transpose(mat_mul(adj1, cert2.frame_matrix))
+    u, w = mat_vec(adj1, c.line), mat_vec(f1t, c.plane_normal)
     lam1, lam2 = cert1.eigenvalues, cert2.eigenvalues
     mu1, mu2 = ((b * k, a * k, a * b) for a, b, k in (lam1, lam2))
 

@@ -37,10 +37,10 @@ The workhorses are
   the conditioned harmonic sampler and the walk's direction estimate.
 * ``mul_strip`` and ``in_basis``: the one content-stripped product, and
   the one change of basis of a group element, adj(m) g m stripped; only
-  the walk uses them.  Flags change basis by
-  ``building.flag_in_basis``, and their depth is ``boundary.adapted_depth``;
-  along a north-south iteration the depths are read off valuations in
-  closed form (``dynamics._valuation_readers``).
+  the walk uses them.  Flags change basis by ``building.flag_in_basis`` (a
+  certificate's ``frame_maps`` along a north-south iteration, whose depths
+  are read off valuations by ``dynamics._valuation_readers``), and their
+  depth is ``boundary.adapted_depth``.
 
 The elimination form of ``smith_exponents``, the column elimination of
 ``lattice_canonical`` (``lattice_canonical_oracle``), the Fraction
@@ -168,7 +168,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z
 
 
 def det3(m):
@@ -194,7 +196,7 @@ def cross(u, v):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def columns(m):

@@ -170,16 +170,22 @@ def from_obj(obj):
                 raise ParseError("expected a prime p and a group element", kind)
             cert = SrhCertificate(
                 p, element, _obj_to_vecs3(obj["lines"], _obj_to_int_vec, "lines"),
-                tuple(obj["lam"]))
+                _obj_to_int_vec(obj["lam"], "srh_certificate.lam"))
             # the record's lines and lam must be those certify_srh finds
             if certify_srh(element, p) != cert:
                 raise ParseError("not the certificate of its element", kind)
             return cert
         if kind == "walk_config":
-            return WalkConfig(
-                obj["p"], tuple(from_obj(g) for g in obj["generators"]),
-                tuple(str_to_frac(w, "weights") for w in obj["weights"]),
-                obj["steps"], obj["seed"], from_obj(obj["base_vertex"]))
+            for k in ("generators", "weights"):
+                if type(obj[k]) is not list:
+                    raise ParseError(f"{k} must be a list", kind)
+            try:
+                return WalkConfig(
+                    obj["p"], tuple(from_obj(g) for g in obj["generators"]),
+                    tuple(str_to_frac(w, "weights") for w in obj["weights"]),
+                    obj["steps"], obj["seed"], from_obj(obj["base_vertex"]))
+            except ValueError as exc:  # WalkConfig's messages name the field
+                raise ParseError(str(exc), kind) from exc
         if kind == "walk_step":
             germ = from_obj(obj["germ"]) if obj.get("germ") else None
             theta = obj["theta"]

@@ -95,7 +95,7 @@ class ApartmentIdealSimplices:
 def apartment_ideal_simplices(frame):
     chambers = frozenset(apartment_chambers(frame))
     return ApartmentIdealSimplices(frozenset(frame.lines),
-                                   frozenset(c.plane_normal for c in chambers),
+                                   frozenset(frame.plane_normals),
                                    chambers)
 
 

@@ -21,7 +21,10 @@ from sl3building.boundary import Flag, boundary_retraction
 from sl3building.dynamics import make_srh, north_south_limit, random_sl3z
 from sl3building.padic_linalg import cross, identity
 
-from oracles import north_south_limit_image_oracle
+from oracles import (
+    boundary_retraction_search_oracle,
+    north_south_limit_image_oracle,
+)
 
 
 def harmonic_range(p, depth):
@@ -47,15 +50,19 @@ def criterion_3_certificates(p):
 def north_south_mismatches(p, depth):
     """The (certificate index, flag) pairs of the range where
     ``north_south_limit`` differs from ``boundary_retraction`` centred at
-    the repelling chamber, or, for the standard certificate, from
-    ``north_south_limit_image_oracle``; and the number of flags checked."""
+    the repelling chamber, that retraction from
+    ``boundary_retraction_search_oracle``, or, for the standard
+    certificate, the limit from ``north_south_limit_image_oracle``; and the
+    number of flags checked."""
     flags = sorted(harmonic_range(p, depth),
                    key=lambda f: (f.line, f.plane_normal))
     bad = []
     for ci, cert in enumerate(criterion_3_certificates(p)):
         for c in flags:
             limit = north_south_limit(cert, c)
-            if limit != boundary_retraction(cert.frame, cert.repelling, c, p) \
+            retraction = boundary_retraction(cert.frame, cert.repelling, c, p)
+            if limit != retraction or retraction != \
+                    boundary_retraction_search_oracle(cert.frame, cert.repelling, c) \
                     or ci == 0 and limit != north_south_limit_image_oracle(cert, c):
                 bad.append((ci, c))
     return bad, len(flags)

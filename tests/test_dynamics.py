@@ -6,7 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product
 
 import pytest
 from hypothesis import given, settings
@@ -849,11 +849,18 @@ def test_valuation_readers_match_the_image_readers():
     # certificates per (p, lam), two flags each, one drawn at depth 1 so
     # that zero entries occur, and steps up to 40; up to 10 for the
     # translation (2001, 3, 0), whose images have tens of thousands of
-    # digits and whose depths all reach the cap.
+    # digits and whose depths all reach the cap.  The readers are also fed
+    # the line and normal scaled to (s p^a line, t p^b normal), s and t
+    # units and a, b in {0, 1, 3}, nine of the 81 scalings per threshold in
+    # turn, and must read the same at every step up to 40: the scale
+    # invariance north_south_limit relies on when it passes the images of
+    # c under frame_maps unreduced.
     zero_entries = set()
     for p in (2, 3, 5, 7):
         rng = make_rng(91, p)
         x = standard_vertex(p)
+        units = (1, -1, 7 if p != 7 else 11)
+        scalings = cycle(product(units, (0, 1, 3), units, (0, 1, 3)))
         for lam in ((2, 1, 0), (4, 2, 0), (5, 1, 0), (20, 1, 0), (2001, 3, 0)):
             steps = 10 if lam[0] > 100 else 40
             for cert in _grid_certificates(p, lam):
@@ -870,6 +877,15 @@ def test_valuation_readers_match_the_image_readers():
                             assert got[0](n) == want[0](n), (p, lam, n)
                         for n in range(1, steps + 1):
                             assert got[1](n) == want[1](n), (p, lam, n)
+                        for _ in range(9):
+                            s, a, t, b = scale = next(scalings)
+                            moved = dynamics._valuation_readers(
+                                cert, tuple(s * p ** a * e for e in line),
+                                tuple(t * p ** b * e for e in normal), threshold)
+                            for n in range(2, 41):
+                                assert moved[0](n) == got[0](n), (p, lam, scale, n)
+                            for n in range(1, 41):
+                                assert moved[1](n) == got[1](n), (p, lam, scale, n)
     assert {(0, 0), (1, 0), (0, 1), (1, 1)} <= zero_entries
 
 

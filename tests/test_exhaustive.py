@@ -23,6 +23,7 @@ def test_every_harmonic_draw_lies_in_the_listed_range(p, depth, size):
 @pytest.mark.parametrize("p, depth, size", RANGES)
 def test_north_south_limits_on_the_whole_range(p, depth, size):
     # The limit read off valuations against the boundary retraction for the
-    # standard certificate and the criterion-3 conjugates, and against the
-    # image route for the standard certificate.
+    # standard certificate and the criterion-3 conjugates, that retraction
+    # against the search over the six apartment chambers, and the limit
+    # against the image route for the standard certificate.
     assert north_south_mismatches(p, depth) == ([], size)

@@ -181,6 +181,26 @@ def test_records_of_the_wrong_shape_raise_parse_errors():
             from_obj(obj)
 
 
+def test_fields_of_the_wrong_type_raise_parse_errors_naming_the_field():
+    # A certificate lam and the walk_config generators, weights and steps
+    # of the wrong type are refused as ParseError, not as the TypeError or
+    # ValueError of the constructor they would reach; valid records still
+    # round-trip.
+    p = 5
+    made = make_srh(STD_LINES, (2, 1, 0), p)
+    cfg = WalkConfig(p, (made.element,), (Fraction(1),), 2, 11,
+                     standard_vertex(p))
+    cert_obj, cfg_obj = to_obj(made), to_obj(cfg)
+    for obj, field in ((dict(cert_obj, lam=5), "lam"),
+                       (dict(cfg_obj, generators=5), "generators"),
+                       (dict(cfg_obj, weights=5), "weights"),
+                       (dict(cfg_obj, steps="x"), "steps")):
+        with pytest.raises(ParseError, match=field):
+            from_obj(obj)
+    assert from_obj(cert_obj) == made
+    assert from_obj(cfg_obj) == cfg
+
+
 def test_walk_trace_round_trip():
     p = 3
     cert = make_srh(STD_LINES, (2, 1, 0), p)

@@ -92,6 +92,8 @@ from .serialize import (
     ParseError,
     frac_to_str,
     from_obj,
+    int_vector,
+    list_of,
     obj_to_matrix,
     str_to_frac,
     to_obj,
@@ -141,25 +143,17 @@ def load_config(name, path):
     return defaults
 
 
-def _is_int(x):
-    """An integer config value; YAML booleans are ints in Python, not here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _validate(name, cfg):
     if name == "measure":
         if not (isinstance(cfg["p_values"], list) and cfg["p_values"]):
             raise ConfigError("p_values must be a nonempty list of primes")
-        if not (isinstance(cfg["lams"], list) and all(
-                isinstance(lam, list) and len(lam) == 3
-                and all(_is_int(a) for a in lam) for lam in cfg["lams"])):
-            raise ConfigError("lams must be a list of lists of three integers")
+        lams = _parse(list_of(int_vector), cfg["lams"], "lams")
         # the sampler works modulo p^(a1 + a2 + 1) and N grows like p^(2 a1)
-        if any(max(lam) - min(lam) > 1000 for lam in cfg["lams"]):
+        if any(max(lam) - min(lam) > 1000 for lam in lams):
             raise ConfigError("each entry of lams must span at most 1000")
     primes = ([cfg["p"]] if "p" in cfg else []) + list(cfg.get("p_values", []))
     for p in primes:
-        if not (_is_int(p) and p < 2 ** 31 and is_prime(p)):
+        if not (type(p) is int and p < 2 ** 31 and is_prime(p)):
             raise ConfigError("p and p_values entries must be primes below 2^31, "
                               f"got {p!r}")
     # the strip fit needs two radii; the equicont probes sit at vector
@@ -167,14 +161,12 @@ def _validate(name, cfg):
     lows = {"trials": 1, "r_max": 2, "depth": 3 if name == "equicont" else 1}
     for key, default in _SCHEMAS[name].items():
         low = lows.get(key, 0)
-        if key != "p" and _is_int(default) and not (_is_int(cfg[key])
-                                                    and cfg[key] >= low):
+        # type(v) is int refuses YAML booleans, which are ints in Python
+        if key != "p" and type(default) is int and not (
+                type(cfg[key]) is int and cfg[key] >= low):
             raise ConfigError(f"{key} must be an integer >= {low}")
-    if name == "appendix" and not (isinstance(cfg["t_values"], list) and all(
-            _is_int(t) or isinstance(t, str) for t in cfg["t_values"])):
-        raise ConfigError("t_values must be a list of integers and rational strings")
-    for t in cfg.get("t_values", ()):
-        _parse(str_to_frac, t, "t_values")
+    if name == "appendix":
+        _parse(list_of(str_to_frac), cfg["t_values"], "t_values")
     if name in ("barycenter", "walk") and cfg["p"] == 2 and \
             cfg["depth"] == 1 and cfg.get("generators") is None:
         # At depth 1 a harmonic draw at the standard vertex is the flag of a
@@ -187,41 +179,24 @@ def _validate(name, cfg):
         raise ConfigError(f"{name} needs depth >= 2 at p = 2: no depth-1 "
                           "draw completes a generic triple")
     if name == "dynamics":
-        lam = cfg["lam"]
-        if not (isinstance(lam, list) and len(lam) == 3
-                and all(_is_int(a) for a in lam)):
-            raise ConfigError("lam must be a list of three integers")
+        lam = _parse(int_vector, cfg["lam"], "lam")
         if not is_regular(lam) or lam[2] != 0 or (lam[0] + lam[1]) % 3 != 0:
             raise ConfigError("lam must be regular with lam[2] = 0 and "
-                              f"lam[0] + lam[1] divisible by 3, got {lam}")
+                              f"lam[0] + lam[1] divisible by 3, got {cfg['lam']}")
         # a horizon costs O(nmax) steps, and the element's entries grow
         # like p^lam[0]; as for measure's lams, keep a run to seconds
         if cfg["nmax"] > 10_000 or lam[0] > 100_000:
             raise ConfigError("nmax must be at most 10000 and lam[0] at "
                               "most 100000")
     if name == "walk":
-        gens, weights = cfg.get("generators"), cfg.get("weights")
-        if (gens is None) != (weights is None):
+        if (cfg["generators"] is None) != (cfg["weights"] is None):
             raise ConfigError("generators and weights must be given together")
-        if gens is not None and not (isinstance(gens, list)
-                                     and isinstance(weights, list)):
-            raise ConfigError("generators and weights must be lists")
-        if gens is not None and len(gens) == 0:
-            raise ConfigError("generator list must be nonempty")
-        if gens is not None and len(gens) != len(weights):
-            raise ConfigError("one weight per generator")
-        for i, g in enumerate(gens or ()):
-            if not (isinstance(g, list) and len(g) == 3 and
-                    all(isinstance(row, list) and len(row) == 3 for row in g)):
-                raise ConfigError(f"generators[{i}] must be a 3x3 matrix")
-            if det3(_parse(obj_to_matrix, g, f"generators[{i}]")) != 1:
-                raise ConfigError(f"generators[{i}] must have determinant 1")
-        if weights is not None:
-            ws = [_parse(str_to_frac, w, "weights") for w in weights]
-            if any(w <= 0 for w in ws):
-                raise ConfigError("weights must be positive")
-            if sum(ws) != 1:
-                raise ConfigError("weights must sum to 1")
+        if cfg["generators"] is not None:
+            try:  # GroupElement refuses det != 1, and WalkConfig the weights
+                WalkConfig(cfg["p"], *_walk_generators(cfg, None), 0, 0,
+                           standard_vertex(cfg["p"]))
+            except ValueError as exc:  # ParseError is a ValueError
+                raise ConfigError(str(exc)) from exc
 
 
 def _parse(parser, obj, where):
@@ -311,10 +286,9 @@ def run_barycenter(cfg, seed):
 
 def _walk_generators(cfg, seed):
     if cfg["generators"] is not None:
-        gens = tuple(GroupElement.from_matrix(obj_to_matrix(g, "generators"))
-                     for g in cfg["generators"])
-        weights = tuple(str_to_frac(w, "weights") for w in cfg["weights"])
-        return gens, weights
+        gens = list_of(obj_to_matrix)(cfg["generators"], "generators")
+        return (tuple(GroupElement.from_matrix(m) for m in gens),
+                list_of(str_to_frac)(cfg["weights"], "weights"))
     cert1, cert2 = schottky_pair(cfg["p"], make_rng(seed, 0xC0), cfg["depth"])
     gens = (cert1.element, cert1.element.inverse(),
             cert2.element, cert2.element.inverse())

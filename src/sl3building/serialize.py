@@ -10,18 +10,29 @@ Every rational in a record is written by one integer formatter,
 numerator, as ``str(Fraction(n, d))`` would.  Values held in integers are
 written from them with no ``Fraction`` built: a group element from num and
 den, a flag from ``boundary.flag_echelon`` of its line and normal.
+
+Records are read through one table, ``_FIELDS``: each kind's constructor and
+its fields in argument order, each with a parser that returns the value or
+raises ParseError at ``where``, the field's path in the record.  An int is
+never a bool, and a rational (``str_to_frac``) is an int or a "num/den"
+string, never a float.  Lists read into tuples, and a nested record must be
+of its field's kind.  A constructor's ValueError becomes a ParseError naming
+the kind; a SingularMatrixError of dependent lines passes as it is.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from .building import Frame, LatticeVertex, ResidueChamber
 from .boundary import Flag, flag_echelon
-from .padic_linalg import is_prime
+from .padic_linalg import MR_EXACT_BOUND, SingularMatrixError, is_prime
 from .dynamics import GroupElement, SrhCertificate, certify_srh
 from .stochastics import WalkConfig, WalkStep, WalkTrace
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -49,11 +60,13 @@ def frac_to_str(x):
 
 
 def str_to_frac(s, where=None):
-    if isinstance(s, bool):
-        raise ParseError(f"bad rational {s!r}: a boolean", where)
+    """The rational of an int (never a bool) or a "num/den" string."""
+    if type(s) is not int and not (type(s) is str and _RATIONAL.fullmatch(s)):
+        raise ParseError(f"bad rational {s!r}: expected an integer or a "
+                         '"num/den" string', where)
     try:
         return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}", where) from exc
 
 
@@ -61,41 +74,8 @@ def matrix_to_obj(m):
     return [[frac_to_str(e) for e in row] for row in m]
 
 
-def obj_to_matrix(obj, where="matrix"):
-    if not (isinstance(obj, list) and len(obj) == 3
-            and all(isinstance(row, list) and len(row) == 3 for row in obj)):
-        raise ParseError("matrix must be a list of three rows of three entries",
-                         where)
-    rows = []
-    for i, row in enumerate(obj):
-        rows.append(tuple(str_to_frac(e, f"{where}[{i}][{j}]")
-                          for j, e in enumerate(row)))
-    return tuple(rows)
-
-
 def _vec_to_obj(v):
     return [frac_to_str(e) for e in v]
-
-
-def _obj_to_vec(obj, where):
-    """A vector of three rationals, or ParseError."""
-    if type(obj) is not list or len(obj) != 3:
-        raise ParseError(f"bad vector {obj!r}: expected three entries", where)
-    return tuple(str_to_frac(e, where) for e in obj)
-
-
-def _obj_to_int_vec(obj, where):
-    vec = _obj_to_vec(obj, where)
-    if any(e.denominator != 1 for e in vec):
-        raise ParseError(f"bad integer vector {obj!r}", where)
-    return tuple(e.numerator for e in vec)
-
-
-def _obj_to_vecs3(obj, parse, where):
-    """Three vectors, each read by parse, or ParseError."""
-    if type(obj) is not list or len(obj) != 3:
-        raise ParseError("expected a list of three vectors", where)
-    return tuple(parse(v, where) for v in obj)
 
 
 def to_obj(value):
@@ -144,63 +124,108 @@ def to_obj(value):
     raise TypeError(f"no serialization for {type(value).__name__}")
 
 
+def _int(obj, where):
+    if type(obj) is not int:
+        raise ParseError(f"expected an integer, got {obj!r}", where)
+    return obj
+
+
+def _prime(obj, where):
+    if _int(obj, where) >= MR_EXACT_BOUND or not is_prime(obj):
+        raise ParseError(f"expected a prime, got {obj!r}", where)
+    return obj
+
+
+def _integer(obj, where):
+    """An integer written as a rational."""
+    x = str_to_frac(obj, where)
+    if x.denominator != 1:
+        raise ParseError(f"expected an integer, got {obj!r}", where)
+    return x.numerator
+
+
+def list_of(parse, n=None):
+    """The parser of a list (of n entries, when n is given) into a tuple."""
+    def parse_list(obj, where):
+        if type(obj) is not list or n is not None and len(obj) != n:
+            raise ParseError(f"expected a list of {n} entries" if n else
+                             "expected a list", where)
+        return tuple(parse(e, f"{where}[{i}]") for i, e in enumerate(obj))
+    return parse_list
+
+
+def _optional(parse):
+    return lambda obj, where: None if obj is None else parse(obj, where)
+
+
+def _record(kind):
+    """The parser of a nested record of the given kind."""
+    def parse_record(obj, where):
+        if type(obj) is not dict or obj.get("kind") != kind:
+            raise ParseError(f"expected a {kind} record", where)
+        return _decode(obj, kind, where)
+    return parse_record
+
+
+obj_to_matrix = list_of(list_of(str_to_frac, 3), 3)
+int_vector = list_of(_int, 3)
+
+
+def _certificate(p, element, lines, lam, attracting, repelling):
+    """The certificate of a record, which certify_srh must reproduce."""
+    cert = SrhCertificate(p, element, lines, lam)
+    if certify_srh(element, p) != cert or \
+            (attracting, repelling) != (cert.attracting, cert.repelling):
+        raise ValueError("not the certificate of its element")
+    return cert
+
+
+# kind -> (constructor, {field: parser}), the fields in argument order
+_FIELDS = {
+    "vertex": (LatticeVertex.from_matrix, {"p": _prime, "matrix": obj_to_matrix}),
+    "flag": (Flag.from_matrix, {"matrix": obj_to_matrix}),
+    "frame": (Frame.from_lines, {"lines": obj_to_matrix}),
+    "residue_chamber": (ResidueChamber.from_parts, {
+        "p": _prime, "line": int_vector, "plane_normal": int_vector}),
+    "group_element": (GroupElement.from_matrix, {
+        "matrix": obj_to_matrix, "word": _optional(list_of(_int))}),
+    "srh_certificate": (_certificate, {
+        "p": _prime, "element": _record("group_element"),
+        "lines": list_of(list_of(_integer, 3), 3), "lam": int_vector,
+        "attracting": _record("flag"), "repelling": _record("flag")}),
+    "walk_config": (WalkConfig, {
+        "p": _prime, "generators": list_of(_record("group_element")),
+        "weights": list_of(str_to_frac), "steps": _int, "seed": _int,
+        "base_vertex": _record("vertex")}),
+    "walk_step": (WalkStep, {
+        "n": _int, "letter": _int, "theta": int_vector,
+        "germ": _optional(_record("residue_chamber")), "germ_run": _int}),
+    "walk_trace": (WalkTrace, {
+        "config": _record("walk_config"), "steps": list_of(_record("walk_step")),
+        "final_position": _record("vertex")}),
+    "weyl_vector": (tuple, {"entries": int_vector}),
+}
+
+
+def _decode(obj, kind, where):
+    """The value of a mapping of a known kind at path where (None at the top)."""
+    make, fields = _FIELDS[kind]
+    args = []
+    for key, parse in fields.items():
+        if key not in obj:
+            raise ParseError(f"missing field {key!r} in {kind}", where)
+        args.append(parse(obj[key], f"{where}.{key}" if where else key))
+    try:
+        return make(*args)
+    except SingularMatrixError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"bad {kind} record: {exc}", where) from exc
+
+
 def from_obj(obj):
     """Inverse of to_obj; canonical forms are re-derived on load."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError("expected a kind-tagged mapping")
-    kind = obj["kind"]
-    try:
-        if kind == "vertex":
-            return LatticeVertex.from_matrix(obj["p"], obj_to_matrix(obj["matrix"]))
-        if kind == "flag":
-            return Flag.from_matrix(obj_to_matrix(obj["matrix"]))
-        if kind == "frame":
-            return Frame.from_lines(
-                _obj_to_vecs3(obj["lines"], _obj_to_vec, "frame.lines"))
-        if kind == "residue_chamber":
-            return ResidueChamber.from_parts(obj["p"], tuple(obj["line"]),
-                                             tuple(obj["plane_normal"]))
-        if kind == "group_element":
-            word = tuple(obj["word"]) if obj.get("word") is not None else None
-            return GroupElement.from_matrix(obj_to_matrix(obj["matrix"]), word=word)
-        if kind == "srh_certificate":
-            p, element = obj["p"], from_obj(obj["element"])
-            if not (type(p) is int and is_prime(p)
-                    and isinstance(element, GroupElement)):
-                raise ParseError("expected a prime p and a group element", kind)
-            cert = SrhCertificate(
-                p, element, _obj_to_vecs3(obj["lines"], _obj_to_int_vec, "lines"),
-                _obj_to_int_vec(obj["lam"], "srh_certificate.lam"))
-            # the record's lines and lam must be those certify_srh finds
-            if certify_srh(element, p) != cert:
-                raise ParseError("not the certificate of its element", kind)
-            return cert
-        if kind == "walk_config":
-            for k in ("generators", "weights"):
-                if type(obj[k]) is not list:
-                    raise ParseError(f"{k} must be a list", kind)
-            try:
-                return WalkConfig(
-                    obj["p"], tuple(from_obj(g) for g in obj["generators"]),
-                    tuple(str_to_frac(w, "weights") for w in obj["weights"]),
-                    obj["steps"], obj["seed"], from_obj(obj["base_vertex"]))
-            except ValueError as exc:  # WalkConfig's messages name the field
-                raise ParseError(str(exc), kind) from exc
-        if kind == "walk_step":
-            germ = from_obj(obj["germ"]) if obj.get("germ") else None
-            theta = obj["theta"]
-            if type(theta) is not list or len(theta) != 3 or \
-                    any(type(e) is not int for e in theta):
-                raise ParseError(f"bad theta {theta!r}: expected three "
-                                 "integers", "walk_step.theta")
-            return WalkStep(obj["n"], obj["letter"], tuple(theta),
-                            germ, obj["germ_run"])
-        if kind == "walk_trace":
-            return WalkTrace(from_obj(obj["config"]),
-                             tuple(from_obj(s) for s in obj["steps"]),
-                             from_obj(obj["final_position"]))
-        if kind == "weyl_vector":
-            return tuple(obj["entries"])
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc} in {kind}") from exc
-    raise ParseError(f"unknown kind {kind!r}")
+    kind = obj.get("kind") if type(obj) is dict else None
+    if type(kind) is not str or kind not in _FIELDS:
+        raise ParseError(f"expected a record of a known kind, got {kind!r}")
+    return _decode(obj, kind, None)

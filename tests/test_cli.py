@@ -111,10 +111,15 @@ def test_empty_generator_list_is_a_config_error(tmp_path):
 
 
 def test_bad_weights_are_config_errors(tmp_path):
-    cfg = {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
-           "weights": ["2/3"]}
-    rc = _run(tmp_path, "walk", config=cfg)
-    assert rc == 2
+    # A weight that does not sum to 1, and floats, which are never exact
+    # data: neither a float weight nor a float generator entry is read.
+    one = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    for cfg in ({"generators": [one], "weights": ["2/3"]},
+                {"generators": [one, one], "weights": [0.5, 0.5]},
+                {"generators": [[[2, 0, 0], [0, 0.5, 0], [0, 0, 1]]],
+                 "weights": ["1"]}):
+        rc = _run(tmp_path, "walk", config=cfg)
+        assert rc == 2
 
 
 def test_explicit_generator_config_runs(tmp_path):

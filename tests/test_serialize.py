@@ -1,5 +1,6 @@
 """Round-trip serialization of domain values."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -148,8 +149,16 @@ def test_certificate_records_are_certified_on_load():
                     ((1, 1, 0), (0, 1, 0), (0, 0, 1))):
         with pytest.raises(ParseError):
             from_obj(dict(obj, element=to_obj(GroupElement.from_matrix(element))))
+    # The attracting and repelling chambers are derived from the lines; a
+    # record must carry the certificate's own, as flag records.
+    other = to_obj(Flag.from_matrix(((1, 0, 0), (1, 1, 0), (0, 0, 1))))
     for bad in (dict(obj, lam=[4, 2, 0]), dict(obj, p=4), dict(obj, p="5"),
-                dict(obj, element=to_obj(Flag.standard()))):
+                dict(obj, element=to_obj(Flag.standard())),
+                dict(obj, attracting="x"), dict(obj, repelling=None),
+                dict(obj, attracting=obj["element"]),
+                dict(obj, attracting=other), dict(obj, repelling=other),
+                dict(obj, attracting=obj["repelling"],
+                     repelling=obj["attracting"])):
         with pytest.raises(ParseError):
             from_obj(bad)
     rng = random.Random(8)
@@ -199,6 +208,111 @@ def test_fields_of_the_wrong_type_raise_parse_errors_naming_the_field():
             from_obj(obj)
     assert from_obj(cert_obj) == made
     assert from_obj(cfg_obj) == cfg
+
+
+def test_nested_records_of_the_wrong_kind_are_refused():
+    # A vertex, group element or walk config field holding a record of
+    # another kind is refused at that field.
+    p = 3
+    made = make_srh(STD_LINES, (2, 1, 0), p)
+    cfg = WalkConfig(p, (made.element,), (Fraction(1),), 2, 11,
+                     standard_vertex(p))
+    cfg_obj, trace_obj = to_obj(cfg), to_obj(run_walk(cfg))
+    flag = to_obj(Flag.standard())
+    for obj, field in (
+            (dict(cfg_obj, base_vertex=flag), "base_vertex"),
+            (dict(cfg_obj, generators=[cfg_obj["generators"][0], flag]),
+             r"generators\[1\]"),
+            (dict(trace_obj, config=to_obj(standard_vertex(p))), "config")):
+        with pytest.raises(ParseError, match=field):
+            from_obj(obj)
+
+
+def _record_of_each_kind():
+    p = 3
+    cert = make_srh(STD_LINES, (2, 1, 0), p).conjugate(
+        GroupElement(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+    cfg = WalkConfig(p, (cert.element, cert.element.inverse()),
+                     (Fraction(1, 3), Fraction(2, 3)), 2, 11,
+                     standard_vertex(p))
+    trace = run_walk(cfg)
+    step = next(s for s in trace.steps if s.germ is not None)
+    values = [LatticeVertex.from_matrix(p, ((3, 1, 0), (0, 1, 0), (0, 0, 1))),
+              Flag.from_matrix(((1, 0, 0), (2, 1, 0), (Fraction(1, 3), 0, 1))),
+              Frame.from_lines(((1, 0, 0), (1, 1, 0), (0, 2, 1))), step.germ,
+              GroupElement.from_matrix(cert.element.matrix, word=(1, -1)),
+              cert, cfg, step, trace, (2, 1, 0)]
+    return [to_obj(v) for v in values]
+
+
+def _paths(obj, path=()):
+    """Every field and nested entry of a record, as a path of keys and indices."""
+    items = obj.items() if type(obj) is dict else enumerate(obj)
+    for key, value in items:
+        yield path + (key,)
+        if type(value) in (dict, list):
+            yield from _paths(value, path + (key,))
+
+
+def _where(path):
+    """The path as from_obj writes it: config.generators[0].matrix[1][2]."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if type(key) is int else f".{key}" if out else key
+    return out
+
+
+MUTANTS = (5, "x", None, [], {}, True, [5], ["x", "y", "z"], -1, 2.5)
+NEVER_LOADED = ("x", {}, True, 2.5)
+
+
+def test_every_mutated_field_is_refused_or_round_trips():
+    # Each field and nested entry of one record of each kind is set to each
+    # mutant.  The record is refused with a ParseError (or a
+    # SingularMatrixError, for dependent lines), or it loads a value that
+    # round-trips exactly; a string, mapping, boolean or float never loads,
+    # and neither does a p of -1, which is not a prime.
+    # A type or shape refusal is at the innermost field key that holds the
+    # mutant (for a record's kind, the key that holds the record), and a
+    # constructor refusal is at an enclosing record and names its kind.
+    counts = {"refused": 0, "loaded": 0}
+    for record in _record_of_each_kind():
+        assert from_obj(record) is not None
+        for path in _paths(record):
+            keys = [i for i, k in enumerate(path) if type(k) is str]
+            cut = keys[-1] - (path[keys[-1]] == "kind") if keys else -1
+            at = _where(path[:cut + 1]) or None
+            records = {}  # where -> kind, of each record the path is inside
+            node = record
+            for i, key in enumerate(path):
+                if type(node) is dict and "kind" in node:
+                    records[_where(path[:i]) or None] = node["kind"]
+                node = node[key]
+            for mutant in MUTANTS:
+                obj = copy.deepcopy(record)
+                parent = obj
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = copy.deepcopy(mutant)
+                try:
+                    value = from_obj(obj)
+                except SingularMatrixError:
+                    continue
+                except ParseError as exc:
+                    counts["refused"] += 1
+                    where = exc.where
+                    shape = where == at or at is not None and where is not None \
+                        and where.startswith((at + "[", at + "."))
+                    made = where in records and \
+                        f"bad {records[where]} record" in str(exc)
+                    assert shape or made, (path, mutant, str(exc))
+                    continue
+                counts["loaded"] += 1
+                assert not any(type(mutant) is type(bad) and mutant == bad
+                               for bad in NEVER_LOADED), (path, mutant)
+                assert not (path[-1] == "p" and mutant == -1), path
+                assert from_obj(to_obj(value)) == value, (path, mutant)
+    assert counts["refused"] > 0 and counts["loaded"] > 0
 
 
 def test_walk_trace_round_trip():

@@ -325,10 +325,14 @@ def retraction(frame, c, x):
     basis of the relative matrix n is read off ``minor_valuations``: with a2
     the least valuation in row 2 of n and a12 the least valuation of a 2x2
     minor on rows (1, 2), it is (det - a12, a12 - a2, a2), since both minima
-    are invariant under column operations over Z_(p).
+    are invariant under column operations over Z_(p).  n is adj(F P) times
+    the basis of x, F P the frame matrix with its columns in the order of
+    c; its rows are the rows order[k] of ``frame.adjugate``, up to one
+    global sign, which changes no valuation.
     """
     order = chamber_order_in_frame(frame, c)
-    n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
+    adj = frame.adjugate
+    n = mat_mul(tuple(adj[i] for i in order), x.matrix)
     entries, minors, det_v = minor_valuations(n, x.p)
     a2 = min(v for v, i, _ in entries if i == 2)
     a12 = min(v for v, i1, i2, *_ in minors if (i1, i2) == (1, 2))

@@ -90,11 +90,6 @@ class LatticeVertex:
         require_prime(p)
         return cls(p, lattice_canonical(m, p))
 
-    @classmethod
-    def standard(cls, p):
-        require_prime(p)
-        return cls(p, identity())
-
     def apply(self, g):
         """Image of this vertex under a matrix acting on Q^3."""
         return LatticeVertex.from_matrix(self.p, mat_mul(g, self.matrix))
@@ -109,7 +104,9 @@ class LatticeVertex:
 
 
 def standard_vertex(p):
-    return LatticeVertex.standard(p)
+    """The vertex of the standard lattice Z_(p)^3."""
+    require_prime(p)
+    return LatticeVertex(p, identity())
 
 
 def random_vertex(p, rng):
@@ -156,14 +153,26 @@ class Frame:
             raise SingularMatrixError("frame lines must be independent")
         return cls(tuple(prims))
 
-    def matrix(self, order=(0, 1, 2)):
-        return from_columns(tuple(self.lines[i] for i in order))
+    def matrix(self):
+        """The matrix F whose columns are the frame lines."""
+        return from_columns(self.lines)
+
+    @cached_property
+    def adjugate(self):
+        """adj(F), whose row k is the cross product of the other two lines.
+
+        adj(F) F = det(F) I, so adj(F) moves a line into frame coordinates
+        and the lines themselves, the rows of F^T, move a plane normal
+        there, each up to a scalar.
+        """
+        u, v, w = self.lines
+        return cross(v, w), cross(w, u), cross(u, v)
 
     @cached_property
     def plane_normals(self):
-        """Normal k is the canonical normal of the other two lines' plane."""
-        u, v, w = self.lines
-        return tuple(primitive_vector(cross(a, b)) for a, b in ((v, w), (w, u), (u, v)))
+        """Normal k, the primitive row k of ``adjugate``, is the canonical
+        normal of the plane of the other two lines."""
+        return tuple(primitive_vector(row) for row in self.adjugate)
 
     def apply(self, g):
         return Frame.from_lines(tuple(mat_vec(g, v) for v in self.lines))
@@ -356,7 +365,7 @@ def distance_to_apartment(x, frame):
     ``ApartmentPairDistance.nearest`` from the basis of x, at exponents 0,
     to the frame.  Returns (squared distance, witness vertex).
     """
-    k_int = mat_mul(adjugate3(frame.matrix()), x.matrix)
+    k_int = mat_mul(frame.adjugate, x.matrix)
     best, m = ApartmentPairDistance(k_int, x.p).nearest((0, 0, 0))
     return best, frame_vertex(frame, x.p, m)
 

@@ -32,7 +32,7 @@ from itertools import product
 
 import yaml
 
-from .padic_linalg import det3, is_prime, lattice_canonical, mat_mul
+from .padic_linalg import det3, identity, is_prime, lattice_canonical, mat_mul
 from .building import (
     dist2,
     is_regular,
@@ -212,21 +212,13 @@ def config_hash(cfg):
 
 
 # ---------------------------------------------------------------------------
-# shared constructions
-# ---------------------------------------------------------------------------
-
-def _standard_cert(p, lam):
-    return make_srh(((1, 0, 0), (0, 1, 0), (0, 0, 1)), tuple(lam), p)
-
-
-# ---------------------------------------------------------------------------
 # subcommand runners: each returns (records, aggregate_rows, exit_code)
 # ---------------------------------------------------------------------------
 
 def run_dynamics(cfg, seed):
     p = cfg["p"]
     rng = make_rng(seed, 1)
-    certs = [_standard_cert(p, cfg["lam"])]
+    certs = [make_srh(identity(), tuple(cfg["lam"]), p)]
     for _ in range(cfg["conjugators"]):
         certs.append(certs[0].conjugate(random_sl3z(rng)))
     records, rows = [], []
@@ -340,7 +332,7 @@ def run_measure(cfg, seed):
 def run_equicont(cfg, seed):
     p = cfg["p"]
     o = standard_vertex(p)
-    cert = _standard_cert(p, (2, 1, 0))
+    cert = make_srh(identity(), (2, 1, 0), p)
     frame = cert.frame
     gens = [cert.element, cert.conjugate(random_sl3z(make_rng(seed, 7))).element]
     words = enumerate_reduced_words(gens, cfg["word_length"])
@@ -451,7 +443,7 @@ def run_selftest(cfg, seed):
     check("lattice_canonical_invariance", inv_ok)
     check("theta_involution", theta_ok)
     # retraction does not increase distance
-    cert = _standard_cert(p, (2, 1, 0))
+    cert = make_srh(identity(), (2, 1, 0), p)
     frame = cert.frame
     ok = True
     for _ in range(n // 2):

@@ -7,12 +7,13 @@ one.  An element is an integer matrix num over a denominator den; it is
 certified when the characteristic polynomial of num has three integer roots
 den*lambda of pairwise distinct p-adic valuations, found by Newton-polygon
 slopes plus Hensel lifting and verified exactly, so numerics decide nothing.
-North-south limits run in frame coordinates, entered by the certificate's
-``frame_maps``: there g is diagonal, so every depth between two images g^n c
-and every depth to an apartment chamber is read off twelve valuations fixed
-per call, in closed form, and no image is formed.  The universal contraction
-forms image n in closed form too, each g_i diagonal in its own frame, and
-runs the same detector on ``boundary.adapted_depth`` of the images.
+North-south limits run in frame coordinates, entered by the frame's
+``adjugate`` and lines: there g is diagonal, so every depth between two
+images g^n c and every depth to an apartment chamber is read off twelve
+valuations fixed per call, in closed form, and no image is formed.  The
+universal contraction forms image n in closed form too, each g_i diagonal in
+its own frame, and runs the same detector on ``boundary.adapted_depth`` of
+the images.
 
 The module also provides the word-enumeration approximation of the flag limit
 set, Schubert-cell classification of samples, and the sector-based
@@ -34,7 +35,6 @@ from .padic_linalg import (
     det3,
     dot,
     flag_adapted_columns,
-    from_columns,
     identity,
     integerize,
     mat_mul,
@@ -45,7 +45,6 @@ from .padic_linalg import (
     valuation_int,
 )
 from .building import (
-    LatticeVertex,
     Frame,
     dist2,
     dominant,
@@ -53,6 +52,7 @@ from .building import (
     is_colinear_growth,
     is_regular,
     residue_projection,
+    standard_vertex,
     vector_distance,
 )
 from .boundary import (
@@ -63,6 +63,7 @@ from .boundary import (
     apartment_chambers,
     apartment_from_opposite,
     chamber_order_in_frame,
+    frame_chamber,
     growth_ray_vertex,
     is_opposite,
     is_opposite_to_apartment,
@@ -189,16 +190,6 @@ class SrhCertificate:
         return True
 
     @cached_property
-    def frame_matrix(self):
-        """The matrix F whose columns are the frame lines, in frame order."""
-        return self.frame.matrix()
-
-    @cached_property
-    def frame_maps(self):
-        """(adj(F), F^T), which move a line and a normal into frame coordinates."""
-        return adjugate3(self.frame_matrix), transpose(self.frame_matrix)
-
-    @cached_property
     def eigenvalues(self):
         """The eigenvalues of num on the frame lines, in frame order."""
         return tuple(_eigenvalue(self.element.num, v) for v in self.frame.lines)
@@ -211,12 +202,6 @@ class SrhCertificate:
             raise ValueError("the eigenvalues on the frame lines must have "
                              "pairwise distinct valuations")
         return vals
-
-    @cached_property
-    def frame_chambers(self):
-        """The chambers of the frame apartment, keyed by their order (i, j, k)
-        of the frame lines."""
-        return dict(zip(ALL_PERMS, apartment_chambers(self.frame)))
 
     def conjugate(self, k):
         """Certificate of k g k^-1, with the lines moved by k."""
@@ -367,14 +352,16 @@ def make_srh(lines, lam, p):
                          "the translation in SL3")
     lines = tuple(primitive_vector(v) for v in lines)
     s = (lam[0] + lam[1]) // 3
-    exps = (-s, lam[1] - s, lam[0] - s)  # ascending, sum 0
-    h = from_columns(lines)
-    # h diag(p^e) h^-1 = h diag(p^(e - e0)) adj(h) / (det h p^-e0), e0 = min e
-    e0 = min(exps)
-    d = tuple(tuple(p ** (exps[i] - e0) if i == j else 0 for j in range(3))
-              for i in range(3))
-    g = GroupElement.reduced(mat_mul(h, mat_mul(d, adjugate3(h))),
-                             det3(h) * p ** -e0)
+    exps = dict(zip(lines, (-s, lam[1] - s, lam[0] - s)))  # ascending, sum 0
+    frame = Frame.from_lines(lines)
+    f = frame.matrix()
+    # F diag(p^e) F^-1 = F diag(p^(e - e0)) adj(F) / (det F p^-e0), e0 = min e,
+    # e the exponents of the frame lines
+    e0 = min(exps.values())
+    d = tuple(tuple(p ** (exps[v] - e0) if i == j else 0 for j in range(3))
+              for i, v in enumerate(frame.lines))
+    g = GroupElement.reduced(mat_mul(f, mat_mul(d, frame.adjugate)),
+                             det3(f) * p ** -e0)
     return SrhCertificate(p, g, lines, lam)
 
 
@@ -620,14 +607,6 @@ def _valuation_readers(cert, line, normal, threshold):
     return depth, candidate
 
 
-def _primitive(x, y, z):
-    """A nonzero integer vector divided by the gcd of its entries.  Unlike
-    ``primitive_vector`` it keeps the sign, which no depth reads: the
-    detector takes only residues mod p and valuations of these vectors."""
-    k = gcd(x, y, z)
-    return x // k, y // k, z // k
-
-
 def _eigenvalue(m, v):
     """The eigenvalue of the integer matrix m on its eigenvector v, read at
     the last nonzero entry of v."""
@@ -657,17 +636,19 @@ def north_south_limit(cert, c, nmax=40, threshold=4):
     does not depend on the basis of the lattice it is read in
     (``adapted_depth``).  The apartment chambers are the coordinate flags
     there, so c is one of them exactly when its line and its normal each
-    have two zero coordinates.  c enters by ``frame_maps``: that is
-    ``flag_in_basis(F, c)`` up to a scalar on each vector, which changes no
-    zero entry and no read (``_valuation_readers``).
+    have two zero coordinates.  c enters by the frame's ``adjugate`` and
+    its lines, the rows of F^T: that is ``flag_in_basis(F, c)`` up to a
+    scalar on each vector, which changes no zero entry and no read
+    (``_valuation_readers``).
     """
-    adj_f, f_t = cert.frame_maps
-    line, normal = mat_vec(adj_f, c.line), mat_vec(f_t, c.plane_normal)
+    frame = cert.frame
+    line = mat_vec(frame.adjugate, c.line)
+    normal = mat_vec(frame.lines, c.plane_normal)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
     order = _stable_apartment_direction(
         *_valuation_readers(cert, line, normal, threshold), threshold, nmax)
-    return cert.frame_chambers[order]
+    return frame_chamber(frame, order)
 
 
 def proximal_pair_check(cert1, cert2):
@@ -704,7 +685,7 @@ def schottky_pair(p, rng, depth=4):
     cert1 = make_srh(identity(), (2, 1, 0), p)
     c3 = construct_generic(cert1.attracting, cert1.repelling, p, rng=rng,
                            depth=depth)
-    x = LatticeVertex.standard(p)
+    x = standard_vertex(p)
     for _ in range(_SCHOTTKY_DRAWS):
         cand = harmonic_sample(x, depth, rng)
         if is_opposite(cand, c3):
@@ -731,16 +712,18 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
     M = adj(F2) F1 and N = adj(F1) F2, so M N = det(F1) det(F2) I.  Then
     adj(F2) g2^n g1^n l is diag(lambda2^n) M diag(lambda1^n) u and
     F2^T adj(g2^n g1^n)^T r is diag(mu2^n) N^T diag(mu1^n) w, up to
-    scalars, where (u, w) is c moved by cert1's ``frame_maps``: image n is
-    the primitive pair of these two vectors, a function of n alone, so u and
-    w need not be primitive.
+    scalars, where (u, w) is c moved by adj(F1) and F1^T: image n is the
+    primitive pair of these two vectors, a function of n alone, so u and w
+    need not be primitive.  The sign of each image is not read: the
+    detector takes only residues mod p and valuations of its entries.
     """
     if not proximal_pair_check(cert1, cert2):
         raise ValueError("pair does not satisfy the contraction hypothesis")
-    (adj1, f1t), (adj2, _) = cert1.frame_maps, cert2.frame_maps
-    m = mat_mul(adj2, cert1.frame_matrix)
-    nt = transpose(mat_mul(adj1, cert2.frame_matrix))
-    u, w = mat_vec(adj1, c.line), mat_vec(f1t, c.plane_normal)
+    frame1, frame2 = cert1.frame, cert2.frame
+    m = mat_mul(frame2.adjugate, frame1.matrix())
+    nt = mat_mul(frame2.lines, transpose(frame1.adjugate))
+    u = mat_vec(frame1.adjugate, c.line)
+    w = mat_vec(frame1.lines, c.plane_normal)
     lam1, lam2 = cert1.eigenvalues, cert2.eigenvalues
     mu1, mu2 = ((b * k, a * k, a * b) for a, b, k in (lam1, lam2))
 
@@ -749,11 +732,13 @@ def universal_contraction(cert1, cert2, c, nmax=40, threshold=4):
         return tuple(x ** n * e for x, e in zip(d, v))
 
     def image(n):
-        return (_primitive(*scaled(lam2, n, mat_vec(m, scaled(lam1, n, u)))),
-                _primitive(*scaled(mu2, n, mat_vec(nt, scaled(mu1, n, w)))))
+        line = mat_vec(m, scaled(lam1, n, u))
+        normal = mat_vec(nt, scaled(mu1, n, w))
+        return (primitive_vector(scaled(lam2, n, line)),
+                primitive_vector(scaled(mu2, n, normal)))
 
-    return cert2.frame_chambers[_stable_apartment_direction(
-        *_image_readers(image, cert2.p, threshold), threshold, nmax)]
+    return frame_chamber(frame2, _stable_apartment_direction(
+        *_image_readers(image, cert2.p, threshold), threshold, nmax))
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +803,7 @@ def schubert_avoidance_report(sample, cert):
 
 def fixed_flag_fraction(g, trials, depth, rng, p):
     """Fraction of harmonic-sampled flags fixed exactly by g."""
-    x = LatticeVertex.standard(p)
+    x = standard_vertex(p)
     hits = 0
     for _ in range(trials):
         c = harmonic_sample(x, depth, rng)

@@ -37,10 +37,11 @@ The workhorses are
   the conditioned harmonic sampler and the walk's direction estimate.
 * ``mul_strip`` and ``in_basis``: the one content-stripped product, and
   the one change of basis of a group element, adj(m) g m stripped; only
-  the walk uses them.  Flags change basis by ``building.flag_in_basis`` (a
-  certificate's ``frame_maps`` along a north-south iteration, whose depths
-  are read off valuations by ``dynamics._valuation_readers``), and their
-  depth is ``boundary.adapted_depth``.
+  the walk uses them.  Flags change basis by ``building.flag_in_basis`` (by
+  a frame's cached ``Frame.adjugate`` and its lines along a north-south
+  iteration, whose depths are read off valuations by
+  ``dynamics._valuation_readers``), and their depth is
+  ``boundary.adapted_depth``.
 
 The elimination form of ``smith_exponents``, the column elimination of
 ``lattice_canonical`` (``lattice_canonical_oracle``), the Fraction
@@ -154,8 +155,8 @@ def valuation_int(n, p):
 # plain matrix helpers (rows of tuples, exact entries)
 # ---------------------------------------------------------------------------
 
-def identity(n=3):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def identity():
+    return (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
 def transpose(m):

@@ -17,7 +17,9 @@ raises ParseError at ``where``, the field's path in the record.  An int is
 never a bool, and a rational (``str_to_frac``) is an int or a "num/den"
 string, never a float.  Lists read into tuples, and a nested record must be
 of its field's kind.  A constructor's ValueError becomes a ParseError naming
-the kind; a SingularMatrixError of dependent lines passes as it is.
+the kind; a SingularMatrixError of dependent lines passes as it is.  A
+certificate is certified again and a walk trace replayed from its config on
+load, and a record that differs from its replay is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .building import Frame, LatticeVertex, ResidueChamber
 from .boundary import Flag, flag_echelon
 from .padic_linalg import MR_EXACT_BOUND, SingularMatrixError, is_prime
 from .dynamics import GroupElement, SrhCertificate, certify_srh
-from .stochastics import WalkConfig, WalkStep, WalkTrace
+from .stochastics import WalkConfig, WalkStep, WalkTrace, run_walk
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -180,6 +182,18 @@ def _certificate(p, element, lines, lam, attracting, repelling):
     return cert
 
 
+def _walk_trace(config, steps, final_position):
+    """The trace of a record, which run_walk(config) must reproduce.  The
+    step count is checked first, so a load runs at most one walk as long as
+    the record itself."""
+    if len(steps) != config.steps + 1:
+        raise ValueError(f"{len(steps)} steps for a walk of {config.steps}")
+    trace = run_walk(config)
+    if trace != WalkTrace(config, steps, final_position):
+        raise ValueError("not the trace of its config")
+    return trace
+
+
 # kind -> (constructor, {field: parser}), the fields in argument order
 _FIELDS = {
     "vertex": (LatticeVertex.from_matrix, {"p": _prime, "matrix": obj_to_matrix}),
@@ -200,7 +214,7 @@ _FIELDS = {
     "walk_step": (WalkStep, {
         "n": _int, "letter": _int, "theta": int_vector,
         "germ": _optional(_record("residue_chamber")), "germ_run": _int}),
-    "walk_trace": (WalkTrace, {
+    "walk_trace": (_walk_trace, {
         "config": _record("walk_config"), "steps": list_of(_record("walk_step")),
         "final_position": _record("vertex")}),
     "weyl_vector": (tuple, {"entries": int_vector}),

@@ -125,20 +125,17 @@ class SqrtSum:
         return not self.terms
 
     def enclosure(self, digits=20):
-        """Certified rational enclosure (lo, hi) with hi - lo <= len * 10^-digits."""
+        """Certified rational enclosure (lo, hi), hi - lo <= len * 10^-digits.
+
+        Each root lies in [r, r + 1] / 10^digits, r its ``isqrt`` at that
+        scale, so over the (mid, slack) of ``_root_sum_at_scale`` the value
+        is at least lo = mid - (sum of |c| over c < 0) and at most
+        lo + slack, both over 10^digits.
+        """
+        mid, slack = _root_sum_at_scale(self.terms, digits)
+        lo = mid + sum(c for _, c in self.terms if c < 0)
         scale = 10 ** digits
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for s, c in self.terms:
-            root_lo = Fraction(isqrt(s * scale * scale), scale)
-            root_hi = root_lo + Fraction(1, scale)
-            if c > 0:
-                lo += c * root_lo
-                hi += c * root_hi
-            else:
-                lo += c * root_hi
-                hi += c * root_lo
-        return lo, hi
+        return Fraction(lo, scale), Fraction(lo + slack, scale)
 
     def compare(self, other):
         """-1, 0 or 1; exact.

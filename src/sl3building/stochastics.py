@@ -382,6 +382,9 @@ class WalkConfig:
             raise ValueError("weights must sum to 1")
         if type(self.steps) is not int or self.steps < 0:
             raise ValueError(f"steps must be an int >= 0, got {self.steps!r}")
+        if self.p != self.base_vertex.p:
+            raise ValueError(f"p = {self.p} is not the prime of the base "
+                             f"vertex, {self.base_vertex.p}")
 
     def thresholds(self):
         ws = [Fraction(w) for w in self.weights]
@@ -560,12 +563,10 @@ def direction_estimate(base, z_vertex):
 class EventEstimate:
     label: str
     frequency: Fraction
-    radius_3sigma: float
     trials_used: int
 
 
-def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2),
-                        window=3):
+def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2)):
     """Empirical limit-direction masses of basis-set events over seeded trials.
 
     events is a sequence of (label, x, y) with U_x(y) the event.  Each trial
@@ -584,7 +585,7 @@ def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2),
                          config.steps, derive_seed(config.seed, t),
                          config.base_vertex)
         trace = run_walk(cfg)
-        ok, _, _ = convergence_report(trace, window)
+        ok, _, _ = convergence_report(trace)
         if not ok:
             continue
         chamber = direction_estimate(config.base_vertex, trace.final_position)
@@ -597,12 +598,8 @@ def stationary_estimate(config, trials, events, min_converged=Fraction(1, 2),
     if converged == 0 or Fraction(converged, trials) < min_converged:
         raise InsufficientConvergenceError(
             f"only {converged}/{trials} walks converged")
-    out = []
-    for label, _, _ in events:
-        f = Fraction(hits[label], converged)
-        sigma = math.sqrt(float(f) * (1 - float(f)) / converged)
-        out.append(EventEstimate(label, f, 3 * sigma, converged))
-    return out
+    return [EventEstimate(label, Fraction(hits[label], converged), converged)
+            for label, _, _ in events]
 
 
 def within_three_sigma(frequency, target, trials):

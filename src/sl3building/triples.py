@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 
-from .padic_linalg import adjugate3, det3, mat_mul
+from .padic_linalg import det3, mat_mul
 from .building import (
     ApartmentPairDistance,
-    LatticeVertex,
     _eisenstein_shell,
     distance_to_apartment,
     frame_vertex,
+    standard_vertex,
 )
 from .boundary import (
     NotOppositeError,
@@ -146,7 +146,7 @@ def construct_generic(c1, c2, p, rng=None, depth=6, candidates=None):
         raise NotOppositeError("construct_generic requires opposite chambers")
     frame = apartment_from_opposite(c1, c2)
     if candidates is None:
-        x = LatticeVertex.standard(p)
+        x = standard_vertex(p)
         candidates = iter(lambda: harmonic_sample(x, depth, rng), None)
     for c3 in islice(candidates, _GENERIC_COMPLETION_DRAWS):
         if is_opposite_to_apartment(c3, frame):
@@ -356,7 +356,7 @@ def barycenter(triple, p, radius_cap=12):
         raise ValueError("barycenter requires a generic triple")
     frames = pairwise_frames(triple)
     evs = {(k, i): ApartmentPairDistance(
-               mat_mul(adjugate3(frames[i].matrix()), frames[k].matrix()), p)
+               mat_mul(frames[i].adjugate, frames[k].matrix()), p)
            for k in range(3) for i in range(3) if i != k}
     overall_best = None
     overall_vertices = {}

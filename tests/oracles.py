@@ -49,7 +49,9 @@ its certified crossing bound (``boundary_retraction_iwasawa_oracle``)
 instead of the apartment chamber at the same Weyl distance from the centre.
 The barycenter's shell search runs on ``SqrtSum`` values throughout
 (``certified_apartment_min_oracle``) instead of integer enclosures of the
-pairs of squared distances.  The rational ``valuation``, ``perm_length`` and
+pairs of squared distances, and a ``SqrtSum`` enclosure comes from a
+Fraction loop over its terms (``sqrtsum_enclosure_loop_oracle``) instead of
+one integer bracket at the scale.  The rational ``valuation``, ``perm_length`` and
 ``stabilized_apartment_simplices`` live here because only the tests use
 them, as do the lower-triangular torus member of the Borel family and its
 finite-field cross-checks (``torus_members_field``,
@@ -114,6 +116,7 @@ from sl3building.padic_linalg import (
     mat_vec,
     minor_valuations,
     mul_strip,
+    primitive_vector,
     require_prime,
     residue_germ_parts,
     smith_exponents,
@@ -145,6 +148,7 @@ from sl3building.boundary import (
     adapted_depth,
     apartment_from_opposite,
     flag_echelon,
+    frame_chamber,
     growth_ray_vertex,
     is_opposite,
     sector_membership,
@@ -152,7 +156,6 @@ from sl3building.boundary import (
 )
 from sl3building.dynamics import (
     _image_readers,
-    _primitive,
     _stable_apartment_direction,
 )
 from sl3building.parabolics import stabilizes_line, stabilizes_plane
@@ -648,8 +651,8 @@ def _image_route_readers(cert, line, normal, threshold):
     (l0, l1, l2), (n0, n1, n2) = line, normal
 
     def image(n):
-        return (_primitive(a ** n * l0, b ** n * l1, k ** n * l2),
-                _primitive(bk ** n * n0, ak ** n * n1, ab ** n * n2))
+        return (primitive_vector((a ** n * l0, b ** n * l1, k ** n * l2)),
+                primitive_vector((bk ** n * n0, ak ** n * n1, ab ** n * n2)))
 
     return _image_readers(image, cert.p, threshold)
 
@@ -662,19 +665,19 @@ def north_south_limit_image_oracle(cert, c, nmax=40, threshold=4):
     ``universal_contraction`` does, instead of off twelve valuations fixed
     per call.
     """
-    line, normal = flag_in_basis(cert.frame_matrix, c)
+    line, normal = flag_in_basis(cert.frame.matrix(), c)
     if line.count(0) == 2 and normal.count(0) == 2:
         return c
     order = _stable_apartment_direction(
         *_image_route_readers(cert, line, normal, threshold), threshold, nmax)
-    return cert.frame_chambers[order]
+    return frame_chamber(cert.frame, order)
 
 
 def north_south_outcomes_image_oracle(cert, c, threshold, horizons):
     """("limit", chamber) or ("horizon", None) of
     ``north_south_limit_image_oracle`` at each horizon in horizons, with
     each depth and candidate read once for all of them."""
-    line, normal = flag_in_basis(cert.frame_matrix, c)
+    line, normal = flag_in_basis(cert.frame.matrix(), c)
     if line.count(0) == 2 and normal.count(0) == 2:
         return [("limit", c)] * len(horizons)
     depth, candidate = (lru_cache(maxsize=None)(reader) for reader in
@@ -682,8 +685,9 @@ def north_south_outcomes_image_oracle(cert, c, threshold, horizons):
     outcomes = []
     for nmax in horizons:
         try:
-            outcomes.append(("limit", cert.frame_chambers[
-                _stable_apartment_direction(depth, candidate, threshold, nmax)]))
+            order = _stable_apartment_direction(depth, candidate, threshold,
+                                                nmax)
+            outcomes.append(("limit", frame_chamber(cert.frame, order)))
         except HorizonExceededError:
             outcomes.append(("horizon", None))
     return outcomes
@@ -764,7 +768,8 @@ def is_generic_simplices_oracle(triple):
 def retraction_lattice_oracle(frame, c, x):
     """Retraction with the Iwasawa exponents read off the Hermite-form pivots."""
     order = chamber_order_in_frame_oracle(frame, c)
-    n = mat_mul(adjugate3(frame.matrix(order)), x.matrix)
+    n = mat_mul(adjugate3(from_columns([frame.lines[i] for i in order])),
+                x.matrix)
     canon = lattice_canonical_oracle(n, x.p)
     m = [0, 0, 0]
     for k in range(3):
@@ -786,7 +791,7 @@ def boundary_retraction_iwasawa_oracle(frame, c, d, p):
         if e == d:
             return d
     order_c = chamber_order_in_frame_oracle(frame, c)
-    h = frame.matrix(order_c)
+    h = from_columns([frame.lines[i] for i in order_c])
     o = frame_vertex(frame, p, (0, 0, 0))
     n0 = mat_mul(adjugate3(h), mat_mul(o.matrix, adapted_basis_at(o, d)))
     # column j of the ray vertex scales by p^(j * n), so the bottom-up corner
@@ -1219,6 +1224,25 @@ def certified_apartment_min_oracle(value_at, radius_cap):
             certified = True
             break
     return best, best_set, radius, certified
+
+
+def sqrtsum_enclosure_loop_oracle(value, digits):
+    """``SqrtSum.enclosure`` as a Fraction loop over the terms: each root
+    bracketed in [r, r + 1] / 10^digits, r its ``isqrt`` at that scale,
+    and each bound taken term by term by the sign of the coefficient."""
+    scale = 10 ** digits
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for s, c in value.terms:
+        root_lo = Fraction(isqrt(s * scale * scale), scale)
+        root_hi = root_lo + Fraction(1, scale)
+        if c > 0:
+            lo += c * root_lo
+            hi += c * root_hi
+        else:
+            lo += c * root_hi
+            hi += c * root_lo
+    return lo, hi
 
 
 def sqrtsum_enclosure_compare(a, b):

@@ -129,6 +129,11 @@ KEPT_FOR_THE_TESTS = {
                                  "cover all three of",
     "SqrtSum.enclosure": "a span target of bench/spans.py, and the "
                          "enclosures of the comparison oracle",
+    "Frame.apply": "the SL3(Q) action on frames, for the equivariance "
+                   "properties of apartments",
+    "ApartmentPairDistance.theta": "the vector distance to one target vertex, "
+                                   "the reference the certified descent in "
+                                   "nearest is checked against",
 }
 
 

@@ -31,6 +31,7 @@ from sl3building.boundary import (
     adapted_depth,
     boundary_retraction,
     common_depth,
+    frame_chamber,
     growth_ray_vertex,
     is_opposite,
 )
@@ -697,7 +698,7 @@ def test_north_south_limit_forms_no_image(monkeypatch):
         raise AssertionError("north_south_limit formed an image")
 
     for name in ("flag_adapted_columns", "adapted_depth",
-                 "_apartment_candidate", "_primitive"):
+                 "_apartment_candidate", "primitive_vector"):
         monkeypatch.setattr(dynamics, name, forbidden)
     assert [north_south_limit(cert, c, threshold=threshold)
             for cert, c, threshold in cases] == expected
@@ -794,7 +795,7 @@ def test_universal_contraction_images_are_the_moved_flags(monkeypatch):
                 for n in range(21):
                     moved = contraction_image_oracle(cert1, cert2, c, n)
                     assert tuple(map(primitive_vector, images[-1](n))) == \
-                        flag_in_basis(cert2.frame_matrix, moved)
+                        flag_in_basis(cert2.frame.matrix(), moved)
 
 
 def test_universal_contraction_readers_match_the_flag_oracle_readers(
@@ -825,7 +826,7 @@ def test_universal_contraction_readers_match_the_flag_oracle_readers(
                     for n in range(1, 31):
                         got = candidate(n)
                         if got is not None:
-                            got = (cert2.frame_chambers[got[0]], got[1])
+                            got = (frame_chamber(cert2.frame, got[0]), got[1])
                         assert got == want_candidate(n), (p, threshold, n)
 
 
@@ -854,7 +855,7 @@ def test_valuation_readers_match_the_image_readers():
     # units and a, b in {0, 1, 3}, nine of the 81 scalings per threshold in
     # turn, and must read the same at every step up to 40: the scale
     # invariance north_south_limit relies on when it passes the images of
-    # c under frame_maps unreduced.
+    # c under the frame's adjugate and lines unreduced.
     zero_entries = set()
     for p in (2, 3, 5, 7):
         rng = make_rng(91, p)
@@ -866,7 +867,7 @@ def test_valuation_readers_match_the_image_readers():
             for cert in _grid_certificates(p, lam):
                 for depth in (1, 4):
                     c = harmonic_sample(x, depth, rng)
-                    line, normal = flag_in_basis(cert.frame_matrix, c)
+                    line, normal = flag_in_basis(cert.frame.matrix(), c)
                     zero_entries.add((line.count(0), normal.count(0)))
                     for threshold in (0, 2, 60):
                         got = dynamics._valuation_readers(cert, line, normal,

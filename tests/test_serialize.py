@@ -12,6 +12,7 @@ from sl3building.building import Frame, LatticeVertex, standard_vertex
 from sl3building.boundary import Flag
 from sl3building.dynamics import GroupElement, certify_srh, make_srh, random_sl3z
 from sl3building.padic_linalg import SingularMatrixError, det3
+from sl3building import serialize
 from sl3building.serialize import (
     ParseError,
     _ratio_str,
@@ -321,6 +322,51 @@ def test_walk_trace_round_trip():
     cfg = WalkConfig(p, (cert.element,), (Fraction(1),), 6, 11, standard_vertex(p))
     trace = run_walk(cfg)
     assert from_obj(to_obj(trace)) == trace
+
+
+def test_walk_traces_are_replayed_on_load(monkeypatch):
+    # A trace record is refused unless run_walk of its config reproduces
+    # it: an edited seed and theta, or an edited final position.  A step
+    # count that is not the config's is refused before any walk is run, so
+    # a crafted config.steps cannot stall the load.
+    p = 3
+    cert = make_srh(STD_LINES, (2, 1, 0), p)
+    cfg = WalkConfig(p, (cert.element,), (Fraction(1),), 6, 11,
+                     standard_vertex(p))
+    trace_obj = to_obj(run_walk(cfg))
+    edited = copy.deepcopy(trace_obj)
+    edited["config"]["seed"] = 12
+    edited["steps"][1]["theta"] = [7, 0, 0]
+    moved = dict(trace_obj, final_position=to_obj(
+        LatticeVertex.from_matrix(p, ((3, 1, 0), (0, 1, 0), (0, 0, 1)))))
+    for obj in (edited, moved):
+        with pytest.raises(ParseError, match="bad walk_trace record"):
+            from_obj(obj)
+    assert from_obj(trace_obj) == run_walk(cfg)
+
+    def no_walk(config):
+        raise AssertionError("a walk was run")
+
+    monkeypatch.setattr(serialize, "run_walk", no_walk)
+    for steps in (10 ** 12, 5, 7):
+        long_config = copy.deepcopy(trace_obj)
+        long_config["config"]["steps"] = steps
+        with pytest.raises(ParseError, match="steps for a walk of"):
+            from_obj(long_config)
+
+
+def test_walk_configs_take_the_prime_of_their_base_vertex():
+    # A walk_config record with p = 5 and a p = 3 base vertex is refused;
+    # run_walk would read the p = 3 lattices at p = 5.
+    p = 3
+    cert = make_srh(STD_LINES, (2, 1, 0), p)
+    cfg_obj = to_obj(WalkConfig(p, (cert.element,), (Fraction(1),), 6, 11,
+                                standard_vertex(p)))
+    with pytest.raises(ParseError, match="bad walk_config record"):
+        from_obj(dict(cfg_obj, p=5))
+    with pytest.raises(ValueError, match="prime of the base vertex"):
+        WalkConfig(5, (cert.element,), (Fraction(1),), 6, 11,
+                   standard_vertex(p))
 
 
 def test_unknown_kind_rejected():

@@ -22,7 +22,7 @@ from sl3building.triples import (
     construct_generic,
     distance_sum,
 )
-from oracles import sqrtsum_enclosure_compare
+from oracles import sqrtsum_enclosure_compare, sqrtsum_enclosure_loop_oracle
 
 
 def combination(pairs):
@@ -49,6 +49,24 @@ def check_against_oracle(a, b):
 @given(SUMS, SUMS)
 def test_compare_agrees_with_the_enclosure_oracle(a, b):
     check_against_oracle(a, b)
+
+
+# (n, c) terms with int and Fraction coefficients of both signs
+MIXED_TERMS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+              st.one_of(st.integers(min_value=-50, max_value=50),
+                        st.fractions(min_value=-6, max_value=6,
+                                     max_denominator=12))),
+    max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MIXED_TERMS, st.integers(min_value=0, max_value=40))
+def test_enclosure_is_the_fraction_loop_exactly(terms, digits):
+    value = SqrtSum(terms)
+    got = value.enclosure(digits)
+    assert got == sqrtsum_enclosure_loop_oracle(value, digits)
+    assert all(type(x) is Fraction for x in got)
 
 
 @settings(max_examples=200, deadline=None)

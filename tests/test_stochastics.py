@@ -938,15 +938,15 @@ def test_three_sigma_verdicts_are_exact_at_the_boundary():
     assert within_three_sigma(Fraction(1, 8), Fraction(1, 50), 16)
     # pooled two-sample test: f1 = 3/9, f2 = 9/9 at n1 = n2 = 9 lies exactly
     # on (f1 - f2)^2 = 9 P (1 - P) (1/n1 + 1/n2), P = 2/3
-    a = EventEstimate("E", Fraction(3, 9), 0.0, 9)
-    assert estimates_agree([a], [EventEstimate("E", Fraction(1), 0.0, 9)])["E"]
+    a = EventEstimate("E", Fraction(3, 9), 9)
+    assert estimates_agree([a], [EventEstimate("E", Fraction(1), 9)])["E"]
     assert not estimates_agree(
-        [EventEstimate("E", Fraction(2, 9), 0.0, 9)],
-        [EventEstimate("E", Fraction(1), 0.0, 9)])["E"]
+        [EventEstimate("E", Fraction(2, 9), 9)],
+        [EventEstimate("E", Fraction(1), 9)])["E"]
     # both frequencies 0: zero pooled variance and zero difference agree
     # without a variance floor
-    zero = EventEstimate("E", Fraction(0), 0.0, 5)
-    assert estimates_agree([zero], [EventEstimate("E", Fraction(0), 0.0, 7)])["E"]
+    zero = EventEstimate("E", Fraction(0), 5)
+    assert estimates_agree([zero], [EventEstimate("E", Fraction(0), 7)])["E"]
 
 
 def test_stationary_estimate_deterministic_walk_is_dirac():
